@@ -25,7 +25,7 @@ from .models import (
     xxz_dephasing,
 )
 from .overlaps import ObservableMatrix, OverlapSet, add_shot_noise, assemble, observable_matrix
-from .pauli import PauliString, PauliSum, pauli_mul, paulisum_dagger, paulisum_mul
+from .pauli import PauliString, PauliSum, pauli_mul
 from .sdp import (
     BetaMatrix,
     FeasibilityProblem,

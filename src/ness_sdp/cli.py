@@ -100,6 +100,8 @@ def _constraints(cfg: dict, ansatz: states.AnsatzSet,
                  model: models.OpenSystemModel):
     out = []
     for entry in cfg.get("constraints", []):
+        if "target" not in entry:
+            raise ConfigError(f"constraint needs a 'target': {entry}")
         target = float(entry["target"])
         if entry.get("generator") == "magnetization":
             gen = models.magnetization(model.n_qubits)
@@ -242,9 +244,17 @@ _SWEEP_COLUMNS = ("g", "ansatz_size", "feasible", "subspace_residual",
                   "K", "q", "ansatz_rng_seed", "seed_descriptor", "shots", "feas_tol")
 
 
+def _with_param(cfg: dict, name: str, value) -> dict:
+    """Deep copy of cfg with one builder parameter of the model replaced."""
+    if not isinstance(cfg["model"].get("params"), dict):
+        raise ConfigError("a parameter scan needs the model's 'params' section")
+    point = json.loads(json.dumps(cfg))
+    point["model"]["params"][name] = value
+    return point
+
+
 def _sweep_point(cfg, value, ansatz_cfg, dense_limit):
-    point_cfg = json.loads(json.dumps(cfg))  # deep copy
-    point_cfg["model"]["params"][cfg["sweep"]["parameter"]] = value
+    point_cfg = _with_param(cfg, cfg["sweep"]["parameter"], value)
     point_cfg["ansatz"] = dict(point_cfg.get("ansatz", {}), **ansatz_cfg)
     model = _build_model(point_cfg)
     acfg = point_cfg.get("ansatz", {})
@@ -301,6 +311,8 @@ def sweep(config_path, out_dir, dense_limit, workers):
             raise ConfigError("sweep values must be finite")
         if "builder" not in cfg.get("model", {}):
             raise ConfigError("sweep requires a builder-based model section")
+        if workers < 1:
+            raise ConfigError("--workers must be >= 1")
         grid = swp.get("ansatz_grid", [{}])
         points = [(v, a) for v in values for a in grid]
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -334,10 +346,11 @@ def oracle_cmd(config_path, out_dir, dense_limit):
                 float(s) for s in basis.singular_values[-max(basis.dimension + 2, 3):]]
         table_cfg = cfg.get("overlap_table")
         if table_cfg:
+            if "g_values" not in table_cfg:
+                raise ConfigError("overlap_table needs 'g_values'")
             column = []
             for value in table_cfg["g_values"]:
-                point = json.loads(json.dumps(cfg))
-                point["model"]["params"][table_cfg.get("parameter", "g")] = value
+                point = _with_param(cfg, table_cfg.get("parameter", "g"), value)
                 pmodel = _build_model(point)
                 if pmodel.n_qubits <= dense_limit:
                     rho = oracle.exact_ness(pmodel, dense_limit=dense_limit)

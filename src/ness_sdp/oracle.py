@@ -1,15 +1,17 @@
 """Brute-force ground truth: dense Liouvillian, exact steady states, fidelity.
 
-Vectorization is column-stacking throughout: vec(rho) = rho.reshape(-1,
-order="F"), so vec(B rho C) = (C^T kron B) vec(rho) and the superoperator is
+Every path uses the computational-basis generator of ``lindblad``,
 
-    L = -i (I kron H - H^T kron I)
-        + sum_n gamma_n (A_n^* kron A_n
-                         - 1/2 I kron A_n^dag A_n
-                         - 1/2 (A_n^dag A_n)^T kron I).
+    L[rho] = -i (K rho - rho K^dag) + sum_n J_n rho J_n^dag,
+    K = H - (i/2) sum_n gamma_n A_n^dag A_n,    J_n = sqrt(gamma_n) A_n,
 
-The sparse path never materializes L: it applies the generator through
-Pauli-word permutations on d x d matrices and finds a steady state by
+with K and J_n expanded densely. The dense oracle takes the null space
+of its column-stacking superoperator,
+
+    L = -i (I kron K - K^* kron I) + sum_n J_n^* kron J_n.
+
+The iterative path never materializes that 4^n x 4^n matrix: it applies
+L and L^dag as 2^n x 2^n matrix products and finds a steady state by
 conjugate-gradient least squares on the trace-one slice.
 """
 from __future__ import annotations
@@ -20,44 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateSteadySpaceError, DenseLimitError
+from .lindblad import Lindbladian, hermitize
 from .models import OpenSystemModel
-from .pauli import PauliSum
-from .states import StateVector, apply_to_columns
+from .states import StateVector
 
 DEFAULT_DENSE_LIMIT = 6
 NULL_SPACE_RTOL = 1e-10
-
-
-def _dense_ops(model: OpenSystemModel):
-    h = model.hamiltonian.to_dense(dense_limit=model.n_qubits)
-    jumps = [(rate, jump.to_dense(dense_limit=model.n_qubits))
-             for rate, jump in model.dissipators]
-    return h, jumps
-
-
-def apply_lindblad(model: OpenSystemModel, rho: np.ndarray) -> np.ndarray:
-    """Dense generator action L[rho]."""
-    h, jumps = _dense_ops(model)
-    out = -1j * (h @ rho - rho @ h)
-    for rate, a in jumps:
-        ada = a.conj().T @ a
-        out += rate * (a @ rho @ a.conj().T - 0.5 * (ada @ rho + rho @ ada))
-    return out
-
-
-@dataclass(frozen=True)
-class LiouvillianDense:
-    n_qubits: int
-    matrix: np.ndarray
-    convention: str = "column-stacking"
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
+INVARIANCE_TOL = 1e-10
+SPARSE_LIMIT = 10
 
 
 def build_liouvillian(model: OpenSystemModel,
-                      dense_limit: int = DEFAULT_DENSE_LIMIT) -> LiouvillianDense:
+                      dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Dense superoperator of the model in column-stacking convention."""
     n = model.n_qubits
     if n > dense_limit + 1:
@@ -66,15 +42,7 @@ def build_liouvillian(model: OpenSystemModel,
         warnings.warn(
             f"building a {4 ** n} x {4 ** n} dense Liouvillian (n={n}); "
             "this may exhaust memory", RuntimeWarning)
-    h, jumps = _dense_ops(model)
-    eye = np.eye(2 ** n, dtype=complex)
-    liou = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for rate, a in jumps:
-        ada = a.conj().T @ a
-        liou += rate * (np.kron(a.conj(), a)
-                        - 0.5 * np.kron(eye, ada)
-                        - 0.5 * np.kron(ada.T, eye))
-    return LiouvillianDense(n_qubits=n, matrix=liou)
+    return Lindbladian.from_model(model).superoperator()
 
 
 @dataclass(frozen=True)
@@ -106,7 +74,7 @@ def _hermitian_null_basis(null_vecs: np.ndarray, dim: int) -> list[np.ndarray]:
     basis: list[np.ndarray] = []
     for k in range(null_vecs.shape[1]):
         mat = null_vecs[:, k].reshape(dim, dim, order="F")
-        for cand in ((mat + mat.conj().T) / 2, (mat - mat.conj().T) / 2j):
+        for cand in (hermitize(mat), (mat - mat.conj().T) / 2j):
             for b in basis:
                 cand = cand - b * np.trace(b.conj().T @ cand).real
             nrm = np.linalg.norm(cand)
@@ -177,8 +145,7 @@ def _align_basis(basis: list[np.ndarray], projector_sets) -> list[np.ndarray]:
 
 
 def steady_states(model: OpenSystemModel, tol: float = NULL_SPACE_RTOL,
-                  dense_limit: int = DEFAULT_DENSE_LIMIT,
-                  align_symmetries: bool = True) -> NessBasis:
+                  dense_limit: int = DEFAULT_DENSE_LIMIT) -> NessBasis:
     """Null space of the dense Liouvillian as a Hermitian matrix basis.
 
     When the model declares symmetry generators, basis elements are
@@ -186,14 +153,13 @@ def steady_states(model: OpenSystemModel, tol: float = NULL_SPACE_RTOL,
     appear as individual (physical-flagged) elements.
     """
     liou = build_liouvillian(model, dense_limit=dense_limit)
-    _, svals, vh = np.linalg.svd(liou.matrix)
+    _, svals, vh = np.linalg.svd(liou)
     cutoff = tol * svals[0]
     null_vecs = vh[svals <= cutoff].conj().T
     if null_vecs.shape[1] == 0:
         return NessBasis(elements=(), physical=(), singular_values=svals)
-    basis = _hermitian_null_basis(null_vecs, liou.dim)
-    if align_symmetries:
-        basis = _align_basis(basis, _generator_projectors(model))
+    basis = _hermitian_null_basis(null_vecs, 2 ** model.n_qubits)
+    basis = _align_basis(basis, _generator_projectors(model))
     return NessBasis(
         elements=tuple(basis),
         physical=tuple(_is_physical(b) for b in basis),
@@ -209,12 +175,11 @@ def exact_ness(model: OpenSystemModel,
         raise DegenerateSteadySpaceError(
             f"steady space has dimension {basis.dimension}, expected 1"
         )
-    rho = basis.physical_representative(0)
-    return (rho + rho.conj().T) / 2
+    return hermitize(basis.physical_representative(0))
 
 
 def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+    vals, vecs = np.linalg.eigh(hermitize(rho))
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
@@ -228,12 +193,12 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def true_residual(rho: np.ndarray, model: OpenSystemModel) -> float:
     """Frobenius norm of L[rho]; zero exactly for genuine steady states."""
-    return float(np.linalg.norm(apply_lindblad(model, rho)))
+    return float(np.linalg.norm(Lindbladian.from_model(model).apply(rho)))
 
 
 def dominant_eigenstate(rho: np.ndarray, n_qubits: int) -> tuple[float, StateVector]:
     """Largest-eigenvalue eigenvector of a density matrix, as a StateVector."""
-    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+    vals, vecs = np.linalg.eigh(hermitize(rho))
     vec = vecs[:, -1]
     k = np.argmax(np.abs(vec))
     vec = vec * (vec[k].conjugate() / abs(vec[k]))
@@ -259,108 +224,61 @@ def sector_basis(n: int, m: int) -> np.ndarray:
     return basis
 
 
-def restricted_steady_state(model: OpenSystemModel, isometry: np.ndarray,
-                            invariance_tol: float = 1e-10) -> np.ndarray:
+def restricted_steady_state(model: OpenSystemModel, isometry: np.ndarray) -> np.ndarray:
     """Exact steady state of the generator restricted to an invariant subspace.
 
     ``isometry`` is a (2^n, k) matrix with orthonormal columns spanning a
-    subspace left invariant by H and every jump operator. Returns the
+    subspace left invariant by K and every jump operator J_n. Returns the
     unique trace-one PSD steady state lifted back to the full space.
     """
     v = np.asarray(isometry, dtype=complex)
-    h, jumps = _dense_ops(model)
+    gen = Lindbladian.from_model(model)
     proj = v @ v.conj().T
-    for name, op in [("H", h)] + [(f"A_{k}", a) for k, (_, a) in enumerate(jumps)]:
+    for name, op in [("K", gen.k)] + [(f"J_{n}", j) for n, j in enumerate(gen.jumps)]:
         leak = np.linalg.norm(op @ v - proj @ (op @ v))
-        if leak > invariance_tol * max(1.0, np.linalg.norm(op)):
+        if leak > INVARIANCE_TOL * max(1.0, np.linalg.norm(op)):
             raise ValueError(f"subspace is not invariant under {name} (leak {leak:.2e})")
     k = v.shape[1]
-    h_r = v.conj().T @ h @ v
-    eye = np.eye(k, dtype=complex)
-    liou = -1j * (np.kron(eye, h_r) - np.kron(h_r.T, eye))
-    for rate, a in jumps:
-        a_r = v.conj().T @ a @ v
-        ada = a_r.conj().T @ a_r
-        liou += rate * (np.kron(a_r.conj(), a_r)
-                        - 0.5 * np.kron(eye, ada)
-                        - 0.5 * np.kron(ada.T, eye))
-    _, svals, vh = np.linalg.svd(liou)
+    _, svals, vh = np.linalg.svd(gen.compress(v).superoperator())
     null = vh[svals <= NULL_SPACE_RTOL * max(svals[0], 1e-300)]
     if null.shape[0] != 1:
         raise DegenerateSteadySpaceError(
             f"restricted steady space has dimension {null.shape[0]}, expected 1"
         )
-    rho_r = null[0].conj().reshape(k, k, order="F")
-    rho_r = (rho_r + rho_r.conj().T) / 2
+    rho_r = hermitize(null[0].conj().reshape(k, k, order="F"))
     rho_r = rho_r / np.trace(rho_r).real
     return v @ rho_r @ v.conj().T
 
 
 # ---------------------------------------------------------------------------
-# Matrix-free steady state for sizes beyond the dense limit
+# Iterative steady state for sizes beyond the dense limit
 # ---------------------------------------------------------------------------
 
-class _MatrixFreeGenerator:
-    """L and L^dag actions through Pauli-word permutations on d x d matrices."""
-
-    def __init__(self, model: OpenSystemModel):
-        self.ham = model.hamiltonian
-        self.jumps = [(rate, jump, jump.dagger(), jump.dagger() * jump)
-                      for rate, jump in model.dissipators]
-
-    @staticmethod
-    def _left(op: PauliSum, mat: np.ndarray) -> np.ndarray:
-        return apply_to_columns(op, mat)
-
-    @staticmethod
-    def _right(op: PauliSum, mat: np.ndarray) -> np.ndarray:
-        # mat @ op via (op^dag @ mat^dag)^dag, reusing the column fast path
-        return apply_to_columns(op.dagger(), mat.conj().T).conj().T
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = -1j * (self._left(self.ham, rho) - self._right(self.ham, rho))
-        for rate, a, adag, ada in self.jumps:
-            sandwich = self._right(adag, self._left(a, rho))
-            out += rate * (sandwich
-                           - 0.5 * self._left(ada, rho)
-                           - 0.5 * self._right(ada, rho))
-        return out
-
-    def apply_adjoint(self, sigma: np.ndarray) -> np.ndarray:
-        out = 1j * (self._left(self.ham, sigma) - self._right(self.ham, sigma))
-        for rate, a, adag, ada in self.jumps:
-            sandwich = self._right(a, self._left(adag, sigma))
-            out += rate * (sandwich
-                           - 0.5 * self._left(ada, sigma)
-                           - 0.5 * self._right(ada, sigma))
-        return out
-
-
 def sparse_steady_state(model: OpenSystemModel, tol: float = 1e-8,
-                        max_iter: int = 20000,
-                        dense_limit_check: int = 10) -> np.ndarray:
+                        max_iter: int = 20000) -> np.ndarray:
     """Steady state without materializing the superoperator (n <= 10).
 
     Minimizes ||L[rho]||_F over the trace-one affine slice by conjugate
-    gradients on the normal equations, applying L and L^dag matrix-free.
-    Intended for models with a unique steady state; for degenerate
-    steady spaces it returns one valid steady state.
+    gradients on the normal equations, applying L and L^dag as products
+    of dense 2^n x 2^n matrices. Intended for models with a unique
+    steady state; for degenerate steady spaces it returns one valid
+    steady state.
     """
     n = model.n_qubits
-    if n > dense_limit_check:
-        raise DenseLimitError(f"sparse steady state supports n <= {dense_limit_check}")
+    if n > SPARSE_LIMIT:
+        raise DenseLimitError(f"sparse steady state supports n <= {SPARSE_LIMIT}")
     dim = 2 ** n
-    gen = _MatrixFreeGenerator(model)
+    gen = Lindbladian.from_model(model)
     eye = np.eye(dim, dtype=complex)
 
     def project_traceless(mat):
         return mat - (np.trace(mat) / dim) * eye
 
     def normal_op(mat):
-        return project_traceless(gen.apply_adjoint(gen.apply(mat)))
+        return project_traceless(gen.adjoint(gen.apply(mat)))
 
     x0 = eye / dim
-    rhs = -project_traceless(gen.apply_adjoint(gen.apply(x0)))
+    rhs = -project_traceless(gen.adjoint(gen.apply(x0)))
     y = np.zeros_like(x0)
     r = rhs.copy()
     p = r.copy()
@@ -380,8 +298,7 @@ def sparse_steady_state(model: OpenSystemModel, tol: float = 1e-8,
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    rho = x0 + y
-    rho = (rho + rho.conj().T) / 2
+    rho = hermitize(x0 + y)
     rho = rho / np.trace(rho).real
     residual = float(np.linalg.norm(gen.apply(rho)))
     if residual > tol:

@@ -8,12 +8,12 @@ symmetrization so downstream solver assumptions hold exactly.
 
 The projected generator used everywhere downstream is
 
-    G(beta) = -i (D beta E - E beta D)
-              + sum_n gamma_n (R_n beta R_n^dag
-                               - 1/2 F_n beta E - 1/2 E beta F_n),
+    G(beta) = -i (K beta E - E beta K^dag) + sum_n gamma_n R_n beta R_n^dag,
+    K = D - (i/2) sum_n gamma_n F_n,
 
 which equals the matrix [<chi_i| L[rho] |chi_j>] for
-rho = sum_ij beta_ij |chi_i><chi_j|.
+rho = sum_ij beta_ij |chi_i><chi_j|. ``OverlapSet.generator()`` returns
+it as a ``lindblad.Lindbladian`` with metric E.
 """
 from __future__ import annotations
 
@@ -22,13 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .lindblad import Lindbladian, hermitize
 from .models import OpenSystemModel
 from .pauli import PauliSum
 from .states import AnsatzSet, apply_to_columns
-
-
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2
 
 
 @dataclass(frozen=True)
@@ -52,6 +49,10 @@ class OverlapSet:
     def noise_std(self) -> float:
         return 0.0 if self.shots is None else 1.0 / np.sqrt(self.shots)
 
+    def generator(self) -> Lindbladian:
+        """The projected generator G(beta), built from the current E, D, R, F."""
+        return Lindbladian.from_overlaps(self)
+
 
 @dataclass(frozen=True)
 class ObservableMatrix:
@@ -69,13 +70,13 @@ def assemble(model: OpenSystemModel, ansatz: AnsatzSet) -> OverlapSet:
         )
     s = ansatz.states_matrix()
     sdag = s.conj().T
-    gram = _hermitize(sdag @ s)
-    ham = _hermitize(sdag @ apply_to_columns(model.hamiltonian, s))
+    gram = hermitize(sdag @ s)
+    ham = hermitize(sdag @ apply_to_columns(model.hamiltonian, s))
     r_mats = []
     f_mats = []
     for _, jump in model.dissipators:
         r_mats.append(sdag @ apply_to_columns(jump, s))
-        f_mats.append(_hermitize(sdag @ apply_to_columns(jump.dagger() * jump, s)))
+        f_mats.append(hermitize(sdag @ apply_to_columns(jump.dagger() * jump, s)))
     return OverlapSet(
         E=gram,
         D=ham,
@@ -95,7 +96,7 @@ def observable_matrix(obs: PauliSum, ansatz: AnsatzSet, name: str = "") -> Obser
     s = ansatz.states_matrix()
     mat = s.conj().T @ apply_to_columns(obs, s)
     if obs.is_hermitian():
-        mat = _hermitize(mat)
+        mat = hermitize(mat)
     return ObservableMatrix(name=name, matrix=mat)
 
 
@@ -122,21 +123,6 @@ def add_shot_noise(overlaps: OverlapSet, shots: int, rng_seed: int) -> OverlapSe
     )
     f_mats = tuple(_perturb_hermitian(m, std, rng) for m in overlaps.F)
     return replace(overlaps, E=gram, D=ham, R=r_mats, F=f_mats, shots=shots)
-
-
-def galerkin_lhs(overlaps: OverlapSet, beta: np.ndarray,
-                 rates: tuple[float, ...] | None = None) -> np.ndarray:
-    """The projected-generator matrix G(beta) in the original ansatz basis."""
-    e, d = overlaps.E, overlaps.D
-    beta = np.asarray(beta, dtype=complex)
-    out = -1j * (d @ beta @ e - e @ beta @ d)
-    if rates is None:
-        rates = overlaps.rates
-    for rate, r_n, f_n in zip(rates, overlaps.R, overlaps.F):
-        out += rate * (r_n @ beta @ r_n.conj().T
-                       - 0.5 * f_n @ beta @ e
-                       - 0.5 * e @ beta @ f_n)
-    return out
 
 
 def expectation(beta: np.ndarray, obs: ObservableMatrix) -> complex:

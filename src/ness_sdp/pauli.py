@@ -202,19 +202,6 @@ class PauliSum:
         return "PauliSum(" + " + ".join(parts) + ")"
 
 
-def paulisum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Canonicalized product of two Pauli sums."""
-    return a * b
-
-
-def paulisum_dagger(a: PauliSum) -> PauliSum:
-    return a.dagger()
-
-
-def to_dense(a: PauliSum, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    return a.to_dense(dense_limit)
-
-
 def single_site(n_qubits: int, site: int, axis: str, coeff: complex = 1.0) -> PauliSum:
     """Pauli ``axis`` on 1-based ``site``, identity elsewhere."""
     if not 1 <= site <= n_qubits:

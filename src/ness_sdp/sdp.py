@@ -1,7 +1,14 @@
 """Feasibility solver over the Hermitian PSD cone for the projected constraints.
 
-The solver whitens the ansatz Gram matrix to an identity metric (dropping
-near-null Gram directions), then runs Dykstra-corrected alternating
+The constraint is the projected generator of ``overlaps``,
+
+    G(beta) = -i (K beta E - E beta K^dag) + sum_n gamma_n R_n beta R_n^dag,
+    K = D - (i/2) sum_n gamma_n F_n.
+
+The solver whitens E to an identity metric (dropping near-null Gram
+directions): with beta = W x W^dag and W^dag E W = I the constraint
+becomes W^dag G(W x W^dag) W = -i (K_w x - x K_w^dag)
++ sum_n J_w,n x J_w,n^dag. It then runs Dykstra-corrected alternating
 projections between the affine constraint set {zero projected generator,
 unit trace, optional extra linear constraints} and the PSD cone. The
 affine projection is least-norm and matrix-free: a conjugate-gradient
@@ -25,7 +32,8 @@ from .errors import (
     InfeasibleError,
     IterationBudgetError,
 )
-from .overlaps import ObservableMatrix, OverlapSet, galerkin_lhs
+from .lindblad import Lindbladian, hermitize
+from .overlaps import ObservableMatrix, OverlapSet
 
 
 @dataclass(frozen=True)
@@ -54,13 +62,8 @@ class SolverOptions:
 @dataclass(frozen=True)
 class FeasibilityProblem:
     overlaps: OverlapSet
-    rates: tuple[float, ...] | None = None
     extra_constraints: tuple[tuple[ObservableMatrix, float], ...] = ()
     options: SolverOptions = field(default_factory=SolverOptions)
-
-    @property
-    def effective_rates(self) -> tuple[float, ...]:
-        return self.overlaps.rates if self.rates is None else self.rates
 
     @property
     def size(self) -> int:
@@ -100,42 +103,23 @@ class BetaMatrix:
         }
 
 
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2
-
-
 class _WhitenedSystem:
     """Constraint data after the Gram metric has been mapped to identity."""
 
-    def __init__(self, d, r_list, f_list, rates, extras, targets):
-        self.d = d
-        self.r_list = r_list
-        self.f_list = f_list
-        self.rates = rates
+    def __init__(self, generator: Lindbladian, extras, targets):
+        self.generator = generator
         self.extras = extras
         self.targets = np.asarray(targets, dtype=float)
-        self.dim = d.shape[0]
+        self.dim = generator.dim
         self.eye = np.eye(self.dim, dtype=complex)
-
-    def generator(self, x: np.ndarray) -> np.ndarray:
-        out = -1j * (self.d @ x - x @ self.d)
-        for rate, r, f in zip(self.rates, self.r_list, self.f_list):
-            out += rate * (r @ x @ r.conj().T - 0.5 * (f @ x + x @ f))
-        return out
-
-    def generator_adjoint(self, y: np.ndarray) -> np.ndarray:
-        out = 1j * (self.d @ y - y @ self.d)
-        for rate, r, f in zip(self.rates, self.r_list, self.f_list):
-            out += rate * (r.conj().T @ y @ r - 0.5 * (f @ y + y @ f))
-        return out
 
     def apply(self, x: np.ndarray):
         """A(x) = (G(x), Tr x, (Tr(x N_k))_k)."""
         vals = np.array([np.vdot(nmat, x).real for nmat in self.extras])
-        return self.generator(x), np.trace(x).real, vals
+        return self.generator.apply(x), np.trace(x).real, vals
 
     def adjoint(self, y: np.ndarray, t: float, vals: np.ndarray) -> np.ndarray:
-        out = self.generator_adjoint(y) + t * self.eye
+        out = self.generator.adjoint(y) + t * self.eye
         for v, nmat in zip(vals, self.extras):
             out = out + v * nmat
         return out
@@ -162,7 +146,7 @@ def whiten(problem: FeasibilityProblem):
     matrix in the original basis.
     """
     opts = problem.options
-    gram = _hermitize(problem.overlaps.E)
+    gram = hermitize(problem.overlaps.E)
     vals, vecs = np.linalg.eigh(gram)
     if vals[-1] <= 0:
         raise DegenerateAnsatzError("ansatz Gram matrix is numerically zero")
@@ -170,26 +154,20 @@ def whiten(problem: FeasibilityProblem):
     if not np.any(keep):
         raise DegenerateAnsatzError("no Gram eigenvalue above the whitening cutoff")
     w = vecs[:, keep] / np.sqrt(vals[keep])
-
-    def conj_map(mat):
-        return w.conj().T @ mat @ w
-
-    d_w = _hermitize(conj_map(problem.overlaps.D))
-    r_w = [conj_map(m) for m in problem.overlaps.R]
-    f_w = [_hermitize(conj_map(m)) for m in problem.overlaps.F]
-    extras = [_hermitize(conj_map(obs.matrix)) for obs, _ in problem.extra_constraints]
+    extras = [hermitize(w.conj().T @ obs.matrix @ w)
+              for obs, _ in problem.extra_constraints]
     targets = [target for _, target in problem.extra_constraints]
-    system = _WhitenedSystem(d_w, r_w, f_w, problem.effective_rates, extras, targets)
+    system = _WhitenedSystem(problem.overlaps.generator().compress(w), extras, targets)
     return system, w
 
 
 def project_psd(x: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm (negative eigenvalues clamped)."""
-    x = _hermitize(np.asarray(x, dtype=complex))
+    x = hermitize(np.asarray(x, dtype=complex))
     vals, vecs = np.linalg.eigh(x)
     if vals[0] >= 0:
         return x
-    return _hermitize((vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T)
+    return hermitize((vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T)
 
 
 def _cg_normal(system: _WhitenedSystem, rhs: np.ndarray, mu0: np.ndarray | None,
@@ -244,15 +222,15 @@ def project_affine(x: np.ndarray, system: _WhitenedSystem,
     rhs = system.pack(-g, 1.0 - tr, system.targets - vals)
     mu, res, ok = _cg_normal(system, rhs, mu_warm, tol, max_iter)
     correction = system.adjoint(*system.unpack(mu))
-    return _hermitize(x + correction), mu, {"inner_residual": res, "inner_converged": ok}
+    return hermitize(x + correction), mu, {"inner_residual": res, "inner_converged": ok}
 
 
 def residuals(problem: FeasibilityProblem, beta: np.ndarray) -> dict:
     """Original-basis diagnostics for any candidate beta (solver-independent)."""
     beta = np.asarray(beta, dtype=complex)
     ovl = problem.overlaps
-    gal = galerkin_lhs(ovl, beta, problem.effective_rates)
-    eigs = np.linalg.eigvalsh(_hermitize(beta))
+    gal = ovl.generator().apply(beta)
+    eigs = np.linalg.eigvalsh(hermitize(beta))
     cons = tuple(
         float(abs(np.trace(beta @ obs.matrix) - target))
         for obs, target in problem.extra_constraints
@@ -279,7 +257,7 @@ def _initial_point(dim: int, options: SolverOptions) -> np.ndarray:
 
 def _finalize(problem, system, w, x, iterations, mode, converged,
               objective=None) -> BetaMatrix:
-    beta = _hermitize(w @ x @ w.conj().T)
+    beta = hermitize(w @ x @ w.conj().T)
     diag = residuals(problem, beta)
     return BetaMatrix(
         matrix=beta,
@@ -304,7 +282,7 @@ def solve_feasibility(problem: FeasibilityProblem) -> BetaMatrix:
     """
     opts = problem.options
     system, w = whiten(problem)
-    gram_scale = float(np.linalg.eigvalsh(_hermitize(problem.overlaps.E))[-1])
+    gram_scale = float(np.linalg.eigvalsh(hermitize(problem.overlaps.E))[-1])
     tol_w = opts.feas_tol / max(1.0, gram_scale)
     x = _initial_point(system.dim, opts)
     p = np.zeros((system.dim, system.dim), dtype=complex)
@@ -364,8 +342,8 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 def _project_spectrahedron(x: np.ndarray) -> np.ndarray:
     """Nearest trace-one PSD matrix: eigenvalues projected onto the simplex."""
-    vals, vecs = np.linalg.eigh(_hermitize(x))
-    return _hermitize((vecs * _project_simplex(vals)) @ vecs.conj().T)
+    vals, vecs = np.linalg.eigh(hermitize(x))
+    return hermitize((vecs * _project_simplex(vals)) @ vecs.conj().T)
 
 
 def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
@@ -375,17 +353,19 @@ def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
     system, w = whiten(problem)
     pen = opts.ls_penalty
 
+    gen = system.generator
+
     def quad_op(x):
-        out = system.generator_adjoint(system.generator(x))
+        out = gen.adjoint(gen.apply(x))
         for nmat in system.extras:
             out = out + pen * np.vdot(nmat, x).real * nmat
-        return _hermitize(out)
+        return hermitize(out)
 
     def gradient(x):
-        out = system.generator_adjoint(system.generator(x))
+        out = gen.adjoint(gen.apply(x))
         for nmat, target in zip(system.extras, system.targets):
             out = out + pen * (np.vdot(nmat, x).real - target) * nmat
-        return 2.0 * _hermitize(out)
+        return 2.0 * hermitize(out)
 
     def objective(x):
         g, _, vals = system.apply(x)
@@ -395,7 +375,7 @@ def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
     # Lipschitz constant of the gradient via power iteration on the quadratic.
     rng = np.random.default_rng(0)
     z = rng.normal(size=(system.dim, system.dim))
-    z = _hermitize(z + 1j * rng.normal(size=z.shape))
+    z = hermitize(z + 1j * rng.normal(size=z.shape))
     z /= np.linalg.norm(z)
     lam = 1.0
     for _ in range(30):

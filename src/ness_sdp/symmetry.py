@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import OpenSystemModel, SymmetryDescriptor, magnetization
+from .lindblad import hermitize
+from .models import OpenSystemModel, magnetization
 from .overlaps import ObservableMatrix, assemble, observable_matrix
 from .pauli import PauliSum, single_site
 from .sdp import BetaMatrix, FeasibilityProblem, SolverOptions, solve_feasibility
@@ -148,33 +149,6 @@ def exchange_parity_symmetry(n: int) -> SymmetrySpec:
         pauli_expansion=expansion,
         label="exchange-parity",
     )
-
-
-def spec_from_descriptor(model: OpenSystemModel, desc: SymmetryDescriptor) -> SymmetrySpec:
-    if desc.kind == "generator-phase":
-        if desc.generator is None or desc.phase is None:
-            raise ValueError("generator-phase symmetry needs a generator and phase")
-        if desc.generator == magnetization(model.n_qubits):
-            return magnetization_symmetry(model.n_qubits, desc.phase)
-        raise ValueError("only the magnetization generator is supported for phased symmetries")
-    if desc.kind == "exchange-parity":
-        return exchange_parity_symmetry(model.n_qubits)
-    if desc.kind == "pauli-unitary":
-        if desc.unitary is None:
-            raise ValueError("pauli-unitary symmetry needs the unitary Pauli sum")
-        dense = desc.unitary.to_dense(dense_limit=model.n_qubits)
-        eigs = np.linalg.eigvals(dense)
-        distinct: list[complex] = []
-        for lam in eigs:
-            if all(abs(lam - d) > 1e-8 for d in distinct):
-                distinct.append(complex(lam))
-        return SymmetrySpec(
-            unitary=dense,
-            eigenvalues=tuple(sorted(distinct, key=lambda z: cmath.phase(z))),
-            pauli_expansion=desc.unitary,
-            label=desc.label,
-        )
-    raise ValueError(f"unknown symmetry descriptor kind {desc.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +310,7 @@ def vandermonde_extract(rho_phys: RhoCombination, spec: SymmetrySpec,
                 state=None, combination=None, missing=True,
             ))
             continue
-        state = component / trace
-        state = (state + state.conj().T) / 2
+        state = hermitize(component / trace)
         combination = RhoCombination(
             weights={}, rho1=rho_phys.rho1, unitary=rho_phys.unitary,
         )

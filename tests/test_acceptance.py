@@ -21,7 +21,7 @@ from conftest import dense_lindblad, random_ansatz, random_hermitian, random_mod
 from ness_sdp import oracle
 from ness_sdp.errors import InfeasibleError, IterationBudgetError
 from ness_sdp.models import magnetization, tfim_chain, xxz_boundary_driven, xxz_dephasing
-from ness_sdp.overlaps import add_shot_noise, assemble, galerkin_lhs
+from ness_sdp.overlaps import add_shot_noise, assemble
 from ness_sdp.sdp import FeasibilityProblem, SolverOptions, solve_feasibility, solve_least_squares
 from ness_sdp.states import basis_state, density_from_beta, moment_states, moment_states_random
 from ness_sdp.symmetry import (
@@ -187,7 +187,7 @@ def test_criterion_3_galerkin_equivalence(rng):
             ansatz = random_ansatz(rng, n, 4)
             overlaps = assemble(model, ansatz)
             beta = random_hermitian(rng, 4)
-            lhs = galerkin_lhs(overlaps, beta)
+            lhs = overlaps.generator().apply(beta)
             smat = ansatz.states_matrix()
             dense = smat.conj().T @ dense_lindblad(
                 model, density_from_beta(beta, ansatz)) @ smat

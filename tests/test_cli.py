@@ -255,3 +255,45 @@ class TestModelAndAnsatzCmds:
         result = runner.invoke(main, ["ansatz", "inspect", str(record)])
         assert result.exit_code == 0
         assert "states:          4" in result.output
+
+
+class TestMalformedConfigs:
+    """Each malformed input exits 2 with a message, not 1 with a traceback."""
+
+    def test_sweep_builder_without_params(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "tfim_chain"},
+            "sweep": {"parameter": "g", "values": [0.5]},
+        })
+        result = runner.invoke(main, ["sweep", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "params" in result.output
+
+    def test_constraint_without_target(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", dict(
+            TFIM_CFG, constraints=[{"generator": "magnetization"}]))
+        result = runner.invoke(main, ["solve", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "target" in result.output
+
+    def test_overlap_table_without_g_values(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "tfim_chain", "params": {"n": 2, "g": 0.0}},
+            "overlap_table": {"parameter": "g"},
+        })
+        result = runner.invoke(main, ["oracle", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "g_values" in result.output
+
+    def test_sweep_zero_workers(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "tfim_chain", "params": {"n": 2, "g": 0.0}},
+            "sweep": {"parameter": "g", "values": [0.5]},
+        })
+        result = runner.invoke(main, ["sweep", "--config", cfg, "--workers", "0",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "workers" in result.output

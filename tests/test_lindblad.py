@@ -1,0 +1,109 @@
+"""The single Lindblad generator: adjoint, compression, superoperator."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import dense_lindblad, random_ansatz, random_model
+import ness_sdp
+from ness_sdp import oracle
+from ness_sdp.lindblad import Lindbladian
+from ness_sdp.errors import ConfigError
+from ness_sdp.models import OpenSystemModel, tfim_chain, xxz_dephasing
+from ness_sdp.overlaps import assemble
+
+
+def random_matrix(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def frobenius(a, b):
+    return np.vdot(a, b)
+
+
+class TestAdjoint:
+    def test_model_level(self, rng):
+        for n in (1, 2, 3):
+            for _ in range(3):
+                gen = Lindbladian.from_model(random_model(rng, n))
+                x, y = random_matrix(rng, 2 ** n), random_matrix(rng, 2 ** n)
+                lhs = frobenius(gen.apply(x), y)
+                rhs = frobenius(x, gen.adjoint(y))
+                assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+    def test_overlap_level_with_gram_metric(self, rng):
+        for n in (2, 3):
+            ovl = assemble(random_model(rng, n), random_ansatz(rng, n, 4))
+            gen = ovl.generator()
+            assert gen.metric is ovl.E
+            for _ in range(3):
+                x, y = random_matrix(rng, 4), random_matrix(rng, 4)
+                lhs = frobenius(gen.apply(x), y)
+                rhs = frobenius(x, gen.adjoint(y))
+                assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+class TestModelGenerator:
+    def test_matches_reference(self, rng):
+        for n in (1, 2, 3):
+            model = random_model(rng, n)
+            x = random_matrix(rng, 2 ** n)
+            out = Lindbladian.from_model(model).apply(x)
+            assert np.allclose(out, dense_lindblad(model, x), atol=1e-10)
+
+    def test_superoperator_matches_apply(self, rng):
+        for n in (1, 2):
+            gen = Lindbladian.from_model(random_model(rng, n))
+            x = random_matrix(rng, 2 ** n)
+            vec = gen.superoperator() @ x.reshape(-1, order="F")
+            assert np.allclose(vec.reshape(2 ** n, 2 ** n, order="F"), gen.apply(x),
+                               atol=1e-10)
+
+    def test_superoperator_with_metric_matches_apply(self, rng):
+        ovl = assemble(random_model(rng, 2), random_ansatz(rng, 2, 3))
+        gen = ovl.generator()
+        x = random_matrix(rng, 3)
+        vec = gen.superoperator() @ x.reshape(-1, order="F")
+        assert np.allclose(vec.reshape(3, 3, order="F"), gen.apply(x), atol=1e-10)
+
+    def test_negative_rate_rejected(self):
+        model = tfim_chain(2, 1.0)
+        bad = OpenSystemModel(2, model.hamiltonian,
+                              ((-0.5, model.jumps[0]),) + model.dissipators[1:])
+        with pytest.raises(ConfigError):
+            Lindbladian.from_model(bad)
+
+
+class TestCompress:
+    def test_magnetization_sector(self, rng):
+        model = xxz_dephasing(3, 0.8)
+        gen = Lindbladian.from_model(model)
+        v = oracle.sector_basis(3, 1)
+        restricted = gen.compress(v)
+        assert restricted.metric is None
+        for _ in range(3):
+            x = random_matrix(rng, v.shape[1])
+            expect = v.conj().T @ gen.apply(v @ x @ v.conj().T) @ v
+            assert np.allclose(restricted.apply(x), expect, atol=1e-12)
+
+    def test_whitening_of_overlap_generator(self, rng):
+        ovl = assemble(random_model(rng, 3), random_ansatz(rng, 3, 4))
+        vals, vecs = np.linalg.eigh(ovl.E)
+        w = vecs / np.sqrt(vals)
+        gen = ovl.generator()
+        x = random_matrix(rng, 4)
+        expect = w.conj().T @ gen.apply(w @ x @ w.conj().T) @ w
+        assert np.allclose(gen.compress(w).apply(x), expect, atol=1e-9)
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, ness_sdp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(ness_sdp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -18,7 +18,7 @@ from ness_sdp.models import (
     xxz_boundary_driven,
     xxz_dephasing,
 )
-from ness_sdp.pauli import PauliSum, paulisum_mul
+from ness_sdp.pauli import PauliSum
 
 
 class TestTfim:
@@ -58,10 +58,10 @@ class TestXxzDephasing:
     def test_magnetization_commutes(self):
         m = xxz_dephasing(4, 1.3)
         mag = magnetization(4)
-        comm = paulisum_mul(mag, m.hamiltonian) - paulisum_mul(m.hamiltonian, mag)
+        comm = mag * m.hamiltonian - m.hamiltonian * mag
         assert comm.n_terms == 0
         for _, jump in m.dissipators:
-            comm = paulisum_mul(mag, jump) - paulisum_mul(jump, mag)
+            comm = mag * jump - jump * mag
             assert comm.n_terms == 0
 
     def test_steady_degeneracy_at_least_n_plus_one(self):

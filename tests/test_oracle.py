@@ -5,6 +5,7 @@ import pytest
 from conftest import dense_lindblad, random_density, random_model
 from ness_sdp import oracle
 from ness_sdp.errors import DegenerateSteadySpaceError, DenseLimitError
+from ness_sdp.lindblad import Lindbladian
 from ness_sdp.models import OpenSystemModel, tfim_chain, xxz_boundary_driven, xxz_dephasing
 from ness_sdp.pauli import PauliSum, sigma_minus
 
@@ -33,22 +34,22 @@ class TestBuildLiouvillian:
             model = random_model(rng, n)
             liou = oracle.build_liouvillian(model)
             rho = random_density(rng, 2 ** n)
-            via_matrix = (liou.matrix @ rho.reshape(-1, order="F")).reshape(
+            via_matrix = (liou @ rho.reshape(-1, order="F")).reshape(
                 2 ** n, 2 ** n, order="F")
             assert np.allclose(via_matrix, dense_lindblad(model, rho), atol=1e-10)
 
     def test_trace_annihilation(self, rng):
         model = random_model(rng, 2)
         liou = oracle.build_liouvillian(model)
-        left = np.eye(4, dtype=complex).reshape(-1, order="F").conj() @ liou.matrix
+        left = np.eye(4, dtype=complex).reshape(-1, order="F").conj() @ liou
         assert np.linalg.norm(left) < 1e-10
 
     def test_hermiticity_preservation(self, rng):
         model = random_model(rng, 2)
         for _ in range(5):
             mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            out = oracle.apply_lindblad(model, mat)
-            out_dag = oracle.apply_lindblad(model, mat.conj().T)
+            out = Lindbladian.from_model(model).apply(mat)
+            out_dag = Lindbladian.from_model(model).apply(mat.conj().T)
             assert np.allclose(out.conj().T, out_dag, atol=1e-10)
 
     def test_size_limit(self):
@@ -108,7 +109,7 @@ class TestSteadyStates:
         basis = oracle.steady_states(xxz_dephasing(3, 1.0))
         model = xxz_dephasing(3, 1.0)
         for elem in basis.elements:
-            assert (np.linalg.norm(oracle.apply_lindblad(model, elem))
+            assert (np.linalg.norm(Lindbladian.from_model(model).apply(elem))
                     <= 1e-9 * np.linalg.norm(elem))
 
 

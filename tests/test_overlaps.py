@@ -14,7 +14,6 @@ from ness_sdp.overlaps import (
     add_shot_noise,
     assemble,
     expectation,
-    galerkin_lhs,
     load_overlaps,
     observable_matrix,
     save_overlaps,
@@ -96,7 +95,7 @@ class TestGalerkinIdentity:
                 ans = random_ansatz(rng, n, 4)
                 ovl = assemble(model, ans)
                 beta = random_hermitian(rng, 4)
-                lhs = galerkin_lhs(ovl, beta)
+                lhs = ovl.generator().apply(beta)
                 rho = density_from_beta(beta, ans)
                 dense = dense_lindblad(model, rho)
                 smat = ans.states_matrix()

@@ -10,8 +10,6 @@ from ness_sdp.pauli import (
     PauliString,
     PauliSum,
     pauli_mul,
-    paulisum_dagger,
-    paulisum_mul,
     sigma_minus,
     sigma_plus,
     single_site,
@@ -56,33 +54,33 @@ class TestPauliMul:
 class TestPauliSum:
     def test_x_plus_z_squared(self):
         op = PauliSum.from_label("X") + PauliSum.from_label("Z")
-        square = paulisum_mul(op, op)
+        square = op * op
         assert square == PauliSum.identity(1, 2.0)
         assert np.allclose(dense_sum(square), dense_sum(op) @ dense_sum(op))
 
     def test_identity_neutral(self, rng):
         op = random_pauli_sum(rng, 3, 4)
-        assert paulisum_mul(op, PauliSum.identity(3)) == op
+        assert op * PauliSum.identity(3) == op
 
     def test_sigma_minus_dagger_sigma_minus(self):
         # Dense oracle fixes the sign: sm^dag sm = (1/2)(I + Z) under
         # the sigma_Z|0> = +|0> convention (sm annihilates |1>).
         sm = sigma_minus(1, 1)
-        prod = paulisum_mul(paulisum_dagger(sm), sm)
+        prod = sm.dagger() * sm
         dense = dense_sum(sm).conj().T @ dense_sum(sm)
         assert np.allclose(dense_sum(prod), dense)
         assert prod == PauliSum.identity(1, 0.5) + PauliSum.from_label("Z", 0.5)
 
     def test_dagger_examples(self):
-        assert paulisum_dagger(PauliSum.from_label("Z", 1j)) == PauliSum.from_label("Z", -1j)
-        assert paulisum_dagger(sigma_minus(1, 1)) == sigma_plus(1, 1)
+        assert PauliSum.from_label("Z", 1j).dagger() == PauliSum.from_label("Z", -1j)
+        assert sigma_minus(1, 1).dagger() == sigma_plus(1, 1)
 
     def test_dagger_involution_and_hermitian_fixpoint(self, rng):
         op = random_pauli_sum(rng, 3, 5)
-        assert paulisum_dagger(paulisum_dagger(op)) == op
+        assert op.dagger().dagger() == op
         herm = random_pauli_sum(rng, 3, 5, hermitian=True)
         assert herm.is_hermitian()
-        assert paulisum_dagger(herm) == herm
+        assert herm.dagger() == herm
         assert not (1j * herm).is_hermitian()
 
     def test_canonicalize_idempotent_and_pruning(self):
@@ -105,10 +103,10 @@ class TestPauliSum:
             a = random_pauli_sum(rng, 2, 3)
             b = random_pauli_sum(rng, 2, 3)
             c = random_pauli_sum(rng, 2, 3)
-            left = paulisum_mul(paulisum_mul(a, b), c)
-            right = paulisum_mul(a, paulisum_mul(b, c))
+            left = (a * b) * c
+            right = a * (b * c)
             assert np.allclose(dense_sum(left), dense_sum(right), atol=1e-12)
-            assert np.allclose(dense_sum(paulisum_mul(a, b)),
+            assert np.allclose(dense_sum(a * b),
                                dense_sum(a) @ dense_sum(b), atol=1e-12)
 
 
