@@ -47,6 +47,13 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}")
 
 
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
 def _build_model(cfg: dict) -> models.OpenSystemModel:
     mcfg = cfg.get("model")
     if not isinstance(mcfg, dict):
@@ -102,7 +109,7 @@ def _constraints(cfg: dict, ansatz: states.AnsatzSet,
     for entry in cfg.get("constraints", []):
         if "target" not in entry:
             raise ConfigError(f"constraint needs a 'target': {entry}")
-        target = float(entry["target"])
+        target = _number(entry["target"], "constraint target")
         if entry.get("generator") == "magnetization":
             gen = models.magnetization(model.n_qubits)
         elif "observable" in entry:
@@ -119,7 +126,7 @@ def _solver_options(cfg: dict) -> sdp.SolverOptions:
         scfg["mode"] = "least-squares"
     try:
         return sdp.SolverOptions(**scfg)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver options: {exc}")
 
 
@@ -306,7 +313,7 @@ def sweep(config_path, out_dir, dense_limit, workers):
         swp = cfg.get("sweep")
         if not swp or "parameter" not in swp or "values" not in swp:
             raise ConfigError("sweep section needs 'parameter' and 'values'")
-        values = [float(v) for v in swp["values"]]
+        values = [_number(v, "sweep value") for v in swp["values"]]
         if not all(np.isfinite(values)):
             raise ConfigError("sweep values must be finite")
         if "builder" not in cfg.get("model", {}):

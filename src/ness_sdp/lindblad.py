@@ -98,7 +98,9 @@ class Lindbladian:
     def superoperator(self) -> np.ndarray:
         """Dense dim^2 x dim^2 matrix of G in column-stacking convention."""
         metric = np.eye(self.dim, dtype=complex) if self.metric is None else self.metric
-        out = -1j * (np.kron(metric.T, self.k) - np.kron(self.k.conj(), metric))
+        out = np.kron(metric.T, self.k)
+        out -= np.kron(self.k.conj(), metric)
+        out *= -1j
         for j in self.jumps:
             out += np.kron(j.conj(), j)
         return out

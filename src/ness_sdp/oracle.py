@@ -8,7 +8,17 @@ Every path uses the computational-basis generator of ``lindblad``,
 with K and J_n expanded densely. The dense oracle takes the null space
 of its column-stacking superoperator,
 
-    L = -i (I kron K - K^* kron I) + sum_n J_n^* kron J_n.
+    L = -i (I kron K - K^* kron I) + sum_n J_n^* kron J_n,
+
+in real Hermitian coordinates: L maps Hermitian matrices to Hermitian
+matrices, so in the orthonormal Hermitian basis
+V = {E_jj, (E_jk + E_kj)/sqrt2, i(E_jk - E_kj)/sqrt2} the matrix V^dag L V
+is real, with the singular values of L. Its SVD costs about half the
+complex one, and its real null vectors map back to Hermitian matrices that
+are already orthonormal. ``steady_states`` memoizes the result per
+(model, tol, dense_limit), so repeated oracle calls on one model, such as
+the ``oracle-top`` seed and the oracle report of one sweep point, pay for
+one SVD.
 
 The iterative path never materializes that 4^n x 4^n matrix: it applies
 L and L^dag as 2^n x 2^n matrix products and finds a steady state by
@@ -16,6 +26,7 @@ conjugate-gradient least squares on the trace-one slice.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +41,7 @@ DEFAULT_DENSE_LIMIT = 6
 NULL_SPACE_RTOL = 1e-10
 INVARIANCE_TOL = 1e-10
 SPARSE_LIMIT = 10
+_MEMO_MODELS = 32
 
 
 def build_liouvillian(model: OpenSystemModel,
@@ -68,21 +80,44 @@ class NessBasis:
         return elem / np.trace(elem).real
 
 
-def _hermitian_null_basis(null_vecs: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Real-span Gram-Schmidt over Hermitian/anti-Hermitian parts of null vectors."""
-    target = null_vecs.shape[1]
-    basis: list[np.ndarray] = []
-    for k in range(null_vecs.shape[1]):
-        mat = null_vecs[:, k].reshape(dim, dim, order="F")
-        for cand in (hermitize(mat), (mat - mat.conj().T) / 2j):
-            for b in basis:
-                cand = cand - b * np.trace(b.conj().T @ cand).real
-            nrm = np.linalg.norm(cand)
-            if nrm > 1e-8:
-                basis.append(cand / nrm)
-            if len(basis) == target:
-                return basis
-    return basis
+def _vec_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-stacking positions of E_jj, and of E_jk and E_kj for j < k."""
+    j, k = np.triu_indices(dim, 1)
+    return np.arange(dim) * (dim + 1), j + dim * k, k + dim * j
+
+
+def _real_coordinates(superop: np.ndarray, dim: int) -> np.ndarray:
+    """V^dag L V in the orthonormal Hermitian basis
+    V = {E_jj, (E_jk + E_kj)/sqrt2, i(E_jk - E_kj)/sqrt2 : j < k}.
+
+    Real when L maps Hermitian matrices to Hermitian matrices, with the
+    singular values of L because V is unitary. The columns of L V are
+    then vec of Hermitian matrices, so V^dag needs only their diagonal
+    rows (real parts) and upper-triangle rows (sqrt2 times the real and
+    the imaginary parts).
+    """
+    diag, upper, lower = _vec_indices(dim)
+    rows = superop[np.concatenate([diag, upper])]
+    lv = np.concatenate([rows[:, diag],
+                         np.sqrt(0.5) * (rows[:, upper] + rows[:, lower]),
+                         1j * np.sqrt(0.5) * (rows[:, upper] - rows[:, lower])], axis=1)
+    return np.concatenate([lv[:dim].real, np.sqrt(2) * lv[dim:].real,
+                           np.sqrt(2) * lv[dim:].imag])
+
+
+def _hermitian_null_space(real: np.ndarray, dim: int,
+                          tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Singular values of a real-coordinate superoperator, and its null
+    vectors (relative cutoff ``tol``) as orthonormal Hermitian matrices."""
+    _, svals, vh = np.linalg.svd(real)
+    null = vh[svals <= tol * max(svals[0], 1e-300)]
+    diag, upper, lower = _vec_indices(dim)
+    vecs = np.zeros((len(null), dim * dim), dtype=complex)
+    vecs[:, diag] = null[:, :dim]
+    vecs[:, upper] = np.sqrt(0.5) * (null[:, dim:dim + len(upper)]
+                                     + 1j * null[:, dim + len(upper):])
+    vecs[:, lower] = vecs[:, upper].conj()
+    return svals, [v.reshape(dim, dim, order="F") for v in vecs]
 
 
 def _is_physical(elem: np.ndarray) -> bool:
@@ -150,16 +185,23 @@ def steady_states(model: OpenSystemModel, tol: float = NULL_SPACE_RTOL,
 
     When the model declares symmetry generators, basis elements are
     split along the symmetry blocks so that per-sector steady states
-    appear as individual (physical-flagged) elements.
+    appear as individual (physical-flagged) elements. The result is
+    computed once per (model, tol, dense_limit) and its arrays are
+    read-only.
     """
+    return _steady_states(model, tol, dense_limit)
+
+
+@functools.lru_cache(maxsize=_MEMO_MODELS)
+def _steady_states(model: OpenSystemModel, tol: float, dense_limit: int) -> NessBasis:
+    dim = 2 ** model.n_qubits
     liou = build_liouvillian(model, dense_limit=dense_limit)
-    _, svals, vh = np.linalg.svd(liou)
-    cutoff = tol * svals[0]
-    null_vecs = vh[svals <= cutoff].conj().T
-    if null_vecs.shape[1] == 0:
-        return NessBasis(elements=(), physical=(), singular_values=svals)
-    basis = _hermitian_null_basis(null_vecs, 2 ** model.n_qubits)
+    real = _real_coordinates(liou, dim)
+    del liou  # no complex 4^n x 4^n matrix stays alive through the SVD
+    svals, basis = _hermitian_null_space(real, dim, tol)
     basis = _align_basis(basis, _generator_projectors(model))
+    for arr in (svals, *basis):
+        arr.setflags(write=False)
     return NessBasis(
         elements=tuple(basis),
         physical=tuple(_is_physical(b) for b in basis),
@@ -239,14 +281,13 @@ def restricted_steady_state(model: OpenSystemModel, isometry: np.ndarray) -> np.
         if leak > INVARIANCE_TOL * max(1.0, np.linalg.norm(op)):
             raise ValueError(f"subspace is not invariant under {name} (leak {leak:.2e})")
     k = v.shape[1]
-    _, svals, vh = np.linalg.svd(gen.compress(v).superoperator())
-    null = vh[svals <= NULL_SPACE_RTOL * max(svals[0], 1e-300)]
-    if null.shape[0] != 1:
+    real = _real_coordinates(gen.compress(v).superoperator(), k)
+    _, null = _hermitian_null_space(real, k, NULL_SPACE_RTOL)
+    if len(null) != 1:
         raise DegenerateSteadySpaceError(
-            f"restricted steady space has dimension {null.shape[0]}, expected 1"
+            f"restricted steady space has dimension {len(null)}, expected 1"
         )
-    rho_r = hermitize(null[0].conj().reshape(k, k, order="F"))
-    rho_r = rho_r / np.trace(rho_r).real
+    rho_r = null[0] / np.trace(null[0]).real
     return v @ rho_r @ v.conj().T
 
 

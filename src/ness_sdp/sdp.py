@@ -23,7 +23,8 @@ and reports the honestly achieved residual.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from .errors import (
 )
 from .lindblad import Lindbladian, hermitize
 from .overlaps import ObservableMatrix, OverlapSet
+
+
+_OPTION_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
 @dataclass(frozen=True)
@@ -54,9 +58,17 @@ class SolverOptions:
     ls_penalty: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if isinstance(value, bool) or not isinstance(value, _OPTION_TYPES[kind]):
+                raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
         for name in ("feas_tol", "psd_tol", "whiten_cutoff", "cg_tol_factor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        if self.initial not in ("identity", "random"):
+            raise ValueError(f"unknown initial point kind {self.initial!r}")
+        if self.mode not in ("feasibility", "least-squares", "auto"):
+            raise ValueError(f"unknown solver mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -247,12 +259,10 @@ def residuals(problem: FeasibilityProblem, beta: np.ndarray) -> dict:
 def _initial_point(dim: int, options: SolverOptions) -> np.ndarray:
     if options.initial == "identity":
         return np.eye(dim, dtype=complex) / dim
-    if options.initial == "random":
-        rng = np.random.default_rng(options.rng_seed)
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        x = g @ g.conj().T
-        return x / np.trace(x).real
-    raise ValueError(f"unknown initial point kind {options.initial!r}")
+    rng = np.random.default_rng(options.rng_seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    x = g @ g.conj().T
+    return x / np.trace(x).real
 
 
 def _finalize(problem, system, w, x, iterations, mode, converged,
@@ -410,8 +420,6 @@ def solve(problem: FeasibilityProblem) -> BetaMatrix:
     mode = problem.options.mode
     if mode == "auto":
         mode = "least-squares" if problem.overlaps.shots is not None else "feasibility"
-    if mode == "feasibility":
-        return solve_feasibility(problem)
     if mode == "least-squares":
         return solve_least_squares(problem)
-    raise ValueError(f"unknown solver mode {mode!r}")
+    return solve_feasibility(problem)

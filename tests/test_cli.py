@@ -297,3 +297,34 @@ class TestMalformedConfigs:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert "workers" in result.output
+
+    def test_constraint_target_not_a_number(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", dict(
+            TFIM_CFG, constraints=[{"generator": "magnetization", "target": "zero"}]))
+        result = runner.invoke(main, ["solve", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "target" in result.output
+
+    def test_sweep_value_not_a_number(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "tfim_chain", "params": {"n": 2, "g": 0.0}},
+            "sweep": {"parameter": "g", "values": ["a"]},
+        })
+        result = runner.invoke(main, ["sweep", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "sweep value" in result.output
+
+    @pytest.mark.parametrize("solver, field", [
+        ({"feas_tol": 0}, "feas_tol"),
+        ({"initial": "bogus"}, "initial"),
+        ({"mode": "bogus"}, "mode"),
+        ({"max_iter": "ten"}, "max_iter"),
+    ])
+    def test_invalid_solver_option(self, runner, tmp_path, solver, field):
+        cfg = write_config(tmp_path / "cfg.json", dict(TFIM_CFG, solver=solver))
+        result = runner.invoke(main, ["solve", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert field in result.output

@@ -1,13 +1,22 @@
 """Dense Liouvillian oracle: construction, null spaces, fidelity, sparse path."""
+import json
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from conftest import dense_lindblad, random_density, random_model
 from ness_sdp import oracle
+from ness_sdp.cli import main
 from ness_sdp.errors import DegenerateSteadySpaceError, DenseLimitError
 from ness_sdp.lindblad import Lindbladian
 from ness_sdp.models import OpenSystemModel, tfim_chain, xxz_boundary_driven, xxz_dephasing
 from ness_sdp.pauli import PauliSum, sigma_minus
+
+
+@pytest.fixture
+def runner():
+    return CliRunner()
 
 
 def single_qubit_model(jumps, ham=None):
@@ -111,6 +120,73 @@ class TestSteadyStates:
         for elem in basis.elements:
             assert (np.linalg.norm(Lindbladian.from_model(model).apply(elem))
                     <= 1e-9 * np.linalg.norm(elem))
+
+
+# (model, dimension, physical) as computed by the complex-SVD oracle
+REAL_COORDINATE_CASES = [
+    (tfim_chain(3, 0.0), 1, (True,)),
+    (tfim_chain(3, 0.7), 1, (True,)),
+    (tfim_chain(3, 2.0), 1, (True,)),
+    (xxz_dephasing(3, 1.0), 4, (True,) * 4),
+    (xxz_boundary_driven(3, 1.0, 1.0, 0.5), 8, (True,) * 4 + (False,) * 4),
+]
+
+
+class TestRealHermitianCoordinates:
+    @pytest.mark.parametrize("model, dimension, physical", REAL_COORDINATE_CASES)
+    def test_matches_complex_superoperator(self, model, dimension, physical):
+        basis = oracle.steady_states(model)
+        svals = np.linalg.svd(oracle.build_liouvillian(model), compute_uv=False)
+        assert np.allclose(basis.singular_values, svals, rtol=0, atol=1e-12 * svals[0])
+        assert basis.dimension == np.sum(svals <= oracle.NULL_SPACE_RTOL * svals[0])
+        assert basis.dimension == dimension
+        assert basis.physical == physical
+        for elem in basis.elements:
+            assert np.array_equal(elem, elem.conj().T)
+            assert (np.linalg.norm(dense_lindblad(model, elem))
+                    <= 1e-9 * np.linalg.norm(elem))
+
+
+class TestMemo:
+    def test_sweep_computes_null_space_once_per_model(self, runner, tmp_path, monkeypatch):
+        builds = []
+        build = oracle.build_liouvillian
+
+        def counting_build(model, **kwargs):
+            builds.append(model)
+            return build(model, **kwargs)
+
+        monkeypatch.setattr(oracle, "build_liouvillian", counting_build)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "model": {"builder": "tfim_chain", "params": {"n": 3, "g": 0.0}},
+            "ansatz": {"seed": "oracle-top"},
+            "sweep": {"parameter": "g", "values": [0.4, 1.1],
+                      "ansatz_grid": [{"K": 2}, {"K": 3}]},
+        }))
+        oracle._steady_states.cache_clear()
+        result = runner.invoke(main, ["sweep", "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        info = oracle._steady_states.cache_info()
+        # four feasible points, each asking for the exact NESS twice: for
+        # the oracle-top seed and for the oracle section of its row
+        assert len(builds) == len(set(builds)) == info.misses == 2
+        assert info.hits == 6
+
+    def test_exact_ness_returns_a_fresh_array(self):
+        model = tfim_chain(3, 0.6)
+        first = oracle.exact_ness(model)
+        expect = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(oracle.exact_ness(model), expect)
+
+    def test_cached_basis_is_read_only(self):
+        basis = oracle.steady_states(xxz_dephasing(3, 1.0))
+        with pytest.raises(ValueError):
+            basis.elements[0][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            basis.singular_values[0] = 0.0
 
 
 class TestFidelity:
