@@ -54,6 +54,16 @@ def _number(value, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
+def _integer(value, what: str, minimum: int = 0) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        number = None
+    if number is None or number < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return number
+
+
 def _build_model(cfg: dict) -> models.OpenSystemModel:
     mcfg = cfg.get("model")
     if not isinstance(mcfg, dict):
@@ -93,13 +103,14 @@ def _build_ansatz(model: models.OpenSystemModel, cfg: dict,
         return symmetry.sector_basis_ansatz(model.n_qubits,
                                             int(descriptor.split(":", 1)[1]))
     seed = _seed_state(model, descriptor, dense_limit)
-    order = int(acfg.get("K", 0))
+    order = _integer(acfg.get("K", 0), "ansatz.K")
     q = acfg.get("q")
     if q is None:
         return states.moment_states(model.hamiltonian, seed, order,
                                     seed_descriptor=descriptor)
-    return states.moment_states_random(model.hamiltonian, seed, order, int(q),
-                                       int(acfg.get("rng_seed", 0)),
+    return states.moment_states_random(model.hamiltonian, seed, order,
+                                       _integer(q, "ansatz.q", minimum=1),
+                                       _integer(acfg.get("rng_seed", 0), "ansatz.rng_seed"),
                                        seed_descriptor=descriptor)
 
 
@@ -134,7 +145,8 @@ def _assemble(model, ansatz, cfg) -> overlaps.OverlapSet:
     ovl = overlaps.assemble(model, ansatz)
     shots = cfg.get("shots")
     if shots is not None:
-        ovl = overlaps.add_shot_noise(ovl, int(shots), int(cfg.get("noise_rng_seed", 0)))
+        ovl = overlaps.add_shot_noise(ovl, _integer(shots, "shots", minimum=1),
+                                      _integer(cfg.get("noise_rng_seed", 0), "noise_rng_seed"))
     return ovl
 
 
@@ -313,6 +325,8 @@ def sweep(config_path, out_dir, dense_limit, workers):
         swp = cfg.get("sweep")
         if not swp or "parameter" not in swp or "values" not in swp:
             raise ConfigError("sweep section needs 'parameter' and 'values'")
+        if not isinstance(swp["values"], list):
+            raise ConfigError(f"sweep values must be a list, got {swp['values']!r}")
         values = [_number(v, "sweep value") for v in swp["values"]]
         if not all(np.isfinite(values)):
             raise ConfigError("sweep values must be finite")
@@ -371,6 +385,19 @@ def oracle_cmd(config_path, out_dir, dense_limit):
     _run(body)
 
 
+def _declared_symmetry(model: models.OpenSystemModel, label) -> models.SymmetrySpec:
+    """The model's symmetry with this label; the first declared one for None."""
+    labels = [spec.label for spec in model.symmetries]
+    if not labels:
+        raise ConfigError(f"model {model.label!r} declares no strong symmetry")
+    if label is None:
+        return model.symmetries[0]
+    if label not in labels:
+        raise ConfigError(f"symmetry {label!r} is not declared by the model; "
+                          f"it declares {labels}")
+    return model.symmetries[labels.index(label)]
+
+
 @main.command(name="symmetry")
 @click.option("--config", "config_path", required=True, type=str)
 @click.option("--out", "out_dir", default="ness_out", show_default=True)
@@ -381,19 +408,13 @@ def symmetry_cmd(config_path, out_dir, dense_limit):
         cfg = _load_config(config_path)
         model = _build_model(cfg)
         scfg = cfg.get("symmetry", {})
-        kind = scfg.get("use", "exchange-parity")
-        if kind == "exchange-parity":
-            spec = symmetry.exchange_parity_symmetry(model.n_qubits)
-        elif kind == "magnetization":
-            spec = symmetry.magnetization_symmetry(model.n_qubits, scfg.get("phi"))
-        else:
-            raise ConfigError(f"unknown symmetry kind {kind!r}")
+        spec = _declared_symmetry(model, scfg.get("use"))
         ansatz = _build_ansatz(model, cfg, dense_limit)
         result = symmetry.extract_all_ness(
             model, spec, ansatz,
             options=_solver_options(cfg),
             extra_constraints=_constraints(cfg, ansatz, model),
-            max_retries=int(scfg.get("max_retries", 2)),
+            max_retries=_integer(scfg.get("max_retries", 2), "symmetry.max_retries"),
         )
         found = result.found
         pairwise = [

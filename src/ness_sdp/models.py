@@ -9,9 +9,12 @@ and complex coefficients as [re, im] pairs; see ``model_to_obj``.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError
 from .pauli import (
@@ -25,21 +28,89 @@ from .pauli import (
 )
 
 
-@dataclass(frozen=True)
-class SymmetryDescriptor:
-    """Declares a strong symmetry of a model for the extraction pipeline.
+EIGENVALUE_TOL = 1e-8
 
-    kind "generator-phase": U = exp(i * phase * generator); eigenvalues
-    are derived from the generator spectrum. kind "exchange-parity": the
-    site-reversal permutation composed with a global X flip (eigenvalues
-    +1/-1). kind "pauli-unitary": U itself is the given Pauli sum.
+
+@dataclass(frozen=True)
+class SymmetrySpec:
+    """A strong symmetry U of a model, stored as U's Pauli expansion.
+
+    ``generator`` is an optional Hermitian operator conserved with U; the
+    dense oracle splits its null basis along the generator's eigenspaces.
+    The dense ``unitary`` and its distinct ``eigenvalues`` are derived on
+    first use and cached; the eigenvalues are ordered by phase angle in
+    (-pi, pi], so they are distinct by construction and -1 comes last.
     """
 
-    kind: str
+    pauli_expansion: PauliSum
     generator: PauliSum | None = None
-    phase: float | None = None
-    unitary: PauliSum | None = None
     label: str = ""
+
+    @functools.cached_property
+    def unitary(self) -> np.ndarray:
+        u = self.pauli_expansion.to_dense(dense_limit=self.pauli_expansion.n_qubits)
+        u.setflags(write=False)
+        return u
+
+    @functools.cached_property
+    def eigenvalues(self) -> tuple[complex, ...]:
+        vals = np.linalg.eigvals(self.unitary)
+        angles = np.angle(vals)
+        angles[angles <= EIGENVALUE_TOL - math.pi] += 2 * math.pi
+        order = np.argsort(angles)
+        groups = np.split(vals[order], np.flatnonzero(np.diff(angles[order]) > EIGENVALUE_TOL) + 1)
+        return tuple(complex(g.mean() / abs(g.mean())) for g in groups)
+
+    @property
+    def n_sectors(self) -> int:
+        return len(self.eigenvalues)
+
+    def validate(self, model: "OpenSystemModel", tol: float = 1e-10) -> list[str]:
+        """Unitarity of U, and U and the generator commuting with H and every jump."""
+        if self.pauli_expansion.n_qubits != model.n_qubits:
+            return [f"U acts on {self.pauli_expansion.n_qubits} qubits, "
+                    f"the model on {model.n_qubits}"]
+        violations = []
+        u = self.unitary
+        dim = u.shape[0]
+        if np.linalg.norm(u @ u.conj().T - np.eye(dim)) > tol * dim:
+            violations.append("U is not unitary")
+        ops = [("H", model.hamiltonian)] + [
+            (f"jump operator {k}", jump) for k, jump in enumerate(model.jumps)]
+        conserved = [("U", u)]
+        if self.generator is not None:
+            if not self.generator.is_hermitian():
+                violations.append("generator is not Hermitian")
+            conserved.append(("generator", self.generator.to_dense(dense_limit=model.n_qubits)))
+        for name, op in ops:
+            a = op.to_dense(dense_limit=model.n_qubits)
+            for sym_name, s in conserved:
+                if np.linalg.norm(s @ a - a @ s) > tol * max(1.0, np.linalg.norm(a)):
+                    violations.append(f"{sym_name} does not commute with {name}")
+        return violations
+
+    def power_pauli(self, k: int) -> PauliSum:
+        """Pauli expansion of U^k (U^dag for negative k)."""
+        out = PauliSum.identity(self.pauli_expansion.n_qubits)
+        base = self.pauli_expansion if k >= 0 else self.pauli_expansion.dagger()
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def to_obj(self) -> dict:
+        obj = {"label": self.label, "unitary": pauli_sum_to_obj(self.pauli_expansion)}
+        if self.generator is not None:
+            obj["generator"] = pauli_sum_to_obj(self.generator)
+        return obj
+
+    @classmethod
+    def from_obj(cls, obj: dict, n_qubits: int) -> "SymmetrySpec":
+        generator = obj.get("generator")
+        return cls(
+            pauli_expansion=pauli_sum_from_obj(obj["unitary"], n_qubits),
+            generator=None if generator is None else pauli_sum_from_obj(generator, n_qubits),
+            label=obj.get("label", ""),
+        )
 
 
 @dataclass(frozen=True)
@@ -48,7 +119,7 @@ class OpenSystemModel:
     hamiltonian: PauliSum
     dissipators: tuple[tuple[float, PauliSum], ...]
     label: str = ""
-    symmetries: tuple[SymmetryDescriptor, ...] = ()
+    symmetries: tuple[SymmetrySpec, ...] = ()
 
     @property
     def rates(self) -> tuple[float, ...]:
@@ -101,6 +172,42 @@ def magnetization(n: int) -> PauliSum:
     return m
 
 
+def z_rotation_pauli(n: int, phi: float) -> PauliSum:
+    """Pauli expansion of exp(i phi sum_j Z_j) via the per-site product."""
+    out = PauliSum.identity(n, math.cos(phi)) + single_site(n, 1, "Z", 1j * math.sin(phi))
+    for j in range(2, n + 1):
+        factor = PauliSum.identity(n, math.cos(phi)) + single_site(n, j, "Z", 1j * math.sin(phi))
+        out = out * factor
+    return out
+
+
+def magnetization_symmetry(n: int, phi: float | None = None) -> SymmetrySpec:
+    """U = exp(i phi M), generator M; sectors m = -n, -n+2, ..., n in that order.
+
+    The default phi = 2 pi / (2n + 2) keeps all n+1 sector phases distinct.
+    """
+    if phi is None:
+        phi = 2.0 * math.pi / (2 * n + 2)
+    return SymmetrySpec(pauli_expansion=z_rotation_pauli(n, phi),
+                        generator=magnetization(n), label="magnetization")
+
+
+def _swap_pauli(n: int, a: int, b: int) -> PauliSum:
+    """SWAP_{ab} = (1/2)(II + XX + YY + ZZ) on sites a, b."""
+    out = PauliSum.identity(n, 0.5)
+    for axis in "XYZ":
+        out = out + two_site(n, a, axis, b, axis, 0.5)
+    return out
+
+
+def exchange_parity_symmetry(n: int) -> SymmetrySpec:
+    """S = P * prod_j X_j with P the site-reversal permutation; sectors (+1, -1)."""
+    expansion = PauliSum.from_label("X" * n)
+    for j in range(n // 2, 0, -1):
+        expansion = _swap_pauli(n, j, n + 1 - j) * expansion
+    return SymmetrySpec(pauli_expansion=expansion, label="exchange-parity")
+
+
 def xxz_dephasing(n: int, delta: float, gamma: float = 1.0) -> OpenSystemModel:
     """XXZ Heisenberg chain with per-site Z dephasing.
 
@@ -110,19 +217,12 @@ def xxz_dephasing(n: int, delta: float, gamma: float = 1.0) -> OpenSystemModel:
     if n < 2:
         raise ConfigError("xxz_dephasing needs n >= 2")
     dissipators = tuple((gamma, single_site(n, j, "Z")) for j in range(1, n + 1))
-    # Default twirl phase keeps all n+1 sector phases distinct.
-    descriptor = SymmetryDescriptor(
-        kind="generator-phase",
-        generator=magnetization(n),
-        phase=2.0 * math.pi / (2 * n + 2),
-        label="magnetization",
-    )
     return OpenSystemModel(
         n_qubits=n,
         hamiltonian=_xxz_hamiltonian(n, delta),
         dissipators=dissipators,
         label=f"xxz_dephasing(n={n}, delta={delta}, gamma={gamma})",
-        symmetries=(descriptor,),
+        symmetries=(magnetization_symmetry(n),),
     )
 
 
@@ -131,8 +231,8 @@ def xxz_boundary_driven(n: int, delta: float, drive: float, mu: float) -> OpenSy
 
     The jumps are sqrt(drive*(1-mu)) sigma+_1 sigma-_n and
     sqrt(drive*(1+mu)) sigma-_1 sigma+_n, each expanding to four Pauli
-    terms. Both magnetization and the exchange-parity operator
-    S = P * prod_j X_j are strong symmetries.
+    terms. Both the exchange-parity operator S = P * prod_j X_j and
+    magnetization are strong symmetries, declared in that order.
     """
     if n < 2:
         raise ConfigError("xxz_boundary_driven needs n >= 2")
@@ -143,26 +243,18 @@ def xxz_boundary_driven(n: int, delta: float, drive: float, mu: float) -> OpenSy
     jump_1 = math.sqrt(drive * (1.0 - mu)) * (sigma_plus(n, 1) * sigma_minus(n, n))
     jump_2 = math.sqrt(drive * (1.0 + mu)) * (sigma_minus(n, 1) * sigma_plus(n, n))
     dissipators = tuple((1.0, j) for j in (jump_1, jump_2) if j.n_terms)
-    symmetries = (
-        SymmetryDescriptor(
-            kind="generator-phase",
-            generator=magnetization(n),
-            phase=2.0 * math.pi / (2 * n + 2),
-            label="magnetization",
-        ),
-        SymmetryDescriptor(kind="exchange-parity", label="exchange-parity"),
-    )
     return OpenSystemModel(
         n_qubits=n,
         hamiltonian=_xxz_hamiltonian(n, delta),
         dissipators=dissipators,
         label=f"xxz_boundary_driven(n={n}, delta={delta}, drive={drive}, mu={mu})",
-        symmetries=symmetries,
+        symmetries=(exchange_parity_symmetry(n), magnetization_symmetry(n)),
     )
 
 
 def validate(model: OpenSystemModel) -> list[str]:
-    """Structural diagnostics; returns a list of violations, never raises."""
+    """Structural diagnostics, then each declared symmetry's ``validate``
+    once the operators are well-formed; returns violations, never raises."""
     violations = []
     if not model.hamiltonian.is_hermitian():
         violations.append("hamiltonian is not Hermitian")
@@ -173,6 +265,9 @@ def validate(model: OpenSystemModel) -> list[str]:
             violations.append(f"dissipator {k} has negative rate {rate}")
         if jump.n_qubits != model.n_qubits:
             violations.append(f"dissipator {k} qubit count differs from model")
+    if not violations:
+        for spec in model.symmetries:
+            violations += [f"symmetry {spec.label!r}: {v}" for v in spec.validate(model)]
     return violations
 
 
@@ -189,27 +284,6 @@ def build(name: str, **params) -> OpenSystemModel:
     return _BUILDERS[name](**params)
 
 
-def _symmetry_to_obj(desc: SymmetryDescriptor) -> dict:
-    obj = {"kind": desc.kind, "label": desc.label}
-    if desc.generator is not None:
-        obj["generator"] = pauli_sum_to_obj(desc.generator)
-    if desc.phase is not None:
-        obj["phase"] = desc.phase
-    if desc.unitary is not None:
-        obj["unitary"] = pauli_sum_to_obj(desc.unitary)
-    return obj
-
-
-def _symmetry_from_obj(obj: dict, n_qubits: int) -> SymmetryDescriptor:
-    return SymmetryDescriptor(
-        kind=obj["kind"],
-        generator=pauli_sum_from_obj(obj["generator"], n_qubits) if "generator" in obj else None,
-        phase=obj.get("phase"),
-        unitary=pauli_sum_from_obj(obj["unitary"], n_qubits) if "unitary" in obj else None,
-        label=obj.get("label", ""),
-    )
-
-
 def model_to_obj(model: OpenSystemModel) -> dict:
     obj = {
         "label": model.label,
@@ -221,7 +295,7 @@ def model_to_obj(model: OpenSystemModel) -> dict:
         ],
     }
     if model.symmetries:
-        obj["symmetries"] = [_symmetry_to_obj(d) for d in model.symmetries]
+        obj["symmetries"] = [spec.to_obj() for spec in model.symmetries]
     return obj
 
 
@@ -233,11 +307,9 @@ def model_from_obj(obj: dict) -> OpenSystemModel:
             (float(d["rate"]), pauli_sum_from_obj(d["operator"], n))
             for d in obj["dissipators"]
         )
+        symmetries = tuple(SymmetrySpec.from_obj(s, n) for s in obj.get("symmetries", []))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed model object: {exc}") from exc
-    symmetries = tuple(
-        _symmetry_from_obj(s, n) for s in obj.get("symmetries", [])
-    )
+        raise ConfigError(f"malformed model object: {exc!r}") from exc
     return OpenSystemModel(
         n_qubits=n,
         hamiltonian=ham,

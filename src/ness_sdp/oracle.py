@@ -132,10 +132,10 @@ def _is_physical(elem: np.ndarray) -> bool:
 def _generator_projectors(model: OpenSystemModel) -> list[list[np.ndarray]]:
     """Eigenspace projectors of each declared Hermitian symmetry generator."""
     projector_sets = []
-    for desc in model.symmetries:
-        if desc.generator is None:
+    for spec in model.symmetries:
+        if spec.generator is None:
             continue
-        gdense = desc.generator.to_dense(dense_limit=model.n_qubits)
+        gdense = spec.generator.to_dense(dense_limit=model.n_qubits)
         vals, vecs = np.linalg.eigh(gdense)
         projs = []
         used = np.zeros(len(vals), dtype=bool)

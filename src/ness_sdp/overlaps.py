@@ -129,32 +129,3 @@ def expectation(beta: np.ndarray, obs: ObservableMatrix) -> complex:
     """Tr(beta O~) = Tr(rho O) for the reconstructed density matrix."""
     return complex(np.trace(np.asarray(beta) @ obs.matrix))
 
-
-def save_overlaps(overlaps: OverlapSet, path) -> None:
-    """Binary dump with metadata; enables solve-without-reassembly."""
-    np.savez(
-        path,
-        E=overlaps.E,
-        D=overlaps.D,
-        R=np.array(overlaps.R),
-        F=np.array(overlaps.F),
-        rates=np.array(overlaps.rates),
-        meta_ansatz_hash=overlaps.ansatz_hash,
-        meta_model_label=overlaps.model_label,
-        meta_shots=-1 if overlaps.shots is None else overlaps.shots,
-    )
-
-
-def load_overlaps(path) -> OverlapSet:
-    data = np.load(path, allow_pickle=False)
-    shots = int(data["meta_shots"])
-    return OverlapSet(
-        E=data["E"],
-        D=data["D"],
-        R=tuple(data["R"]),
-        F=tuple(data["F"]),
-        rates=tuple(float(r) for r in data["rates"]),
-        ansatz_hash=str(data["meta_ansatz_hash"]),
-        model_label=str(data["meta_model_label"]),
-        shots=None if shots < 0 else shots,
-    )

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,12 +33,23 @@ _MUL_1Q = {
     ("Y", "X"): (-1j, "Z"), ("Z", "Y"): (-1j, "X"), ("X", "Z"): (-1j, "Y"),
 }
 
-_DENSE_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+
+@lru_cache(maxsize=4096)
+def string_masks(codes: str) -> tuple[int, int, complex]:
+    """(x_mask, z_mask, prefactor) with P|b> = pre * (-1)^popcount(b & z) |b ^ x>."""
+    n = len(codes)
+    x_mask = 0
+    z_mask = 0
+    n_y = 0
+    for site, ch in enumerate(codes):
+        bit = 1 << (n - 1 - site)  # site 1 = most significant bit
+        if ch in ("X", "Y"):
+            x_mask |= bit
+        if ch in ("Z", "Y"):
+            z_mask |= bit
+        if ch == "Y":
+            n_y += 1
+    return x_mask, z_mask, 1j ** n_y
 
 
 @dataclass(frozen=True)
@@ -173,18 +185,19 @@ class PauliSum:
         return all(abs(c.imag) <= tol for c, _ in self._terms)
 
     def to_dense(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-        """Kronecker expansion to a 2^n x 2^n matrix (site 1 = leftmost factor)."""
+        """Dense 2^n x 2^n matrix (site 1 = most significant bit); each word
+        is the signed permutation P[b ^ x, b] = pre * (-1)^popcount(b & z)."""
         if self._n > dense_limit:
             raise DenseLimitError(
                 f"dense expansion of {self._n} qubits exceeds limit {dense_limit}"
             )
         dim = 2 ** self._n
+        idx = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
         for coeff, string in self._terms:
-            m = np.ones((1, 1), dtype=complex)
-            for ch in string.codes:
-                m = np.kron(m, _DENSE_1Q[ch])
-            out += coeff * m
+            x_mask, z_mask, pre = string_masks(string.codes)
+            signs = 1.0 - 2.0 * (np.bitwise_count(idx & z_mask) & 1)
+            out[idx ^ x_mask, idx] += (coeff * pre) * signs
         return out
 
     def __eq__(self, other) -> bool:

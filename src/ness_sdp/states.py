@@ -16,38 +16,19 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .pauli import PauliSum
+from .pauli import PauliSum, string_masks
 
 DEDUP_TOL = 1e-10
 _PHASE_EPS = 1e-9
 
 
-@lru_cache(maxsize=4096)
-def _string_masks(codes: str) -> tuple[int, int, complex]:
-    """(x_mask, z_mask, prefactor) with P|b> = pre * (-1)^popcount(b & z) |b ^ x>."""
-    n = len(codes)
-    x_mask = 0
-    z_mask = 0
-    n_y = 0
-    for site, ch in enumerate(codes):
-        bit = 1 << (n - 1 - site)  # site 1 = most significant bit
-        if ch in ("X", "Y"):
-            x_mask |= bit
-        if ch in ("Z", "Y"):
-            z_mask |= bit
-        if ch == "Y":
-            n_y += 1
-    return x_mask, z_mask, 1j ** n_y
-
-
 def _apply_string(codes: str, amps: np.ndarray) -> np.ndarray:
     """Apply a Pauli word to amplitudes indexed along axis 0."""
-    x_mask, z_mask, pre = _string_masks(codes)
+    x_mask, z_mask, pre = string_masks(codes)
     idx = np.arange(amps.shape[0])
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & z_mask) & 1)
     phased = (pre * signs)[(...,) + (None,) * (amps.ndim - 1)] * amps
@@ -262,23 +243,6 @@ def moment_states_random(hamiltonian: PauliSum, seed: StateVector, order: int,
         words=tuple(words),
         seed_descriptor=seed_descriptor,
         rng_seed=rng_seed,
-    )
-
-
-def ansatz_from_record(hamiltonian: PauliSum, seed: StateVector, record: dict) -> AnsatzSet:
-    """Rebuild an ansatz bit-identically by replaying recorded words on the seed."""
-    strings = [s for _, s in hamiltonian.terms]
-    states = []
-    for word in record["words"]:
-        amps = seed.amplitudes.astype(complex)
-        for i in word:
-            amps = _apply_string(strings[i].codes, amps)
-        states.append(StateVector(seed.n_qubits, _canonical_phase(amps)))
-    return AnsatzSet(
-        states=tuple(states),
-        words=tuple(tuple(w) for w in record["words"]),
-        seed_descriptor=record.get("seed_descriptor", "custom"),
-        rng_seed=record.get("rng_seed"),
     )
 
 

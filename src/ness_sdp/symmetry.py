@@ -18,137 +18,28 @@ either from the coefficient matrix (hybrid path) or densely.
 """
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ConfigError
 from .lindblad import hermitize
-from .models import OpenSystemModel, magnetization
+# SymmetrySpec and the two built-in symmetries live in models (a model
+# declares its symmetries) and are re-exported here.
+from .models import (
+    OpenSystemModel,
+    SymmetrySpec,
+    exchange_parity_symmetry,
+    magnetization_symmetry,
+    z_rotation_pauli,
+)
 from .overlaps import ObservableMatrix, assemble, observable_matrix
-from .pauli import PauliSum, single_site
+from .pauli import PauliSum
 from .sdp import BetaMatrix, FeasibilityProblem, SolverOptions, solve_feasibility
 from .states import AnsatzSet, density_from_beta
 from . import oracle
 
 TRACE_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class SymmetrySpec:
-    """A strong symmetry: dense unitary, its distinct eigenvalues, and
-    optionally a Pauli expansion (for the hybrid expectation path) and a
-    Hermitian generator."""
-
-    unitary: np.ndarray
-    eigenvalues: tuple[complex, ...]
-    pauli_expansion: PauliSum | None = None
-    generator: PauliSum | None = None
-    label: str = ""
-
-    @property
-    def n_sectors(self) -> int:
-        return len(self.eigenvalues)
-
-    def validate(self, model: OpenSystemModel, tol: float = 1e-10) -> list[str]:
-        """Unitarity, eigenvalue bookkeeping, and the strong-symmetry property."""
-        violations = []
-        u = self.unitary
-        dim = u.shape[0]
-        if np.linalg.norm(u @ u.conj().T - np.eye(dim)) > tol * dim:
-            violations.append("U is not unitary")
-        spec = np.linalg.eigvals(u)
-        listed = np.array(self.eigenvalues)
-        for lam in spec:
-            if np.min(np.abs(listed - lam)) > 1e-8:
-                violations.append(f"spectrum value {lam:.6f} missing from listed eigenvalues")
-                break
-        for lam in listed:
-            if np.min(np.abs(spec - lam)) > 1e-8:
-                violations.append(f"listed eigenvalue {lam:.6f} not in the spectrum")
-        for i in range(len(listed)):
-            for j in range(i + 1, len(listed)):
-                if abs(listed[i] - listed[j]) <= 1e-8:
-                    violations.append("listed eigenvalues are not distinct")
-        h = model.hamiltonian.to_dense(dense_limit=model.n_qubits)
-        if np.linalg.norm(u @ h - h @ u) > tol * max(1.0, np.linalg.norm(h)):
-            violations.append("U does not commute with H")
-        for k, (_, jump) in enumerate(model.dissipators):
-            a = jump.to_dense(dense_limit=model.n_qubits)
-            if np.linalg.norm(u @ a - a @ u) > tol * max(1.0, np.linalg.norm(a)):
-                violations.append(f"U does not commute with jump operator {k}")
-        return violations
-
-    def power_pauli(self, k: int) -> PauliSum:
-        """Pauli expansion of U^k; requires the expansion to be present."""
-        if self.pauli_expansion is None:
-            raise ValueError("symmetry has no Pauli expansion of U")
-        n = self.pauli_expansion.n_qubits
-        out = PauliSum.identity(n)
-        base = self.pauli_expansion if k >= 0 else self.pauli_expansion.dagger()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
-
-def z_rotation_pauli(n: int, phi: float) -> PauliSum:
-    """Pauli expansion of exp(i phi sum_j Z_j) via the per-site product."""
-    out = PauliSum.identity(n, math.cos(phi)) + single_site(n, 1, "Z", 1j * math.sin(phi))
-    for j in range(2, n + 1):
-        factor = PauliSum.identity(n, math.cos(phi)) + single_site(n, j, "Z", 1j * math.sin(phi))
-        out = out * factor
-    return out
-
-
-def magnetization_symmetry(n: int, phi: float | None = None) -> SymmetrySpec:
-    """S_z = exp(i phi M); the default phi keeps all n+1 sector phases distinct."""
-    if phi is None:
-        phi = 2.0 * math.pi / (2 * n + 2)
-    idx = np.arange(2 ** n)
-    mags = n - 2 * np.bitwise_count(idx).astype(np.int64)
-    unitary = np.diag(np.exp(1j * phi * mags))
-    eigenvalues = tuple(cmath.exp(1j * phi * m) for m in range(-n, n + 1, 2))
-    return SymmetrySpec(
-        unitary=unitary,
-        eigenvalues=eigenvalues,
-        pauli_expansion=z_rotation_pauli(n, phi),
-        generator=magnetization(n),
-        label=f"exp(i*{phi:.6g}*M)",
-    )
-
-
-def _swap_pauli(n: int, a: int, b: int) -> PauliSum:
-    """SWAP_{ab} = (1/2)(II + XX + YY + ZZ) on sites a, b."""
-    out = PauliSum.identity(n, 0.5)
-    for axis in "XYZ":
-        codes = ["I"] * n
-        codes[a - 1] = axis
-        codes[b - 1] = axis
-        out = out + PauliSum.from_label("".join(codes), 0.5)
-    return out
-
-
-def exchange_parity_symmetry(n: int) -> SymmetrySpec:
-    """S = P * prod_j X_j with P the site-reversal permutation; eigenvalues +-1."""
-    dim = 2 ** n
-    idx = np.arange(dim)
-    flipped = idx ^ (dim - 1)  # global X flip: complement every bit
-    reversed_bits = np.zeros(dim, dtype=int)
-    for b in range(n):
-        reversed_bits |= ((flipped >> b) & 1) << (n - 1 - b)
-    unitary = np.zeros((dim, dim), dtype=complex)
-    unitary[reversed_bits, idx] = 1.0
-    expansion = _swap_pauli(n, 1, n) if n > 1 else PauliSum.identity(1)
-    for j in range(2, n // 2 + 1):
-        expansion = expansion * _swap_pauli(n, j, n + 1 - j)
-    expansion = expansion * PauliSum.from_label("X" * n)
-    return SymmetrySpec(
-        unitary=unitary,
-        eigenvalues=(1.0 + 0j, -1.0 + 0j),
-        pauli_expansion=expansion,
-        label="exchange-parity",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +121,13 @@ def twirl_eliminate(rc: RhoCombination, spec: SymmetrySpec,
     """Annihilate the B_{m,n} component: rho <- rho - (rho - U rho U^dag)/(1 - u_m conj(u_n)).
 
     Diagonal-block components are unchanged; the sector pair is given as
-    0-based indices into the listed eigenvalues.
+    0-based indices into the spec's eigenvalues, which are distinct, so the
+    divisor is nonzero for m != n.
     """
     m, n = pair
     if m == n:
         raise ValueError("twirl pair must reference two different sectors")
-    u_m = spec.eigenvalues[m]
-    u_n = spec.eigenvalues[n]
-    divisor = 1.0 - u_m * np.conj(u_n)
-    if abs(divisor) < 1e-12:
-        raise ZeroDivisionError(
-            f"degenerate twirl divisor: sectors {m} and {n} share an eigenvalue phase"
-        )
-    weight = 1.0 / divisor
+    weight = 1.0 / (1.0 - spec.eigenvalues[m] * np.conj(spec.eigenvalues[n]))
     # rho' = (1 - w) rho + w U rho U^dag
     shifted = {(k + 1, kp + 1): weight * c for (k, kp), c in rc.weights.items()}
     weights = {key: (1.0 - weight) * c for key, c in rc.weights.items()}
@@ -364,20 +249,18 @@ class ExtractionResult:
 def extract_all_ness(model: OpenSystemModel, spec: SymmetrySpec, ansatz: AnsatzSet,
                      options: SolverOptions | None = None,
                      extra_constraints: tuple = (),
-                     max_retries: int = 2,
-                     trace_floor: float = TRACE_FLOOR,
-                     validate_spec: bool = True) -> ExtractionResult:
+                     max_retries: int = 2) -> ExtractionResult:
     """Solve, twirl away off-diagonal blocks, and Vandermonde-extract all sectors.
 
     When a sector component is missing (zero weight in the solver output)
     the feasibility program is re-run from a seeded random start, per the
-    documented remedy, up to max_retries times.
+    documented remedy, up to max_retries times. A spec that fails
+    ``validate`` raises ``ConfigError``.
     """
     options = options or SolverOptions()
-    if validate_spec:
-        violations = spec.validate(model)
-        if violations:
-            raise ValueError(f"invalid strong symmetry: {violations}")
+    violations = spec.validate(model)
+    if violations:
+        raise ConfigError(f"invalid strong symmetry {spec.label!r}: {violations}")
     overlaps = assemble(model, ansatz)
     attempts = 0
     states: list[ExtractedState] = []
@@ -391,7 +274,7 @@ def extract_all_ness(model: OpenSystemModel, spec: SymmetrySpec, ansatz: AnsatzS
         rho1 = density_from_beta(beta.matrix, ansatz)
         rc = RhoCombination.initial(rho1, spec)
         rc = twirl_eliminate_all(rc, spec)
-        states = vandermonde_extract(rc, spec, trace_floor=trace_floor)
+        states = vandermonde_extract(rc, spec)
         states = [
             replace(s, residual=oracle.true_residual(s.state, model))
             if s.state is not None else s

@@ -34,6 +34,20 @@ def dense_sum(op: PauliSum) -> np.ndarray:
     return out
 
 
+def dense_exchange_parity(n: int) -> np.ndarray:
+    """S = P * prod_j X_j from index arithmetic: flip every bit, then reverse
+    the bit order (site j <-> site n+1-j)."""
+    dim = 2 ** n
+    idx = np.arange(dim)
+    flipped = idx ^ (dim - 1)
+    rev = np.zeros(dim, dtype=int)
+    for b in range(n):
+        rev |= ((flipped >> b) & 1) << (n - 1 - b)
+    s = np.zeros((dim, dim), dtype=complex)
+    s[rev, idx] = 1.0
+    return s
+
+
 def dense_lindblad(model: OpenSystemModel, rho: np.ndarray) -> np.ndarray:
     """L[rho] assembled from scratch with the local dense table."""
     h = dense_sum(model.hamiltonian)

@@ -26,12 +26,14 @@ from ness_sdp.sdp import FeasibilityProblem, SolverOptions, solve_feasibility, s
 from ness_sdp.states import basis_state, density_from_beta, moment_states, moment_states_random
 from ness_sdp.symmetry import (
     RhoCombination,
+    SymmetrySpec,
     exchange_parity_symmetry,
     extract_all_ness,
     sector_basis_ansatz,
     sector_constraint,
     twirl_eliminate_all,
     vandermonde_extract,
+    z_rotation_pauli,
 )
 
 GROWTH_CAP = 6
@@ -254,16 +256,7 @@ def test_criterion_7_planted_decomposition():
         (2 * np.pi / 8, {-3: 0.1, -1: 0.2, 1: 0.3, 3: 0.4}),
     ]
     for phi, weights in cases:
-        idx = np.arange(8)
-        mags = 3 - 2 * np.bitwise_count(idx).astype(np.int64)
-        unitary = np.diag(np.exp(1j * phi * mags))
-        distinct = []
-        for m in (-3, -1, 1, 3):
-            lam = np.exp(1j * phi * m)
-            if all(abs(lam - d) > 1e-9 for d in distinct):
-                distinct.append(lam)
-        from ness_sdp.symmetry import SymmetrySpec
-        spec = SymmetrySpec(unitary=unitary, eigenvalues=tuple(distinct),
+        spec = SymmetrySpec(pauli_expansion=z_rotation_pauli(3, phi),
                             generator=magnetization(3))
         n_u = spec.n_sectors
         assert n_u == len(weights)

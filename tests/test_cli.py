@@ -223,6 +223,57 @@ class TestSymmetryCmd:
         assert report["pairwise_trace_overlaps"][0][1] <= 1e-8
         for s in found:
             assert s["residual"] <= 1e-7
+        assert report["symmetry"] == "exchange-parity"
+        assert [s["eigenvalue"][0] for s in report["sectors"]] == pytest.approx([1.0, -1.0])
+
+    def test_defaults_to_declared_magnetization(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "xxz_dephasing",
+                      "params": {"n": 3, "delta": 1.0, "gamma": 1.0}},
+            "ansatz": {"seed": "bits:110", "K": 3},
+        })
+        result = runner.invoke(main, ["symmetry", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "symmetry.json").read_text())
+        assert report["symmetry"] == "magnetization"
+        assert len(report["sectors"]) == 4
+        for s in report["sectors"]:
+            assert s["missing"] or s["residual"] <= 1e-7
+
+    @pytest.mark.parametrize("model, use, message", [
+        ({"builder": "xxz_dephasing", "params": {"n": 3, "delta": 1.0}},
+         "exchange-parity", "not declared"),
+        ({"builder": "tfim_chain", "params": {"n": 2, "g": 1.0}}, None, "declares no"),
+    ])
+    def test_undeclared_symmetry_is_config_error(self, runner, tmp_path, model, use, message):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": model, "symmetry": {} if use is None else {"use": use}})
+        result = runner.invoke(main, ["symmetry", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+
+    def test_invalid_declared_symmetry_is_config_error(self, runner, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(BAD_GENERATOR_MODEL))
+        cfg = write_config(tmp_path / "cfg.json", {"model": {"file": str(model)},
+                                                   "ansatz": {"seed": "bits:00"}})
+        result = runner.invoke(main, ["symmetry", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "invalid strong symmetry" in result.output
+
+
+# generator ZI does not commute with H = XI
+BAD_GENERATOR_MODEL = {
+    "n_qubits": 2,
+    "hamiltonian": [{"coeff": [1.0, 0.0], "pauli": "XI"}],
+    "dissipators": [],
+    "symmetries": [{"label": "z1",
+                    "unitary": [{"coeff": [1.0, 0.0], "pauli": "II"}],
+                    "generator": [{"coeff": [1.0, 0.0], "pauli": "ZI"}]}],
+}
 
 
 class TestModelAndAnsatzCmds:
@@ -245,6 +296,20 @@ class TestModelAndAnsatzCmds:
         result = runner.invoke(main, ["model", "validate", str(bad)])
         assert result.exit_code == 2
         assert "Hermitian" in result.output
+
+    def test_validate_flags_noncommuting_generator(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(BAD_GENERATOR_MODEL))
+        result = runner.invoke(main, ["model", "validate", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert "generator does not commute with H" in result.output
+
+    def test_malformed_symmetry_entry(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(BAD_GENERATOR_MODEL, symmetries=[{"label": "x"}])))
+        result = runner.invoke(main, ["model", "validate", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert "unitary" in result.output
 
     def test_ansatz_generate_and_inspect(self, runner, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", TFIM_CFG)
@@ -315,6 +380,40 @@ class TestMalformedConfigs:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert "sweep value" in result.output
+
+    @pytest.mark.parametrize("extra, field", [
+        ({"ansatz": {"seed": "bits:11", "K": "two"}}, "ansatz.K"),
+        ({"ansatz": {"seed": "bits:11", "K": 2, "q": "all"}}, "ansatz.q"),
+        ({"ansatz": {"seed": "bits:11", "K": 2, "q": 2, "rng_seed": "x"}}, "ansatz.rng_seed"),
+        ({"shots": "many"}, "shots"),
+        ({"shots": 100, "noise_rng_seed": "x"}, "noise_rng_seed"),
+    ])
+    def test_solve_integer_not_an_integer(self, runner, tmp_path, extra, field):
+        cfg = write_config(tmp_path / "cfg.json", dict(TFIM_CFG, **extra))
+        result = runner.invoke(main, ["solve", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert field in result.output
+
+    def test_max_retries_not_an_integer(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "xxz_dephasing", "params": {"n": 2, "delta": 1.0}},
+            "symmetry": {"max_retries": "twice"},
+        })
+        result = runner.invoke(main, ["symmetry", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "symmetry.max_retries" in result.output
+
+    def test_sweep_values_not_a_list(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "tfim_chain", "params": {"n": 2, "g": 0.0}},
+            "sweep": {"parameter": "g", "values": 5},
+        })
+        result = runner.invoke(main, ["sweep", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "list" in result.output
 
     @pytest.mark.parametrize("solver, field", [
         ({"feas_tol": 0}, "feas_tol"),

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_sum
+from conftest import dense_exchange_parity, dense_sum
 from ness_sdp import oracle
 from ness_sdp.errors import ConfigError
 from ness_sdp.models import (
@@ -85,14 +85,7 @@ class TestBoundaryDriven:
     def test_exchange_parity_commutes_dense(self):
         # S = P * prod X built locally from index arithmetic
         n = 4
-        dim = 2 ** n
-        idx = np.arange(dim)
-        flipped = idx ^ (dim - 1)
-        rev = np.zeros(dim, dtype=int)
-        for b in range(n):
-            rev |= ((flipped >> b) & 1) << (n - 1 - b)
-        s = np.zeros((dim, dim), dtype=complex)
-        s[rev, idx] = 1.0
+        s = dense_exchange_parity(n)
         m = xxz_boundary_driven(n, 1.0, 1.0, 0.5)
         h = dense_sum(m.hamiltonian)
         assert np.linalg.norm(s @ h - h @ s) < 1e-12
@@ -145,10 +138,21 @@ def test_json_roundtrip(tmp_path):
 
 
 def test_obj_roundtrip_preserves_symmetries():
-    m = xxz_dephasing(3, 1.0)
-    again = model_from_obj(model_to_obj(m))
-    assert again.symmetries[0].generator == m.symmetries[0].generator
-    assert again.symmetries[0].phase == pytest.approx(m.symmetries[0].phase)
+    for m in (xxz_dephasing(3, 1.0), xxz_boundary_driven(4, 1.0, 1.0, 0.5)):
+        again = model_from_obj(model_to_obj(m))
+        assert again == m
+        for a, b in zip(again.symmetries, m.symmetries):
+            assert a.generator == b.generator
+            assert a.pauli_expansion == b.pauli_expansion
+            assert np.array_equal(a.unitary, b.unitary)
+            assert a.eigenvalues == b.eigenvalues
+
+
+def test_declared_symmetries():
+    assert [s.label for s in xxz_dephasing(3, 1.0).symmetries] == ["magnetization"]
+    model = xxz_boundary_driven(4, 1.0, 1.0, 0.5)
+    assert [s.label for s in model.symmetries] == ["exchange-parity", "magnetization"]
+    assert tfim_chain(3, 0.5).symmetries == ()
 
 
 def test_load_errors(tmp_path):

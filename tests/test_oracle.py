@@ -181,6 +181,12 @@ class TestMemo:
         first[:] = 0.0
         assert np.array_equal(oracle.exact_ness(model), expect)
 
+    def test_model_with_symmetries_hits_the_memo(self):
+        oracle._steady_states.cache_clear()
+        first = oracle.steady_states(xxz_dephasing(3, 1.0))
+        assert oracle.steady_states(xxz_dephasing(3, 1.0)) is first
+        assert oracle._steady_states.cache_info().hits == 1
+
     def test_cached_basis_is_read_only(self):
         basis = oracle.steady_states(xxz_dephasing(3, 1.0))
         with pytest.raises(ValueError):

@@ -14,9 +14,7 @@ from ness_sdp.overlaps import (
     add_shot_noise,
     assemble,
     expectation,
-    load_overlaps,
     observable_matrix,
-    save_overlaps,
 )
 from ness_sdp.pauli import PauliSum, single_site
 from ness_sdp.states import AnsatzSet, basis_state, density_from_beta
@@ -150,16 +148,3 @@ class TestShotNoise:
         ovl = assemble(tfim_chain(2, 1.0), random_ansatz(rng, 2, 4))
         with pytest.raises(ValueError):
             add_shot_noise(ovl, 0, rng_seed=0)
-
-
-def test_save_load_roundtrip(tmp_path, rng):
-    model = tfim_chain(2, 1.0)
-    ovl = add_shot_noise(assemble(model, random_ansatz(rng, 2, 3)), 1000, 5)
-    path = tmp_path / "overlaps.npz"
-    save_overlaps(ovl, path)
-    loaded = load_overlaps(path)
-    assert np.array_equal(loaded.E, ovl.E)
-    assert all(np.array_equal(a, b) for a, b in zip(loaded.R, ovl.R))
-    assert loaded.rates == ovl.rates
-    assert loaded.shots == 1000
-    assert loaded.ansatz_hash == ovl.ansatz_hash

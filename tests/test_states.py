@@ -9,7 +9,6 @@ from ness_sdp.pauli import PauliSum, sigma_minus
 from ness_sdp.states import (
     AnsatzSet,
     StateVector,
-    ansatz_from_record,
     apply_pauli_sum,
     basis_state,
     density_from_beta,
@@ -153,15 +152,6 @@ class TestMomentStatesRandom:
         for word in ans.words:
             per_level[len(word)] = per_level.get(len(word), 0) + 1
         assert all(count <= 3 for level, count in per_level.items() if level > 0)
-
-
-def test_record_roundtrip_bit_identical():
-    ham = tfim_chain(3, 0.6).hamiltonian
-    ans = moment_states_random(ham, basis_state(3, "111"), 3, q=4, rng_seed=5,
-                               seed_descriptor="bits:111")
-    rebuilt = ansatz_from_record(ham, basis_state(3, "111"), ans.to_record())
-    assert np.array_equal(rebuilt.states_matrix(), ans.states_matrix())
-    assert rebuilt.content_hash() == ans.content_hash()
 
 
 def test_density_from_beta(rng):
