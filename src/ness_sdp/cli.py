@@ -40,11 +40,22 @@ def _fail(code: int, message: str):
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file must hold a JSON object: {path}")
+    return cfg
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """cfg[name], {} when absent; a section that is not a JSON object is a config error."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object, got {section!r}")
+    return section
 
 
 def _number(value, what: str) -> float:
@@ -65,8 +76,8 @@ def _integer(value, what: str, minimum: int = 0) -> int:
 
 
 def _build_model(cfg: dict) -> models.OpenSystemModel:
-    mcfg = cfg.get("model")
-    if not isinstance(mcfg, dict):
+    mcfg = _section(cfg, "model")
+    if not mcfg:
         raise ConfigError("config needs a 'model' section")
     if "file" in mcfg:
         return models.load_model(mcfg["file"])
@@ -97,11 +108,14 @@ def _seed_state(model: models.OpenSystemModel, descriptor: str,
 
 def _build_ansatz(model: models.OpenSystemModel, cfg: dict,
                   dense_limit: int) -> states.AnsatzSet:
-    acfg = cfg.get("ansatz", {})
+    acfg = _section(cfg, "ansatz")
     descriptor = acfg.get("seed", "bits:" + "1" * model.n_qubits)
+    if not isinstance(descriptor, str):
+        raise ConfigError(f"ansatz.seed must be a string, got {descriptor!r}")
     if descriptor.startswith("sector-basis:"):
-        return symmetry.sector_basis_ansatz(model.n_qubits,
-                                            int(descriptor.split(":", 1)[1]))
+        m = _integer(descriptor.split(":", 1)[1], "the magnetization of a sector-basis seed",
+                     minimum=-model.n_qubits)
+        return symmetry.sector_basis_ansatz(model.n_qubits, m)
     seed = _seed_state(model, descriptor, dense_limit)
     order = _integer(acfg.get("K", 0), "ansatz.K")
     q = acfg.get("q")
@@ -117,7 +131,10 @@ def _build_ansatz(model: models.OpenSystemModel, cfg: dict,
 def _constraints(cfg: dict, ansatz: states.AnsatzSet,
                  model: models.OpenSystemModel):
     out = []
-    for entry in cfg.get("constraints", []):
+    entries = cfg.get("constraints", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError(f"constraints must be a list of JSON objects, got {entries!r}")
+    for entry in entries:
         if "target" not in entry:
             raise ConfigError(f"constraint needs a 'target': {entry}")
         target = _number(entry["target"], "constraint target")
@@ -132,7 +149,7 @@ def _constraints(cfg: dict, ansatz: states.AnsatzSet,
 
 
 def _solver_options(cfg: dict) -> sdp.SolverOptions:
-    scfg = dict(cfg.get("solver", {}))
+    scfg = dict(_section(cfg, "solver"))
     if cfg.get("shots") is not None and "mode" not in scfg:
         scfg["mode"] = "least-squares"
     try:
@@ -191,7 +208,7 @@ def _solve_once(model, cfg, dense_limit):
 
 
 def _oracle_section(model, rho_fit, cfg, dense_limit):
-    if not cfg.get("oracle", {}).get("enabled", True):
+    if not _section(cfg, "oracle").get("enabled", True):
         return {}
     if model.n_qubits > dense_limit:
         return {"skipped": f"n={model.n_qubits} above dense limit {dense_limit}"}
@@ -265,7 +282,7 @@ _SWEEP_COLUMNS = ("g", "ansatz_size", "feasible", "subspace_residual",
 
 def _with_param(cfg: dict, name: str, value) -> dict:
     """Deep copy of cfg with one builder parameter of the model replaced."""
-    if not isinstance(cfg["model"].get("params"), dict):
+    if not isinstance(_section(cfg, "model").get("params"), dict):
         raise ConfigError("a parameter scan needs the model's 'params' section")
     point = json.loads(json.dumps(cfg))
     point["model"]["params"][name] = value
@@ -274,9 +291,9 @@ def _with_param(cfg: dict, name: str, value) -> dict:
 
 def _sweep_point(cfg, value, ansatz_cfg, dense_limit):
     point_cfg = _with_param(cfg, cfg["sweep"]["parameter"], value)
-    point_cfg["ansatz"] = dict(point_cfg.get("ansatz", {}), **ansatz_cfg)
+    point_cfg["ansatz"] = dict(_section(point_cfg, "ansatz"), **ansatz_cfg)
     model = _build_model(point_cfg)
-    acfg = point_cfg.get("ansatz", {})
+    acfg = point_cfg["ansatz"]
     row = {
         "g": value,
         "K": acfg.get("K", 0),
@@ -322,19 +339,21 @@ def sweep(config_path, out_dir, dense_limit, workers):
     """Sweep a model parameter; one CSV row per sweep point."""
     def body():
         cfg = _load_config(config_path)
-        swp = cfg.get("sweep")
-        if not swp or "parameter" not in swp or "values" not in swp:
+        swp = _section(cfg, "sweep")
+        if "parameter" not in swp or "values" not in swp:
             raise ConfigError("sweep section needs 'parameter' and 'values'")
         if not isinstance(swp["values"], list):
             raise ConfigError(f"sweep values must be a list, got {swp['values']!r}")
         values = [_number(v, "sweep value") for v in swp["values"]]
         if not all(np.isfinite(values)):
             raise ConfigError("sweep values must be finite")
-        if "builder" not in cfg.get("model", {}):
+        if "builder" not in _section(cfg, "model"):
             raise ConfigError("sweep requires a builder-based model section")
         if workers < 1:
             raise ConfigError("--workers must be >= 1")
         grid = swp.get("ansatz_grid", [{}])
+        if not isinstance(grid, list) or not all(isinstance(a, dict) for a in grid):
+            raise ConfigError(f"sweep.ansatz_grid must be a list of JSON objects, got {grid!r}")
         points = [(v, a) for v in values for a in grid]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(
@@ -365,10 +384,10 @@ def oracle_cmd(config_path, out_dir, dense_limit):
             report["physical_count"] = int(sum(basis.physical))
             report["smallest_singular_values"] = [
                 float(s) for s in basis.singular_values[-max(basis.dimension + 2, 3):]]
-        table_cfg = cfg.get("overlap_table")
+        table_cfg = _section(cfg, "overlap_table")
         if table_cfg:
-            if "g_values" not in table_cfg:
-                raise ConfigError("overlap_table needs 'g_values'")
+            if not isinstance(table_cfg.get("g_values"), list):
+                raise ConfigError("overlap_table needs a list 'g_values'")
             column = []
             for value in table_cfg["g_values"]:
                 point = _with_param(cfg, table_cfg.get("parameter", "g"), value)
@@ -407,7 +426,7 @@ def symmetry_cmd(config_path, out_dir, dense_limit):
     def body():
         cfg = _load_config(config_path)
         model = _build_model(cfg)
-        scfg = cfg.get("symmetry", {})
+        scfg = _section(cfg, "symmetry")
         spec = _declared_symmetry(model, scfg.get("use"))
         ansatz = _build_ansatz(model, cfg, dense_limit)
         result = symmetry.extract_all_ness(

@@ -1,4 +1,4 @@
-"""The Lindblad generator in one form, for every basis the package uses.
+"""The Lindblad generator, in every basis the package uses.
 
     G(x) = -i (K x M - M x K^dag) + sum_k J_k x J_k^dag,
     K = H - (i/2) sum_k gamma_k F_k,    J_k = sqrt(gamma_k) A_k,
@@ -12,12 +12,26 @@ M = I this is the usual L[rho] = -i[H, rho]
 
 Vectorization is column-stacking: vec(x) = x.reshape(-1, order="F"),
 so vec(B x C) = (C^T kron B) vec(x).
+
+In the computational basis (``from_model``) G is never applied through
+dense products. K and J_k are Pauli sums, and a Pauli word maps |b> to a
+phase times |b ^ mask>, so
+
+    G(x)[a, b] = sum_t W_t[a, b] x[a ^ p_t, b ^ q_t]
+
+over a table of terms t, one per distinct pair of bit-flip masks
+(p_t, q_t). With x viewed as a (2,)*2n tensor, x[a ^ p, b ^ q] is
+``np.flip`` over the qubit axes set in p and q, a view. The adjoint reads
+the same table: G^dag(y) = sum_t flip(conj(W_t) y).
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .errors import ConfigError
+from .pauli import PauliSum, string_masks
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -33,10 +47,12 @@ def _sqrt_rates(rates) -> np.ndarray:
 
 
 class Lindbladian:
-    """G and its adjoint as short sequences of matrix products.
+    """G and its adjoint as short sequences of dense matrix products.
 
     Holds K, K^dag, every J_k and J_k^dag densely: 2(1 + k) matrices of
     the basis dimension, plus the metric when it is not the identity.
+    This is the form of the coefficient-basis generators (``from_overlaps``,
+    ``compress``); ``from_model`` returns a ``PauliLindbladian``.
     """
 
     def __init__(self, k: np.ndarray, jumps, metric: np.ndarray | None = None):
@@ -46,17 +62,10 @@ class Lindbladian:
         self.jumps_dag = [j.conj().T for j in self.jumps]
         self.metric = metric
 
-    @classmethod
-    def from_model(cls, model) -> "Lindbladian":
-        """Computational-basis generator from dense Pauli-sum expansions."""
-        n = model.n_qubits
-        k = model.hamiltonian.to_dense(dense_limit=n)
-        jumps = []
-        for root, (rate, jump) in zip(_sqrt_rates(model.rates), model.dissipators):
-            a = jump.to_dense(dense_limit=n)
-            k = k - 0.5j * rate * (a.conj().T @ a)
-            jumps.append(root * a)
-        return cls(k, jumps)
+    @staticmethod
+    def from_model(model) -> "PauliLindbladian":
+        """Computational-basis generator of a model, applied from Pauli tables."""
+        return PauliLindbladian(model)
 
     @classmethod
     def from_overlaps(cls, overlaps) -> "Lindbladian":
@@ -104,3 +113,110 @@ class Lindbladian:
         for j in self.jumps:
             out += np.kron(j.conj(), j)
         return out
+
+
+def _flip_weights(op: PauliSum) -> dict[int, np.ndarray]:
+    """u_p[a] = op[a, a ^ p] for each flip mask p, so (op x)[a] = sum_p u_p[a] x[a ^ p]."""
+    idx = np.arange(2 ** op.n_qubits)
+    out: dict[int, np.ndarray] = {}
+    for coeff, string in op.terms:
+        x_mask, z_mask, pre = string_masks(string.codes)
+        signs = 1.0 - 2.0 * (np.bitwise_count((idx ^ x_mask) & z_mask) & 1)
+        out[x_mask] = out.get(x_mask, 0) + (coeff * pre) * signs
+    return out
+
+
+def _flip_axes(p: int, q: int, n: int) -> tuple[int, ...]:
+    """Axes of the (2,)*2n view of x that x[a ^ p, b ^ q] flips (site 1 = axis 0)."""
+    return tuple(axis for axis in range(2 * n) if ((p << n | q) >> (2 * n - 1 - axis)) & 1)
+
+
+def _weight_factors(pieces: list[tuple[np.ndarray, ...]], n: int) -> tuple[np.ndarray, ...]:
+    """A lone piece stays a product of broadcast factors; several merge into one full weight."""
+    if len(pieces) > 1:
+        pieces = [(sum(functools.reduce(np.multiply, piece) for piece in pieces),)]
+    return tuple(f.reshape([2 if size > 1 else 1 for size in f.shape for _ in range(n)])
+                 for f in pieces[0])
+
+
+class PauliLindbladian(Lindbladian):
+    """The computational-basis generator of a model, as one table of flip terms.
+
+    A term (axes, factors) stands for x -> W * flip(x, axes), with W the
+    product of its broadcast factors: a column u for a -i K x piece, a row
+    for an i x K^dag piece, a column times a row for a J_k x J_k^dag
+    piece. A mask pair reached by several pieces, such as the diagonal
+    pair (0, 0) of a K with a diagonal part, holds them merged in one full
+    2^n x 2^n weight. The dense K
+    and J_k that ``superoperator`` and ``compress`` need are expanded only
+    on first use, exactly as a dense generator would hold them.
+    """
+
+    metric = None
+
+    def __init__(self, model):
+        self.model = model
+        self.roots = _sqrt_rates(model.rates)
+        self.n = model.n_qubits
+
+    @property
+    def dim(self) -> int:
+        return 2 ** self.n
+
+    @functools.cached_property
+    def terms(self) -> tuple[tuple[tuple[int, ...], tuple[np.ndarray, ...]], ...]:
+        """(flip axes, weight factors) per distinct mask pair (p, q)."""
+        k_op = self.model.hamiltonian
+        for rate, jump in self.model.dissipators:
+            k_op = k_op - (0.5j * rate) * (jump.dagger() * jump)
+        pieces: dict[tuple[int, int], list[tuple[np.ndarray, ...]]] = {}
+        for p, u in _flip_weights(k_op).items():
+            pieces.setdefault((p, 0), []).append((-1j * u[:, None],))
+            pieces.setdefault((0, p), []).append((1j * u.conj()[None, :],))
+        for root, jump in zip(self.roots, self.model.jumps):
+            weights = _flip_weights(root * jump)
+            for p, u in weights.items():
+                for q, v in weights.items():
+                    pieces.setdefault((p, q), []).append((u[:, None], v.conj()[None, :]))
+        return tuple((_flip_axes(p, q, self.n), _weight_factors(parts, self.n))
+                     for (p, q), parts in pieces.items())
+
+    @functools.cached_property
+    def _dense(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        n = self.n
+        k = self.model.hamiltonian.to_dense(dense_limit=n)
+        jumps = []
+        for root, (rate, jump) in zip(self.roots, self.model.dissipators):
+            a = jump.to_dense(dense_limit=n)
+            k = k - 0.5j * rate * (a.conj().T @ a)
+            jumps.append(root * a)
+        return k, jumps
+
+    @property
+    def k(self) -> np.ndarray:
+        return self._dense[0]
+
+    @property
+    def jumps(self) -> list[np.ndarray]:
+        return self._dense[1]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=complex).reshape((2,) * (2 * self.n))
+        out, tmp = np.zeros_like(x), np.empty_like(x)
+        for axes, (first, *rest) in self.terms:
+            np.multiply(first, np.flip(x, axes), out=tmp)
+            for factor in rest:
+                tmp *= factor
+            out += tmp
+        return out.reshape(self.dim, self.dim)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """G^dag under the Frobenius inner product: <G x, y> = <x, G^dag y>."""
+        y = np.asarray(y, dtype=complex).reshape((2,) * (2 * self.n))
+        out, tmp = np.zeros_like(y), np.empty_like(y)
+        for axes, (first, *rest) in self.terms:
+            np.multiply(first.conj(), y, out=tmp)
+            for factor in rest:
+                tmp *= factor.conj()
+            out += np.flip(tmp, axes)
+        return out.reshape(self.dim, self.dim)

@@ -5,8 +5,8 @@ Every path uses the computational-basis generator of ``lindblad``,
     L[rho] = -i (K rho - rho K^dag) + sum_n J_n rho J_n^dag,
     K = H - (i/2) sum_n gamma_n A_n^dag A_n,    J_n = sqrt(gamma_n) A_n,
 
-with K and J_n expanded densely. The dense oracle takes the null space
-of its column-stacking superoperator,
+with K and J_n expanded densely for the dense oracle. That oracle takes
+the null space of its column-stacking superoperator,
 
     L = -i (I kron K - K^* kron I) + sum_n J_n^* kron J_n,
 
@@ -20,9 +20,12 @@ are already orthonormal. ``steady_states`` memoizes the result per
 the ``oracle-top`` seed and the oracle report of one sweep point, pay for
 one SVD.
 
-The iterative path never materializes that 4^n x 4^n matrix: it applies
-L and L^dag as 2^n x 2^n matrix products and finds a steady state by
-conjugate-gradient least squares on the trace-one slice.
+The iterative path never materializes that 4^n x 4^n matrix, nor any
+dense K or J_n: it applies L and L^dag from the model's compiled table of
+bit-flip terms (``lindblad.PauliLindbladian``), one flipped view and one
+weighted sum per distinct pair of flip masks, and finds a steady state by
+conjugate-gradient least squares on the trace-one slice. The CG loop is
+hand-written because the package imports no scipy.
 """
 from __future__ import annotations
 
@@ -300,10 +303,11 @@ def sparse_steady_state(model: OpenSystemModel, tol: float = 1e-8,
     """Steady state without materializing the superoperator (n <= 10).
 
     Minimizes ||L[rho]||_F over the trace-one affine slice by conjugate
-    gradients on the normal equations, applying L and L^dag as products
-    of dense 2^n x 2^n matrices. Intended for models with a unique
-    steady state; for degenerate steady spaces it returns one valid
-    steady state.
+    gradients on the normal equations. L and L^dag are applied from the
+    model's compiled Pauli table as weighted bit-flip views of rho, so a
+    CG step costs O(terms * 4^n) and no dense K or J_n is formed.
+    Intended for models with a unique steady state; for degenerate
+    steady spaces it returns one valid steady state.
     """
     n = model.n_qubits
     if n > SPARSE_LIMIT:

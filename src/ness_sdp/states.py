@@ -158,16 +158,42 @@ class AnsatzSet:
         }
 
 
-def _append_if_new(amps, states, words, word):
-    """Phase-canonicalize and keep a candidate unless it duplicates a retained state."""
-    canon = _canonical_phase(amps)
-    if states:
-        overlaps = np.abs(np.column_stack(states).conj().T @ canon)
-        if overlaps.max() > 1.0 - DEDUP_TOL:
+class _Retained:
+    """Phase-canonical retained states as rows of one growing buffer, with their words."""
+
+    def __init__(self, seed: StateVector):
+        self.n_qubits = seed.n_qubits
+        self.rows = np.empty((16, 2 ** seed.n_qubits), dtype=complex)
+        self.words: list[tuple[int, ...]] = []
+        self.add_if_new(seed.amplitudes.astype(complex), ())
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def add_if_new(self, amps: np.ndarray, word: tuple[int, ...]) -> bool:
+        """Keep a candidate unless it duplicates a retained state up to phase."""
+        canon = _canonical_phase(amps)
+        k = len(self.words)
+        if k and np.abs(self.rows[:k] @ canon.conj()).max() > 1.0 - DEDUP_TOL:
             return False
-    states.append(canon)
-    words.append(word)
-    return True
+        if k == len(self.rows):
+            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
+        self.rows[k] = canon
+        self.words.append(word)
+        return True
+
+    def extend(self, src: int, string, i: int) -> bool:
+        """Apply Hamiltonian word i to retained state src and keep it if new."""
+        return self.add_if_new(_apply_string(string.codes, self.rows[src]),
+                               self.words[src] + (i,))
+
+    def ansatz(self, seed_descriptor: str, rng_seed: int | None = None) -> AnsatzSet:
+        return AnsatzSet(
+            states=tuple(StateVector(self.n_qubits, a) for a in self.rows[:len(self)]),
+            words=tuple(self.words),
+            seed_descriptor=seed_descriptor,
+            rng_seed=rng_seed,
+        )
 
 
 def moment_states(hamiltonian: PauliSum, seed: StateVector, order: int,
@@ -181,26 +207,18 @@ def moment_states(hamiltonian: PauliSum, seed: StateVector, order: int,
     if order < 0:
         raise ValueError("order must be >= 0")
     strings = [s for _, s in hamiltonian.terms]
-    states: list[np.ndarray] = []
-    words: list[tuple[int, ...]] = []
-    _append_if_new(seed.amplitudes.astype(complex), states, words, ())
+    kept = _Retained(seed)
     frontier = [0]
     for _ in range(order):
         next_frontier = []
         for src in frontier:
             for i, string in enumerate(strings):
-                amps = _apply_string(string.codes, states[src])
-                if _append_if_new(amps, states, words, words[src] + (i,)):
-                    next_frontier.append(len(states) - 1)
+                if kept.extend(src, string, i):
+                    next_frontier.append(len(kept) - 1)
         if not next_frontier:
             break
         frontier = next_frontier
-    n = seed.n_qubits
-    return AnsatzSet(
-        states=tuple(StateVector(n, a) for a in states),
-        words=tuple(words),
-        seed_descriptor=seed_descriptor,
-    )
+    return kept.ansatz(seed_descriptor)
 
 
 def moment_states_random(hamiltonian: PauliSum, seed: StateVector, order: int,
@@ -218,9 +236,7 @@ def moment_states_random(hamiltonian: PauliSum, seed: StateVector, order: int,
         raise ValueError("order must be >= 0")
     rng = np.random.default_rng(rng_seed)
     strings = [s for _, s in hamiltonian.terms]
-    states: list[np.ndarray] = []
-    words: list[tuple[int, ...]] = []
-    _append_if_new(seed.amplitudes.astype(complex), states, words, ())
+    kept = _Retained(seed)
     frontier = [0]
     for _ in range(order):
         pairs = [(src, i) for src in frontier for i in range(len(strings))]
@@ -231,19 +247,12 @@ def moment_states_random(hamiltonian: PauliSum, seed: StateVector, order: int,
             pairs = [pairs[k] for k in sorted(chosen)]
         next_frontier = []
         for src, i in pairs:
-            amps = _apply_string(strings[i].codes, states[src])
-            if _append_if_new(amps, states, words, words[src] + (i,)):
-                next_frontier.append(len(states) - 1)
+            if kept.extend(src, strings[i], i):
+                next_frontier.append(len(kept) - 1)
         if not next_frontier:
             break
         frontier = next_frontier
-    n = seed.n_qubits
-    return AnsatzSet(
-        states=tuple(StateVector(n, a) for a in states),
-        words=tuple(words),
-        seed_descriptor=seed_descriptor,
-        rng_seed=rng_seed,
-    )
+    return kept.ansatz(seed_descriptor, rng_seed)
 
 
 def density_from_beta(beta: np.ndarray, ansatz: AnsatzSet) -> np.ndarray:

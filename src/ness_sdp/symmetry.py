@@ -64,7 +64,7 @@ def sector_basis_ansatz(n: int, m: int) -> AnsatzSet:
 
     iso = oracle.sector_basis(n, m)
     if iso.shape[1] == 0:
-        raise ValueError(f"magnetization {m} is empty for {n} qubits")
+        raise ConfigError(f"magnetization {m} is empty for {n} qubits")
     return AnsatzSet(
         states=tuple(StateVector(n, iso[:, k]) for k in range(iso.shape[1])),
         words=tuple(() for _ in range(iso.shape[1])),

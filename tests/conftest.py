@@ -59,6 +59,17 @@ def dense_lindblad(model: OpenSystemModel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def dense_lindblad_adjoint(model: OpenSystemModel, y: np.ndarray) -> np.ndarray:
+    """L^dag[y] under the Frobenius inner product, from the local dense table."""
+    h = dense_sum(model.hamiltonian)
+    out = 1j * (h @ y - y @ h)
+    for rate, jump in model.dissipators:
+        a = dense_sum(jump)
+        ada = a.conj().T @ a
+        out += rate * (a.conj().T @ y @ a - 0.5 * (ada @ y + y @ ada))
+    return out
+
+
 def random_pauli_string(rng, n: int) -> PauliString:
     return PauliString("".join(rng.choice(list("IXYZ"), size=n)))
 

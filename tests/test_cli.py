@@ -427,3 +427,46 @@ class TestMalformedConfigs:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert field in result.output
+
+    @pytest.mark.parametrize("seed", ["sector-basis:1", "sector-basis:one"])
+    def test_sector_basis_seed(self, runner, tmp_path, seed):
+        # m = 1 is an empty sector for 2 qubits; "one" is not an integer.
+        cfg = write_config(tmp_path / "cfg.json", dict(TFIM_CFG, ansatz={"seed": seed}))
+        result = runner.invoke(main, ["solve", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert ("empty" if seed.endswith("1") else "magnetization") in result.output
+
+    @pytest.mark.parametrize("command, section, value", [
+        ("symmetry", "symmetry", "magnetization"),
+        ("solve", "ansatz", "x"),
+        ("solve", "oracle", 3),
+        ("solve", "solver", "x"),
+        ("sweep", "sweep", 5),
+        ("oracle", "overlap_table", [0.5]),
+    ])
+    def test_section_not_an_object(self, runner, tmp_path, command, section, value):
+        model = ({"builder": "xxz_dephasing", "params": {"n": 2, "delta": 1.0}}
+                 if command == "symmetry" else TFIM_CFG["model"])
+        cfg = write_config(tmp_path / "cfg.json", {"model": model, section: value})
+        result = runner.invoke(main, [command, "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"config section {section!r} must be a JSON object" in result.output
+
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("solve", [TFIM_CFG], "JSON object"),
+        ("solve", dict(TFIM_CFG, ansatz={"seed": 3}), "ansatz.seed"),
+        ("solve", dict(TFIM_CFG, constraints="magnetization"), "constraints"),
+        ("sweep", {"model": TFIM_CFG["model"],
+                   "sweep": {"parameter": "g", "values": [0.5], "ansatz_grid": 5}},
+         "ansatz_grid"),
+        ("oracle", {"model": TFIM_CFG["model"], "overlap_table": {"g_values": 0.5}},
+         "g_values"),
+    ])
+    def test_entry_of_the_wrong_type(self, runner, tmp_path, command, cfg, field):
+        path = write_config(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, [command, "--config", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert field in result.output

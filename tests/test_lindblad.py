@@ -7,13 +7,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dense_lindblad, random_ansatz, random_model
+from conftest import (
+    dense_lindblad,
+    dense_lindblad_adjoint,
+    random_ansatz,
+    random_model,
+    random_pauli_sum,
+)
 import ness_sdp
 from ness_sdp import oracle
-from ness_sdp.lindblad import Lindbladian
+from ness_sdp.lindblad import Lindbladian, PauliLindbladian
 from ness_sdp.errors import ConfigError
-from ness_sdp.models import OpenSystemModel, tfim_chain, xxz_dephasing
+from ness_sdp.models import (
+    OpenSystemModel,
+    tfim_chain,
+    xxz_boundary_driven,
+    xxz_dephasing,
+)
 from ness_sdp.overlaps import assemble
+from ness_sdp.pauli import PauliSum, sigma_minus
 
 
 def random_matrix(rng, dim):
@@ -75,6 +87,78 @@ class TestModelGenerator:
                               ((-0.5, model.jumps[0]),) + model.dissipators[1:])
         with pytest.raises(ConfigError):
             Lindbladian.from_model(bad)
+
+
+def shared_mask_model(rng, n):
+    """Words sharing one flip mask: X1 with Y1 Z2 in a non-Hermitian jump,
+    X and Y in sigma_- on the last site, X..X with Y..Y in H; plus a random
+    non-Hermitian three-word jump."""
+    ham = (PauliSum([(0.7, "X" * n), (0.4, "Y" * n), (-0.3, "Z" + "I" * (n - 1))])
+           + random_pauli_sum(rng, n, n_terms=3, hermitian=True))
+    shared = PauliSum([(1.0, "X" + "I" * (n - 1)),
+                       (0.4j, ("YZ" + "I" * (n - 2)) if n > 1 else "Y"),
+                       (0.2 - 0.1j, "I" * (n - 1) + "Z")])
+    return OpenSystemModel(n, ham, ((0.8, shared), (0.5, sigma_minus(n, n)),
+                                    (1.1, random_pauli_sum(rng, n, n_terms=3))),
+                           label="shared-mask")
+
+
+class TestCompiledTable:
+    """The compiled flip table against the independent dense reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_apply_and_adjoint_match_reference(self, rng, n):
+        for model in (random_model(rng, n), shared_mask_model(rng, n)):
+            gen = Lindbladian.from_model(model)
+            x = random_matrix(rng, 2 ** n)
+            for got, ref in ((gen.apply(x), dense_lindblad(model, x)),
+                             (gen.adjoint(x), dense_lindblad_adjoint(model, x))):
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_adjoint_identity_n5(self, rng):
+        for model in (random_model(rng, 5), shared_mask_model(rng, 5), tfim_chain(5, 0.7)):
+            gen = Lindbladian.from_model(model)
+            x, y = random_matrix(rng, 32), random_matrix(rng, 32)
+            lhs = frobenius(gen.apply(x), y)
+            rhs = frobenius(x, gen.adjoint(y))
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_tfim_table_size(self):
+        # K has the diagonal mask and one X mask per site (15 mask pairs with
+        # the K^dag side); each sigma_- jump adds one pair, the Z jumps share (0, 0).
+        assert len(Lindbladian.from_model(tfim_chain(7, 0.5)).terms) == 22
+
+    @pytest.mark.parametrize("build", [
+        lambda rng: tfim_chain(6, 0.5),
+        lambda rng: xxz_dephasing(6, 0.8),
+        lambda rng: xxz_boundary_driven(6, 1.0, 1.0, 0.5),
+        lambda rng: random_model(rng, 6),
+        lambda rng: shared_mask_model(rng, 6),
+    ])
+    def test_holds_no_more_full_arrays_than_dense_operators(self, rng, build):
+        # The dense form held K, K^dag, J_k and J_k^dag: 2(1 + k) full arrays.
+        model = build(rng)
+        gen = Lindbladian.from_model(model)
+        gen.adjoint(gen.apply(random_matrix(rng, gen.dim)))
+        sizes = [f.size for _, factors in gen.terms for f in factors]
+        assert set(sizes) <= {gen.dim, gen.dim ** 2}
+        assert sizes.count(gen.dim ** 2) <= 2 * (1 + len(model.dissipators))
+        assert "_dense" not in vars(gen)  # apply and adjoint expand no K or J_k
+
+    def test_dense_operators_unchanged(self):
+        # superoperator() and compress() read K and J_k expanded exactly as a
+        # dense generator holds them.
+        model = xxz_boundary_driven(3, 1.0, 1.0, 0.5)
+        gen = Lindbladian.from_model(model)
+        assert isinstance(gen, PauliLindbladian)
+        k = model.hamiltonian.to_dense(dense_limit=3)
+        jumps = []
+        for rate, jump in model.dissipators:
+            a = jump.to_dense(dense_limit=3)
+            k = k - 0.5j * rate * (a.conj().T @ a)
+            jumps.append(np.sqrt(rate) * a)
+        dense = Lindbladian(k, jumps)
+        assert np.array_equal(gen.superoperator(), dense.superoperator())
 
 
 class TestCompress:

@@ -236,6 +236,19 @@ class TestSparseSteadyState:
             dense = oracle.exact_ness(model)
             assert oracle.fidelity(sparse, dense) >= 1.0 - 1e-8
 
+    def test_boundary_driven_matches_dense_null_space(self):
+        # The magnetization symmetry is strong, so the steady space is
+        # degenerate (exact_ness raises). CG on the normal equations from
+        # I/d returns the trace-one steady state nearest I/d, which in the
+        # orthonormal dense null basis {B_k} is sum_k Tr(B_k) B_k / sum_k Tr(B_k)^2.
+        model = xxz_boundary_driven(4, 1.0, 1.0, 0.5)
+        basis = oracle.steady_states(model)
+        assert basis.dimension > 1
+        traces = np.array([np.trace(b).real for b in basis.elements])
+        nearest = sum(t * b for t, b in zip(traces, basis.elements)) / (traces @ traces)
+        sparse = oracle.sparse_steady_state(model, tol=1e-9)
+        assert oracle.fidelity(sparse, nearest) >= 1.0 - 1e-8
+
     def test_eight_qubit_damping_fixed_point(self):
         model = tfim_chain(8, 0.0)
         rho = oracle.sparse_steady_state(model)
