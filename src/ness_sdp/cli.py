@@ -21,6 +21,7 @@ from .errors import (
     ConvergenceError,
     DegenerateSteadySpaceError,
     DenseLimitError,
+    DimensionMismatchError,
     InfeasibleError,
     IterationBudgetError,
 )
@@ -84,7 +85,9 @@ def _build_model(cfg: dict) -> models.OpenSystemModel:
     if "builder" in mcfg:
         try:
             return models.build(mcfg["builder"], **mcfg.get("params", {}))
-        except TypeError as exc:
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad model parameters: {exc}")
     raise ConfigError("model section needs 'file' or 'builder'")
 
@@ -92,7 +95,10 @@ def _build_model(cfg: dict) -> models.OpenSystemModel:
 def _seed_state(model: models.OpenSystemModel, descriptor: str,
                 dense_limit: int) -> states.StateVector:
     if descriptor.startswith("bits:"):
-        return states.basis_state(model.n_qubits, descriptor.split(":", 1)[1])
+        try:
+            return states.basis_state(model.n_qubits, descriptor.split(":", 1)[1])
+        except DimensionMismatchError as exc:
+            raise ConfigError(f"bad ansatz seed {descriptor!r}: {exc}")
     if descriptor == "uniform":
         return states.StateVector.uniform(model.n_qubits)
     if descriptor == "oracle-top":
@@ -141,7 +147,11 @@ def _constraints(cfg: dict, ansatz: states.AnsatzSet,
         if entry.get("generator") == "magnetization":
             gen = models.magnetization(model.n_qubits)
         elif "observable" in entry:
-            gen = pauli_sum_from_obj(entry["observable"], model.n_qubits)
+            try:
+                gen = pauli_sum_from_obj(entry["observable"], model.n_qubits)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError("constraint observable must be a list of pauli/coeff "
+                                  f"objects, got {entry['observable']!r} ({exc})")
         else:
             raise ConfigError(f"constraint needs 'generator' or 'observable': {entry}")
         out.append(symmetry.sector_constraint(gen, target, ansatz))

@@ -115,6 +115,58 @@ class Lindbladian:
         return out
 
 
+# Real Hermitian coordinates. G maps Hermitian matrices to Hermitian
+# matrices, so in the orthonormal Hermitian basis
+# V = {E_jj, (E_jk + E_kj)/sqrt2, i(E_jk - E_kj)/sqrt2 : j < k} it is a real
+# dim^2 x dim^2 matrix V^dag G V with the singular values of G. A Hermitian
+# x has the real coordinates (x_jj, sqrt2 Re x_jk, sqrt2 Im x_jk : j < k).
+
+@functools.lru_cache(maxsize=64)
+def _vec_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-stacking positions of E_jj, and of E_jk and E_kj for j < k (read-only)."""
+    j, k = np.triu_indices(dim, 1)
+    out = np.arange(dim) * (dim + 1), j + dim * k, k + dim * j
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _real_coordinates(superop: np.ndarray, dim: int) -> np.ndarray:
+    """V^dag L V of a column-stacking superoperator L.
+
+    Real when L maps Hermitian matrices to Hermitian matrices. The
+    columns of L V are then vec of Hermitian matrices, so V^dag needs only
+    their diagonal rows (real parts) and upper-triangle rows (sqrt2 times
+    the real and the imaginary parts).
+    """
+    diag, upper, lower = _vec_indices(dim)
+    rows = superop[np.concatenate([diag, upper])]
+    lv = np.concatenate([rows[:, diag],
+                         np.sqrt(0.5) * (rows[:, upper] + rows[:, lower]),
+                         1j * np.sqrt(0.5) * (rows[:, upper] - rows[:, lower])], axis=1)
+    return np.concatenate([lv[:dim].real, np.sqrt(2) * lv[dim:].real,
+                           np.sqrt(2) * lv[dim:].imag])
+
+
+def _real_vector(x: np.ndarray) -> np.ndarray:
+    """Real coordinates V^dag vec(x) of a Hermitian matrix (its upper triangle is read)."""
+    diag, upper, _ = _vec_indices(x.shape[0])
+    vec = x.ravel(order="F")
+    return np.concatenate([vec[diag].real, np.sqrt(2) * vec[upper].real,
+                           np.sqrt(2) * vec[upper].imag])
+
+
+def _hermitian_matrix(v: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian matrices V v of real coordinates v, shape (..., dim^2) -> (..., dim, dim)."""
+    diag, upper, lower = _vec_indices(dim)
+    half = dim + len(upper)
+    vecs = np.zeros(v.shape[:-1] + (dim * dim,), dtype=complex)
+    vecs[..., diag] = v[..., :dim]
+    vecs[..., upper] = np.sqrt(0.5) * (v[..., dim:half] + 1j * v[..., half:])
+    vecs[..., lower] = vecs[..., upper].conj()
+    return vecs.reshape(v.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
+
+
 def _flip_weights(op: PauliSum) -> dict[int, np.ndarray]:
     """u_p[a] = op[a, a ^ p] for each flip mask p, so (op x)[a] = sum_p u_p[a] x[a ^ p]."""
     idx = np.arange(2 ** op.n_qubits)

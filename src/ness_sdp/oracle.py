@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateSteadySpaceError, DenseLimitError
-from .lindblad import Lindbladian, hermitize
+from .lindblad import Lindbladian, _hermitian_matrix, _real_coordinates, hermitize
 from .models import OpenSystemModel
 from .states import StateVector
 
@@ -83,44 +83,13 @@ class NessBasis:
         return elem / np.trace(elem).real
 
 
-def _vec_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column-stacking positions of E_jj, and of E_jk and E_kj for j < k."""
-    j, k = np.triu_indices(dim, 1)
-    return np.arange(dim) * (dim + 1), j + dim * k, k + dim * j
-
-
-def _real_coordinates(superop: np.ndarray, dim: int) -> np.ndarray:
-    """V^dag L V in the orthonormal Hermitian basis
-    V = {E_jj, (E_jk + E_kj)/sqrt2, i(E_jk - E_kj)/sqrt2 : j < k}.
-
-    Real when L maps Hermitian matrices to Hermitian matrices, with the
-    singular values of L because V is unitary. The columns of L V are
-    then vec of Hermitian matrices, so V^dag needs only their diagonal
-    rows (real parts) and upper-triangle rows (sqrt2 times the real and
-    the imaginary parts).
-    """
-    diag, upper, lower = _vec_indices(dim)
-    rows = superop[np.concatenate([diag, upper])]
-    lv = np.concatenate([rows[:, diag],
-                         np.sqrt(0.5) * (rows[:, upper] + rows[:, lower]),
-                         1j * np.sqrt(0.5) * (rows[:, upper] - rows[:, lower])], axis=1)
-    return np.concatenate([lv[:dim].real, np.sqrt(2) * lv[dim:].real,
-                           np.sqrt(2) * lv[dim:].imag])
-
-
 def _hermitian_null_space(real: np.ndarray, dim: int,
                           tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
     """Singular values of a real-coordinate superoperator, and its null
     vectors (relative cutoff ``tol``) as orthonormal Hermitian matrices."""
     _, svals, vh = np.linalg.svd(real)
     null = vh[svals <= tol * max(svals[0], 1e-300)]
-    diag, upper, lower = _vec_indices(dim)
-    vecs = np.zeros((len(null), dim * dim), dtype=complex)
-    vecs[:, diag] = null[:, :dim]
-    vecs[:, upper] = np.sqrt(0.5) * (null[:, dim:dim + len(upper)]
-                                     + 1j * null[:, dim + len(upper):])
-    vecs[:, lower] = vecs[:, upper].conj()
-    return svals, [v.reshape(dim, dim, order="F") for v in vecs]
+    return svals, list(_hermitian_matrix(null, dim))
 
 
 def _is_physical(elem: np.ndarray) -> bool:

@@ -19,7 +19,16 @@ ever materialized.
 A secondary least-squares mode minimizes the squared generator residual
 over the spectrahedron {PSD, unit trace} by projected gradient descent;
 it is the fallback when shot noise makes strict feasibility impossible
-and reports the honestly achieved residual.
+and reports the honestly achieved residual. It works in real Hermitian
+coordinates (``lindblad._real_coordinates``): G maps Hermitian matrices
+to Hermitian matrices, so on the L^2 real coordinates of x it is a real
+L^2 x L^2 matrix A, and the extra constraints are real rows N. One
+residual r = A v per iterate gives both the objective
+||r||^2 + pen ||N v - t||^2 and the next gradient
+2 (A^T r + pen N^T (N v - t)); the Hermitian matrix is formed only for
+the spectrahedron projection. A is built once per solve while
+L^2 <= REAL_MATRIX_MAX (L <= 32); above that the same loop applies G and
+G^dag matrix-free, once each per iterate.
 """
 from __future__ import annotations
 
@@ -33,11 +42,22 @@ from .errors import (
     InfeasibleError,
     IterationBudgetError,
 )
-from .lindblad import Lindbladian, hermitize
+from .lindblad import (
+    Lindbladian,
+    _hermitian_matrix,
+    _real_coordinates,
+    _real_vector,
+    hermitize,
+)
 from .overlaps import ObservableMatrix, OverlapSet
 
 
 _OPTION_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
+
+# Largest L^2 for which the least-squares mode materializes the real
+# L^2 x L^2 matrix of the whitened generator: L = 32, the size of the
+# n=5 dense-oracle matrix.
+REAL_MATRIX_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -356,53 +376,64 @@ def _project_spectrahedron(x: np.ndarray) -> np.ndarray:
     return hermitize((vecs * _project_simplex(vals)) @ vecs.conj().T)
 
 
+def _least_squares_operator(system: _WhitenedSystem):
+    """The least-squares constraints on real Hermitian coordinates v.
+
+    Returns (forward, backward, rows): forward(v) = G(x) and backward(r)
+    = G^dag(r), as products with the real matrix of G while
+    L^2 <= REAL_MATRIX_MAX and as matrix-free applies above, and the
+    coordinate rows of the extra constraints, rows @ v = (Tr(x N_k))_k.
+    """
+    dim, gen = system.dim, system.generator
+    rows = np.array([_real_vector(nmat) for nmat in system.extras]).reshape(-1, dim * dim)
+    if dim * dim <= REAL_MATRIX_MAX:
+        a = _real_coordinates(gen.superoperator(), dim)
+        return a.__matmul__, a.T.__matmul__, rows
+    return (lambda v: _real_vector(gen.apply(_hermitian_matrix(v, dim))),
+            lambda r: _real_vector(gen.adjoint(_hermitian_matrix(r, dim))), rows)
+
+
 def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
     """Projected gradient on ||G(x)||^2 (+ penalized extra constraints)
-    over the spectrahedron; tolerant of noisy, inconsistent constraints."""
+    over the spectrahedron; tolerant of noisy, inconsistent constraints.
+
+    The iterate is held in real Hermitian coordinates v. One residual
+    r = G(v) per iterate gives both its objective and the next gradient,
+    and the Hermitian matrix is formed only for the spectrahedron
+    projection.
+    """
     opts = problem.options
     system, w = whiten(problem)
-    pen = opts.ls_penalty
-
-    gen = system.generator
-
-    def quad_op(x):
-        out = gen.adjoint(gen.apply(x))
-        for nmat in system.extras:
-            out = out + pen * np.vdot(nmat, x).real * nmat
-        return hermitize(out)
-
-    def gradient(x):
-        out = gen.adjoint(gen.apply(x))
-        for nmat, target in zip(system.extras, system.targets):
-            out = out + pen * (np.vdot(nmat, x).real - target) * nmat
-        return 2.0 * hermitize(out)
-
-    def objective(x):
-        g, _, vals = system.apply(x)
-        return float(np.linalg.norm(g) ** 2
-                     + pen * np.sum((vals - system.targets) ** 2))
+    dim, pen = system.dim, opts.ls_penalty
+    forward, backward, rows = _least_squares_operator(system)
 
     # Lipschitz constant of the gradient via power iteration on the quadratic.
     rng = np.random.default_rng(0)
-    z = rng.normal(size=(system.dim, system.dim))
-    z = hermitize(z + 1j * rng.normal(size=z.shape))
+    z = rng.normal(size=(dim, dim))
+    z = _real_vector(hermitize(z + 1j * rng.normal(size=z.shape)))
     z /= np.linalg.norm(z)
     lam = 1.0
     for _ in range(30):
-        z_new = quad_op(z)
+        z_new = backward(forward(z)) + pen * (rows.T @ (rows @ z))
         lam = max(float(np.linalg.norm(z_new)), 1e-30)
         z = z_new / lam
     step = 1.0 / (2.0 * lam)
 
-    x = _project_spectrahedron(_initial_point(system.dim, opts))
-    best_obj = objective(x)
+    def residual(v):
+        r, e = forward(v), rows @ v - system.targets
+        return r, e, float(r @ r + pen * (e @ e))
+
+    v = _real_vector(_project_spectrahedron(_initial_point(dim, opts)))
+    r, e, obj = residual(v)
+    best_obj = obj
     stall = 0
     it = 0
     for it in range(opts.ls_max_iter):
-        x_new = _project_spectrahedron(x - step * gradient(x))
-        grad_map = float(np.linalg.norm(x - x_new)) / step
-        x = x_new
-        obj = objective(x)
+        grad = 2.0 * (backward(r) + pen * (rows.T @ e))
+        v_new = _real_vector(_project_spectrahedron(_hermitian_matrix(v - step * grad, dim)))
+        grad_map = float(np.linalg.norm(v - v_new)) / step
+        v = v_new
+        r, e, obj = residual(v)
         if obj < best_obj * (1.0 - 1e-12):
             best_obj = obj
             stall = 0
@@ -410,8 +441,8 @@ def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
             stall += 1
         if grad_map <= opts.ls_grad_tol or stall >= 200:
             break
-    return _finalize(problem, system, w, x, it + 1, "least-squares", True,
-                     objective=objective(x))
+    return _finalize(problem, system, w, _hermitian_matrix(v, dim), it + 1,
+                     "least-squares", True, objective=obj)
 
 
 def solve(problem: FeasibilityProblem) -> BetaMatrix:

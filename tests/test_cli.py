@@ -437,6 +437,19 @@ class TestMalformedConfigs:
         assert result.exit_code == 2, result.output
         assert ("empty" if seed.endswith("1") else "magnetization") in result.output
 
+    @pytest.mark.parametrize("extra, field", [
+        ({"ansatz": {"seed": "bits:1", "K": 2}}, "need 2 bits"),
+        ({"model": {"builder": "tfim_chain", "params": {"n": 2, "g": "x"}}},
+         "bad model parameters"),
+        ({"constraints": [{"observable": "x", "target": 0}]}, "constraint observable"),
+    ])
+    def test_solve_value_of_the_wrong_kind(self, runner, tmp_path, extra, field):
+        cfg = write_config(tmp_path / "cfg.json", dict(TFIM_CFG, **extra))
+        result = runner.invoke(main, ["solve", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert field in result.output
+
     @pytest.mark.parametrize("command, section, value", [
         ("symmetry", "symmetry", "magnetization"),
         ("solve", "ansatz", "x"),

@@ -3,14 +3,15 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from ness_sdp import oracle
+from ness_sdp import oracle, sdp
 from ness_sdp.errors import (
     DegenerateAnsatzError,
     InfeasibleError,
     IterationBudgetError,
 )
+from ness_sdp.lindblad import _hermitian_matrix, _real_vector
 from ness_sdp.models import magnetization, tfim_chain, xxz_dephasing
-from ness_sdp.overlaps import assemble
+from ness_sdp.overlaps import add_shot_noise, assemble
 from ness_sdp.sdp import (
     FeasibilityProblem,
     SolverOptions,
@@ -243,6 +244,47 @@ class TestLeastSquares:
         beta = solve_least_squares(FeasibilityProblem(overlaps=noisy))
         rho_fit = density_from_beta(beta.matrix, ans)
         assert oracle.fidelity(rho_fit, rho_exact) >= 0.99
+
+    def test_real_matrix_reproduces_the_whitened_system(self, rng):
+        model = tfim_chain(2, 0.7)
+        ans = moment_states(model.hamiltonian, basis_state(2, "11"), 2)
+        con = sector_constraint(magnetization(2), 0.0, ans)
+        problem = FeasibilityProblem(overlaps=assemble(model, ans), extra_constraints=(con,))
+        system, _ = whiten(problem)
+        assert system.dim ** 2 <= sdp.REAL_MATRIX_MAX
+        forward, backward, rows = sdp._least_squares_operator(system)
+
+        def rel(a, b):
+            return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+        for _ in range(10):
+            x = random_hermitian(rng, system.dim)
+            y = random_hermitian(rng, system.dim)
+            t = rng.normal()
+            vals = rng.normal(size=len(system.extras))
+            g, tr, cons = system.apply(x)
+            v = _real_vector(x)
+            assert rel(_hermitian_matrix(forward(v), system.dim), g) <= 1e-12
+            assert rel(rows @ v, cons) <= 1e-12
+            adj = system.adjoint(y, t, vals)
+            back = backward(_real_vector(y)) + rows.T @ vals + t * _real_vector(system.eye)
+            assert rel(_hermitian_matrix(back, system.dim), adj) <= 1e-12
+
+    def test_matrix_free_route_agrees_with_the_matrix(self, monkeypatch):
+        _, _, problem = tfim_problem(g=1.0)
+        noisy = FeasibilityProblem(overlaps=add_shot_noise(problem.overlaps, 10 ** 6,
+                                                           rng_seed=0))
+        with_matrix = solve_least_squares(noisy)
+        monkeypatch.setattr(sdp, "REAL_MATRIX_MAX", 0)
+
+        def no_matrix(*args):
+            raise AssertionError("the real matrix was built above REAL_MATRIX_MAX")
+
+        monkeypatch.setattr(sdp, "_real_coordinates", no_matrix)
+        matrix_free = solve_least_squares(noisy)
+        assert (abs(matrix_free.objective - with_matrix.objective)
+                <= 1e-9 * with_matrix.objective)
+        assert abs(matrix_free.iterations - with_matrix.iterations) <= 0.05 * with_matrix.iterations
 
 
 def test_whiten_roundtrip_constraint_satisfaction():
