@@ -202,7 +202,15 @@ def _observable_row(beta: np.ndarray, ansatz: states.AnsatzSet, n: int) -> dict:
 
 
 def _matrix_obj(mat: np.ndarray) -> dict:
-    return {"re": np.real(mat).tolist(), "im": np.imag(mat).tolist()}
+    """Real and imaginary parts as nested lists. Exact zeros are written as
+    0, and every all-zero row is one shared list."""
+    zero_row = [0] * mat.shape[1]
+
+    def rows(part):
+        return [[v if v else 0 for v in row.tolist()] if row.any() else zero_row
+                for row in part]
+
+    return {"re": rows(np.real(mat)), "im": rows(np.imag(mat))}
 
 
 def _solve_once(model, cfg, dense_limit):
@@ -236,7 +244,7 @@ def _oracle_section(model, rho_fit, cfg, dense_limit):
 def _write_json(path: Path, obj: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, default=float)
+        json.dump(obj, fh, default=float)
     click.echo(str(path))
 
 

@@ -35,7 +35,8 @@ class SolverError(NessSdpError):
 
 
 class InfeasibleError(SolverError):
-    """The feasibility residual stagnated above tolerance."""
+    """No feasible point: LSQR certified inconsistent affine constraints, or the
+    residual stagnated above tolerance."""
 
 
 class IterationBudgetError(SolverError):

@@ -27,6 +27,7 @@ the same table: G^dag(y) = sum_t flip(conj(W_t) y).
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -210,6 +211,7 @@ class PauliLindbladian(Lindbladian):
         self.model = model
         self.roots = _sqrt_rates(model.rates)
         self.n = model.n_qubits
+        self._split: dict[int, list] = {}
 
     @property
     def dim(self) -> int:
@@ -252,15 +254,47 @@ class PauliLindbladian(Lindbladian):
     def jumps(self) -> list[np.ndarray]:
         return self._dense[1]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def _row_blocks(self, lead: int) -> list:
+        """The table split over the 2^lead values of the top ``lead`` row bits.
+
+        Per block: one (source block, remaining flip axes, factors at the
+        block's rows) triple per term, the source block being the block's
+        bits flipped by the term's row mask. ``lead`` = 0 is the whole table.
+        """
+        if lead not in self._split:
+            blocks = []
+            for bits in itertools.product((0, 1), repeat=lead):
+                blocks.append([
+                    (tuple(bit ^ (axis in axes) for axis, bit in enumerate(bits)),
+                     tuple(axis - lead for axis in axes if axis >= lead),
+                     tuple(f[tuple(min(bit, f.shape[axis] - 1) for axis, bit in enumerate(bits))]
+                           for f in factors))
+                    for axes, factors in self.terms])
+            self._split[lead] = blocks
+        return self._split[lead]
+
+    def _apply_rows(self, x: np.ndarray, lead: int):
+        """G(x) one row block at a time, in one buffer that each block reuses."""
         x = np.asarray(x, dtype=complex).reshape((2,) * (2 * self.n))
-        out, tmp = np.zeros_like(x), np.empty_like(x)
-        for axes, (first, *rest) in self.terms:
-            np.multiply(first, np.flip(x, axes), out=tmp)
-            for factor in rest:
-                tmp *= factor
-            out += tmp
+        out = np.empty(x.shape[lead:], dtype=complex)
+        tmp = np.empty_like(out)
+        for terms in self._row_blocks(lead):
+            out.fill(0)
+            for src, axes, (first, *rest) in terms:
+                np.multiply(first, np.flip(x[src], axes), out=tmp)
+                for factor in rest:
+                    tmp *= factor
+                out += tmp
+            yield out
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        (out,) = self._apply_rows(x, 0)
         return out.reshape(self.dim, self.dim)
+
+    def apply_norm(self, x: np.ndarray) -> float:
+        """||G(x)||_F, summed over 4 row blocks so that G(x) is never held whole."""
+        return float(np.sqrt(sum(np.vdot(block, block).real
+                                 for block in self._apply_rows(x, min(2, self.n)))))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """G^dag under the Frobenius inner product: <G x, y> = <x, G^dag y>."""

@@ -37,20 +37,19 @@ class SymmetrySpec:
 
     ``generator`` is an optional Hermitian operator conserved with U; the
     dense oracle splits its null basis along the generator's eigenspaces.
-    The dense ``unitary`` and its distinct ``eigenvalues`` are derived on
-    first use and cached; the eigenvalues are ordered by phase angle in
-    (-pi, pi], so they are distinct by construction and -1 comes last.
+    The dense ``unitary`` is expanded on each use and not kept; its
+    distinct ``eigenvalues`` are derived on first use and cached, ordered
+    by phase angle in (-pi, pi], so they are distinct by construction and
+    -1 comes last.
     """
 
     pauli_expansion: PauliSum
     generator: PauliSum | None = None
     label: str = ""
 
-    @functools.cached_property
+    @property
     def unitary(self) -> np.ndarray:
-        u = self.pauli_expansion.to_dense(dense_limit=self.pauli_expansion.n_qubits)
-        u.setflags(write=False)
-        return u
+        return self.pauli_expansion.to_dense(dense_limit=self.pauli_expansion.n_qubits)
 
     @functools.cached_property
     def eigenvalues(self) -> tuple[complex, ...]:

@@ -205,9 +205,16 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def true_residual(rho: np.ndarray, model: OpenSystemModel) -> float:
-    """Frobenius norm of L[rho]; zero exactly for genuine steady states."""
-    return float(np.linalg.norm(Lindbladian.from_model(model).apply(rho)))
+def true_residual(rho: np.ndarray, model: OpenSystemModel,
+                  generator: Lindbladian | None = None) -> float:
+    """Frobenius norm of L[rho]; zero exactly for genuine steady states.
+
+    L[rho] is summed over row blocks and never held whole. ``generator``,
+    the model's ``Lindbladian.from_model``, lets several calls share one
+    compiled table.
+    """
+    gen = Lindbladian.from_model(model) if generator is None else generator
+    return gen.apply_norm(rho)
 
 
 def dominant_eigenstate(rho: np.ndarray, n_qubits: int) -> tuple[float, StateVector]:

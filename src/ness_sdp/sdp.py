@@ -11,10 +11,18 @@ becomes W^dag G(W x W^dag) W = -i (K_w x - x K_w^dag)
 + sum_n J_w,n x J_w,n^dag. It then runs Dykstra-corrected alternating
 projections between the affine constraint set {zero projected generator,
 unit trace, optional extra linear constraints} and the PSD cone. The
-affine projection is least-norm and matrix-free: a conjugate-gradient
-solve on the normal equations applies the constraint operator and its
-adjoint as short sequences of L x L products, so no L^2 x L^2 system is
-ever materialized.
+affine projection is least-norm and matrix-free: LSQR (Paige & Saunders,
+ACM TOMS 8, 1982) on the constraint operator A(x) = (G(x), Tr x,
+(Tr(x N_k))_k) over Hermitian x, with the real inner product
+Re Tr(x^dag y), applies A and its adjoint as short sequences of L x L
+products, so no L^2 x L^2 system is ever materialized. Started from zero
+it returns the least-norm correction, and it stops in one of three ways:
+the residual is within the inner tolerance (the loop goes on); the
+normal-equations residual ||A^dag r|| is negligible while ||r|| is not,
+which certifies that no point of the affine set meets the tolerance
+(InfeasibleError); or its ``cg_max_iter`` budget runs out. An empty
+intersection of a non-empty affine set with the PSD cone still shows as
+a stalled residual.
 
 A secondary least-squares mode minimizes the squared generator residual
 over the spectrahedron {PSD, unit trace} by projected gradient descent;
@@ -62,6 +70,10 @@ _OPTION_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
 # and its build raises peak RSS by about 50 MB.
 REAL_MATRIX_MAX = 576
 
+# LSQR's least-squares stop: ||A^dag r|| <= LSQR_ATOL ||A|| ||r||, with ||A||
+# the Frobenius-norm estimate of the bidiagonalization.
+LSQR_ATOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -69,8 +81,8 @@ class SolverOptions:
     psd_tol: float = 1e-9
     max_iter: int = 10000
     whiten_cutoff: float = 1e-10        # relative Gram eigenvalue cutoff
-    cg_tol_factor: float = 0.02         # inner tolerance as fraction of outer
-    cg_max_iter: int = 3000
+    cg_tol_factor: float = 0.02         # LSQR tolerance as fraction of outer
+    cg_max_iter: int = 3000             # LSQR iteration budget per projection
     stall_window: int = 500
     stall_improvement: float = 1e-3     # required relative progress per window
     initial: str = "identity"           # "identity" or "random"
@@ -159,18 +171,9 @@ class _WhitenedSystem:
             out = out + v * nmat
         return out
 
-    # Packed real-vector view of the constraint space, for the CG solve.
-    def pack(self, y: np.ndarray, t: float, vals: np.ndarray) -> np.ndarray:
-        return np.concatenate([y.real.ravel(), y.imag.ravel(), [t], vals])
-
-    def unpack(self, packed: np.ndarray):
-        k = self.dim * self.dim
-        y = (packed[:k] + 1j * packed[k:2 * k]).reshape(self.dim, self.dim)
-        return y, packed[2 * k], packed[2 * k + 1:]
-
-    def normal_matvec(self, packed: np.ndarray) -> np.ndarray:
-        y, t, vals = self.unpack(packed)
-        return self.pack(*self.apply(self.adjoint(y, t, vals)))
+    def norm(self, y: np.ndarray, t: float, vals: np.ndarray) -> float:
+        """Norm of a constraint-space element, under Re Tr(y^dag y') + t t' + vals . vals'."""
+        return float(np.sqrt(np.vdot(y, y).real + t * t + vals @ vals))
 
 
 def whiten(problem: FeasibilityProblem):
@@ -205,59 +208,67 @@ def project_psd(x: np.ndarray) -> np.ndarray:
     return hermitize((vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T)
 
 
-def _cg_normal(system: _WhitenedSystem, rhs: np.ndarray, mu0: np.ndarray | None,
-               tol: float, max_iter: int):
-    """CG on the normal equations AA* mu = rhs; returns the best iterate.
+def _lsqr(system: _WhitenedSystem, rhs: tuple, tol: float, max_iter: int):
+    """LSQR for the least-norm Hermitian dx minimizing ||A(dx) - rhs||.
 
-    Handles inconsistent systems (empty affine set) by stopping when the
-    residual hits a floor; the caller sees converged=False.
+    Golub-Kahan bidiagonalization of the constraint operator A over
+    Hermitian matrices with the real inner product Re Tr(x^dag y) (Paige &
+    Saunders, ACM TOMS 8, 1982), started from dx = 0 so that dx stays in
+    the range of A^dag. The recurrences give ||r|| = phibar and
+    ||A^dag r|| = alpha |c| phibar for r = rhs - A(dx). Returns
+    (dx, ||r||, iterations, stop) with stop ``converged`` (||r|| <= tol),
+    ``least-squares`` (||A^dag r|| <= LSQR_ATOL ||A|| ||r||: dx solves the
+    least-squares problem, so ||r|| is the distance of rhs from the range
+    of A) or ``budget`` (max_iter steps).
     """
-    mu = np.zeros_like(rhs) if mu0 is None else mu0.copy()
-    r = rhs - system.normal_matvec(mu) if mu.any() else rhs.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    best_mu, best_res = mu.copy(), np.sqrt(rs)
-    if best_res <= tol:
-        return best_mu, best_res, True
-    floor_counter = 0
-    for _ in range(max_iter):
-        ap = system.normal_matvec(p)
-        denom = float(p @ ap)
-        if denom <= 0:
-            break  # numerically singular direction
-        alpha = rs / denom
-        mu = mu + alpha * p
-        r = r - alpha * ap
-        rs_new = float(r @ r)
-        res = np.sqrt(rs_new)
-        if res < best_res * (1.0 - 1e-4):
-            best_mu, best_res = mu.copy(), res
-            floor_counter = 0
-        else:
-            floor_counter += 1
-            if floor_counter >= 150:
-                break  # residual floor: affine set likely empty
-        if res <= tol:
-            best_mu, best_res = mu.copy(), res
-            return best_mu, best_res, True
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return best_mu, best_res, best_res <= tol
+    dx = np.zeros((system.dim, system.dim), dtype=complex)
+    beta = system.norm(*rhs)
+    if beta <= tol:
+        return dx, beta, 0, "converged"
+    u = tuple(part / beta for part in rhs)
+    v = system.adjoint(*u)
+    alpha = float(np.linalg.norm(v))
+    if alpha == 0.0:
+        return dx, beta, 0, "least-squares"
+    v /= alpha
+    w = v.copy()
+    phibar, rhobar, anorm_sq = beta, alpha, 0.0
+    for it in range(1, max_iter + 1):
+        u = tuple(av - alpha * part for av, part in zip(system.apply(v), u))
+        beta = system.norm(*u)
+        anorm_sq += alpha * alpha + beta * beta
+        if beta > 0.0:
+            u = tuple(part / beta for part in u)
+            v = system.adjoint(*u) - beta * v
+            alpha = float(np.linalg.norm(v))
+            if alpha > 0.0:
+                v /= alpha
+        rho = float(np.hypot(rhobar, beta))
+        cs, sn = rhobar / rho, beta / rho
+        theta, rhobar = sn * alpha, -cs * alpha
+        phi, phibar = cs * phibar, sn * phibar
+        dx += (phi / rho) * w
+        w = v - (theta / rho) * w
+        if phibar <= tol:
+            return dx, phibar, it, "converged"
+        if alpha * abs(cs) <= LSQR_ATOL * np.sqrt(anorm_sq):
+            return dx, phibar, it, "least-squares"
+    return dx, phibar, max_iter, "budget"
 
 
-def project_affine(x: np.ndarray, system: _WhitenedSystem,
-                   tol: float, max_iter: int, mu_warm: np.ndarray | None = None):
-    """Least-norm correction of x onto the affine constraint set.
+def project_affine(x: np.ndarray, system: _WhitenedSystem, tol: float, max_iter: int):
+    """Least-norm correction of x onto the affine constraint set, by LSQR.
 
-    Returns (projected, mu, info); info carries the inner residual and a
-    convergence flag. With an empty affine set the result is the best
-    least-squares correction found.
+    Returns (projected, info); info carries the inner residual, the LSQR
+    iteration count, its stop reason and a convergence flag. With an
+    empty affine set the result is the least-squares point nearest x,
+    and the stop reason ``least-squares`` certifies its residual.
     """
     g, tr, vals = system.apply(x)
-    rhs = system.pack(-g, 1.0 - tr, system.targets - vals)
-    mu, res, ok = _cg_normal(system, rhs, mu_warm, tol, max_iter)
-    correction = system.adjoint(*system.unpack(mu))
-    return hermitize(x + correction), mu, {"inner_residual": res, "inner_converged": ok}
+    rhs = (-g, 1.0 - tr, system.targets - vals)
+    dx, res, iterations, stop = _lsqr(system, rhs, tol, max_iter)
+    return hermitize(x + dx), {"inner_residual": res, "inner_iterations": iterations,
+                               "inner_converged": stop == "converged", "stop_reason": stop}
 
 
 def residuals(problem: FeasibilityProblem, beta: np.ndarray) -> dict:
@@ -309,19 +320,30 @@ def _finalize(problem, system, w, x, iterations, mode, converged,
 def solve_feasibility(problem: FeasibilityProblem) -> BetaMatrix:
     """Dykstra alternating projections between the affine set and the PSD cone.
 
-    Raises InfeasibleError when the residual stagnates above tolerance
-    and IterationBudgetError when max_iter runs out while the residual
-    is still improving; both carry the best diagnostics found.
+    Raises InfeasibleError when LSQR certifies that no point of the
+    affine set meets the tolerance (stop reason ``least-squares``) or
+    when the residual stagnates above tolerance (``stall``, an empty
+    intersection with the PSD cone), and IterationBudgetError
+    (``budget``) when max_iter runs out while the residual is still
+    improving; all carry the best diagnostics found.
     """
     opts = problem.options
     system, w = whiten(problem)
     gram_scale = float(np.linalg.eigvalsh(hermitize(problem.overlaps.E))[-1])
     tol_w = opts.feas_tol / max(1.0, gram_scale)
+    # The loop accepts x once each of the 2 + k constraint blocks is within
+    # tol_w, so a least-squares residual above sqrt(2 + k) tol_w rules out
+    # every point of the affine set.
+    ls_factor = np.sqrt(2.0 + len(system.extras))
     x = _initial_point(system.dim, opts)
     p = np.zeros((system.dim, system.dim), dtype=complex)
-    mu_warm = None
     best_res = np.inf
     window_best = np.inf
+
+    def report(it, reason, **extra):
+        return {"best_residual": best_res, "iterations": it, "tolerance": opts.feas_tol,
+                "stop_reason": reason, **extra}
+
     for it in range(opts.max_iter):
         g, tr, vals = system.apply(x)
         res = max(float(np.linalg.norm(g)), abs(1.0 - tr),
@@ -337,29 +359,33 @@ def solve_feasibility(problem: FeasibilityProblem) -> BetaMatrix:
             tol_w /= 10.0  # whitened tolerance too loose for the original basis
         if it > 0 and it % opts.stall_window == 0:
             if best_res > window_best * (1.0 - opts.stall_improvement):
-                report = {"best_residual": best_res, "iterations": it,
-                          "tolerance": opts.feas_tol}
                 raise InfeasibleError(
                     f"feasibility residual stagnated at {best_res:.3e} "
                     f"(tol {opts.feas_tol:.1e}) after {it} iterations",
-                    report=report,
+                    report=report(it, "stall"),
                 )
             window_best = best_res
-        y, mu_warm, _ = project_affine(
-            x, system,
-            tol=max(opts.cg_tol_factor * tol_w, 1e-15),
-            max_iter=opts.cg_max_iter,
-            mu_warm=mu_warm,
-        )
+        y, info = project_affine(x, system, tol=max(opts.cg_tol_factor * tol_w, 1e-15),
+                                 max_iter=opts.cg_max_iter)
+        if info["stop_reason"] == "least-squares":
+            # The recurrence's ||r|| is an estimate; certify with the true one.
+            g, tr, vals = system.apply(y)
+            ls_res = system.norm(g, 1.0 - tr, system.targets - vals)
+            if ls_res > ls_factor * tol_w:
+                raise InfeasibleError(
+                    f"affine constraints inconsistent: least-squares residual "
+                    f"{ls_res:.3e} > {ls_factor * tol_w:.1e} "
+                    f"(LSQR, {info['inner_iterations']} iterations) at outer iteration {it}",
+                    report=report(it, "least-squares", least_squares_residual=ls_res,
+                                  inner_iterations=info["inner_iterations"]),
+                )
         z = project_psd(y + p)
         p = y + p - z
         x = z
-    report = {"best_residual": best_res, "iterations": opts.max_iter,
-              "tolerance": opts.feas_tol}
     raise IterationBudgetError(
         f"no feasible point within {opts.max_iter} iterations "
         f"(best residual {best_res:.3e}); infeasible or slow",
-        report=report,
+        report=report(opts.max_iter, "budget"),
     )
 
 
@@ -374,9 +400,13 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _project_spectrahedron(x: np.ndarray) -> np.ndarray:
-    """Nearest trace-one PSD matrix: eigenvalues projected onto the simplex."""
-    vals, vecs = np.linalg.eigh(hermitize(x))
-    return hermitize((vecs * _project_simplex(vals)) @ vecs.conj().T)
+    """Nearest trace-one PSD matrix: eigenvalues projected onto the simplex.
+
+    x must be Hermitian (``eigh`` reads one triangle); the result is
+    Hermitian up to rounding, and the caller reads its upper triangle.
+    """
+    vals, vecs = np.linalg.eigh(x)
+    return (vecs * _project_simplex(vals)) @ vecs.conj().T
 
 
 def _least_squares_operator(system: _WhitenedSystem):

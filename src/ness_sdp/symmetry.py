@@ -12,18 +12,20 @@ This module implements the three tools that recover them:
 * Vandermonde extraction, solving the invertible system that maps
   {U^k rho_phys} onto the per-sector components c_a rho_aa.
 
-Combinations of U^k rho (U^dag)^k' are tracked symbolically alongside a
-desk-scale dense realization, so expectation values can be evaluated
-either from the coefficient matrix (hybrid path) or densely.
+Combinations of U^k rho (U^dag)^k' are tracked symbolically on the
+solver's factor rho = S beta S^dag, and each sector state is realized
+densely once, as sum c (U^p S) beta (U^q S)^dag, so expectation values
+can be evaluated either from the coefficient matrix (hybrid path) or
+densely.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .lindblad import hermitize
+from .lindblad import Lindbladian, hermitize
 # SymmetrySpec and the two built-in symmetries live in models (a model
 # declares its symmetries) and are re-exported here.
 from .models import (
@@ -36,7 +38,7 @@ from .models import (
 from .overlaps import ObservableMatrix, assemble, observable_matrix
 from .pauli import PauliSum
 from .sdp import BetaMatrix, FeasibilityProblem, SolverOptions, solve_feasibility
-from .states import AnsatzSet, density_from_beta
+from .states import AnsatzSet, apply_to_columns
 from . import oracle
 
 TRACE_FLOOR = 1e-8
@@ -78,28 +80,53 @@ def sector_basis_ansatz(n: int, m: int) -> AnsatzSet:
 
 @dataclass(frozen=True)
 class RhoCombination:
-    """Formal combination sum_{k,k'} c_{kk'} U^k rho1 (U^dag)^k' plus the
-    data needed to realize it densely at desk scale."""
+    """Formal combination sum_{p,q} c_pq U^p rho1 (U^dag)^q of a factored
+    rho1 = S beta S^dag.
+
+    ``dense`` evaluates it as sum c_pq (U^p S) beta (U^q S)^dag, with U^p S
+    from U's Pauli expansion applied to the columns of the 2^n x L factor
+    S: one 2^n x 2^n product, and no dense rho1, U or power of U.
+    """
 
     weights: dict[tuple[int, int], complex]
-    rho1: np.ndarray
-    unitary: np.ndarray
+    factor: np.ndarray
+    beta: np.ndarray
+    spec: SymmetrySpec
+    # U^p S for p = 0, 1, ...: filled on first use and shared by every
+    # combination derived from this one.
+    powers: list = field(default_factory=list, repr=False, compare=False)
 
     @classmethod
-    def initial(cls, rho1: np.ndarray, spec: SymmetrySpec) -> "RhoCombination":
-        return cls(weights={(0, 0): 1.0 + 0j}, rho1=rho1, unitary=spec.unitary)
+    def initial(cls, beta: np.ndarray, spec: SymmetrySpec,
+                factor: np.ndarray | None = None) -> "RhoCombination":
+        """rho1 = factor beta factor^dag; without a factor, beta is rho1 itself."""
+        beta = np.asarray(beta, dtype=complex)
+        if factor is None:
+            factor = np.eye(beta.shape[0], dtype=complex)
+        return cls(weights={(0, 0): 1.0 + 0j}, factor=factor, beta=beta, spec=spec)
+
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """[U^p S for the powers p in use] side by side, and the matrix
+        (c_pq beta) of blocks that it sandwiches."""
+        used = sorted({p for key in self.weights for p in key})
+        while len(self.powers) <= used[-1]:
+            self.powers.append(apply_to_columns(self.spec.pauli_expansion, self.powers[-1])
+                               if self.powers else self.factor)
+        pos = {p: i for i, p in enumerate(used)}
+        coeffs = np.zeros((len(used), len(used)), dtype=complex)
+        for (p, q), c in self.weights.items():
+            coeffs[pos[p], pos[q]] += c
+        return np.concatenate([self.powers[p] for p in used], axis=1), np.kron(coeffs, self.beta)
+
+    def trace(self) -> complex:
+        """Tr of the combination, from the Gram matrix of the stacked columns."""
+        left, mid = self._stacked()
+        return complex(np.sum(mid * (left.conj().T @ left).T))
 
     def dense(self) -> np.ndarray:
         """Evaluate the formal expansion explicitly."""
-        max_k = max((k for k, _ in self.weights), default=0)
-        max_kp = max((kp for _, kp in self.weights), default=0)
-        powers = [np.eye(self.unitary.shape[0], dtype=complex)]
-        for _ in range(max(max_k, max_kp)):
-            powers.append(powers[-1] @ self.unitary)
-        out = np.zeros_like(self.rho1)
-        for (k, kp), c in self.weights.items():
-            out += c * (powers[k] @ self.rho1 @ powers[kp].conj().T)
-        return out
+        left, mid = self._stacked()
+        return (left @ mid) @ left.conj().T
 
     def left_multiplied(self, k: int) -> "RhoCombination":
         """Formal U^k * self (left only), as used by the Vandermonde stage."""
@@ -173,35 +200,31 @@ def vandermonde_extract(rho_phys: RhoCombination, spec: SymmetrySpec,
     """Separate a diagonal-blocks-only combination into per-sector states.
 
     Solves V (c_a rho_aa) = (U^k rho_phys), k = 0..n_U-1, with
-    V_{ka} = u_a^k; components with |trace| <= trace_floor are reported
-    missing (the feasibility program should be re-run from a different
-    start to populate them).
+    V_{ka} = u_a^k, formally: each sector's combination
+    sum_k (V^-1)_{ak} U^k rho_phys gets its trace from the factor's Gram
+    matrix and is realized densely only when it is not missing.
+    Components with |trace| <= trace_floor are reported missing (the
+    feasibility program should be re-run from a different start to
+    populate them).
     """
     n_u = spec.n_sectors
     eigs = np.array(spec.eigenvalues)
     vmat = np.vander(eigs, N=n_u, increasing=True).T  # V[k, a] = u_a^k
     v_inv = np.linalg.inv(vmat)
-    dense_phys = rho_phys.dense()
-    stack = [dense_phys]
-    for _ in range(n_u - 1):
-        stack.append(spec.unitary @ stack[-1])
     results = []
     for a in range(n_u):
-        component = sum(v_inv[a, k] * stack[k] for k in range(n_u))
-        trace = complex(np.trace(component))
+        component = rho_phys.scaled(v_inv[a, 0])
+        for k in range(1, n_u):
+            component = component.added(rho_phys.left_multiplied(k).scaled(v_inv[a, k]))
+        trace = component.trace()
         if abs(trace) <= trace_floor:
             results.append(ExtractedState(
                 sector=a, eigenvalue=spec.eigenvalues[a], trace_weight=trace,
                 state=None, combination=None, missing=True,
             ))
             continue
-        state = hermitize(component / trace)
-        combination = RhoCombination(
-            weights={}, rho1=rho_phys.rho1, unitary=rho_phys.unitary,
-        )
-        for k in range(n_u):
-            term = rho_phys.left_multiplied(k).scaled(v_inv[a, k] / trace)
-            combination = combination.added(term)
+        combination = component.scaled(1.0 / trace)
+        state = hermitize(combination.dense())
         results.append(ExtractedState(
             sector=a, eigenvalue=spec.eigenvalues[a], trace_weight=trace,
             state=state, combination=combination,
@@ -262,6 +285,7 @@ def extract_all_ness(model: OpenSystemModel, spec: SymmetrySpec, ansatz: AnsatzS
     if violations:
         raise ConfigError(f"invalid strong symmetry {spec.label!r}: {violations}")
     overlaps = assemble(model, ansatz)
+    generator = Lindbladian.from_model(model)  # compiled once for every residual
     attempts = 0
     states: list[ExtractedState] = []
     beta = None
@@ -271,12 +295,11 @@ def extract_all_ness(model: OpenSystemModel, spec: SymmetrySpec, ansatz: AnsatzS
         problem = FeasibilityProblem(
             overlaps=overlaps, extra_constraints=tuple(extra_constraints), options=opts)
         beta = solve_feasibility(problem)
-        rho1 = density_from_beta(beta.matrix, ansatz)
-        rc = RhoCombination.initial(rho1, spec)
+        rc = RhoCombination.initial(beta.matrix, spec, factor=ansatz.states_matrix())
         rc = twirl_eliminate_all(rc, spec)
         states = vandermonde_extract(rc, spec)
         states = [
-            replace(s, residual=oracle.true_residual(s.state, model))
+            replace(s, residual=oracle.true_residual(s.state, model, generator))
             if s.state is not None else s
             for s in states
         ]

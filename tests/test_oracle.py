@@ -227,6 +227,19 @@ class TestTrueResidual:
         rho = random_density(rng, 4)
         assert abs(np.trace(dense_lindblad(model, rho))) < 1e-12
 
+    def test_row_blocked_norm_equals_full_apply(self, rng):
+        for n in range(1, 7):
+            model = random_model(rng, n)
+            gen = Lindbladian.from_model(model)
+            dim = 2 ** n
+            x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            full = np.linalg.norm(gen.apply(x))
+            assert abs(gen.apply_norm(x) - full) <= 1e-14 * full
+            rho = random_density(rng, dim)
+            expect = np.linalg.norm(gen.apply(rho))
+            assert abs(oracle.true_residual(rho, model) - expect) <= 1e-14 * expect
+            assert oracle.true_residual(rho, model, gen) == oracle.true_residual(rho, model)
+
 
 class TestSparseSteadyState:
     def test_agrees_with_dense_small(self, rng):

@@ -1,6 +1,10 @@
 """Feasibility solver: whitening, projections, Dykstra loop, diagnostics."""
+import json
+import time
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from conftest import random_hermitian
 from ness_sdp import oracle, sdp
@@ -9,7 +13,8 @@ from ness_sdp.errors import (
     InfeasibleError,
     IterationBudgetError,
 )
-from ness_sdp.lindblad import _hermitian_matrix, _real_vector
+from ness_sdp.cli import EXIT_INFEASIBLE, main
+from ness_sdp.lindblad import _hermitian_matrix, _real_coordinates, _real_vector
 from ness_sdp.models import magnetization, tfim_chain, xxz_dephasing
 from ness_sdp.overlaps import add_shot_noise, assemble
 from ness_sdp.sdp import (
@@ -23,7 +28,13 @@ from ness_sdp.sdp import (
     solve_least_squares,
     whiten,
 )
-from ness_sdp.states import AnsatzSet, basis_state, density_from_beta, moment_states
+from ness_sdp.states import (
+    AnsatzSet,
+    basis_state,
+    density_from_beta,
+    moment_states,
+    moment_states_random,
+)
 from ness_sdp.symmetry import sector_constraint
 
 
@@ -86,7 +97,7 @@ class TestProjectAffine:
         model, ans, problem = tfim_problem(g=0.0, order=0)
         system, w = whiten(problem)
         x = np.array([[1.0 + 0j]])  # the seed |11><11| is the exact NESS
-        projected, _, info = project_affine(x, system, tol=1e-13, max_iter=200)
+        projected, info = project_affine(x, system, tol=1e-13, max_iter=200)
         assert info["inner_converged"]
         assert np.allclose(projected, x, atol=1e-10)
 
@@ -102,7 +113,7 @@ class TestProjectAffine:
         problem = FeasibilityProblem(overlaps=ovl)
         system, _ = whiten(problem)
         x = random_hermitian(rng, 4)
-        projected, _, _ = project_affine(x, system, tol=1e-13, max_iter=200)
+        projected, _ = project_affine(x, system, tol=1e-13, max_iter=200)
         expect = x + (1.0 - np.trace(x).real) / 4 * np.eye(4)
         assert np.allclose(projected, expect, atol=1e-10)
 
@@ -217,6 +228,54 @@ class TestSolveFeasibility:
         diag = residuals(FeasibilityProblem(overlaps=assemble(model, superset)), padded)
         assert diag["subspace_residual"] <= 1e-9
         assert diag["trace_error"] <= 1e-9
+
+
+class TestInconsistentConstraints:
+    def test_sweep_point_certified_by_least_squares_residual(self):
+        # tfim n=5 g=0.25 of the sweep benchmark: the whitened generator has
+        # no null vector (sigma_min about 9e-8), so the affine set is empty.
+        model = tfim_chain(5, 0.25)
+        _, seed = oracle.dominant_eigenstate(oracle.exact_ness(model), 5)
+        ans = moment_states_random(model.hamiltonian, seed, 3, 20, 1)
+        problem = FeasibilityProblem(overlaps=assemble(model, ans),
+                                     options=SolverOptions(max_iter=10))
+        with pytest.raises(InfeasibleError) as excinfo:
+            solve_feasibility(problem)
+        report = excinfo.value.report
+        assert report["stop_reason"] == "least-squares"
+        assert report["iterations"] == 0
+        # The certified residual is the exact least-squares distance of the
+        # constraint values from the range of A = (G, Tr), from one SVD.
+        system, _ = whiten(problem)
+        dim = system.dim
+        x0 = np.eye(dim) / dim
+        a = np.vstack([_real_coordinates(system.generator.superoperator(), dim),
+                       _real_vector(np.eye(dim))])
+        b = np.concatenate([-_real_vector(system.generator.apply(x0)), [0.0]])
+        u, svals, _ = np.linalg.svd(a, full_matrices=False)
+        reachable = u[:, svals > 1e-12 * svals[0]]
+        exact = np.linalg.norm(b - reachable @ (reachable.T @ b))
+        assert exact > 1e-8
+        assert report["least_squares_residual"] == pytest.approx(exact, rel=1e-6)
+
+    def test_non_spanning_eight_qubit_ansatz_exits_3_quickly(self, tmp_path):
+        # tfim n=8 from |1...1>, K=4 random subsets of q=20: L=32 states
+        # whose span holds no steady state.
+        model = tfim_chain(8, 0.5)
+        ans = moment_states_random(model.hamiltonian, basis_state(8, "1" * 8), 4, 20, 0)
+        assert ans.size == 32
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"builder": "tfim_chain", "params": {"n": 8, "g": 0.5, "gamma": 1.0}},
+            "ansatz": {"K": 4, "q": 20, "rng_seed": 0},
+        }))
+        start = time.perf_counter()
+        result = CliRunner().invoke(main, ["solve", "--config", str(cfg),
+                                           "--out", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == EXIT_INFEASIBLE, result.output
+        assert "least-squares residual" in result.output
+        assert elapsed < 2.0
 
 
 class TestLeastSquares:

@@ -8,6 +8,7 @@ from ness_sdp.errors import ConfigError
 from ness_sdp.models import magnetization, tfim_chain, xxz_boundary_driven, xxz_dephasing
 from ness_sdp.overlaps import assemble, observable_matrix
 from ness_sdp.pauli import PauliSum
+from ness_sdp.sdp import SolverOptions
 from ness_sdp.states import AnsatzSet, basis_state, density_from_beta, moment_states
 from ness_sdp.symmetry import (
     RhoCombination,
@@ -217,6 +218,24 @@ class TestVandermonde:
                 assert np.allclose(part.combination.dense(), part.state, atol=1e-10)
 
 
+    def test_factor_extraction_equals_dense(self, rng):
+        for spec in (magnetization_symmetry(3), exchange_parity_symmetry(3)):
+            factor = np.linalg.qr(rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5)))[0]
+            beta = random_hermitian(rng, 5) + 3.0 * np.eye(5)
+            beta /= np.trace(beta).real
+            from_factor = vandermonde_extract(twirl_eliminate_all(
+                RhoCombination.initial(beta, spec, factor=factor), spec), spec, trace_floor=1e-12)
+            dense = vandermonde_extract(twirl_eliminate_all(
+                RhoCombination.initial(factor @ beta @ factor.conj().T, spec), spec),
+                spec, trace_floor=1e-12)
+            assert [p.missing for p in from_factor] == [p.missing for p in dense]
+            for a, b in zip(from_factor, dense):
+                assert abs(a.trace_weight - b.trace_weight) <= 1e-10
+                if not a.missing:
+                    assert np.linalg.norm(a.state - b.state) <= 1e-10
+                    assert np.linalg.norm(a.combination.dense() - a.state) <= 1e-10
+
+
 class TestQmExpectation:
     def test_identity_power_reduces_to_observable_trace(self, rng):
         model = tfim_chain(2, 1.0)
@@ -298,6 +317,28 @@ class TestExtractAllNess:
         assert abs(np.trace(r1.conj().T @ r2)) <= 1e-8
         for part in result.found:
             assert part.residual <= 1e-7
+
+    def test_boundary_driven_eight_qubits_decided_feasible(self):
+        # The n=8 extraction of the boundary-extract benchmark, at its
+        # outer-iteration cap of 10: LSQR projects onto the affine set in
+        # one outer iteration, so the solve is decided feasible.
+        model = xxz_boundary_driven(8, 1.0, 1.0, 0.5)
+        ans = sector_basis_ansatz(8, 0)
+        con = sector_constraint(magnetization(8), 0.0, ans)
+        result = extract_all_ness(model, exchange_parity_symmetry(8), ans,
+                                  options=SolverOptions(max_iter=10),
+                                  extra_constraints=(con,))
+        beta = result.beta
+        assert result.attempts == 1
+        assert beta.subspace_residual <= 1e-9 and beta.trace_error <= 1e-9
+        assert beta.psd_violation >= -1e-9
+        assert all(c <= 1e-9 for c in beta.constraint_errors)
+        assert len(result.found) == 2
+        for part in result.found:
+            assert part.residual <= 1e-8
+            assert np.linalg.norm(part.state - part.state.conj().T) <= 1e-12
+            assert part.psd_violation >= -1e-9
+            assert abs(np.trace(part.state) - 1.0) <= 1e-9
 
     def test_invalid_symmetry_rejected(self):
         model = tfim_chain(2, 1.0)
