@@ -12,17 +12,11 @@ becomes W^dag G(W x W^dag) W = -i (K_w x - x K_w^dag)
 projections between the affine constraint set {zero projected generator,
 unit trace, optional extra linear constraints} and the PSD cone. The
 affine projection is least-norm and matrix-free: LSQR (Paige & Saunders,
-ACM TOMS 8, 1982) on the constraint operator A(x) = (G(x), Tr x,
-(Tr(x N_k))_k) over Hermitian x, with the real inner product
-Re Tr(x^dag y), applies A and its adjoint as short sequences of L x L
-products, so no L^2 x L^2 system is ever materialized. Started from zero
-it returns the least-norm correction, and it stops in one of three ways:
-the residual is within the inner tolerance (the loop goes on); the
-normal-equations residual ||A^dag r|| is negligible while ||r|| is not,
-which certifies that no point of the affine set meets the tolerance
-(InfeasibleError); or its ``cg_max_iter`` budget runs out. An empty
-intersection of a non-empty affine set with the PSD cone still shows as
-a stalled residual.
+ACM TOMS 8, 1982) on A(x) = (G(x), Tr x, (Tr(x N_k))_k) over Hermitian x
+applies A and its adjoint as short sequences of L x L products, so no
+L^2 x L^2 system is ever materialized. Its least-squares stop certifies
+an empty affine set (InfeasibleError); an empty intersection of the
+affine set with the PSD cone still shows as a stalled residual.
 
 A secondary least-squares mode minimizes the squared generator residual
 over the spectrahedron {PSD, unit trace} by projected gradient descent;
