@@ -32,7 +32,6 @@ import itertools
 import numpy as np
 
 from .errors import ConfigError
-from .pauli import PauliSum, string_masks
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -168,17 +167,6 @@ def _hermitian_matrix(v: np.ndarray, dim: int) -> np.ndarray:
     return vecs.reshape(v.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
 
 
-def _flip_weights(op: PauliSum) -> dict[int, np.ndarray]:
-    """u_p[a] = op[a, a ^ p] for each flip mask p, so (op x)[a] = sum_p u_p[a] x[a ^ p]."""
-    idx = np.arange(2 ** op.n_qubits)
-    out: dict[int, np.ndarray] = {}
-    for coeff, string in op.terms:
-        x_mask, z_mask, pre = string_masks(string.codes)
-        signs = 1.0 - 2.0 * (np.bitwise_count((idx ^ x_mask) & z_mask) & 1)
-        out[x_mask] = out.get(x_mask, 0) + (coeff * pre) * signs
-    return out
-
-
 def _flip_axes(p: int, q: int, n: int) -> tuple[int, ...]:
     """Axes of the (2,)*2n view of x that x[a ^ p, b ^ q] flips (site 1 = axis 0)."""
     return tuple(axis for axis in range(2 * n) if ((p << n | q) >> (2 * n - 1 - axis)) & 1)
@@ -224,13 +212,13 @@ class PauliLindbladian(Lindbladian):
         for rate, jump in self.model.dissipators:
             k_op = k_op - (0.5j * rate) * (jump.dagger() * jump)
         pieces: dict[tuple[int, int], list[tuple[np.ndarray, ...]]] = {}
-        for p, u in _flip_weights(k_op).items():
+        for p, u in k_op.flip_weights():
             pieces.setdefault((p, 0), []).append((-1j * u[:, None],))
             pieces.setdefault((0, p), []).append((1j * u.conj()[None, :],))
         for root, jump in zip(self.roots, self.model.jumps):
-            weights = _flip_weights(root * jump)
-            for p, u in weights.items():
-                for q, v in weights.items():
+            weights = (root * jump).flip_weights()
+            for p, u in weights:
+                for q, v in weights:
                     pieces.setdefault((p, q), []).append((u[:, None], v.conj()[None, :]))
         return tuple((_flip_axes(p, q, self.n), _weight_factors(parts, self.n))
                      for (p, q), parts in pieces.items())

@@ -99,7 +99,7 @@ class PauliSum:
     with magnitude below ``COEFF_EPS`` are dropped.
     """
 
-    __slots__ = ("_terms", "_n")
+    __slots__ = ("_terms", "_n", "_flips")
 
     def __init__(self, terms, n_qubits: int | None = None):
         acc: dict[str, complex] = {}
@@ -122,6 +122,7 @@ class PauliSum:
             for codes, c in sorted(acc.items())
             if abs(c) > COEFF_EPS
         )
+        self._flips = None
 
     @property
     def terms(self) -> tuple[tuple[complex, PauliString], ...]:
@@ -184,9 +185,29 @@ class PauliSum:
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return all(abs(c.imag) <= tol for c, _ in self._terms)
 
+    def flip_weights(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(p, u_p) per distinct flip mask p, in increasing p, with
+        u_p[a] = op[a, a ^ p], so that (op x)[a] = sum_p u_p[a] x[a ^ p].
+
+        Each word is the signed permutation P[b ^ x, b] = pre *
+        (-1)^popcount(b & z), so the words sharing a mask x sum into one
+        weight vector. Compiled once per sum; the vectors are read-only.
+        """
+        if self._flips is None:
+            idx = np.arange(2 ** self._n)
+            acc: dict[int, np.ndarray] = {}
+            for coeff, string in self._terms:
+                x_mask, z_mask, pre = string_masks(string.codes)
+                signs = 1.0 - 2.0 * (np.bitwise_count((idx ^ x_mask) & z_mask) & 1)
+                acc[x_mask] = acc.get(x_mask, 0) + (coeff * pre) * signs
+            for weights in acc.values():
+                weights.setflags(write=False)
+            self._flips = tuple(sorted(acc.items()))
+        return self._flips
+
     def to_dense(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-        """Dense 2^n x 2^n matrix (site 1 = most significant bit); each word
-        is the signed permutation P[b ^ x, b] = pre * (-1)^popcount(b & z)."""
+        """Dense 2^n x 2^n matrix (site 1 = most significant bit), one
+        off-diagonal of flips per distinct mask (``flip_weights``)."""
         if self._n > dense_limit:
             raise DenseLimitError(
                 f"dense expansion of {self._n} qubits exceeds limit {dense_limit}"
@@ -194,10 +215,8 @@ class PauliSum:
         dim = 2 ** self._n
         idx = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
-        for coeff, string in self._terms:
-            x_mask, z_mask, pre = string_masks(string.codes)
-            signs = 1.0 - 2.0 * (np.bitwise_count(idx & z_mask) & 1)
-            out[idx ^ x_mask, idx] += (coeff * pre) * signs
+        for mask, weights in self.flip_weights():
+            out[idx, idx ^ mask] = weights
         return out
 
     def __eq__(self, other) -> bool:

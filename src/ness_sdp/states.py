@@ -1,8 +1,10 @@
 """Dense statevector engine: ansatz preparation and overlap evaluation.
 
 This module plays the part of the quantum processor. Pauli words act on
-2^n amplitude vectors by a bit-mask permutation plus phases, so applying
-a Pauli sum costs O(terms * 2^n) instead of a dense matrix product.
+2^n amplitude vectors by a bit-mask permutation plus phases, so a Pauli
+sum, compiled once to one weight vector per distinct flip mask
+(``PauliSum.flip_weights``), costs one multiply and one row gather per
+mask instead of a dense matrix product.
 
 Moment-state generation follows the cumulative construction: level j
 holds states reached by words of exactly j Hamiltonian Pauli strings,
@@ -20,29 +22,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .pauli import PauliSum, string_masks
+from .pauli import PauliSum
 
 DEDUP_TOL = 1e-10
 _PHASE_EPS = 1e-9
 
 
-def _apply_string(codes: str, amps: np.ndarray) -> np.ndarray:
-    """Apply a Pauli word to amplitudes indexed along axis 0."""
-    x_mask, z_mask, pre = string_masks(codes)
+def _apply_flips(flips, amps: np.ndarray) -> np.ndarray:
+    """sum_p u_p[a] amps[a ^ p] along axis 0, for the (p, u_p) pairs of
+    ``PauliSum.flip_weights``: one multiply per mask, and one row gather
+    per mask other than 0."""
+    amps = np.asarray(amps, dtype=complex)
     idx = np.arange(amps.shape[0])
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & z_mask) & 1)
-    phased = (pre * signs)[(...,) + (None,) * (amps.ndim - 1)] * amps
-    if x_mask:
-        return phased[idx ^ x_mask]
-    return phased
+    shape = (-1,) + (1,) * (amps.ndim - 1)
+    out = None
+    for mask, weights in flips:
+        if mask:
+            term = amps[idx ^ mask]
+            term *= weights.reshape(shape)
+        else:
+            term = weights.reshape(shape) * amps
+        if out is None:
+            out = term
+        else:
+            out += term
+    return np.zeros(amps.shape, dtype=complex) if out is None else out
 
 
 def apply_to_columns(op: PauliSum, matrix: np.ndarray) -> np.ndarray:
     """Apply a Pauli sum to every column of a (2^n, m) array."""
-    out = np.zeros(matrix.shape, dtype=complex)
-    for coeff, string in op.terms:
-        out += coeff * _apply_string(string.codes, matrix)
-    return out
+    return _apply_flips(op.flip_weights(), matrix)
 
 
 @dataclass(frozen=True)
@@ -182,9 +191,9 @@ class _Retained:
         self.words.append(word)
         return True
 
-    def extend(self, src: int, string, i: int) -> bool:
-        """Apply Hamiltonian word i to retained state src and keep it if new."""
-        return self.add_if_new(_apply_string(string.codes, self.rows[src]),
+    def extend(self, src: int, op: PauliSum, i: int) -> bool:
+        """Apply Hamiltonian word i (``op``, a one-term sum) to retained state src; keep it if new."""
+        return self.add_if_new(_apply_flips(op.flip_weights(), self.rows[src]),
                                self.words[src] + (i,))
 
     def ansatz(self, seed_descriptor: str, rng_seed: int | None = None) -> AnsatzSet:
@@ -206,14 +215,14 @@ def moment_states(hamiltonian: PauliSum, seed: StateVector, order: int,
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    strings = [s for _, s in hamiltonian.terms]
+    ops = [PauliSum([(1.0, s)]) for _, s in hamiltonian.terms]
     kept = _Retained(seed)
     frontier = [0]
     for _ in range(order):
         next_frontier = []
         for src in frontier:
-            for i, string in enumerate(strings):
-                if kept.extend(src, string, i):
+            for i, op in enumerate(ops):
+                if kept.extend(src, op, i):
                     next_frontier.append(len(kept) - 1)
         if not next_frontier:
             break
@@ -235,11 +244,11 @@ def moment_states_random(hamiltonian: PauliSum, seed: StateVector, order: int,
     if order < 0:
         raise ValueError("order must be >= 0")
     rng = np.random.default_rng(rng_seed)
-    strings = [s for _, s in hamiltonian.terms]
+    ops = [PauliSum([(1.0, s)]) for _, s in hamiltonian.terms]
     kept = _Retained(seed)
     frontier = [0]
     for _ in range(order):
-        pairs = [(src, i) for src in frontier for i in range(len(strings))]
+        pairs = [(src, i) for src in frontier for i in range(len(ops))]
         if not pairs:
             break
         if len(pairs) > q:
@@ -247,7 +256,7 @@ def moment_states_random(hamiltonian: PauliSum, seed: StateVector, order: int,
             pairs = [pairs[k] for k in sorted(chosen)]
         next_frontier = []
         for src, i in pairs:
-            if kept.extend(src, strings[i], i):
+            if kept.extend(src, ops[i], i):
                 next_frontier.append(len(kept) - 1)
         if not next_frontier:
             break

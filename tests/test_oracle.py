@@ -9,7 +9,7 @@ from conftest import dense_lindblad, random_density, random_model
 from ness_sdp import oracle
 from ness_sdp.cli import main
 from ness_sdp.errors import DegenerateSteadySpaceError, DenseLimitError
-from ness_sdp.lindblad import Lindbladian
+from ness_sdp.lindblad import Lindbladian, _hermitian_matrix, _real_coordinates
 from ness_sdp.models import OpenSystemModel, tfim_chain, xxz_boundary_driven, xxz_dephasing
 from ness_sdp.pauli import PauliSum, sigma_minus
 
@@ -145,6 +145,67 @@ class TestRealHermitianCoordinates:
             assert np.array_equal(elem, elem.conj().T)
             assert (np.linalg.norm(dense_lindblad(model, elem))
                     <= 1e-9 * np.linalg.norm(elem))
+
+
+def svd_reference(model):
+    """Real-coordinate matrix, its full-SVD singular values, and the
+    Hermitian null basis that the full SVD gives."""
+    dim = 2 ** model.n_qubits
+    real = _real_coordinates(oracle.build_liouvillian(model), dim)
+    _, svals, vh = np.linalg.svd(real)
+    null = vh[svals <= oracle.NULL_SPACE_RTOL * max(svals[0], 1e-300)]
+    return real, svals, list(_hermitian_matrix(null, dim))
+
+
+def null_projector(elements, dim):
+    vecs = np.array([e.reshape(-1) for e in elements]).reshape(-1, dim * dim)
+    return vecs.T @ vecs.conj()
+
+
+class TestGramNullSpace:
+    """eigh of A^T A plus an SVD of the near-null cluster, against a full SVD."""
+
+    def test_matches_full_svd(self, rng):
+        models = [random_model(rng, 1 + k % 3) for k in range(60)]
+        models += [case[0] for case in REAL_COORDINATE_CASES]
+        for model in models:
+            dim = 2 ** model.n_qubits
+            real, ref_svals, ref_null = svd_reference(model)
+            svals, null = oracle._hermitian_null_space(real, dim, oracle.NULL_SPACE_RTOL)
+            assert np.abs(svals - ref_svals).max() <= 1e-12 * ref_svals[0]
+            assert len(null) == len(ref_null) == oracle.steady_states(model).dimension
+            assert np.abs(null_projector(null, dim)
+                          - null_projector(ref_null, dim)).max() <= 1e-9
+
+    @pytest.mark.parametrize("model, cluster, dimension", [
+        (tfim_chain(3, 0.5, gamma=1e-4), 8, 1),
+        (xxz_dephasing(4, 1.0, gamma=1e-4), 54, 5),
+    ])
+    def test_small_gap_cluster_holds_nonzero_values(self, model, cluster, dimension):
+        dim = 2 ** model.n_qubits
+        real, ref_svals, ref_null = svd_reference(model)
+        lam = np.linalg.eigvalsh(real.T @ real)
+        assert np.count_nonzero(lam <= oracle.GRAM_SPLIT * lam[-1]) == cluster
+        basis = oracle.steady_states(model)
+        assert basis.dimension == len(ref_null) == dimension
+        assert np.abs(basis.singular_values - ref_svals).max() <= 1e-12 * ref_svals[0]
+        ref_aligned = oracle._align_basis(ref_null, oracle._generator_projectors(model))
+        assert basis.physical == tuple(oracle._is_physical(b) for b in ref_aligned)
+
+    def test_zero_generator_is_all_null(self):
+        model = OpenSystemModel(n_qubits=2, hamiltonian=PauliSum.zero(2), dissipators=(),
+                                label="zero")
+        basis = oracle.steady_states(model)
+        assert basis.dimension == 16
+        assert not basis.singular_values.any()
+        assert np.allclose(null_projector(basis.elements, 4), np.eye(16), atol=1e-12)
+
+    def test_full_rank_matrix_has_no_null_vectors(self, rng):
+        real = rng.normal(size=(16, 16))
+        svals, null = oracle._hermitian_null_space(real, 4, oracle.NULL_SPACE_RTOL)
+        assert null == []
+        ref = np.linalg.svd(real, compute_uv=False)
+        assert np.abs(svals - ref).max() <= 1e-12 * ref[0]
 
 
 class TestMemo:

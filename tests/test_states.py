@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_sum, random_pauli_sum, random_state
+from conftest import dense_string, dense_sum, random_pauli_sum, random_state
 from ness_sdp.errors import DimensionMismatchError
 from ness_sdp.models import tfim_chain
 from ness_sdp.pauli import PauliSum, sigma_minus
@@ -10,6 +10,7 @@ from ness_sdp.states import (
     AnsatzSet,
     StateVector,
     apply_pauli_sum,
+    apply_to_columns,
     basis_state,
     density_from_beta,
     matrix_element,
@@ -62,6 +63,28 @@ class TestApply:
     def test_dimension_error(self):
         with pytest.raises(DimensionMismatchError):
             apply_pauli_sum(PauliSum.from_label("X"), basis_state(2, "00"))
+
+    def test_merged_masks_match_per_term_reference(self, rng):
+        # one gather per flip mask, against one dense word per term; many
+        # terms on few qubits repeat masks, {I, Z} words share mask 0 only
+        def per_term(op, matrix):
+            return sum(c * (dense_string(w.codes) @ matrix) for c, w in op.terms)
+
+        for n in range(1, 6):
+            cols = rng.normal(size=(2 ** n, 3)) + 1j * rng.normal(size=(2 ** n, 3))
+            sums = [random_pauli_sum(rng, n, 4 * n),
+                    PauliSum([(rng.normal() + 1j * rng.normal(), "".join(w))
+                              for w in rng.choice(list("IZ"), size=(3, n))], n_qubits=n),
+                    PauliSum.identity(n, 0.5 - 2j)]
+            for op in sums:
+                masks = [mask for mask, _ in op.flip_weights()]
+                assert len(masks) == len(set(masks))
+                got = apply_to_columns(op, cols)
+                assert np.abs(got - per_term(op, cols)).max() <= 1e-12
+                assert np.array_equal(apply_to_columns(op, cols[:, 1]), got[:, 1])
+            assert set(mask for mask, _ in sums[1].flip_weights()) == {0}
+        assert np.array_equal(apply_to_columns(PauliSum.zero(2), np.ones((4, 2))),
+                              np.zeros((4, 2)))
 
 
 class TestMatrixElement:
