@@ -137,15 +137,24 @@ def _real_coordinates(superop: np.ndarray, dim: int) -> np.ndarray:
     Real when L maps Hermitian matrices to Hermitian matrices. The
     columns of L V are then vec of Hermitian matrices, so V^dag needs only
     their diagonal rows (real parts) and upper-triangle rows (sqrt2 times
-    the real and the imaginary parts).
+    the real and the imaginary parts). Those rows are read dim at a time,
+    so the complex temporaries stay at a few dim^3 entries.
     """
     diag, upper, lower = _vec_indices(dim)
-    rows = superop[np.concatenate([diag, upper])]
-    lv = np.concatenate([rows[:, diag],
-                         np.sqrt(0.5) * (rows[:, upper] + rows[:, lower]),
-                         1j * np.sqrt(0.5) * (rows[:, upper] - rows[:, lower])], axis=1)
-    return np.concatenate([lv[:dim].real, np.sqrt(2) * lv[dim:].real,
-                           np.sqrt(2) * lv[dim:].imag])
+    half = dim + len(upper)
+    needed = np.concatenate([diag, upper])
+    out = np.empty((dim * dim, dim * dim))
+    for start in range(0, half, dim):
+        rows = superop[needed[start:start + dim]]
+        lv = np.concatenate([rows[:, diag],
+                             np.sqrt(0.5) * (rows[:, upper] + rows[:, lower]),
+                             1j * np.sqrt(0.5) * (rows[:, upper] - rows[:, lower])], axis=1)
+        if start == 0:
+            out[:dim] = lv.real
+        else:
+            out[start:start + len(lv)] = np.sqrt(2) * lv.real
+            out[start + half - dim:start + half - dim + len(lv)] = np.sqrt(2) * lv.imag
+    return out
 
 
 def _real_vector(x: np.ndarray) -> np.ndarray:

@@ -19,18 +19,23 @@ an empty affine set (InfeasibleError); an empty intersection of the
 affine set with the PSD cone still shows as a stalled residual.
 
 A secondary least-squares mode minimizes the squared generator residual
-over the spectrahedron {PSD, unit trace} by projected gradient descent;
-it is the fallback when shot noise makes strict feasibility impossible
-and reports the honestly achieved residual. It works in real Hermitian
-coordinates (``lindblad._real_coordinates``): G maps Hermitian matrices
-to Hermitian matrices, so on the L^2 real coordinates of x it is a real
-L^2 x L^2 matrix A, and the extra constraints are real rows N. One
-residual r = A v per iterate gives both the objective
-||r||^2 + pen ||N v - t||^2 and the next gradient
-2 (A^T r + pen N^T (N v - t)); the Hermitian matrix is formed only for
-the spectrahedron projection. A is built once per solve while
-L^2 <= REAL_MATRIX_MAX (L <= 24); above that the same loop applies G and
-G^dag matrix-free, once each per iterate.
+over the spectrahedron {PSD, unit trace} by accelerated projected
+gradient (FISTA with gradient-based adaptive restart); it is the fallback
+when shot noise makes strict feasibility impossible and reports the
+honestly achieved residual and why it stopped. It works in real
+Hermitian coordinates (``lindblad._real_coordinates``): G maps Hermitian
+matrices to Hermitian matrices, so on the L^2 real coordinates of x it is
+a real L^2 x L^2 matrix A, and the extra constraints are real rows N. The
+objective f(v) = ||A v||^2 + pen ||N v - t||^2 has a gradient with
+Lipschitz constant 2 lambda_max(A^T A + pen N^T N); the step is
+1 / (2 lam) with lam LIPSCHITZ_MARGIN times a Lanczos estimate of that
+eigenvalue, and every step is checked exactly against the descent bound
+it needs (backtracking raises lam if one fails). One residual r = A v per
+iterate gives both the objective and, extrapolated, the next gradient;
+the Hermitian matrix is formed only for the spectrahedron projection. A
+is built once per solve while L^2 <= REAL_MATRIX_MAX (L <= 24); above
+that the same loop applies G and G^dag matrix-free, once each per
+iterate.
 """
 from __future__ import annotations
 
@@ -61,12 +66,23 @@ _OPTION_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
 # thread, an iterate on the matrix costs 0.05 ms against 0.18 ms
 # matrix-free at L = 11, 0.29 against 0.32 ms at L = 24 and 0.35 against
 # 0.36 ms at L = 25; at L = 32 the matrix is slower (0.71 against 0.46 ms)
-# and its build raises peak RSS by about 50 MB.
+# and its build raises peak RSS by about 50 MB. Per accelerated solve
+# (the first L moment states of TFIM n=7 K=3 at 1e6 shots, one BLAS thread,
+# matrix build included), matrix against matrix-free: L = 16 0.08 against
+# 0.20 s (374 iterates), L = 24 0.25 against 0.30 s (385), L = 32 0.74
+# against 0.56 s (502); plain projected gradient took 3360-6620 iterates
+# there, so the build now weighs about 10x more per iterate and the
+# crossover stays between L = 24 and 32.
 REAL_MATRIX_MAX = 576
 
 # LSQR's least-squares stop: ||A^dag r|| <= LSQR_ATOL ||A|| ||r||, with ||A||
 # the Frobenius-norm estimate of the bidiagonalization.
 LSQR_ATOL = 1e-12
+
+# Safety factor on the least-squares mode's estimates of lambda_max(M): on
+# 40 noisy TFIM and XXZ inputs with L = 2-16 the 30-step Lanczos estimate
+# fell at most 3.2e-5 short of eigvalsh (a 30-step power estimate: 5.5%).
+LIPSCHITZ_MARGIN = 1.01
 
 
 @dataclass(frozen=True)
@@ -94,6 +110,9 @@ class SolverOptions:
         for name in ("feas_tol", "psd_tol", "whiten_cutoff", "cg_tol_factor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        for name in ("ls_grad_tol", "ls_penalty"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.initial not in ("identity", "random"):
             raise ValueError(f"unknown initial point kind {self.initial!r}")
         if self.mode not in ("feasibility", "least-squares", "auto"):
@@ -130,6 +149,7 @@ class BetaMatrix:
     converged: bool = True
     whitened_dim: int = 0
     objective: float | None = None
+    stop_reason: str = "converged"
 
     def as_dict(self) -> dict:
         return {
@@ -141,6 +161,7 @@ class BetaMatrix:
             "mode": self.mode,
             "converged": self.converged,
             "whitened_dim": self.whitened_dim,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -294,7 +315,7 @@ def _initial_point(dim: int, options: SolverOptions) -> np.ndarray:
 
 
 def _finalize(problem, system, w, x, iterations, mode, converged,
-              objective=None) -> BetaMatrix:
+              objective=None, stop_reason="converged") -> BetaMatrix:
     beta = hermitize(w @ x @ w.conj().T)
     diag = residuals(problem, beta)
     return BetaMatrix(
@@ -308,6 +329,7 @@ def _finalize(problem, system, w, x, iterations, mode, converged,
         converged=converged,
         whitened_dim=system.dim,
         objective=objective,
+        stop_reason=stop_reason,
     )
 
 
@@ -420,31 +442,63 @@ def _least_squares_operator(system: _WhitenedSystem):
             lambda r: _real_vector(gen.adjoint(_hermitian_matrix(r, dim))), rows)
 
 
-def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
-    """Projected gradient on ||G(x)||^2 (+ penalized extra constraints)
-    over the spectrahedron; tolerant of noisy, inconsistent constraints.
+def _descent_constant(forward, backward, rows, pen: float, dim: int, steps: int = 30) -> float:
+    """LIPSCHITZ_MARGIN times a Lanczos estimate of lambda_max(M), M = A^T A + pen N^T N.
 
-    The iterate is held in real Hermitian coordinates v. One residual
-    r = G(v) per iterate gives both its objective and the next gradient,
-    and the Hermitian matrix is formed only for the spectrahedron
-    projection.
+    f(v) = ||A v||^2 + pen ||N v - t||^2 has the Hessian 2 M, so its gradient
+    is Lipschitz with L_f = 2 lambda_max(M), and FISTA's step 1 / (2 lam) is
+    safe for lam >= lambda_max(M). The largest Ritz value of ``steps``
+    Lanczos steps is a lower bound on lambda_max(M) (Golub & Van Loan,
+    Matrix Computations, sec. 10.1), hence the margin.
+    """
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(dim, dim))
+    z = _real_vector(hermitize(z + 1j * rng.normal(size=z.shape)))
+    z /= np.linalg.norm(z)
+    z_prev, beta = np.zeros_like(z), 0.0
+    alphas, betas = [], []
+    for _ in range(min(steps, z.size)):
+        u = backward(forward(z)) + pen * (rows.T @ (rows @ z)) - beta * z_prev
+        alphas.append(float(z @ u))
+        u -= alphas[-1] * z
+        beta = float(np.linalg.norm(u))
+        betas.append(beta)
+        if beta == 0.0:
+            break
+        z_prev, z = z, u / beta
+    off = np.diag(betas[:-1], 1)
+    ritz = float(np.linalg.eigvalsh(np.diag(alphas) + off + off.T)[-1])
+    return LIPSCHITZ_MARGIN * max(ritz, 1e-30)
+
+
+def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
+    """Accelerated projected gradient on ||G(x)||^2 (+ penalized extra
+    constraints) over the spectrahedron; tolerant of noisy, inconsistent
+    constraints.
+
+    FISTA (Beck & Teboulle, SIAM J. Imaging Sci. 2, 183, 2009) with
+    gradient-based adaptive restart (O'Donoghue & Candes, Found. Comput.
+    Math. 15, 715, 2015), in real Hermitian coordinates. The gradient is
+    taken at the extrapolated point y = v + b (v - v_prev). The residual
+    is affine in v, so r_y = r + b (r - r_prev) needs no product, and an
+    iterate costs one forward and one backward product. The objective,
+    the stall test and the returned beta belong to the projected iterate
+    v; y can leave the spectrahedron. The solve stops when the gradient
+    map ||y - v_new|| / step is <= ls_grad_tol (``grad-map``), after 200
+    iterates without a 1e-12 relative drop of the best objective
+    (``stall``), or after ls_max_iter iterates (``budget``, not converged).
     """
     opts = problem.options
     system, w = whiten(problem)
     dim, pen = system.dim, opts.ls_penalty
     forward, backward, rows = _least_squares_operator(system)
 
-    # Lipschitz constant of the gradient via power iteration on the quadratic.
-    rng = np.random.default_rng(0)
-    z = rng.normal(size=(dim, dim))
-    z = _real_vector(hermitize(z + 1j * rng.normal(size=z.shape)))
-    z /= np.linalg.norm(z)
-    lam = 1.0
-    for _ in range(30):
-        z_new = backward(forward(z)) + pen * (rows.T @ (rows @ z))
-        lam = max(float(np.linalg.norm(z_new)), 1e-30)
-        z = z_new / lam
-    step = 1.0 / (2.0 * lam)
+    # Every step d = v_new - y obeys the descent bound d^T M d <= lam ||d||^2
+    # of a step 1 / (2 lam) (see _descent_constant): A d = r_new - r_y, so it
+    # is checked exactly, and a step that breaks it raises lam to
+    # LIPSCHITZ_MARGIN times its Rayleigh quotient d^T M d / ||d||^2 and is
+    # taken again (Beck & Teboulle's backtracking).
+    lam = _descent_constant(forward, backward, rows, pen, dim)
 
     def residual(v):
         r, e = forward(v), rows @ v - system.targets
@@ -452,24 +506,39 @@ def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
 
     v = _real_vector(_project_spectrahedron(_initial_point(dim, opts)))
     r, e, obj = residual(v)
-    best_obj = obj
-    stall = 0
-    it = 0
-    for it in range(opts.ls_max_iter):
-        grad = 2.0 * (backward(r) + pen * (rows.T @ e))
-        v_new = _real_vector(_project_spectrahedron(_hermitian_matrix(v - step * grad, dim)))
-        grad_map = float(np.linalg.norm(v - v_new)) / step
-        v = v_new
-        r, e, obj = residual(v)
+    v_prev, r_prev, e_prev = v, r, e
+    t, best_obj, stall, stop, it = 1.0, obj, 0, "budget", 0
+    while stop == "budget" and it < opts.ls_max_iter:
+        it += 1
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        b = (t - 1.0) / t_next
+        y, r_y, e_y = v + b * (v - v_prev), r + b * (r - r_prev), e + b * (e - e_prev)
+        grad = 2.0 * (backward(r_y) + pen * (rows.T @ e_y))
+        while True:
+            v_new = _real_vector(_project_spectrahedron(
+                _hermitian_matrix(y - grad / (2.0 * lam), dim)))
+            r_new, e_new, obj_new = residual(v_new)
+            d, dr, de = v_new - y, r_new - r_y, e_new - e_y
+            d_sq = float(d @ d)
+            grad_map = 2.0 * lam * np.sqrt(d_sq)
+            curv = float(dr @ dr + pen * (de @ de))
+            if curv <= lam * d_sq or grad_map <= opts.ls_grad_tol:
+                break
+            lam = LIPSCHITZ_MARGIN * curv / d_sq
+        # Restart the momentum when it points against the gradient-map step.
+        t = 1.0 if float(d @ (v_new - v)) < 0.0 else t_next
+        v_prev, r_prev, e_prev = v, r, e
+        v, r, e, obj = v_new, r_new, e_new, obj_new
         if obj < best_obj * (1.0 - 1e-12):
-            best_obj = obj
-            stall = 0
+            best_obj, stall = obj, 0
         else:
             stall += 1
-        if grad_map <= opts.ls_grad_tol or stall >= 200:
-            break
-    return _finalize(problem, system, w, _hermitian_matrix(v, dim), it + 1,
-                     "least-squares", True, objective=obj)
+        if grad_map <= opts.ls_grad_tol:
+            stop = "grad-map"
+        elif stall >= 200:
+            stop = "stall"
+    return _finalize(problem, system, w, _hermitian_matrix(v, dim), it, "least-squares",
+                     stop != "budget", objective=obj, stop_reason=stop)
 
 
 def solve(problem: FeasibilityProblem) -> BetaMatrix:

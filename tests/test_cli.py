@@ -34,6 +34,7 @@ class TestSolve:
         assert report["oracle"]["fidelity"] >= 0.999
         assert report["oracle"]["true_residual"] <= 1e-6
         assert report["diagnostics"]["mode"] == "feasibility"
+        assert report["diagnostics"]["stop_reason"] == "converged"
         assert report["ansatz"]["seed_descriptor"] == "bits:11"
 
     def test_shots_switch_to_least_squares(self, runner, tmp_path):
@@ -45,6 +46,7 @@ class TestSolve:
         report = json.loads((tmp_path / "out" / "solution.json").read_text())
         assert report["noisy_mode"] is True
         assert report["diagnostics"]["mode"] == "least-squares"
+        assert report["diagnostics"]["stop_reason"] in ("grad-map", "stall")
         assert report["shots"] == 10 ** 6
 
     def test_missing_config_is_config_error(self, runner, tmp_path):

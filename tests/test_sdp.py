@@ -14,7 +14,7 @@ from ness_sdp.errors import (
     IterationBudgetError,
 )
 from ness_sdp.cli import EXIT_INFEASIBLE, main
-from ness_sdp.lindblad import _hermitian_matrix, _real_coordinates, _real_vector
+from ness_sdp.lindblad import _hermitian_matrix, _real_coordinates, _real_vector, hermitize
 from ness_sdp.models import magnetization, tfim_chain, xxz_dephasing
 from ness_sdp.overlaps import add_shot_noise, assemble
 from ness_sdp.sdp import (
@@ -278,6 +278,144 @@ class TestInconsistentConstraints:
         assert elapsed < 2.0
 
 
+def projected_gradient_reference(problem):
+    """The least-squares loop before acceleration, kept as a reference:
+    plain projected gradient with a 30-step power estimate of the step, the
+    same stall rule and the same gradient-map stop. Returns (objective,
+    iterations)."""
+    opts = problem.options
+    system, _ = whiten(problem)
+    dim, pen = system.dim, opts.ls_penalty
+    forward, backward, rows = sdp._least_squares_operator(system)
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(dim, dim))
+    z = _real_vector(hermitize(z + 1j * rng.normal(size=z.shape)))
+    z /= np.linalg.norm(z)
+    lam = 1.0
+    for _ in range(30):
+        z_new = backward(forward(z)) + pen * (rows.T @ (rows @ z))
+        lam = max(float(np.linalg.norm(z_new)), 1e-30)
+        z = z_new / lam
+    step = 1.0 / (2.0 * lam)
+
+    def residual(v):
+        r, e = forward(v), rows @ v - system.targets
+        return r, e, float(r @ r + pen * (e @ e))
+
+    v = _real_vector(sdp._project_spectrahedron(sdp._initial_point(dim, opts)))
+    r, e, obj = residual(v)
+    best_obj, stall, it = obj, 0, 0
+    for it in range(opts.ls_max_iter):
+        grad = 2.0 * (backward(r) + pen * (rows.T @ e))
+        v_new = _real_vector(sdp._project_spectrahedron(_hermitian_matrix(v - step * grad, dim)))
+        grad_map = float(np.linalg.norm(v - v_new)) / step
+        v = v_new
+        r, e, obj = residual(v)
+        if obj < best_obj * (1.0 - 1e-12):
+            best_obj, stall = obj, 0
+        else:
+            stall += 1
+        if grad_map <= opts.ls_grad_tol or stall >= 200:
+            break
+    return obj, it + 1
+
+
+def random_noisy_problem(seed):
+    """n = 2-3 TFIM or XXZ with K = 2 moment states and 1e4-1e8 shots; odd
+    seeds add a magnetization sector constraint (the penalty path)."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 2
+    model = (tfim_chain(n, rng.uniform(0.2, 2.0)) if seed % 4 < 2
+             else xxz_dephasing(n, rng.uniform(0.5, 2.0)))
+    bits = "".join(rng.choice(["0", "1"], size=n))
+    ans = moment_states(model.hamiltonian, basis_state(n, bits), 2)
+    ovl = add_shot_noise(assemble(model, ans), int(10 ** rng.uniform(4, 8)),
+                         rng_seed=seed)
+    extra = ()
+    if seed % 2:
+        extra = (sector_constraint(magnetization(n), float(n - 2 * bits.count("1")), ans),)
+    return FeasibilityProblem(overlaps=ovl, extra_constraints=extra,
+                              options=SolverOptions(mode="least-squares"))
+
+
+def noisy_tfim4_problem(shots, noise_seed):
+    """The shape of the noisy-tfim4 benchmark input: n=4, K=2 from |1111>."""
+    model = tfim_chain(4, 0.5)
+    ans = moment_states(model.hamiltonian, basis_state(4, "1111"), 2)
+    return FeasibilityProblem(overlaps=add_shot_noise(assemble(model, ans), shots,
+                                                      rng_seed=noise_seed))
+
+
+def exact_lambda_max(problem):
+    """lambda_max(A^T A + pen N^T N) from eigvalsh of the real matrix."""
+    system, _ = whiten(problem)
+    forward, backward, rows = sdp._least_squares_operator(system)
+    a = _real_coordinates(system.generator.superoperator(), system.dim)
+    pen = problem.options.ls_penalty
+    return float(np.linalg.eigvalsh(a.T @ a + pen * rows.T @ rows)[-1])
+
+
+class TestAcceleratedLeastSquares:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_projected_gradient_reference(self, seed):
+        problem = random_noisy_problem(seed)
+        beta = solve_least_squares(problem)
+        ref_obj, _ = projected_gradient_reference(problem)
+        assert beta.objective <= ref_obj * (1.0 + 1e-9)
+        assert beta.trace_error <= 1e-9
+        assert beta.psd_violation >= -1e-9
+        assert beta.converged and beta.stop_reason in ("grad-map", "stall")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_step_is_below_the_exact_bound(self, seed):
+        problem = random_noisy_problem(seed)
+        system, _ = whiten(problem)
+        assert system.dim ** 2 <= sdp.REAL_MATRIX_MAX
+        forward, backward, rows = sdp._least_squares_operator(system)
+        step = 1.0 / (2.0 * sdp._descent_constant(forward, backward, rows,
+                                                  problem.options.ls_penalty, system.dim))
+        assert step * 2.0 * exact_lambda_max(problem) <= 1.0
+
+    @pytest.mark.parametrize("shots", [10 ** 4, 10 ** 6, 10 ** 8])
+    def test_noisy_tfim4_needs_a_quarter_of_the_iterations(self, shots):
+        problem = noisy_tfim4_problem(shots, noise_seed=11)
+        beta = solve_least_squares(problem)
+        ref_obj, ref_iterations = projected_gradient_reference(problem)
+        assert beta.iterations <= ref_iterations / 4
+        assert beta.objective <= ref_obj * (1.0 + 1e-9)
+        system, _ = whiten(problem)
+        forward, backward, rows = sdp._least_squares_operator(system)
+        step = 1.0 / (2.0 * sdp._descent_constant(forward, backward, rows, 1.0, system.dim))
+        assert step * 2.0 * exact_lambda_max(problem) <= 1.0
+
+    def test_backtracking_recovers_from_a_short_estimate(self, monkeypatch):
+        # lam at a twentieth of lambda_max: the descent check must raise it.
+        problem = random_noisy_problem(1)
+        expect = solve_least_squares(problem)
+        true_lam = exact_lambda_max(problem)
+        monkeypatch.setattr(sdp, "_descent_constant", lambda *args: true_lam / 20)
+        beta = solve_least_squares(problem)
+        assert beta.converged
+        assert abs(beta.objective - expect.objective) <= 1e-9 * expect.objective
+
+    def test_budget_is_not_converged(self):
+        _, _, problem = tfim_problem(g=1.0)
+        noisy = add_shot_noise(problem.overlaps, 10 ** 6, rng_seed=0)
+        beta = solve_least_squares(FeasibilityProblem(
+            overlaps=noisy, options=SolverOptions(ls_max_iter=3)))
+        assert beta.iterations == 3
+        assert beta.stop_reason == "budget"
+        assert not beta.converged
+        assert beta.as_dict()["stop_reason"] == "budget"
+        assert beta.as_dict()["converged"] is False
+
+    def test_feasibility_solve_reports_converged(self):
+        _, _, problem = tfim_problem(g=1.0)
+        beta = solve_feasibility(problem)
+        assert beta.stop_reason == "converged"
+        assert beta.as_dict()["stop_reason"] == "converged"
+
+
 class TestLeastSquares:
     def test_exact_assembly_reaches_tiny_objective(self):
         _, ans, problem = tfim_problem(g=1.0, mode="least-squares")
@@ -361,6 +499,12 @@ def test_whiten_roundtrip_constraint_satisfaction():
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(feas_tol=0.0)
+    # Negative values would stop the step check on a zero step, or make the
+    # least-squares objective non-convex.
+    with pytest.raises(ValueError):
+        SolverOptions(ls_grad_tol=-1.0)
+    with pytest.raises(ValueError):
+        SolverOptions(ls_penalty=-1.0)
     with pytest.raises(ValueError):
         solve(FeasibilityProblem(
             overlaps=assemble(tfim_chain(2, 1.0),
