@@ -141,19 +141,19 @@ def _real_coordinates(superop: np.ndarray, dim: int) -> np.ndarray:
     so the complex temporaries stay at a few dim^3 entries.
     """
     diag, upper, lower = _vec_indices(dim)
-    half = dim + len(upper)
     needed = np.concatenate([diag, upper])
     out = np.empty((dim * dim, dim * dim))
-    for start in range(0, half, dim):
+    for start in range(0, len(needed), dim):
         rows = superop[needed[start:start + dim]]
         lv = np.concatenate([rows[:, diag],
                              np.sqrt(0.5) * (rows[:, upper] + rows[:, lower]),
                              1j * np.sqrt(0.5) * (rows[:, upper] - rows[:, lower])], axis=1)
-        if start == 0:
+        if start == 0:  # the diagonal rows
             out[:dim] = lv.real
         else:
+            imag = start + len(upper)
             out[start:start + len(lv)] = np.sqrt(2) * lv.real
-            out[start + half - dim:start + half - dim + len(lv)] = np.sqrt(2) * lv.imag
+            out[imag:imag + len(lv)] = np.sqrt(2) * lv.imag
     return out
 
 

@@ -20,22 +20,18 @@ affine set with the PSD cone still shows as a stalled residual.
 
 A secondary least-squares mode minimizes the squared generator residual
 over the spectrahedron {PSD, unit trace} by accelerated projected
-gradient (FISTA with gradient-based adaptive restart); it is the fallback
-when shot noise makes strict feasibility impossible and reports the
-honestly achieved residual and why it stopped. It works in real
-Hermitian coordinates (``lindblad._real_coordinates``): G maps Hermitian
-matrices to Hermitian matrices, so on the L^2 real coordinates of x it is
-a real L^2 x L^2 matrix A, and the extra constraints are real rows N. The
-objective f(v) = ||A v||^2 + pen ||N v - t||^2 has a gradient with
-Lipschitz constant 2 lambda_max(A^T A + pen N^T N); the step is
-1 / (2 lam) with lam LIPSCHITZ_MARGIN times a Lanczos estimate of that
-eigenvalue, and every step is checked exactly against the descent bound
-it needs (backtracking raises lam if one fails). One residual r = A v per
-iterate gives both the objective and, extrapolated, the next gradient;
-the Hermitian matrix is formed only for the spectrahedron projection. A
-is built once per solve while L^2 <= REAL_MATRIX_MAX (L <= 24); above
-that the same loop applies G and G^dag matrix-free, once each per
-iterate.
+gradient (FISTA with adaptive restart; its step bound is stated at
+``_descent_constant``); it is the fallback when shot noise makes strict
+feasibility impossible and reports the honestly achieved residual and
+why it stopped. It works in real Hermitian coordinates
+(``lindblad._real_coordinates``): G maps Hermitian matrices to Hermitian
+matrices, so on the L^2 real coordinates of x it is a real L^2 x L^2
+matrix A, and the extra constraints are real rows N. One residual
+r = A v per iterate gives both the objective ||r||^2 + pen ||N v - t||^2
+and, extrapolated, the next gradient; the Hermitian matrix is formed
+only for the spectrahedron projection. A is built once per solve while
+L^2 <= REAL_MATRIX_MAX (L <= 24); above that the same loop applies G and
+G^dag matrix-free, once each per iterate.
 """
 from __future__ import annotations
 
