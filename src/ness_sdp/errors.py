@@ -44,11 +44,15 @@ class IterationBudgetError(SolverError):
 
 
 class ConvergenceError(NessSdpError):
-    """An iterative routine (CG / sparse oracle) failed to reach its tolerance."""
+    """The sparse oracle failed to reach its tolerance; carries the true
+    residual and LSQR's stop reason (``converged``, ``least-squares`` or
+    ``budget``) and iteration count."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, stop_reason=None, iterations=None):
         super().__init__(message)
         self.residual = residual
+        self.stop_reason = stop_reason
+        self.iterations = iterations
 
 
 class ConfigError(NessSdpError, ValueError):

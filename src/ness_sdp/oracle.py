@@ -28,9 +28,9 @@ one decomposition.
 The iterative path never materializes that 4^n x 4^n matrix, nor any
 dense K or J_n: it applies L and L^dag from the model's compiled table of
 bit-flip terms (``lindblad.PauliLindbladian``), one flipped view and one
-weighted sum per distinct pair of flip masks, and finds a steady state by
-conjugate-gradient least squares on the trace-one slice. The CG loop is
-hand-written because the package imports no scipy.
+weighted sum per distinct pair of flip masks. It runs the solver's LSQR
+on A(x) = (L(x), Tr x) from I/d and returns the trace-one steady state
+nearest I/d.
 """
 from __future__ import annotations
 
@@ -43,12 +43,14 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateSteadySpaceError, DenseLimitError
 from .lindblad import Lindbladian, _hermitian_matrix, _real_coordinates, hermitize
 from .models import OpenSystemModel
+from .sdp import _WhitenedSystem, _lsqr
 from .states import StateVector
 
 DEFAULT_DENSE_LIMIT = 6
 NULL_SPACE_RTOL = 1e-10
 INVARIANCE_TOL = 1e-10
 SPARSE_LIMIT = 10
+SPARSE_MAX_ITER = 20000
 GRAM_SPLIT = 1e-6
 """Eigenvalues lambda <= GRAM_SPLIT * lambda_max of C = A^T A (singular
 values sigma <= 1e-3 sigma_max of A) form the near-null cluster that
@@ -307,57 +309,35 @@ def restricted_steady_state(model: OpenSystemModel, isometry: np.ndarray) -> np.
 # Iterative steady state for sizes beyond the dense limit
 # ---------------------------------------------------------------------------
 
-def sparse_steady_state(model: OpenSystemModel, tol: float = 1e-8,
-                        max_iter: int = 20000) -> np.ndarray:
+def sparse_steady_state(model: OpenSystemModel, tol: float = 1e-8) -> np.ndarray:
     """Steady state without materializing the superoperator (n <= 10).
 
-    Minimizes ||L[rho]||_F over the trace-one affine slice by conjugate
-    gradients on the normal equations. L and L^dag are applied from the
-    model's compiled Pauli table as weighted bit-flip views of rho, so a
-    CG step costs O(terms * 4^n) and no dense K or J_n is formed.
-    Intended for models with a unique steady state; for degenerate
-    steady spaces it returns one valid steady state.
+    Runs the solver's LSQR (``sdp._lsqr``) on the model's constraint
+    operator A(x) = (L(x), Tr x) from x0 = I/d. LSQR starts from dx = 0, so
+    x0 + dx is the trace-one steady state nearest I/d in Frobenius norm:
+    the unique one when the steady space has dimension 1, otherwise
+    sum_k Tr(B_k) B_k / sum_k Tr(B_k)^2 over an orthonormal null basis
+    {B_k}. L and L^dag are applied from the model's compiled Pauli table as
+    weighted bit-flip views, so a step costs O(terms * 4^n) and no dense K
+    or J_n is formed. Raises ConvergenceError, carrying LSQR's stop reason
+    and iteration count, when the true residual ||L rho|| exceeds tol.
     """
     n = model.n_qubits
     if n > SPARSE_LIMIT:
         raise DenseLimitError(f"sparse steady state supports n <= {SPARSE_LIMIT}")
-    dim = 2 ** n
-    gen = Lindbladian.from_model(model)
-    eye = np.eye(dim, dtype=complex)
-
-    def project_traceless(mat):
-        return mat - (np.trace(mat) / dim) * eye
-
-    def normal_op(mat):
-        return project_traceless(gen.adjoint(gen.apply(mat)))
-
-    x0 = eye / dim
-    rhs = -project_traceless(gen.adjoint(gen.apply(x0)))
-    y = np.zeros_like(x0)
-    r = rhs.copy()
-    p = r.copy()
-    rs = np.vdot(r, r).real
-    rhs_norm = np.sqrt(np.vdot(rhs, rhs).real)
-    if rhs_norm == 0.0:
-        return x0
-    for it in range(max_iter):
-        ap = normal_op(p)
-        alpha = rs / np.vdot(p, ap).real
-        y = y + alpha * p
-        r = r - alpha * ap
-        rs_new = np.vdot(r, r).real
-        if np.sqrt(rs_new) <= 1e-16 * rhs_norm:
-            break
-        if it % 25 == 24 and np.linalg.norm(gen.apply(x0 + y)) <= 0.5 * tol:
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    rho = hermitize(x0 + y)
+    system = _WhitenedSystem(Lindbladian.from_model(model), (), ())
+    x0 = system.eye / system.dim
+    g, tr, vals = system.apply(x0)
+    dx, _, iterations, stop = _lsqr(system, (-g, 1.0 - tr, -vals), 0.5 * tol,
+                                    SPARSE_MAX_ITER)
+    rho = hermitize(x0 + dx)
     rho = rho / np.trace(rho).real
-    residual = float(np.linalg.norm(gen.apply(rho)))
+    residual = float(np.linalg.norm(system.generator.apply(rho)))
     if residual > tol:
         raise ConvergenceError(
-            f"sparse steady state stalled at residual {residual:.3e} (tol {tol:.1e})",
-            residual=residual,
+            f"sparse steady state: true residual {residual:.3e} > tol {tol:.1e}; "
+            f"LSQR stop {stop!r} (converged | least-squares | budget) after "
+            f"{iterations} of {SPARSE_MAX_ITER} iterations",
+            residual=residual, stop_reason=stop, iterations=iterations,
         )
     return rho

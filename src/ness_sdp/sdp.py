@@ -162,7 +162,7 @@ class BetaMatrix:
 
 
 class _WhitenedSystem:
-    """Constraint data after the Gram metric has been mapped to identity."""
+    """Constraint operator A(x) = (G(x), Tr x, (Tr(x N_k))_k), G whitened or a model's own."""
 
     def __init__(self, generator: Lindbladian, extras, targets):
         self.generator = generator

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ness_sdp.models import OpenSystemModel
-from ness_sdp.pauli import PauliString, PauliSum
+from ness_sdp.pauli import PauliString, PauliSum, sigma_minus
 from ness_sdp.states import AnsatzSet, StateVector
 
 PAULI_1Q = {
@@ -93,6 +93,20 @@ def random_model(rng, n: int, n_diss: int = 2) -> OpenSystemModel:
     )
     return OpenSystemModel(n_qubits=n, hamiltonian=ham, dissipators=dissipators,
                            label="random")
+
+
+def shared_mask_model(rng, n: int) -> OpenSystemModel:
+    """Words sharing one flip mask: X1 with Y1 Z2 in a non-Hermitian jump,
+    X and Y in sigma_- on the last site, X..X with Y..Y in H; plus a random
+    non-Hermitian three-word jump."""
+    ham = (PauliSum([(0.7, "X" * n), (0.4, "Y" * n), (-0.3, "Z" + "I" * (n - 1))])
+           + random_pauli_sum(rng, n, n_terms=3, hermitian=True))
+    shared = PauliSum([(1.0, "X" + "I" * (n - 1)),
+                       (0.4j, ("YZ" + "I" * (n - 2)) if n > 1 else "Y"),
+                       (0.2 - 0.1j, "I" * (n - 1) + "Z")])
+    return OpenSystemModel(n, ham, ((0.8, shared), (0.5, sigma_minus(n, n)),
+                                    (1.1, random_pauli_sum(rng, n, n_terms=3))),
+                           label="shared-mask")
 
 
 def random_state(rng, n: int) -> StateVector:

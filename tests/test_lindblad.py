@@ -12,7 +12,7 @@ from conftest import (
     dense_lindblad_adjoint,
     random_ansatz,
     random_model,
-    random_pauli_sum,
+    shared_mask_model,
 )
 import ness_sdp
 from ness_sdp import oracle
@@ -25,7 +25,6 @@ from ness_sdp.models import (
     xxz_dephasing,
 )
 from ness_sdp.overlaps import assemble
-from ness_sdp.pauli import PauliSum, sigma_minus
 
 
 def random_matrix(rng, dim):
@@ -87,20 +86,6 @@ class TestModelGenerator:
                               ((-0.5, model.jumps[0]),) + model.dissipators[1:])
         with pytest.raises(ConfigError):
             Lindbladian.from_model(bad)
-
-
-def shared_mask_model(rng, n):
-    """Words sharing one flip mask: X1 with Y1 Z2 in a non-Hermitian jump,
-    X and Y in sigma_- on the last site, X..X with Y..Y in H; plus a random
-    non-Hermitian three-word jump."""
-    ham = (PauliSum([(0.7, "X" * n), (0.4, "Y" * n), (-0.3, "Z" + "I" * (n - 1))])
-           + random_pauli_sum(rng, n, n_terms=3, hermitian=True))
-    shared = PauliSum([(1.0, "X" + "I" * (n - 1)),
-                       (0.4j, ("YZ" + "I" * (n - 2)) if n > 1 else "Y"),
-                       (0.2 - 0.1j, "I" * (n - 1) + "Z")])
-    return OpenSystemModel(n, ham, ((0.8, shared), (0.5, sigma_minus(n, n)),
-                                    (1.1, random_pauli_sum(rng, n, n_terms=3))),
-                           label="shared-mask")
 
 
 class TestCompiledTable:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import dense_lindblad, random_density, random_model
+from conftest import dense_lindblad, random_density, random_model, shared_mask_model
 from ness_sdp import oracle
 from ness_sdp.cli import main
-from ness_sdp.errors import DegenerateSteadySpaceError, DenseLimitError
+from ness_sdp.errors import ConvergenceError, DegenerateSteadySpaceError, DenseLimitError
 from ness_sdp.lindblad import Lindbladian, _hermitian_matrix, _real_coordinates
 from ness_sdp.models import OpenSystemModel, tfim_chain, xxz_boundary_driven, xxz_dephasing
 from ness_sdp.pauli import PauliSum, sigma_minus
@@ -304,16 +304,19 @@ class TestTrueResidual:
 
 class TestSparseSteadyState:
     def test_agrees_with_dense_small(self, rng):
-        for n, g in ((3, 0.8), (4, 0.4), (5, 0.6)):
-            model = tfim_chain(n, g)
+        # The shared-mask models are non-unital (a sigma_- jump and a
+        # three-word non-Hermitian jump), so I/d is far from steady.
+        models = ([tfim_chain(n, g) for n, g in ((3, 0.8), (4, 0.4), (5, 0.6))]
+                  + [shared_mask_model(rng, n) for n in (2, 3, 4, 5)])
+        for model in models:
             sparse = oracle.sparse_steady_state(model, tol=1e-9)
             dense = oracle.exact_ness(model)
             assert oracle.fidelity(sparse, dense) >= 1.0 - 1e-8
 
     def test_boundary_driven_matches_dense_null_space(self):
         # The magnetization symmetry is strong, so the steady space is
-        # degenerate (exact_ness raises). CG on the normal equations from
-        # I/d returns the trace-one steady state nearest I/d, which in the
+        # degenerate (exact_ness raises). The least-norm LSQR correction
+        # from I/d gives the trace-one steady state nearest I/d, which in the
         # orthonormal dense null basis {B_k} is sum_k Tr(B_k) B_k / sum_k Tr(B_k)^2.
         model = xxz_boundary_driven(4, 1.0, 1.0, 0.5)
         basis = oracle.steady_states(model)
@@ -333,6 +336,24 @@ class TestSparseSteadyState:
     def test_size_limit(self):
         with pytest.raises(DenseLimitError):
             oracle.sparse_steady_state(tfim_chain(11, 0.1))
+
+    def test_budget_failure_explains_itself(self, monkeypatch, runner, tmp_path):
+        monkeypatch.setattr(oracle, "SPARSE_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError) as info:
+            oracle.sparse_steady_state(tfim_chain(6, 0.5))
+        err = info.value
+        assert (err.stop_reason, err.iterations) == ("budget", 2)
+        assert err.residual > 1e-8
+        assert "'budget'" in str(err) and "least-squares" in str(err)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"builder": "tfim_chain", "params": {"n": 6, "g": 0.5}},
+            "overlap_table": {"g_values": [0.5]},
+        }))
+        result = runner.invoke(main, ["oracle", "--config", str(cfg), "--dense-limit", "5",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 5, result.output
+        assert "'budget'" in result.output
 
 
 def test_dominant_eigenstate():
