@@ -46,11 +46,29 @@ def _sqrt_rates(rates) -> np.ndarray:
     return np.sqrt(np.asarray(rates, dtype=float))
 
 
+def _support(mask: np.ndarray):
+    """Positions where ``mask`` holds: a full slice, which indexes by view, when it holds everywhere."""
+    idx = np.flatnonzero(mask)
+    return slice(None) if len(idx) == len(mask) else idx
+
+
+def _square(idx) -> tuple:
+    """Index of the square block [idx, idx] of a matrix."""
+    return (idx, idx) if isinstance(idx, slice) else np.ix_(idx, idx)
+
+
 class Lindbladian:
     """G and its adjoint as short sequences of dense matrix products.
 
-    Holds K, K^dag, every J_k and J_k^dag densely: 2(1 + k) matrices of
-    the basis dimension, plus the metric when it is not the identity.
+    Holds K and K^dag densely, plus the metric when it is not the
+    identity. Each J_k is kept densely in ``jumps`` (for ``superoperator``
+    and ``compress``) and, for ``apply`` and ``adjoint``, as its block B_k
+    on the rows r and columns c where it has a nonzero entry, so that
+    J_k x J_k^dag is B_k x[c, c] B_k^dag added into [r, r]. The support
+    comes from exact zeros: on a basis-state ansatz the R_k are nonzero
+    only between the states a jump connects, and a product costs the
+    block's size, not the basis dimension. A jump with full support takes
+    the plain products, on views.
     This is the form of the coefficient-basis generators (``from_overlaps``,
     ``compress``); ``from_model`` returns a ``PauliLindbladian``.
     """
@@ -59,8 +77,13 @@ class Lindbladian:
         self.k = np.asarray(k, dtype=complex)
         self.k_dag = self.k.conj().T
         self.jumps = [np.asarray(j, dtype=complex) for j in jumps]
-        self.jumps_dag = [j.conj().T for j in self.jumps]
         self.metric = metric
+        self._blocks = []  # (row block, column block, B_k, B_k^dag) per jump
+        for j in self.jumps:
+            nonzero = j != 0
+            rows, cols = _support(nonzero.any(axis=1)), _support(nonzero.any(axis=0))
+            block = j[rows][:, cols]
+            self._blocks.append((_square(rows), _square(cols), block, block.conj().T))
 
     @staticmethod
     def from_model(model) -> "PauliLindbladian":
@@ -85,8 +108,8 @@ class Lindbladian:
         if self.metric is not None:
             kx, xk = kx @ self.metric, self.metric @ xk
         out = -1j * (kx - xk)
-        for j, j_dag in zip(self.jumps, self.jumps_dag):
-            out += j @ x @ j_dag
+        for rows, cols, b, b_dag in self._blocks:
+            out[rows] += b @ x[cols] @ b_dag
         return out
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -95,8 +118,8 @@ class Lindbladian:
         if self.metric is not None:
             ky, yk = ky @ self.metric, self.metric @ yk
         out = 1j * (ky - yk)
-        for j, j_dag in zip(self.jumps, self.jumps_dag):
-            out += j_dag @ y @ j
+        for rows, cols, b, b_dag in self._blocks:
+            out[cols] += b_dag @ y[rows] @ b
         return out
 
     def compress(self, w: np.ndarray) -> "Lindbladian":

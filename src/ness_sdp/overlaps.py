@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .lindblad import Lindbladian, hermitize
+from .lindblad import Lindbladian, _support, hermitize
 from .models import OpenSystemModel
 from .pauli import PauliSum
 from .states import AnsatzSet, apply_to_columns
@@ -62,21 +62,35 @@ class ObservableMatrix:
     matrix: np.ndarray
 
 
+def _support_rows(mat: np.ndarray):
+    """Rows of ``mat`` that hold a nonzero entry; a full slice (a view) when all do."""
+    return _support((mat != 0).any(axis=1))
+
+
 def assemble(model: OpenSystemModel, ansatz: AnsatzSet) -> OverlapSet:
-    """Exact overlap matrices for a model/ansatz pair."""
+    """Exact overlap matrices for a model/ansatz pair.
+
+    Every S^dag X sums over the rows where S has a nonzero, and
+    F_n = X_n^dag X_n over the rows where X_n = A_n S has one: a basis-state
+    ansatz pays for its support, not for 2^n. With a single nonzero per
+    column the sums have one term, so they are exact in any order.
+    """
     if model.n_qubits != ansatz.n_qubits:
         raise DimensionMismatchError(
             f"model on {model.n_qubits} qubits, ansatz on {ansatz.n_qubits}"
         )
     s = ansatz.states_matrix()
-    sdag = s.conj().T
-    gram = hermitize(sdag @ s)
-    ham = hermitize(sdag @ apply_to_columns(model.hamiltonian, s))
+    rows = _support_rows(s)
+    sdag = s[rows].conj().T
+    gram = hermitize(sdag @ s[rows])
+    ham = hermitize(sdag @ apply_to_columns(model.hamiltonian, s)[rows])
     r_mats = []
     f_mats = []
     for _, jump in model.dissipators:
-        r_mats.append(sdag @ apply_to_columns(jump, s))
-        f_mats.append(hermitize(sdag @ apply_to_columns(jump.dagger() * jump, s)))
+        x_n = apply_to_columns(jump, s)
+        r_mats.append(sdag @ x_n[rows])
+        x_n = x_n[_support_rows(x_n)]
+        f_mats.append(hermitize(x_n.conj().T @ x_n))
     return OverlapSet(
         E=gram,
         D=ham,
@@ -94,7 +108,8 @@ def observable_matrix(obs: PauliSum, ansatz: AnsatzSet, name: str = "") -> Obser
             f"observable on {obs.n_qubits} qubits, ansatz on {ansatz.n_qubits}"
         )
     s = ansatz.states_matrix()
-    mat = s.conj().T @ apply_to_columns(obs, s)
+    rows = _support_rows(s)
+    mat = s[rows].conj().T @ apply_to_columns(obs, s)[rows]
     if obs.is_hermitian():
         mat = hermitize(mat)
     return ObservableMatrix(name=name, matrix=mat)

@@ -177,9 +177,10 @@ class _WhitenedSystem:
         return self.generator.apply(x), np.trace(x).real, vals
 
     def adjoint(self, y: np.ndarray, t: float, vals: np.ndarray) -> np.ndarray:
-        out = self.generator.adjoint(y) + t * self.eye
+        out = self.generator.adjoint(y)
+        out.flat[::self.dim + 1] += t
         for v, nmat in zip(vals, self.extras):
-            out = out + v * nmat
+            out += v * nmat
         return out
 
     def norm(self, y: np.ndarray, t: float, vals: np.ndarray) -> float:

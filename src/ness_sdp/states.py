@@ -112,10 +112,11 @@ def matrix_element(bra: StateVector, op: PauliSum, ket: StateVector) -> complex:
 
 def _canonical_phase(amps: np.ndarray) -> np.ndarray:
     """Rescale so the first non-negligible amplitude is real positive."""
-    for a in amps:
-        if abs(a) > _PHASE_EPS:
-            return amps * (a.conjugate() / abs(a))
-    return amps
+    above = np.flatnonzero(np.abs(amps) > _PHASE_EPS)
+    if len(above) == 0:
+        return amps
+    a = amps[above[0]]
+    return amps * (a.conjugate() / abs(a))
 
 
 @dataclass(frozen=True)

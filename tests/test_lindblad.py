@@ -11,6 +11,7 @@ from conftest import (
     dense_lindblad,
     dense_lindblad_adjoint,
     random_ansatz,
+    random_hermitian,
     random_model,
     shared_mask_model,
 )
@@ -144,6 +145,53 @@ class TestCompiledTable:
             jumps.append(np.sqrt(rate) * a)
         dense = Lindbladian(k, jumps)
         assert np.array_equal(gen.superoperator(), dense.superoperator())
+
+
+class TestJumpSupport:
+    """Dense generators apply each jump on the rows and columns where it is nonzero."""
+
+    def test_partial_support_matches_numpy(self, rng):
+        dim = 6
+        k = random_matrix(rng, dim)
+        partial = random_matrix(rng, dim)
+        partial[[1, 4]] = 0          # zero rows
+        partial[:, [0, 2, 5]] = 0    # zero columns
+        jumps = [partial, random_matrix(rng, dim), np.zeros((dim, dim))]
+        gram = random_hermitian(rng, dim) + dim * np.eye(dim)
+        for metric in (None, gram):
+            gen = Lindbladian(k, jumps, metric=metric)
+            assert [b.shape for *_, b, _ in gen._blocks] == [(4, 3), (dim, dim), (0, 0)]
+            m = np.eye(dim) if metric is None else metric
+            x, y = random_matrix(rng, dim), random_matrix(rng, dim)
+            ref_apply = -1j * (k @ x @ m - m @ x @ k.conj().T)
+            ref_adjoint = 1j * (k.conj().T @ y @ m - m @ y @ k)
+            for j in jumps:
+                ref_apply += j @ x @ j.conj().T
+                ref_adjoint += j.conj().T @ y @ j
+            assert np.allclose(gen.apply(x), ref_apply, rtol=0, atol=1e-12)
+            assert np.allclose(gen.adjoint(y), ref_adjoint, rtol=0, atol=1e-12)
+            superop = -1j * (np.kron(m.T, k) - np.kron(k.conj(), m))
+            for j in jumps:
+                superop += np.kron(j.conj(), j)
+            assert np.array_equal(gen.superoperator(), superop)
+            vec = superop @ x.reshape(-1, order="F")
+            assert np.allclose(vec.reshape(dim, dim, order="F"), gen.apply(x),
+                               rtol=0, atol=1e-12)
+
+    def test_full_support_jump_takes_the_dense_products(self, rng):
+        dim = 5
+        k, j = random_matrix(rng, dim), random_matrix(rng, dim)
+        gen = Lindbladian(k, [j])
+        x = random_matrix(rng, dim)
+        ref_apply = -1j * (k @ x - x @ k.conj().T)
+        ref_apply += j @ x @ j.conj().T
+        ref_adjoint = 1j * (k.conj().T @ x - x @ k)
+        ref_adjoint += j.conj().T @ x @ j
+        assert np.array_equal(gen.apply(x), ref_apply)
+        assert np.array_equal(gen.adjoint(x), ref_adjoint)
+        ((rows, cols, block, _),) = gen._blocks
+        assert rows == cols == (slice(None), slice(None))
+        assert np.shares_memory(block, gen.jumps[0])
 
 
 class TestCompress:

@@ -7,17 +7,26 @@ from conftest import (
     random_ansatz,
     random_hermitian,
     random_model,
+    random_state,
 )
 from ness_sdp.errors import DimensionMismatchError
-from ness_sdp.models import magnetization, tfim_chain
+from ness_sdp.lindblad import hermitize
+from ness_sdp.models import magnetization, tfim_chain, xxz_boundary_driven
 from ness_sdp.overlaps import (
     add_shot_noise,
     assemble,
     expectation,
     observable_matrix,
 )
-from ness_sdp.pauli import PauliSum, single_site
-from ness_sdp.states import AnsatzSet, basis_state, density_from_beta
+from ness_sdp.pauli import PauliSum, sigma_minus, single_site
+from ness_sdp.states import (
+    AnsatzSet,
+    apply_to_columns,
+    basis_state,
+    density_from_beta,
+    moment_states,
+)
+from ness_sdp.symmetry import sector_basis_ansatz
 
 
 def basis_ansatz(n, bitstrings):
@@ -63,6 +72,51 @@ class TestAssemble:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
             assemble(tfim_chain(2, 1.0), random_ansatz(rng, 3, 2))
+
+
+def full_row_overlaps(model, ans):
+    """E, D, R_n, F_n and the magnetization and sigma_-^(1) matrices, summed
+    over all 2^n rows, with F_n from A_n^dag A_n applied to the states."""
+    s = ans.states_matrix()
+    sdag = s.conj().T
+    mats = [hermitize(sdag @ s), hermitize(sdag @ apply_to_columns(model.hamiltonian, s))]
+    for _, jump in model.dissipators:
+        mats.append(sdag @ apply_to_columns(jump, s))
+        mats.append(hermitize(sdag @ apply_to_columns(jump.dagger() * jump, s)))
+    mats.append(hermitize(sdag @ apply_to_columns(magnetization(model.n_qubits), s)))
+    mats.append(sdag @ apply_to_columns(sigma_minus(model.n_qubits, 1), s))
+    return mats
+
+
+def overlaps_on_support(model, ans):
+    ovl = assemble(model, ans)
+    mats = [ovl.E, ovl.D]
+    for r_n, f_n in zip(ovl.R, ovl.F):
+        mats += [r_n, f_n]
+    n = model.n_qubits
+    return mats + [observable_matrix(magnetization(n), ans).matrix,
+                   observable_matrix(sigma_minus(n, 1), ans).matrix]
+
+
+class TestSupportRows:
+    """Basis-state ansatze contract over their support rows only, exactly."""
+
+    @pytest.mark.parametrize("model, ans", [
+        (xxz_boundary_driven(6, 1.0, 1.0, 0.5), sector_basis_ansatz(6, 0)),
+        (tfim_chain(6, 0.5), moment_states(tfim_chain(6, 0.5).hamiltonian,
+                                           basis_state(6, "111111"), 2)),
+    ])
+    def test_basis_state_ansatz_is_exact(self, model, ans):
+        for got, ref in zip(overlaps_on_support(model, ans), full_row_overlaps(model, ans),
+                            strict=True):
+            assert np.array_equal(got, ref)
+
+    def test_dense_seed_matches_to_rounding(self, rng):
+        model = random_model(rng, 4)
+        ans = moment_states(model.hamiltonian, random_state(rng, 4), 2)
+        for got, ref in zip(overlaps_on_support(model, ans), full_row_overlaps(model, ans),
+                            strict=True):
+            assert np.allclose(got, ref, rtol=0, atol=1e-12)
 
 
 class TestObservableMatrix:

@@ -9,6 +9,7 @@ from ness_sdp.pauli import PauliSum, sigma_minus
 from ness_sdp.states import (
     AnsatzSet,
     StateVector,
+    _canonical_phase,
     apply_pauli_sum,
     apply_to_columns,
     basis_state,
@@ -147,6 +148,18 @@ class TestMomentStates:
     def test_empty_hamiltonian_keeps_seed(self):
         ans = moment_states(PauliSum.zero(2), basis_state(2, "01"), 3)
         assert ans.size == 1
+
+
+class TestCanonicalPhase:
+    def test_first_amplitude_above_epsilon_is_made_real_positive(self):
+        amps = np.array([1e-10j, 0.0, -0.6j, 0.8])   # the leading one is below _PHASE_EPS
+        out = _canonical_phase(amps)
+        assert np.array_equal(out, amps * (0.6j / 0.6))
+        assert out[2] == 0.6
+
+    def test_all_below_epsilon_is_returned_unchanged(self):
+        amps = np.array([1e-10, -1e-11j, 0.0])
+        assert _canonical_phase(amps) is amps
 
 
 class TestMomentStatesRandom:
