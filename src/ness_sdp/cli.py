@@ -241,10 +241,35 @@ def _oracle_section(model, rho_fit, cfg, dense_limit):
     }
 
 
+def _dump_json(obj, fh):
+    """``json.dump(obj, fh, default=float)``, byte for byte, through the C encoder.
+
+    ``json.dump`` runs the pure-Python encoder, and ``json.dumps`` of a whole
+    report holds the whole string. This walks dicts, and lists that hold
+    containers, and writes every other value with ``json.dumps``.
+    """
+    if isinstance(obj, dict) and obj:
+        sep = "{"
+        for key, value in obj.items():
+            fh.write(f"{sep}{json.dumps(key if isinstance(key, str) else json.dumps(key))}: ")
+            _dump_json(value, fh)
+            sep = ", "
+        fh.write("}")
+    elif isinstance(obj, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in obj):
+        sep = "["
+        for value in obj:
+            fh.write(sep)
+            _dump_json(value, fh)
+            sep = ", "
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj, default=float))
+
+
 def _write_json(path: Path, obj: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, default=float)
+        _dump_json(obj, fh)
     click.echo(str(path))
 
 

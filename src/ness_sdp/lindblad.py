@@ -13,6 +13,19 @@ M = I this is the usual L[rho] = -i[H, rho]
 Vectorization is column-stacking: vec(x) = x.reshape(-1, order="F"),
 so vec(B x C) = (C^T kron B) vec(x).
 
+G maps Hermitian matrices to Hermitian matrices, and the solver applies
+the coefficient-basis generators (``Lindbladian``: ``from_overlaps``,
+``compress``) to nothing else. For Hermitian x, M x K^dag = (K x M)^dag,
+so with
+
+    H = -i K x M + 1/2 sum_k J_k x J_k^dag,    G(x) = H + H^dag,
+
+an apply takes one product with K and one with M, and the mirrored half
+H^dag makes G(x) Hermitian bit for bit (entry (j, i) is the conjugate of
+entry (i, j)). The jump term goes into H before the mirror: formed by two
+products, J_k x J_k^dag is Hermitian only up to rounding. The adjoint is
+G^dag(y) = H' + H'^dag with H' = i K^dag y M + 1/2 sum_k J_k^dag y J_k.
+
 In the computational basis (``from_model``) G is never applied through
 dense products. K and J_k are Pauli sums, and a Pauli word maps |b> to a
 phase times |b ^ mask>, so
@@ -35,8 +48,8 @@ from .errors import ConfigError
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Hermitian part (mat + mat^dag) / 2."""
-    return (mat + mat.conj().T) / 2
+    """Hermitian part (mat + mat^dag) / 2; entry (j, i) is the exact conjugate of (i, j)."""
+    return (mat + mat.conj().T) * 0.5  # exact, and cheaper than a complex division by 2
 
 
 def _sqrt_rates(rates) -> np.ndarray:
@@ -52,19 +65,39 @@ def _support(mask: np.ndarray):
     return slice(None) if len(idx) == len(mask) else idx
 
 
-def _square(idx) -> tuple:
-    """Index of the square block [idx, idx] of a matrix."""
-    return (idx, idx) if isinstance(idx, slice) else np.ix_(idx, idx)
+def _square(idx, dim: int):
+    """Flat positions of the square block [idx, idx] of a dim x dim matrix; None for all of it."""
+    return None if isinstance(idx, slice) else idx[:, None] * dim + idx
+
+
+def _block(mat: np.ndarray, square) -> np.ndarray:
+    """The block of ``mat`` at ``square`` (from ``_square``): mat itself, or a gather."""
+    return mat if square is None else mat.take(square)
+
+
+def _add_block(mat: np.ndarray, square, block: np.ndarray):
+    """Add ``block`` into ``mat`` at ``square``, in place (mat is C-contiguous)."""
+    if square is None:
+        mat += block
+    else:
+        mat.reshape(-1)[square] += block
 
 
 class Lindbladian:
     """G and its adjoint as short sequences of dense matrix products.
 
+    ``apply`` and ``adjoint`` take Hermitian matrices only, and return
+    exactly Hermitian ones: they form the half H of G(x) = H + H^dag (see
+    the module docstring), with one product by K and one by the metric.
+    ``superoperator`` and the ``PauliLindbladian`` subclass accept any
+    matrix.
+
     Holds K and K^dag densely, plus the metric when it is not the
     identity. Each J_k is kept densely in ``jumps`` (for ``superoperator``
     and ``compress``) and, for ``apply`` and ``adjoint``, as its block B_k
     on the rows r and columns c where it has a nonzero entry, so that
-    J_k x J_k^dag is B_k x[c, c] B_k^dag added into [r, r]. The support
+    J_k x J_k^dag is B_k x[c, c] B_k^dag added into H[r, r], both blocks
+    reached through their flat positions. The support
     comes from exact zeros: on a basis-state ansatz the R_k are nonzero
     only between the states a jump connects, and a product costs the
     block's size, not the basis dimension. A jump with full support takes
@@ -83,7 +116,8 @@ class Lindbladian:
             nonzero = j != 0
             rows, cols = _support(nonzero.any(axis=1)), _support(nonzero.any(axis=0))
             block = j[rows][:, cols]
-            self._blocks.append((_square(rows), _square(cols), block, block.conj().T))
+            self._blocks.append((_square(rows, self.dim), _square(cols, self.dim),
+                                 block, block.conj().T))
 
     @staticmethod
     def from_model(model) -> "PauliLindbladian":
@@ -104,23 +138,28 @@ class Lindbladian:
         return self.k.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        kx, xk = self.k @ x, x @ self.k_dag
+        """G(x) = H + H^dag for Hermitian x, formed from 2H: halving 2H + 2H^dag is exact."""
+        h = self.k @ x
         if self.metric is not None:
-            kx, xk = kx @ self.metric, self.metric @ xk
-        out = -1j * (kx - xk)
+            h = h @ self.metric
+        h *= -2j
         for rows, cols, b, b_dag in self._blocks:
-            out[rows] += b @ x[cols] @ b_dag
-        return out
+            _add_block(h, rows, b @ _block(x, cols) @ b_dag)
+        return hermitize(h)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """G^dag under the Frobenius inner product: <G x, y> = <x, G^dag y>."""
-        ky, yk = self.k_dag @ y, y @ self.k
+        """G^dag(y) = H' + H'^dag for Hermitian y, formed from 2H'.
+
+        The adjoint under the real inner product Re Tr(x^dag y) on Hermitian
+        matrices: <G x, y> = <x, G^dag y>.
+        """
+        h = self.k_dag @ y
         if self.metric is not None:
-            ky, yk = ky @ self.metric, self.metric @ yk
-        out = 1j * (ky - yk)
+            h = h @ self.metric
+        h *= 2j
         for rows, cols, b, b_dag in self._blocks:
-            out[cols] += b_dag @ y[rows] @ b
-        return out
+            _add_block(h, cols, b_dag @ _block(y, rows) @ b)
+        return hermitize(h)
 
     def compress(self, w: np.ndarray) -> "Lindbladian":
         """The generator x -> W^dag G(W x W^dag) W, for any W with W^dag M W = I."""

@@ -133,6 +133,9 @@ class BetaMatrix:
     subspace_residual is the Frobenius norm of the projected generator
     evaluated in the original (unwhitened) ansatz basis; psd_violation
     is the most negative eigenvalue of beta (>= 0 when beta is PSD).
+    iterations counts Dykstra or FISTA iterates; inner_iterations sums
+    the LSQR iterations of a feasibility solve's affine steps (0 in
+    least-squares mode, which runs no LSQR).
     """
 
     matrix: np.ndarray
@@ -146,6 +149,7 @@ class BetaMatrix:
     whitened_dim: int = 0
     objective: float | None = None
     stop_reason: str = "converged"
+    inner_iterations: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -153,6 +157,7 @@ class BetaMatrix:
             "psd_violation": self.psd_violation,
             "trace_error": self.trace_error,
             "iterations": self.iterations,
+            "inner_iterations": self.inner_iterations,
             "constraint_errors": list(self.constraint_errors),
             "mode": self.mode,
             "converged": self.converged,
@@ -251,7 +256,8 @@ def _lsqr(system: _WhitenedSystem, rhs: tuple, tol: float, max_iter: int):
         anorm_sq += alpha * alpha + beta * beta
         if beta > 0.0:
             u = tuple(part / beta for part in u)
-            v = system.adjoint(*u) - beta * v
+            v *= -beta
+            v += system.adjoint(*u)
             alpha = float(np.linalg.norm(v))
             if alpha > 0.0:
                 v /= alpha
@@ -260,7 +266,8 @@ def _lsqr(system: _WhitenedSystem, rhs: tuple, tol: float, max_iter: int):
         theta, rhobar = sn * alpha, -cs * alpha
         phi, phibar = cs * phibar, sn * phibar
         dx += (phi / rho) * w
-        w = v - (theta / rho) * w
+        w *= -(theta / rho)
+        w += v
         if phibar <= tol:
             return dx, phibar, it, "converged"
         if alpha * abs(cs) <= LSQR_ATOL * np.sqrt(anorm_sq):
@@ -284,11 +291,16 @@ def project_affine(x: np.ndarray, system: _WhitenedSystem, tol: float, max_iter:
 
 
 def residuals(problem: FeasibilityProblem, beta: np.ndarray) -> dict:
-    """Original-basis diagnostics for any candidate beta (solver-independent)."""
+    """Original-basis diagnostics for any candidate beta (solver-independent).
+
+    The generator residual and the spectrum are those of the Hermitian part
+    of beta; hermiticity_error measures what that leaves out.
+    """
     beta = np.asarray(beta, dtype=complex)
     ovl = problem.overlaps
-    gal = ovl.generator().apply(beta)
-    eigs = np.linalg.eigvalsh(hermitize(beta))
+    herm = hermitize(beta)
+    gal = ovl.generator().apply(herm)
+    eigs = np.linalg.eigvalsh(herm)
     cons = tuple(
         float(abs(np.trace(beta @ obs.matrix) - target))
         for obs, target in problem.extra_constraints
@@ -307,12 +319,12 @@ def _initial_point(dim: int, options: SolverOptions) -> np.ndarray:
         return np.eye(dim, dtype=complex) / dim
     rng = np.random.default_rng(options.rng_seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    x = g @ g.conj().T
+    x = hermitize(g @ g.conj().T)  # the product is Hermitian only up to rounding
     return x / np.trace(x).real
 
 
 def _finalize(problem, system, w, x, iterations, mode, converged,
-              objective=None, stop_reason="converged") -> BetaMatrix:
+              objective=None, stop_reason="converged", inner_iterations=0) -> BetaMatrix:
     beta = hermitize(w @ x @ w.conj().T)
     diag = residuals(problem, beta)
     return BetaMatrix(
@@ -327,6 +339,7 @@ def _finalize(problem, system, w, x, iterations, mode, converged,
         whitened_dim=system.dim,
         objective=objective,
         stop_reason=stop_reason,
+        inner_iterations=inner_iterations,
     )
 
 
@@ -352,6 +365,7 @@ def solve_feasibility(problem: FeasibilityProblem) -> BetaMatrix:
     p = np.zeros((system.dim, system.dim), dtype=complex)
     best_res = np.inf
     window_best = np.inf
+    inner_iterations = 0
 
     def report(it, reason, **extra):
         return {"best_residual": best_res, "iterations": it, "tolerance": opts.feas_tol,
@@ -363,7 +377,8 @@ def solve_feasibility(problem: FeasibilityProblem) -> BetaMatrix:
                   float(np.max(np.abs(system.targets - vals), initial=0.0)))
         best_res = min(best_res, res)
         if res <= tol_w:
-            candidate = _finalize(problem, system, w, x, it, "feasibility", True)
+            candidate = _finalize(problem, system, w, x, it, "feasibility", True,
+                                  inner_iterations=inner_iterations)
             ok = (candidate.subspace_residual <= opts.feas_tol
                   and candidate.trace_error <= opts.feas_tol
                   and all(c <= opts.feas_tol for c in candidate.constraint_errors))
@@ -380,6 +395,7 @@ def solve_feasibility(problem: FeasibilityProblem) -> BetaMatrix:
             window_best = best_res
         y, info = project_affine(x, system, tol=max(opts.cg_tol_factor * tol_w, 1e-15),
                                  max_iter=opts.cg_max_iter)
+        inner_iterations += info["inner_iterations"]
         if info["stop_reason"] == "least-squares":
             # The recurrence's ||r|| is an estimate; certify with the true one.
             g, tr, vals = system.apply(y)

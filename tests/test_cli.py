@@ -1,10 +1,12 @@
 """Command-line driver: reports, exit codes, reproducibility."""
+import io
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ness_sdp.cli import main
+from ness_sdp.cli import _dump_json, main
 
 
 @pytest.fixture
@@ -35,6 +37,7 @@ class TestSolve:
         assert report["oracle"]["true_residual"] <= 1e-6
         assert report["diagnostics"]["mode"] == "feasibility"
         assert report["diagnostics"]["stop_reason"] == "converged"
+        assert report["diagnostics"]["inner_iterations"] > 0
         assert report["ansatz"]["seed_descriptor"] == "bits:11"
 
     def test_shots_switch_to_least_squares(self, runner, tmp_path):
@@ -47,6 +50,7 @@ class TestSolve:
         assert report["noisy_mode"] is True
         assert report["diagnostics"]["mode"] == "least-squares"
         assert report["diagnostics"]["stop_reason"] in ("grad-map", "stall")
+        assert report["diagnostics"]["inner_iterations"] == 0
         assert report["shots"] == 10 ** 6
 
     def test_missing_config_is_config_error(self, runner, tmp_path):
@@ -223,6 +227,7 @@ class TestSymmetryCmd:
         found = [s for s in report["sectors"] if not s["missing"]]
         assert len(found) == 2
         assert report["pairwise_trace_overlaps"][0][1] <= 1e-8
+        assert report["solver_diagnostics"]["inner_iterations"] > 0
         for s in found:
             assert s["residual"] <= 1e-7
         assert report["symmetry"] == "exchange-parity"
@@ -485,3 +490,23 @@ class TestMalformedConfigs:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert field in result.output
+
+
+def test_report_writer_matches_json_dump():
+    obj = {
+        "a": {"b": [], "c": {}, "d": [[1.5, -0.0], [np.float64(2.25), float("nan")]]},
+        "tuple": (1, (2.0, None), [True, False]),
+        "rows": [{"x": np.float64(1e-300), "y": [np.int64(3), np.bool_(True)]}, []],
+        "flat": [float("inf"), float("-inf"), "s\u00e9\"q"],
+        "none": None,
+        "empty": [],
+        "scalar": np.float64(0.1),
+        3: "int key",
+        1.5: "float key",
+        True: "bool key",
+        None: "none key",
+    }
+    expect, got = io.StringIO(), io.StringIO()
+    json.dump(obj, expect, default=float)
+    _dump_json(obj, got)
+    assert got.getvalue() == expect.getvalue()

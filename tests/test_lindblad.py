@@ -17,7 +17,7 @@ from conftest import (
 )
 import ness_sdp
 from ness_sdp import oracle
-from ness_sdp.lindblad import Lindbladian, PauliLindbladian
+from ness_sdp.lindblad import Lindbladian, PauliLindbladian, hermitize
 from ness_sdp.errors import ConfigError
 from ness_sdp.models import (
     OpenSystemModel,
@@ -52,7 +52,7 @@ class TestAdjoint:
             gen = ovl.generator()
             assert gen.metric is ovl.E
             for _ in range(3):
-                x, y = random_matrix(rng, 4), random_matrix(rng, 4)
+                x, y = random_hermitian(rng, 4), random_hermitian(rng, 4)
                 lhs = frobenius(gen.apply(x), y)
                 rhs = frobenius(x, gen.adjoint(y))
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -77,7 +77,7 @@ class TestModelGenerator:
     def test_superoperator_with_metric_matches_apply(self, rng):
         ovl = assemble(random_model(rng, 2), random_ansatz(rng, 2, 3))
         gen = ovl.generator()
-        x = random_matrix(rng, 3)
+        x = random_hermitian(rng, 3)
         vec = gen.superoperator() @ x.reshape(-1, order="F")
         assert np.allclose(vec.reshape(3, 3, order="F"), gen.apply(x), atol=1e-10)
 
@@ -162,7 +162,7 @@ class TestJumpSupport:
             gen = Lindbladian(k, jumps, metric=metric)
             assert [b.shape for *_, b, _ in gen._blocks] == [(4, 3), (dim, dim), (0, 0)]
             m = np.eye(dim) if metric is None else metric
-            x, y = random_matrix(rng, dim), random_matrix(rng, dim)
+            x, y = random_hermitian(rng, dim), random_hermitian(rng, dim)
             ref_apply = -1j * (k @ x @ m - m @ x @ k.conj().T)
             ref_adjoint = 1j * (k.conj().T @ y @ m - m @ y @ k)
             for j in jumps:
@@ -182,16 +182,40 @@ class TestJumpSupport:
         dim = 5
         k, j = random_matrix(rng, dim), random_matrix(rng, dim)
         gen = Lindbladian(k, [j])
-        x = random_matrix(rng, dim)
-        ref_apply = -1j * (k @ x - x @ k.conj().T)
+        x = random_hermitian(rng, dim)
+        ref_apply = -2j * (k @ x)
         ref_apply += j @ x @ j.conj().T
-        ref_adjoint = 1j * (k.conj().T @ x - x @ k)
+        ref_adjoint = 2j * (k.conj().T @ x)
         ref_adjoint += j.conj().T @ x @ j
-        assert np.array_equal(gen.apply(x), ref_apply)
-        assert np.array_equal(gen.adjoint(x), ref_adjoint)
+        assert np.array_equal(gen.apply(x), hermitize(ref_apply))
+        assert np.array_equal(gen.adjoint(x), hermitize(ref_adjoint))
         ((rows, cols, block, _),) = gen._blocks
-        assert rows == cols == (slice(None), slice(None))
+        assert rows is None and cols is None  # x and H themselves, no gather
         assert np.shares_memory(block, gen.jumps[0])
+
+
+class TestHermitianDomain:
+    """Coefficient-basis generators map Hermitian matrices to exactly Hermitian ones."""
+
+    def test_output_is_bitwise_hermitian(self, rng):
+        dim = 6
+        k = random_matrix(rng, dim)
+        partial = random_matrix(rng, dim)
+        partial[[1, 4]] = 0
+        partial[:, [0, 2, 5]] = 0
+        jumps = [partial, random_matrix(rng, dim)]
+        gram = random_hermitian(rng, dim) + dim * np.eye(dim)
+        ovl = assemble(random_model(rng, 3), random_ansatz(rng, 3, 5))
+        vals, vecs = np.linalg.eigh(ovl.E)
+        gens = [Lindbladian(k, jumps), Lindbladian(k, jumps, metric=gram),
+                ovl.generator(), ovl.generator().compress(vecs / np.sqrt(vals)),
+                Lindbladian.from_model(xxz_dephasing(3, 0.8)).compress(oracle.sector_basis(3, 1))]
+        assert [b.shape for *_, b, _ in gens[0]._blocks] == [(4, 3), (dim, dim)]
+        for gen in gens:
+            for _ in range(3):
+                x = random_hermitian(rng, gen.dim)
+                for out in (gen.apply(x), gen.adjoint(x)):
+                    assert np.array_equal(out, out.conj().T)
 
 
 class TestCompress:
@@ -202,7 +226,7 @@ class TestCompress:
         restricted = gen.compress(v)
         assert restricted.metric is None
         for _ in range(3):
-            x = random_matrix(rng, v.shape[1])
+            x = random_hermitian(rng, v.shape[1])
             expect = v.conj().T @ gen.apply(v @ x @ v.conj().T) @ v
             assert np.allclose(restricted.apply(x), expect, atol=1e-12)
 
@@ -211,7 +235,7 @@ class TestCompress:
         vals, vecs = np.linalg.eigh(ovl.E)
         w = vecs / np.sqrt(vals)
         gen = ovl.generator()
-        x = random_matrix(rng, 4)
+        x = random_hermitian(rng, 4)
         expect = w.conj().T @ gen.apply(w @ x @ w.conj().T) @ w
         assert np.allclose(gen.compress(w).apply(x), expect, atol=1e-9)
 

@@ -213,6 +213,35 @@ class TestSolveFeasibility:
         beta = solve_feasibility(FeasibilityProblem(overlaps=ovl, options=options))
         assert beta.subspace_residual <= options.feas_tol
 
+    def test_random_start_is_exactly_hermitian(self):
+        for dim, seed in ((3, 0), (8, 7), (17, 3)):
+            x = sdp._initial_point(dim, SolverOptions(initial="random", rng_seed=seed))
+            assert np.array_equal(x, x.conj().T)
+
+    def test_inner_iterations_sum_the_lsqr_solves(self, monkeypatch):
+        seen = []
+        lsqr = sdp._lsqr
+
+        def counted(*args, **kwargs):
+            out = lsqr(*args, **kwargs)
+            seen.append(out[2])
+            return out
+
+        monkeypatch.setattr(sdp, "_lsqr", counted)
+        # A magnetization of 2 mixes the m=1 and m=3 sectors: many Dykstra steps.
+        model = xxz_dephasing(3, 1.0)
+        full = basis_ansatz(3, [format(i, "03b") for i in range(8)])
+        con = sector_constraint(magnetization(3), 2.0, full)
+        beta = solve_feasibility(FeasibilityProblem(overlaps=assemble(model, full),
+                                                    extra_constraints=(con,)))
+        assert len(seen) > 1
+        assert beta.inner_iterations == sum(seen) > 0
+        assert beta.as_dict()["inner_iterations"] == beta.inner_iterations
+        seen.clear()
+        _, _, problem = tfim_problem(g=1.0, mode="least-squares")
+        assert solve_least_squares(problem).inner_iterations == 0
+        assert seen == []
+
     def test_nested_feasibility_by_padding(self):
         # A feasible beta for a sub-ansatz, zero padded, stays feasible for
         # the super-ansatz; checked by direct residual evaluation.
@@ -483,6 +512,17 @@ class TestLeastSquares:
         assert (abs(matrix_free.objective - with_matrix.objective)
                 <= 1e-9 * with_matrix.objective)
         assert abs(matrix_free.iterations - with_matrix.iterations) <= 0.05 * with_matrix.iterations
+
+
+def test_residuals_read_the_hermitian_part(rng):
+    _, _, problem = tfim_problem(g=0.7)
+    beta = random_hermitian(rng, problem.size)
+    skew = 1j * random_hermitian(rng, problem.size)
+    superop = problem.overlaps.generator().superoperator()
+    expect = np.linalg.norm(superop @ beta.reshape(-1, order="F"))
+    diag = residuals(problem, beta + skew)
+    assert abs(diag["subspace_residual"] - expect) <= 1e-12 * expect
+    assert diag["hermiticity_error"] > 0
 
 
 def test_whiten_roundtrip_constraint_satisfaction():
