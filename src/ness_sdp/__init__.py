@@ -36,8 +36,8 @@ from .sdp import (
     solve_least_squares,
     whiten,
 )
-from .states import AnsatzSet, StateVector, basis_state, density_from_beta, matrix_element
-from .states import apply_pauli_sum, moment_states, moment_states_random
+from .states import AnsatzSet, StateVector, basis_state, density_from_beta
+from .states import moment_states, moment_states_random
 from .symmetry import (
     RhoCombination,
     SymmetrySpec,

@@ -159,11 +159,8 @@ def _constraints(cfg: dict, ansatz: states.AnsatzSet,
 
 
 def _solver_options(cfg: dict) -> sdp.SolverOptions:
-    scfg = dict(_section(cfg, "solver"))
-    if cfg.get("shots") is not None and "mode" not in scfg:
-        scfg["mode"] = "least-squares"
     try:
-        return sdp.SolverOptions(**scfg)
+        return sdp.SolverOptions(**_section(cfg, "solver"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver options: {exc}")
 

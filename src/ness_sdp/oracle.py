@@ -106,16 +106,15 @@ class NessBasis:
         return elem / np.trace(elem).real
 
 
-def _hermitian_null_space(real: np.ndarray, dim: int,
-                          tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
+def _hermitian_null_space(real: np.ndarray, dim: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Singular values of a real-coordinate superoperator A, and its null
-    vectors (relative cutoff ``tol``) as orthonormal Hermitian matrices.
+    vectors (relative cutoff ``NULL_SPACE_RTOL``) as orthonormal Hermitian matrices.
 
     One ``eigh`` of A^T A splits off the near-null eigenvectors V_s
     (``GRAM_SPLIT``). Above the split the singular values are
     sqrt(lambda), accurate to ~1.1e-13 sigma_max. The SVD of the thin
     matrix A V_s gives the cluster's singular values, to which the cutoff
-    ``tol * sigma_max`` applies, and its right singular vectors, rotated
+    ``NULL_SPACE_RTOL * sigma_max`` applies, and its right singular vectors, rotated
     back by V_s, are the null vectors (||A v|| <= ~2.2e-13 sigma_max).
     """
     lam, vecs = np.linalg.eigh(real.T @ real)
@@ -123,7 +122,7 @@ def _hermitian_null_space(real: np.ndarray, dim: int,
     near = vecs[:, :split]
     _, cluster, wh = np.linalg.svd(real @ near, full_matrices=False)
     svals = np.concatenate([np.sqrt(lam[split:][::-1]), cluster])
-    null = wh[cluster <= tol * max(svals[0], 1e-300)] @ near.T
+    null = wh[cluster <= NULL_SPACE_RTOL * max(svals[0], 1e-300)] @ near.T
     return svals, list(_hermitian_matrix(null, dim))
 
 
@@ -186,26 +185,26 @@ def _align_basis(basis: list[np.ndarray], projector_sets) -> list[np.ndarray]:
     return basis
 
 
-def steady_states(model: OpenSystemModel, tol: float = NULL_SPACE_RTOL,
+def steady_states(model: OpenSystemModel,
                   dense_limit: int = DEFAULT_DENSE_LIMIT) -> NessBasis:
     """Null space of the dense Liouvillian as a Hermitian matrix basis.
 
     When the model declares symmetry generators, basis elements are
     split along the symmetry blocks so that per-sector steady states
     appear as individual (physical-flagged) elements. The result is
-    computed once per (model, tol, dense_limit) and its arrays are
+    computed once per (model, dense_limit) and its arrays are
     read-only.
     """
-    return _steady_states(model, tol, dense_limit)
+    return _steady_states(model, dense_limit)
 
 
 @functools.lru_cache(maxsize=_MEMO_MODELS)
-def _steady_states(model: OpenSystemModel, tol: float, dense_limit: int) -> NessBasis:
+def _steady_states(model: OpenSystemModel, dense_limit: int) -> NessBasis:
     dim = 2 ** model.n_qubits
     liou = build_liouvillian(model, dense_limit=dense_limit)
     real = _real_coordinates(liou, dim)
     del liou  # no complex 4^n x 4^n matrix stays alive through the eigh
-    svals, basis = _hermitian_null_space(real, dim, tol)
+    svals, basis = _hermitian_null_space(real, dim)
     basis = _align_basis(basis, _generator_projectors(model))
     for arr in (svals, *basis):
         arr.setflags(write=False)
@@ -296,7 +295,7 @@ def restricted_steady_state(model: OpenSystemModel, isometry: np.ndarray) -> np.
             raise ValueError(f"subspace is not invariant under {name} (leak {leak:.2e})")
     k = v.shape[1]
     real = _real_coordinates(gen.compress(v).superoperator(), k)
-    _, null = _hermitian_null_space(real, k, NULL_SPACE_RTOL)
+    _, null = _hermitian_null_space(real, k)
     if len(null) != 1:
         raise DegenerateSteadySpaceError(
             f"restricted steady space has dimension {len(null)}, expected 1"

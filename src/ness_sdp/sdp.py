@@ -27,7 +27,7 @@ why it stopped. It works in real Hermitian coordinates
 (``lindblad._real_coordinates``): G maps Hermitian matrices to Hermitian
 matrices, so on the L^2 real coordinates of x it is a real L^2 x L^2
 matrix A, and the extra constraints are real rows N. One residual
-r = A v per iterate gives both the objective ||r||^2 + pen ||N v - t||^2
+r = A v per iterate gives both the objective ||r||^2 + ||N v - t||^2
 and, extrapolated, the next gradient; the Hermitian matrix is formed
 only for the spectrahedron projection. A is built once per solve while
 L^2 <= REAL_MATRIX_MAX (L <= 24); above that the same loop applies G and
@@ -80,35 +80,40 @@ LSQR_ATOL = 1e-12
 # fell at most 3.2e-5 short of eigvalsh (a 30-step power estimate: 5.5%).
 LIPSCHITZ_MARGIN = 1.01
 
+# Whitening drops Gram eigenvalues at or below WHITEN_CUTOFF times the largest.
+WHITEN_CUTOFF = 1e-10
+
+# Budget of one affine step: LSQR stops at LSQR_TOL_FACTOR times the
+# whitened outer tolerance, or after LSQR_MAX_ITER iterations.
+LSQR_TOL_FACTOR = 0.02
+LSQR_MAX_ITER = 3000
+
+# A feasibility solve that has not cut its best residual by the fraction
+# STALL_IMPROVEMENT within STALL_WINDOW outer iterations stops as infeasible.
+STALL_WINDOW = 500
+STALL_IMPROVEMENT = 1e-3
+
+# The least-squares mode stops at a gradient map of LS_GRAD_TOL, or
+# unconverged after LS_MAX_ITER iterates.
+LS_MAX_ITER = 60000
+LS_GRAD_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     feas_tol: float = 1e-9
-    psd_tol: float = 1e-9
     max_iter: int = 10000
-    whiten_cutoff: float = 1e-10        # relative Gram eigenvalue cutoff
-    cg_tol_factor: float = 0.02         # LSQR tolerance as fraction of outer
-    cg_max_iter: int = 3000             # LSQR iteration budget per projection
-    stall_window: int = 500
-    stall_improvement: float = 1e-3     # required relative progress per window
     initial: str = "identity"           # "identity" or "random"
     rng_seed: int = 0
     mode: str = "auto"                  # "feasibility", "least-squares", "auto"
-    ls_max_iter: int = 60000
-    ls_grad_tol: float = 1e-10
-    ls_penalty: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
             if isinstance(value, bool) or not isinstance(value, _OPTION_TYPES[kind]):
                 raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
-        for name in ("feas_tol", "psd_tol", "whiten_cutoff", "cg_tol_factor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("ls_grad_tol", "ls_penalty"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.feas_tol <= 0:
+            raise ValueError("feas_tol must be > 0")
         if self.initial not in ("identity", "random"):
             raise ValueError(f"unknown initial point kind {self.initial!r}")
         if self.mode not in ("feasibility", "least-squares", "auto"):
@@ -200,12 +205,11 @@ def whiten(problem: FeasibilityProblem):
     on the retained subspace and beta = W x W^dag recovers a coefficient
     matrix in the original basis.
     """
-    opts = problem.options
     gram = hermitize(problem.overlaps.E)
     vals, vecs = np.linalg.eigh(gram)
     if vals[-1] <= 0:
         raise DegenerateAnsatzError("ansatz Gram matrix is numerically zero")
-    keep = vals > opts.whiten_cutoff * vals[-1]
+    keep = vals > WHITEN_CUTOFF * vals[-1]
     if not np.any(keep):
         raise DegenerateAnsatzError("no Gram eigenvalue above the whitening cutoff")
     w = vecs[:, keep] / np.sqrt(vals[keep])
@@ -385,16 +389,16 @@ def solve_feasibility(problem: FeasibilityProblem) -> BetaMatrix:
             if ok:
                 return candidate
             tol_w /= 10.0  # whitened tolerance too loose for the original basis
-        if it > 0 and it % opts.stall_window == 0:
-            if best_res > window_best * (1.0 - opts.stall_improvement):
+        if it > 0 and it % STALL_WINDOW == 0:
+            if best_res > window_best * (1.0 - STALL_IMPROVEMENT):
                 raise InfeasibleError(
                     f"feasibility residual stagnated at {best_res:.3e} "
                     f"(tol {opts.feas_tol:.1e}) after {it} iterations",
                     report=report(it, "stall"),
                 )
             window_best = best_res
-        y, info = project_affine(x, system, tol=max(opts.cg_tol_factor * tol_w, 1e-15),
-                                 max_iter=opts.cg_max_iter)
+        y, info = project_affine(x, system, tol=max(LSQR_TOL_FACTOR * tol_w, 1e-15),
+                                 max_iter=LSQR_MAX_ITER)
         inner_iterations += info["inner_iterations"]
         if info["stop_reason"] == "least-squares":
             # The recurrence's ||r|| is an estimate; certify with the true one.
@@ -455,10 +459,10 @@ def _least_squares_operator(system: _WhitenedSystem):
             lambda r: _real_vector(gen.adjoint(_hermitian_matrix(r, dim))), rows)
 
 
-def _descent_constant(forward, backward, rows, pen: float, dim: int, steps: int = 30) -> float:
-    """LIPSCHITZ_MARGIN times a Lanczos estimate of lambda_max(M), M = A^T A + pen N^T N.
+def _descent_constant(forward, backward, rows, dim: int, steps: int = 30) -> float:
+    """LIPSCHITZ_MARGIN times a Lanczos estimate of lambda_max(M), M = A^T A + N^T N.
 
-    f(v) = ||A v||^2 + pen ||N v - t||^2 has the Hessian 2 M, so its gradient
+    f(v) = ||A v||^2 + ||N v - t||^2 has the Hessian 2 M, so its gradient
     is Lipschitz with L_f = 2 lambda_max(M), and FISTA's step 1 / (2 lam) is
     safe for lam >= lambda_max(M). The largest Ritz value of ``steps``
     Lanczos steps is a lower bound on lambda_max(M) (Golub & Van Loan,
@@ -471,7 +475,7 @@ def _descent_constant(forward, backward, rows, pen: float, dim: int, steps: int 
     z_prev, beta = np.zeros_like(z), 0.0
     alphas, betas = [], []
     for _ in range(min(steps, z.size)):
-        u = backward(forward(z)) + pen * (rows.T @ (rows @ z)) - beta * z_prev
+        u = backward(forward(z)) + rows.T @ (rows @ z) - beta * z_prev
         alphas.append(float(z @ u))
         u -= alphas[-1] * z
         beta = float(np.linalg.norm(u))
@@ -497,13 +501,13 @@ def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
     iterate costs one forward and one backward product. The objective,
     the stall test and the returned beta belong to the projected iterate
     v; y can leave the spectrahedron. The solve stops when the gradient
-    map ||y - v_new|| / step is <= ls_grad_tol (``grad-map``), after 200
+    map ||y - v_new|| / step is <= LS_GRAD_TOL (``grad-map``), after 200
     iterates without a 1e-12 relative drop of the best objective
-    (``stall``), or after ls_max_iter iterates (``budget``, not converged).
+    (``stall``), or after LS_MAX_ITER iterates (``budget``, not converged).
     """
     opts = problem.options
     system, w = whiten(problem)
-    dim, pen = system.dim, opts.ls_penalty
+    dim = system.dim
     forward, backward, rows = _least_squares_operator(system)
 
     # Every step d = v_new - y obeys the descent bound d^T M d <= lam ||d||^2
@@ -511,22 +515,22 @@ def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
     # is checked exactly, and a step that breaks it raises lam to
     # LIPSCHITZ_MARGIN times its Rayleigh quotient d^T M d / ||d||^2 and is
     # taken again (Beck & Teboulle's backtracking).
-    lam = _descent_constant(forward, backward, rows, pen, dim)
+    lam = _descent_constant(forward, backward, rows, dim)
 
     def residual(v):
         r, e = forward(v), rows @ v - system.targets
-        return r, e, float(r @ r + pen * (e @ e))
+        return r, e, float(r @ r + e @ e)
 
     v = _real_vector(_project_spectrahedron(_initial_point(dim, opts)))
     r, e, obj = residual(v)
     v_prev, r_prev, e_prev = v, r, e
     t, best_obj, stall, stop, it = 1.0, obj, 0, "budget", 0
-    while stop == "budget" and it < opts.ls_max_iter:
+    while stop == "budget" and it < LS_MAX_ITER:
         it += 1
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         b = (t - 1.0) / t_next
         y, r_y, e_y = v + b * (v - v_prev), r + b * (r - r_prev), e + b * (e - e_prev)
-        grad = 2.0 * (backward(r_y) + pen * (rows.T @ e_y))
+        grad = 2.0 * (backward(r_y) + rows.T @ e_y)
         while True:
             v_new = _real_vector(_project_spectrahedron(
                 _hermitian_matrix(y - grad / (2.0 * lam), dim)))
@@ -534,8 +538,8 @@ def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
             d, dr, de = v_new - y, r_new - r_y, e_new - e_y
             d_sq = float(d @ d)
             grad_map = 2.0 * lam * np.sqrt(d_sq)
-            curv = float(dr @ dr + pen * (de @ de))
-            if curv <= lam * d_sq or grad_map <= opts.ls_grad_tol:
+            curv = float(dr @ dr + de @ de)
+            if curv <= lam * d_sq or grad_map <= LS_GRAD_TOL:
                 break
             lam = LIPSCHITZ_MARGIN * curv / d_sq
         # Restart the momentum when it points against the gradient-map step.
@@ -546,7 +550,7 @@ def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
             best_obj, stall = obj, 0
         else:
             stall += 1
-        if grad_map <= opts.ls_grad_tol:
+        if grad_map <= LS_GRAD_TOL:
             stop = "grad-map"
         elif stall >= 200:
             stop = "stall"

@@ -94,22 +94,6 @@ def basis_state(n_qubits: int, bits: str) -> StateVector:
     return StateVector.basis(n_qubits, bits)
 
 
-def apply_pauli_sum(op: PauliSum, state: StateVector) -> StateVector:
-    """Operator action; the result is generally unnormalized."""
-    if op.n_qubits != state.n_qubits:
-        raise DimensionMismatchError(
-            f"operator on {op.n_qubits} qubits applied to {state.n_qubits}-qubit state"
-        )
-    return StateVector(state.n_qubits, apply_to_columns(op, state.amplitudes[:, None])[:, 0])
-
-
-def matrix_element(bra: StateVector, op: PauliSum, ket: StateVector) -> complex:
-    """<bra| op |ket>."""
-    if bra.n_qubits != ket.n_qubits:
-        raise DimensionMismatchError("bra/ket qubit counts differ")
-    return complex(np.vdot(bra.amplitudes, apply_pauli_sum(op, ket).amplitudes))
-
-
 def _canonical_phase(amps: np.ndarray) -> np.ndarray:
     """Rescale so the first non-negligible amplitude is real positive."""
     above = np.flatnonzero(np.abs(amps) > _PHASE_EPS)
@@ -214,21 +198,7 @@ def moment_states(hamiltonian: PauliSum, seed: StateVector, order: int,
     each retained level-(j-1) state. Duplicates (up to global phase) are
     dropped, so the result size is at most 1 + r + ... + r^order.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    ops = [PauliSum([(1.0, s)]) for _, s in hamiltonian.terms]
-    kept = _Retained(seed)
-    frontier = [0]
-    for _ in range(order):
-        next_frontier = []
-        for src in frontier:
-            for i, op in enumerate(ops):
-                if kept.extend(src, op, i):
-                    next_frontier.append(len(kept) - 1)
-        if not next_frontier:
-            break
-        frontier = next_frontier
-    return kept.ansatz(seed_descriptor)
+    return _grow_levels(hamiltonian, seed, order, None, None, seed_descriptor)
 
 
 def moment_states_random(hamiltonian: PauliSum, seed: StateVector, order: int,
@@ -238,21 +208,27 @@ def moment_states_random(hamiltonian: PauliSum, seed: StateVector, order: int,
 
     Level j draws q (word, state) extensions uniformly without
     replacement from all extensions of the retained level-(j-1) states.
-    Deterministic for a fixed rng_seed.
+    Deterministic for a fixed rng_seed; with q at least the number of
+    extensions of every level it returns the states and words of
+    ``moment_states`` bit for bit.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    return _grow_levels(hamiltonian, seed, order, q, rng_seed, seed_descriptor)
+
+
+def _grow_levels(hamiltonian: PauliSum, seed: StateVector, order: int, q: int | None,
+                 rng_seed: int | None, seed_descriptor: str) -> AnsatzSet:
+    """The level loop of both generators; q=None keeps every extension."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    rng = np.random.default_rng(rng_seed)
+    rng = None if q is None else np.random.default_rng(rng_seed)
     ops = [PauliSum([(1.0, s)]) for _, s in hamiltonian.terms]
     kept = _Retained(seed)
     frontier = [0]
     for _ in range(order):
         pairs = [(src, i) for src in frontier for i in range(len(ops))]
-        if not pairs:
-            break
-        if len(pairs) > q:
+        if q is not None and len(pairs) > q:
             chosen = rng.choice(len(pairs), size=q, replace=False)
             pairs = [pairs[k] for k in sorted(chosen)]
         next_frontier = []

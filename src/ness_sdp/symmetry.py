@@ -163,12 +163,9 @@ def twirl_eliminate(rc: RhoCombination, spec: SymmetrySpec,
     return replace(rc, weights=weights)
 
 
-def twirl_eliminate_all(rc: RhoCombination, spec: SymmetrySpec,
-                        order: str = "lexicographic") -> RhoCombination:
-    """Eliminate every off-diagonal sector pair (default lexicographic order)."""
+def twirl_eliminate_all(rc: RhoCombination, spec: SymmetrySpec) -> RhoCombination:
+    """Eliminate every off-diagonal sector pair, in lexicographic order."""
     pairs = [(m, n) for m in range(spec.n_sectors) for n in range(spec.n_sectors) if m != n]
-    if order == "reverse":
-        pairs = pairs[::-1]
     # Pairs sharing an eigenvalue-phase difference are annihilated together;
     # re-processing such a pair is a harmless no-op on the zero component.
     seen_ratios: list[complex] = []

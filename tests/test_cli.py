@@ -435,6 +435,17 @@ class TestMalformedConfigs:
         assert result.exit_code == 2, result.output
         assert field in result.output
 
+    @pytest.mark.parametrize("key", ["psd_tol", "whiten_cutoff", "cg_tol_factor",
+                                     "cg_max_iter", "stall_window", "stall_improvement",
+                                     "ls_max_iter", "ls_grad_tol", "ls_penalty"])
+    def test_removed_solver_option(self, runner, tmp_path, key):
+        # Tolerances and budgets are sdp module constants, not config keys.
+        cfg = write_config(tmp_path / "cfg.json", dict(TFIM_CFG, solver={key: 1}))
+        result = runner.invoke(main, ["solve", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "bad solver options" in result.output and key in result.output
+
     @pytest.mark.parametrize("seed", ["sector-basis:1", "sector-basis:one"])
     def test_sector_basis_seed(self, runner, tmp_path, seed):
         # m = 1 is an empty sector for 2 qubits; "one" is not an integer.

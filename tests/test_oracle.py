@@ -171,7 +171,7 @@ class TestGramNullSpace:
         for model in models:
             dim = 2 ** model.n_qubits
             real, ref_svals, ref_null = svd_reference(model)
-            svals, null = oracle._hermitian_null_space(real, dim, oracle.NULL_SPACE_RTOL)
+            svals, null = oracle._hermitian_null_space(real, dim)
             assert np.abs(svals - ref_svals).max() <= 1e-12 * ref_svals[0]
             assert len(null) == len(ref_null) == oracle.steady_states(model).dimension
             assert np.abs(null_projector(null, dim)
@@ -202,7 +202,7 @@ class TestGramNullSpace:
 
     def test_full_rank_matrix_has_no_null_vectors(self, rng):
         real = rng.normal(size=(16, 16))
-        svals, null = oracle._hermitian_null_space(real, 4, oracle.NULL_SPACE_RTOL)
+        svals, null = oracle._hermitian_null_space(real, 4)
         assert null == []
         ref = np.linalg.svd(real, compute_uv=False)
         assert np.abs(svals - ref).max() <= 1e-12 * ref[0]

@@ -1,6 +1,9 @@
 """Feasibility solver: whitening, projections, Dykstra loop, diagnostics."""
 import json
+import re
 import time
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,7 +167,7 @@ class TestSolveFeasibility:
             beta = solve_feasibility(problem)
             opts = problem.options
             assert np.linalg.norm(beta.matrix - beta.matrix.conj().T) <= 1e-12
-            assert beta.psd_violation >= -opts.psd_tol
+            assert beta.psd_violation >= -1e-9
             assert beta.trace_error <= opts.feas_tol
             assert beta.subspace_residual <= opts.feas_tol
 
@@ -193,11 +196,12 @@ class TestSolveFeasibility:
         with pytest.raises((InfeasibleError, IterationBudgetError)):
             solve_feasibility(problem)
 
-    def test_iteration_budget_reported(self):
+    def test_iteration_budget_reported(self, monkeypatch):
+        monkeypatch.setattr(sdp, "STALL_WINDOW", 1000)
         model = xxz_dephasing(3, 1.0)
         full = basis_ansatz(3, [format(i, "03b") for i in range(8)])
         con = sector_constraint(magnetization(3), 3.0, full)
-        options = SolverOptions(max_iter=3, stall_window=1000)
+        options = SolverOptions(max_iter=3)
         problem = FeasibilityProblem(overlaps=assemble(model, full),
                                      extra_constraints=(con,), options=options)
         with pytest.raises(IterationBudgetError) as excinfo:
@@ -314,7 +318,7 @@ def projected_gradient_reference(problem):
     iterations)."""
     opts = problem.options
     system, _ = whiten(problem)
-    dim, pen = system.dim, opts.ls_penalty
+    dim = system.dim
     forward, backward, rows = sdp._least_squares_operator(system)
     rng = np.random.default_rng(0)
     z = rng.normal(size=(dim, dim))
@@ -322,20 +326,20 @@ def projected_gradient_reference(problem):
     z /= np.linalg.norm(z)
     lam = 1.0
     for _ in range(30):
-        z_new = backward(forward(z)) + pen * (rows.T @ (rows @ z))
+        z_new = backward(forward(z)) + rows.T @ (rows @ z)
         lam = max(float(np.linalg.norm(z_new)), 1e-30)
         z = z_new / lam
     step = 1.0 / (2.0 * lam)
 
     def residual(v):
         r, e = forward(v), rows @ v - system.targets
-        return r, e, float(r @ r + pen * (e @ e))
+        return r, e, float(r @ r + e @ e)
 
     v = _real_vector(sdp._project_spectrahedron(sdp._initial_point(dim, opts)))
     r, e, obj = residual(v)
     best_obj, stall, it = obj, 0, 0
-    for it in range(opts.ls_max_iter):
-        grad = 2.0 * (backward(r) + pen * (rows.T @ e))
+    for it in range(sdp.LS_MAX_ITER):
+        grad = 2.0 * (backward(r) + rows.T @ e)
         v_new = _real_vector(sdp._project_spectrahedron(_hermitian_matrix(v - step * grad, dim)))
         grad_map = float(np.linalg.norm(v - v_new)) / step
         v = v_new
@@ -344,7 +348,7 @@ def projected_gradient_reference(problem):
             best_obj, stall = obj, 0
         else:
             stall += 1
-        if grad_map <= opts.ls_grad_tol or stall >= 200:
+        if grad_map <= sdp.LS_GRAD_TOL or stall >= 200:
             break
     return obj, it + 1
 
@@ -377,20 +381,18 @@ def noisy_tfim4_problem(shots, noise_seed):
 
 
 def exact_lambda_max(problem):
-    """lambda_max(A^T A + pen N^T N) from eigvalsh of the real matrix."""
+    """lambda_max(A^T A + N^T N) from eigvalsh of the real matrix."""
     system, _ = whiten(problem)
     forward, backward, rows = sdp._least_squares_operator(system)
     a = _real_coordinates(system.generator.superoperator(), system.dim)
-    pen = problem.options.ls_penalty
-    return float(np.linalg.eigvalsh(a.T @ a + pen * rows.T @ rows)[-1])
+    return float(np.linalg.eigvalsh(a.T @ a + rows.T @ rows)[-1])
 
 
 def initial_step(problem):
     """The step 1 / (2 lam) a least-squares solve of the problem starts from."""
     system, _ = whiten(problem)
     forward, backward, rows = sdp._least_squares_operator(system)
-    return 1.0 / (2.0 * sdp._descent_constant(forward, backward, rows,
-                                              problem.options.ls_penalty, system.dim))
+    return 1.0 / (2.0 * sdp._descent_constant(forward, backward, rows, system.dim))
 
 
 class TestAcceleratedLeastSquares:
@@ -428,11 +430,11 @@ class TestAcceleratedLeastSquares:
         assert beta.converged
         assert abs(beta.objective - expect.objective) <= 1e-9 * expect.objective
 
-    def test_budget_is_not_converged(self):
+    def test_budget_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(sdp, "LS_MAX_ITER", 3)
         _, _, problem = tfim_problem(g=1.0)
         noisy = add_shot_noise(problem.overlaps, 10 ** 6, rng_seed=0)
-        beta = solve_least_squares(FeasibilityProblem(
-            overlaps=noisy, options=SolverOptions(ls_max_iter=3)))
+        beta = solve_least_squares(FeasibilityProblem(overlaps=noisy))
         assert beta.iterations == 3
         assert beta.stop_reason == "budget"
         assert not beta.converged
@@ -540,14 +542,15 @@ def test_whiten_roundtrip_constraint_satisfaction():
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(feas_tol=0.0)
-    # Negative values would stop the step check on a zero step, or make the
-    # least-squares objective non-convex.
-    with pytest.raises(ValueError):
-        SolverOptions(ls_grad_tol=-1.0)
-    with pytest.raises(ValueError):
-        SolverOptions(ls_penalty=-1.0)
     with pytest.raises(ValueError):
         solve(FeasibilityProblem(
             overlaps=assemble(tfim_chain(2, 1.0),
                               basis_ansatz(2, ["00"])),
             options=SolverOptions(mode="bogus")))
+
+
+def test_readme_documents_every_solver_option():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (line,) = [ln for ln in readme.splitlines() if ln.lstrip().startswith('"solver":')]
+    documented = set(re.findall(r'"(\w+)":', line.split(":", 1)[1]))
+    assert documented == {f.name for f in fields(SolverOptions)}
