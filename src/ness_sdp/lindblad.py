@@ -26,16 +26,17 @@ entry (i, j)). The jump term goes into H before the mirror: formed by two
 products, J_k x J_k^dag is Hermitian only up to rounding. The adjoint is
 G^dag(y) = H' + H'^dag with H' = i K^dag y M + 1/2 sum_k J_k^dag y J_k.
 
-In the computational basis (``from_model``) G is never applied through
-dense products. K and J_k are Pauli sums, and a Pauli word maps |b> to a
-phase times |b ^ mask>, so
+In the computational basis (``PauliLindbladian``) no dense K or J_k is
+ever formed. K and J_k are Pauli sums, and a Pauli word maps |b> to a phase
+times |b ^ mask>, so
 
     G(x)[a, b] = sum_t W_t[a, b] x[a ^ p_t, b ^ q_t]
 
 over a table of terms t, one per distinct pair of bit-flip masks
 (p_t, q_t). With x viewed as a (2,)*2n tensor, x[a ^ p, b ^ q] is
 ``np.flip`` over the qubit axes set in p and q, a view. The adjoint reads
-the same table: G^dag(y) = sum_t flip(conj(W_t) y).
+the same table, G^dag(y) = sum_t flip(conj(W_t) y), and so does the dense
+superoperator, into which each term scatters one entry per row.
 """
 from __future__ import annotations
 
@@ -45,6 +46,7 @@ import itertools
 import numpy as np
 
 from .errors import ConfigError
+from .states import apply_to_columns
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -89,8 +91,7 @@ class Lindbladian:
     ``apply`` and ``adjoint`` take Hermitian matrices only, and return
     exactly Hermitian ones: they form the half H of G(x) = H + H^dag (see
     the module docstring), with one product by K and one by the metric.
-    ``superoperator`` and the ``PauliLindbladian`` subclass accept any
-    matrix.
+    ``superoperator`` accepts any matrix.
 
     Holds K and K^dag densely, plus the metric when it is not the
     identity. Each J_k is kept densely in ``jumps`` (for ``superoperator``
@@ -103,7 +104,7 @@ class Lindbladian:
     block's size, not the basis dimension. A jump with full support takes
     the plain products, on views.
     This is the form of the coefficient-basis generators (``from_overlaps``,
-    ``compress``); ``from_model`` returns a ``PauliLindbladian``.
+    ``compress``); a model's own generator is a ``PauliLindbladian``.
     """
 
     def __init__(self, k: np.ndarray, jumps, metric: np.ndarray | None = None):
@@ -118,11 +119,6 @@ class Lindbladian:
             block = j[rows][:, cols]
             self._blocks.append((_square(rows, self.dim), _square(cols, self.dim),
                                  block, block.conj().T))
-
-    @staticmethod
-    def from_model(model) -> "PauliLindbladian":
-        """Computational-basis generator of a model, applied from Pauli tables."""
-        return PauliLindbladian(model)
 
     @classmethod
     def from_overlaps(cls, overlaps) -> "Lindbladian":
@@ -193,20 +189,22 @@ def _vec_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _real_coordinates(superop: np.ndarray, dim: int) -> np.ndarray:
-    """V^dag L V of a column-stacking superoperator L.
+def _real_coordinates(rows_of, dim: int) -> np.ndarray:
+    """V^dag L V of a column-stacking superoperator L, read dim rows idx at a
+    time as ``rows_of(idx)``: ``m.__getitem__`` of a matrix, or a table's
+    ``PauliLindbladian.superoperator``, which never holds L whole.
 
     Real when L maps Hermitian matrices to Hermitian matrices. The
     columns of L V are then vec of Hermitian matrices, so V^dag needs only
     their diagonal rows (real parts) and upper-triangle rows (sqrt2 times
-    the real and the imaginary parts). Those rows are read dim at a time,
-    so the complex temporaries stay at a few dim^3 entries.
+    the real and the imaginary parts), and the complex temporaries stay at
+    a few dim^3 entries.
     """
     diag, upper, lower = _vec_indices(dim)
     needed = np.concatenate([diag, upper])
     out = np.empty((dim * dim, dim * dim))
     for start in range(0, len(needed), dim):
-        rows = superop[needed[start:start + dim]]
+        rows = rows_of(needed[start:start + dim])
         lv = np.concatenate([rows[:, diag],
                              np.sqrt(0.5) * (rows[:, upper] + rows[:, lower]),
                              1j * np.sqrt(0.5) * (rows[:, upper] - rows[:, lower])], axis=1)
@@ -251,25 +249,27 @@ def _weight_factors(pieces: list[tuple[np.ndarray, ...]], n: int) -> tuple[np.nd
                  for f in pieces[0])
 
 
-class PauliLindbladian(Lindbladian):
+class PauliLindbladian:
     """The computational-basis generator of a model, as one table of flip terms.
 
-    A term (axes, factors) stands for x -> W * flip(x, axes), with W the
-    product of its broadcast factors: a column u for a -i K x piece, a row
-    for an i x K^dag piece, a column times a row for a J_k x J_k^dag
-    piece. A mask pair reached by several pieces, such as the diagonal
-    pair (0, 0) of a K with a diagonal part, holds them merged in one full
-    2^n x 2^n weight. The dense K
-    and J_k that ``superoperator`` and ``compress`` need are expanded only
-    on first use, exactly as a dense generator would hold them.
+    K and the J_k are held as ``PauliSum``s (``k_op``, ``jump_ops``), and
+    every method reads them or their table. A term (axes, factors) stands
+    for x -> W * flip(x, axes), with W the product of its broadcast
+    factors: a column u for a -i K x piece, a row for an i x K^dag piece,
+    a column times a row for a J_k x J_k^dag piece. A mask pair reached by
+    several pieces, such as the diagonal pair (0, 0) of a K with a
+    diagonal part, holds them merged in one full 2^n x 2^n weight. Unlike
+    ``Lindbladian``, ``apply`` and ``adjoint`` accept any matrix.
     """
 
-    metric = None
-
     def __init__(self, model):
-        self.model = model
-        self.roots = _sqrt_rates(model.rates)
+        roots = _sqrt_rates(model.rates)
         self.n = model.n_qubits
+        k_op = model.hamiltonian
+        for rate, jump in model.dissipators:
+            k_op = k_op - (0.5j * rate) * (jump.dagger() * jump)
+        self.k_op = k_op
+        self.jump_ops = [root * jump for root, jump in zip(roots, model.jumps)]
         self._split: dict[int, list] = {}
 
     @property
@@ -279,39 +279,40 @@ class PauliLindbladian(Lindbladian):
     @functools.cached_property
     def terms(self) -> tuple[tuple[tuple[int, ...], tuple[np.ndarray, ...]], ...]:
         """(flip axes, weight factors) per distinct mask pair (p, q)."""
-        k_op = self.model.hamiltonian
-        for rate, jump in self.model.dissipators:
-            k_op = k_op - (0.5j * rate) * (jump.dagger() * jump)
         pieces: dict[tuple[int, int], list[tuple[np.ndarray, ...]]] = {}
-        for p, u in k_op.flip_weights():
+        for p, u in self.k_op.flip_weights():
             pieces.setdefault((p, 0), []).append((-1j * u[:, None],))
             pieces.setdefault((0, p), []).append((1j * u.conj()[None, :],))
-        for root, jump in zip(self.roots, self.model.jumps):
-            weights = (root * jump).flip_weights()
+        for jump in self.jump_ops:
+            weights = jump.flip_weights()
             for p, u in weights:
                 for q, v in weights:
                     pieces.setdefault((p, q), []).append((u[:, None], v.conj()[None, :]))
         return tuple((_flip_axes(p, q, self.n), _weight_factors(parts, self.n))
                      for (p, q), parts in pieces.items())
 
-    @functools.cached_property
-    def _dense(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        n = self.n
-        k = self.model.hamiltonian.to_dense(dense_limit=n)
-        jumps = []
-        for root, (rate, jump) in zip(self.roots, self.model.dissipators):
-            a = jump.to_dense(dense_limit=n)
-            k = k - 0.5j * rate * (a.conj().T @ a)
-            jumps.append(root * a)
-        return k, jumps
+    def superoperator(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``rows`` (all by default) of the column-stacking 4^n x 4^n matrix of G.
 
-    @property
-    def k(self) -> np.ndarray:
-        return self._dense[0]
+        Term t puts W_t[a, b] at row a + 2^n b and column (a ^ p_t) + 2^n (b ^ q_t),
+        that is out[pos, flip(pos, axes)] = W_t with pos the vec positions as (2,)*2n.
+        """
+        dim = self.dim
+        pos = np.arange(dim * dim).reshape(dim, dim).T.reshape((2,) * (2 * self.n))
+        rows = np.arange(dim * dim) if rows is None else np.asarray(rows)
+        at = np.unravel_index(rows % dim * dim + rows // dim, pos.shape)  # (a, b) of each row
+        out = np.zeros((len(rows), dim * dim), dtype=complex)
+        for axes, factors in self.terms:
+            weights = functools.reduce(np.multiply,
+                                       [np.broadcast_to(f, pos.shape)[at] for f in factors])
+            out[np.arange(len(rows)), np.flip(pos, axes)[at]] = weights
+        return out
 
-    @property
-    def jumps(self) -> list[np.ndarray]:
-        return self._dense[1]
+    def compress(self, w: np.ndarray) -> Lindbladian:
+        """The generator x -> W^dag G(W x W^dag) W, for any isometry W."""
+        w_dag = w.conj().T
+        return Lindbladian(w_dag @ apply_to_columns(self.k_op, w),
+                           [w_dag @ apply_to_columns(j, w) for j in self.jump_ops])
 
     def _row_blocks(self, lead: int) -> list:
         """The table split over the 2^lead values of the top ``lead`` row bits.

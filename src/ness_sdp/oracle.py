@@ -5,46 +5,44 @@ Every path uses the computational-basis generator of ``lindblad``,
     L[rho] = -i (K rho - rho K^dag) + sum_n J_n rho J_n^dag,
     K = H - (i/2) sum_n gamma_n A_n^dag A_n,    J_n = sqrt(gamma_n) A_n,
 
-with K and J_n expanded densely for the dense oracle. That oracle takes
-the null space of its column-stacking superoperator,
+as the model's compiled table of bit-flip terms (``lindblad.PauliLindbladian``).
+The dense oracle takes the null space of the column-stacking superoperator
 
     L = -i (I kron K - K^* kron I) + sum_n J_n^* kron J_n,
 
-in real Hermitian coordinates: L maps Hermitian matrices to Hermitian
-matrices, so in the orthonormal Hermitian basis
-V = {E_jj, (E_jk + E_kj)/sqrt2, i(E_jk - E_kj)/sqrt2} the matrix V^dag L V
-is real, with the singular values of L, and its real null vectors map
-back to Hermitian matrices that are already orthonormal. Its singular
-values and null vectors come from the symmetric eigenproblem of the Gram
-matrix A^T A of that real matrix A, plus an SVD of A on the small cluster
-of near-null eigenvectors only (``GRAM_SPLIT`` gives the split and its
-error bounds). No full SVD is taken, so no U and V^T pair is formed: at
-n=5 this takes about 0.26 s against 0.68 s for the full real SVD (one
-BLAS thread). ``steady_states`` memoizes the result per
-(model, tol, dense_limit), so repeated oracle calls on one model, such as
-the ``oracle-top`` seed and the oracle report of one sweep point, pay for
-one decomposition.
+scattered from the table a few rows at a time, in real Hermitian
+coordinates: L maps Hermitian matrices to Hermitian matrices, so in the
+orthonormal Hermitian basis V = {E_jj, (E_jk + E_kj)/sqrt2,
+i(E_jk - E_kj)/sqrt2} the matrix V^dag L V is real, with the singular
+values of L, and its real null vectors map back to Hermitian matrices
+that are already orthonormal. Its singular values and null vectors come
+from the symmetric eigenproblem of the Gram matrix A^T A of that real
+matrix A, plus an SVD of A on the small cluster of near-null eigenvectors
+only (``GRAM_SPLIT`` gives the split and its error bounds). No full SVD
+is taken, so no U and V^T pair is formed: at n=5 this takes about 0.26 s
+against 0.68 s for the full real SVD (one BLAS thread). ``steady_states``
+memoizes the result per (model, dense_limit), so repeated oracle calls on
+one model, such as the ``oracle-top`` seed and the oracle report of one
+sweep point, pay for one decomposition.
 
-The iterative path never materializes that 4^n x 4^n matrix, nor any
-dense K or J_n: it applies L and L^dag from the model's compiled table of
-bit-flip terms (``lindblad.PauliLindbladian``), one flipped view and one
-weighted sum per distinct pair of flip masks. It runs the solver's LSQR
-on A(x) = (L(x), Tr x) from I/d and returns the trace-one steady state
+The iterative path never materializes that 4^n x 4^n matrix: it applies
+L and L^dag from the same table, one flipped view and one weighted sum
+per distinct pair of flip masks. It runs the solver's LSQR on
+A(x) = (L(x), Tr x) from I/d and returns the trace-one steady state
 nearest I/d.
 """
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateSteadySpaceError, DenseLimitError
-from .lindblad import Lindbladian, _hermitian_matrix, _real_coordinates, hermitize
+from .lindblad import PauliLindbladian, _hermitian_matrix, _real_coordinates, hermitize
 from .models import OpenSystemModel
 from .sdp import _WhitenedSystem, _lsqr
-from .states import StateVector
+from .states import StateVector, apply_to_columns
 
 DEFAULT_DENSE_LIMIT = 6
 NULL_SPACE_RTOL = 1e-10
@@ -70,17 +68,17 @@ values sigma <= 1e-3 sigma_max of A) form the near-null cluster that
 _MEMO_MODELS = 32
 
 
+def _check_dense_limit(model: OpenSystemModel, dense_limit: int) -> None:
+    if model.n_qubits > dense_limit:
+        raise DenseLimitError(
+            f"dense Liouvillian for n={model.n_qubits} exceeds limit {dense_limit}")
+
+
 def build_liouvillian(model: OpenSystemModel,
                       dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Dense superoperator of the model in column-stacking convention."""
-    n = model.n_qubits
-    if n > dense_limit + 1:
-        raise DenseLimitError(f"dense Liouvillian for n={n} exceeds limit {dense_limit}")
-    if n == dense_limit + 1:
-        warnings.warn(
-            f"building a {4 ** n} x {4 ** n} dense Liouvillian (n={n}); "
-            "this may exhaust memory", RuntimeWarning)
-    return Lindbladian.from_model(model).superoperator()
+    _check_dense_limit(model, dense_limit)
+    return PauliLindbladian(model).superoperator()
 
 
 @dataclass(frozen=True)
@@ -193,17 +191,16 @@ def steady_states(model: OpenSystemModel,
     split along the symmetry blocks so that per-sector steady states
     appear as individual (physical-flagged) elements. The result is
     computed once per (model, dense_limit) and its arrays are
-    read-only.
+    read-only. Raises ``DenseLimitError`` for n > dense_limit.
     """
     return _steady_states(model, dense_limit)
 
 
 @functools.lru_cache(maxsize=_MEMO_MODELS)
 def _steady_states(model: OpenSystemModel, dense_limit: int) -> NessBasis:
+    _check_dense_limit(model, dense_limit)
     dim = 2 ** model.n_qubits
-    liou = build_liouvillian(model, dense_limit=dense_limit)
-    real = _real_coordinates(liou, dim)
-    del liou  # no complex 4^n x 4^n matrix stays alive through the eigh
+    real = _real_coordinates(PauliLindbladian(model).superoperator, dim)
     svals, basis = _hermitian_null_space(real, dim)
     basis = _align_basis(basis, _generator_projectors(model))
     for arr in (svals, *basis):
@@ -240,14 +237,14 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def true_residual(rho: np.ndarray, model: OpenSystemModel,
-                  generator: Lindbladian | None = None) -> float:
+                  generator: PauliLindbladian | None = None) -> float:
     """Frobenius norm of L[rho]; zero exactly for genuine steady states.
 
     L[rho] is summed over row blocks and never held whole. ``generator``,
-    the model's ``Lindbladian.from_model``, lets several calls share one
+    the model's ``PauliLindbladian``, lets several calls share one
     compiled table.
     """
-    gen = Lindbladian.from_model(model) if generator is None else generator
+    gen = PauliLindbladian(model) if generator is None else generator
     return gen.apply_norm(rho)
 
 
@@ -287,14 +284,15 @@ def restricted_steady_state(model: OpenSystemModel, isometry: np.ndarray) -> np.
     unique trace-one PSD steady state lifted back to the full space.
     """
     v = np.asarray(isometry, dtype=complex)
-    gen = Lindbladian.from_model(model)
-    proj = v @ v.conj().T
-    for name, op in [("K", gen.k)] + [(f"J_{n}", j) for n, j in enumerate(gen.jumps)]:
-        leak = np.linalg.norm(op @ v - proj @ (op @ v))
-        if leak > INVARIANCE_TOL * max(1.0, np.linalg.norm(op)):
+    gen = PauliLindbladian(model)
+    for name, op in [("K", gen.k_op)] + [(f"J_{n}", j) for n, j in enumerate(gen.jump_ops)]:
+        moved = apply_to_columns(op, v)
+        leak = np.linalg.norm(moved - v @ (v.conj().T @ moved))
+        norm = np.sqrt(sum(np.vdot(u, u).real for _, u in op.flip_weights()))  # ||op||_F
+        if leak > INVARIANCE_TOL * max(1.0, norm):
             raise ValueError(f"subspace is not invariant under {name} (leak {leak:.2e})")
     k = v.shape[1]
-    real = _real_coordinates(gen.compress(v).superoperator(), k)
+    real = _real_coordinates(gen.compress(v).superoperator().__getitem__, k)
     _, null = _hermitian_null_space(real, k)
     if len(null) != 1:
         raise DegenerateSteadySpaceError(
@@ -324,7 +322,7 @@ def sparse_steady_state(model: OpenSystemModel, tol: float = 1e-8) -> np.ndarray
     n = model.n_qubits
     if n > SPARSE_LIMIT:
         raise DenseLimitError(f"sparse steady state supports n <= {SPARSE_LIMIT}")
-    system = _WhitenedSystem(Lindbladian.from_model(model), (), ())
+    system = _WhitenedSystem(PauliLindbladian(model), (), ())
     x0 = system.eye / system.dim
     g, tr, vals = system.apply(x0)
     dx, _, iterations, stop = _lsqr(system, (-g, 1.0 - tr, -vals), 0.5 * tol,

@@ -37,8 +37,6 @@ class OverlapSet:
     R: tuple[np.ndarray, ...]
     F: tuple[np.ndarray, ...]
     rates: tuple[float, ...]
-    ansatz_hash: str = ""
-    model_label: str = ""
     shots: int | None = None
 
     @property
@@ -97,8 +95,6 @@ def assemble(model: OpenSystemModel, ansatz: AnsatzSet) -> OverlapSet:
         R=tuple(r_mats),
         F=tuple(f_mats),
         rates=model.rates,
-        ansatz_hash=ansatz.content_hash(),
-        model_label=model.label,
     )
 
 

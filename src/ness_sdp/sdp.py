@@ -46,7 +46,6 @@ from .errors import (
     IterationBudgetError,
 )
 from .lindblad import (
-    Lindbladian,
     _hermitian_matrix,
     _real_coordinates,
     _real_vector,
@@ -118,6 +117,10 @@ class SolverOptions:
             raise ValueError(f"unknown initial point kind {self.initial!r}")
         if self.mode not in ("feasibility", "least-squares", "auto"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,7 @@ class BetaMatrix:
 class _WhitenedSystem:
     """Constraint operator A(x) = (G(x), Tr x, (Tr(x N_k))_k), G whitened or a model's own."""
 
-    def __init__(self, generator: Lindbladian, extras, targets):
+    def __init__(self, generator, extras, targets):
         self.generator = generator
         self.extras = extras
         self.targets = np.asarray(targets, dtype=float)
@@ -453,7 +456,7 @@ def _least_squares_operator(system: _WhitenedSystem):
     dim, gen = system.dim, system.generator
     rows = np.array([_real_vector(nmat) for nmat in system.extras]).reshape(-1, dim * dim)
     if dim * dim <= REAL_MATRIX_MAX:
-        a = _real_coordinates(gen.superoperator(), dim)
+        a = _real_coordinates(gen.superoperator().__getitem__, dim)
         return a.__matmul__, a.T.__matmul__, rows
     return (lambda v: _real_vector(gen.apply(_hermitian_matrix(v, dim))),
             lambda r: _real_vector(gen.adjoint(_hermitian_matrix(r, dim))), rows)

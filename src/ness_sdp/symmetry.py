@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .lindblad import Lindbladian, hermitize
+from .lindblad import PauliLindbladian, hermitize
 # SymmetrySpec and the two built-in symmetries live in models (a model
 # declares its symmetries) and are re-exported here.
 from .models import (
@@ -282,7 +282,7 @@ def extract_all_ness(model: OpenSystemModel, spec: SymmetrySpec, ansatz: AnsatzS
     if violations:
         raise ConfigError(f"invalid strong symmetry {spec.label!r}: {violations}")
     overlaps = assemble(model, ansatz)
-    generator = Lindbladian.from_model(model)  # compiled once for every residual
+    generator = PauliLindbladian(model)  # compiled once for every residual
     attempts = 0
     states: list[ExtractedState] = []
     beta = None

@@ -427,6 +427,9 @@ class TestMalformedConfigs:
         ({"initial": "bogus"}, "initial"),
         ({"mode": "bogus"}, "mode"),
         ({"max_iter": "ten"}, "max_iter"),
+        ({"max_iter": -3}, "max_iter"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"initial": "random", "rng_seed": -1}, "rng_seed"),
     ])
     def test_invalid_solver_option(self, runner, tmp_path, solver, field):
         cfg = write_config(tmp_path / "cfg.json", dict(TFIM_CFG, solver=solver))

@@ -26,6 +26,7 @@ from ness_sdp.models import (
     xxz_dephasing,
 )
 from ness_sdp.overlaps import assemble
+from ness_sdp.pauli import PauliSum
 
 
 def random_matrix(rng, dim):
@@ -40,7 +41,7 @@ class TestAdjoint:
     def test_model_level(self, rng):
         for n in (1, 2, 3):
             for _ in range(3):
-                gen = Lindbladian.from_model(random_model(rng, n))
+                gen = PauliLindbladian(random_model(rng, n))
                 x, y = random_matrix(rng, 2 ** n), random_matrix(rng, 2 ** n)
                 lhs = frobenius(gen.apply(x), y)
                 rhs = frobenius(x, gen.adjoint(y))
@@ -63,12 +64,12 @@ class TestModelGenerator:
         for n in (1, 2, 3):
             model = random_model(rng, n)
             x = random_matrix(rng, 2 ** n)
-            out = Lindbladian.from_model(model).apply(x)
+            out = PauliLindbladian(model).apply(x)
             assert np.allclose(out, dense_lindblad(model, x), atol=1e-10)
 
     def test_superoperator_matches_apply(self, rng):
         for n in (1, 2):
-            gen = Lindbladian.from_model(random_model(rng, n))
+            gen = PauliLindbladian(random_model(rng, n))
             x = random_matrix(rng, 2 ** n)
             vec = gen.superoperator() @ x.reshape(-1, order="F")
             assert np.allclose(vec.reshape(2 ** n, 2 ** n, order="F"), gen.apply(x),
@@ -86,7 +87,7 @@ class TestModelGenerator:
         bad = OpenSystemModel(2, model.hamiltonian,
                               ((-0.5, model.jumps[0]),) + model.dissipators[1:])
         with pytest.raises(ConfigError):
-            Lindbladian.from_model(bad)
+            PauliLindbladian(bad)
 
 
 class TestCompiledTable:
@@ -95,7 +96,7 @@ class TestCompiledTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_apply_and_adjoint_match_reference(self, rng, n):
         for model in (random_model(rng, n), shared_mask_model(rng, n)):
-            gen = Lindbladian.from_model(model)
+            gen = PauliLindbladian(model)
             x = random_matrix(rng, 2 ** n)
             for got, ref in ((gen.apply(x), dense_lindblad(model, x)),
                              (gen.adjoint(x), dense_lindblad_adjoint(model, x))):
@@ -103,7 +104,7 @@ class TestCompiledTable:
 
     def test_adjoint_identity_n5(self, rng):
         for model in (random_model(rng, 5), shared_mask_model(rng, 5), tfim_chain(5, 0.7)):
-            gen = Lindbladian.from_model(model)
+            gen = PauliLindbladian(model)
             x, y = random_matrix(rng, 32), random_matrix(rng, 32)
             lhs = frobenius(gen.apply(x), y)
             rhs = frobenius(x, gen.adjoint(y))
@@ -112,7 +113,7 @@ class TestCompiledTable:
     def test_tfim_table_size(self):
         # K has the diagonal mask and one X mask per site (15 mask pairs with
         # the K^dag side); each sigma_- jump adds one pair, the Z jumps share (0, 0).
-        assert len(Lindbladian.from_model(tfim_chain(7, 0.5)).terms) == 22
+        assert len(PauliLindbladian(tfim_chain(7, 0.5)).terms) == 22
 
     @pytest.mark.parametrize("build", [
         lambda rng: tfim_chain(6, 0.5),
@@ -124,27 +125,51 @@ class TestCompiledTable:
     def test_holds_no_more_full_arrays_than_dense_operators(self, rng, build):
         # The dense form held K, K^dag, J_k and J_k^dag: 2(1 + k) full arrays.
         model = build(rng)
-        gen = Lindbladian.from_model(model)
+        gen = PauliLindbladian(model)
         gen.adjoint(gen.apply(random_matrix(rng, gen.dim)))
         sizes = [f.size for _, factors in gen.terms for f in factors]
         assert set(sizes) <= {gen.dim, gen.dim ** 2}
         assert sizes.count(gen.dim ** 2) <= 2 * (1 + len(model.dissipators))
-        assert "_dense" not in vars(gen)  # apply and adjoint expand no K or J_k
 
-    def test_dense_operators_unchanged(self):
-        # superoperator() and compress() read K and J_k expanded exactly as a
-        # dense generator holds them.
-        model = xxz_boundary_driven(3, 1.0, 1.0, 0.5)
-        gen = Lindbladian.from_model(model)
-        assert isinstance(gen, PauliLindbladian)
-        k = model.hamiltonian.to_dense(dense_limit=3)
-        jumps = []
-        for rate, jump in model.dissipators:
-            a = jump.to_dense(dense_limit=3)
-            k = k - 0.5j * rate * (a.conj().T @ a)
-            jumps.append(np.sqrt(rate) * a)
-        dense = Lindbladian(k, jumps)
-        assert np.array_equal(gen.superoperator(), dense.superoperator())
+    @pytest.mark.parametrize("model", [
+        tfim_chain(5, 0.5),
+        xxz_dephasing(4, 0.8),
+        xxz_boundary_driven(3, 1.0, 1.0, 0.5),
+    ], ids=["tfim5", "dephasing4", "boundary3"])
+    def test_superoperator_equals_kron_form(self, rng, model):
+        # The scattered table equals, bit for bit, the kron superoperator of
+        # the same K and J_k expanded densely, in full and on a row subset.
+        gen = PauliLindbladian(model)
+        dense = Lindbladian(gen.k_op.to_dense(), [j.to_dense() for j in gen.jump_ops])
+        expect = dense.superoperator()
+        assert np.array_equal(gen.superoperator(), expect)
+        rows = rng.choice(gen.dim ** 2, size=gen.dim, replace=False)
+        assert np.array_equal(gen.superoperator(rows), expect[rows])
+
+    @pytest.mark.parametrize("model", [xxz_dephasing(3, 0.8), tfim_chain(3, 0.5)],
+                             ids=["dephasing3", "tfim3"])
+    def test_no_path_expands_the_generator_densely(self, monkeypatch, model):
+        # Only the declared symmetry generators, which split the null basis
+        # into sectors, may still be expanded.
+        allowed = [spec.generator for spec in model.symmetries]
+        to_dense = PauliSum.to_dense
+
+        def guarded(op, *args, **kwargs):
+            assert any(op is g for g in allowed), f"dense expansion of {op!r}"
+            return to_dense(op, *args, **kwargs)
+
+        monkeypatch.setattr(PauliSum, "to_dense", guarded)
+        oracle._steady_states.cache_clear()
+        liou = oracle.build_liouvillian(model)
+        rho = oracle.steady_states(model).physical_representative(0)
+        assert np.linalg.norm(liou @ rho.reshape(-1, order="F")) <= 1e-9
+        assert oracle.true_residual(rho, model) <= 1e-9
+        assert oracle.true_residual(oracle.sparse_steady_state(model), model) <= 1e-8
+        # The magnetization m = 1 sector is invariant under the XXZ chain,
+        # the whole space under any model.
+        iso = oracle.sector_basis(3, 1) if model.symmetries else np.eye(8)
+        assert PauliLindbladian(model).compress(iso).dim == iso.shape[1]
+        assert oracle.true_residual(oracle.restricted_steady_state(model, iso), model) <= 1e-9
 
 
 class TestJumpSupport:
@@ -209,7 +234,7 @@ class TestHermitianDomain:
         vals, vecs = np.linalg.eigh(ovl.E)
         gens = [Lindbladian(k, jumps), Lindbladian(k, jumps, metric=gram),
                 ovl.generator(), ovl.generator().compress(vecs / np.sqrt(vals)),
-                Lindbladian.from_model(xxz_dephasing(3, 0.8)).compress(oracle.sector_basis(3, 1))]
+                PauliLindbladian(xxz_dephasing(3, 0.8)).compress(oracle.sector_basis(3, 1))]
         assert [b.shape for *_, b, _ in gens[0]._blocks] == [(4, 3), (dim, dim)]
         for gen in gens:
             for _ in range(3):
@@ -221,7 +246,7 @@ class TestHermitianDomain:
 class TestCompress:
     def test_magnetization_sector(self, rng):
         model = xxz_dephasing(3, 0.8)
-        gen = Lindbladian.from_model(model)
+        gen = PauliLindbladian(model)
         v = oracle.sector_basis(3, 1)
         restricted = gen.compress(v)
         assert restricted.metric is None

@@ -9,7 +9,7 @@ from conftest import dense_lindblad, random_density, random_model, shared_mask_m
 from ness_sdp import oracle
 from ness_sdp.cli import main
 from ness_sdp.errors import ConvergenceError, DegenerateSteadySpaceError, DenseLimitError
-from ness_sdp.lindblad import Lindbladian, _hermitian_matrix, _real_coordinates
+from ness_sdp.lindblad import PauliLindbladian, _hermitian_matrix, _real_coordinates
 from ness_sdp.models import OpenSystemModel, tfim_chain, xxz_boundary_driven, xxz_dephasing
 from ness_sdp.pauli import PauliSum, sigma_minus
 
@@ -57,13 +57,32 @@ class TestBuildLiouvillian:
         model = random_model(rng, 2)
         for _ in range(5):
             mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            out = Lindbladian.from_model(model).apply(mat)
-            out_dag = Lindbladian.from_model(model).apply(mat.conj().T)
+            out = PauliLindbladian(model).apply(mat)
+            out_dag = PauliLindbladian(model).apply(mat.conj().T)
             assert np.allclose(out.conj().T, out_dag, atol=1e-10)
 
     def test_size_limit(self):
         with pytest.raises(DenseLimitError):
             oracle.build_liouvillian(tfim_chain(8, 1.0), dense_limit=6)
+
+    def test_dense_limit_is_a_hard_limit(self):
+        with pytest.raises(DenseLimitError):
+            oracle.build_liouvillian(tfim_chain(4, 0.5), dense_limit=3)
+        with pytest.raises(DenseLimitError):
+            oracle.steady_states(tfim_chain(4, 0.5), dense_limit=3)
+
+    def test_steady_states_reads_the_table_dim_rows_at_a_time(self, monkeypatch):
+        requested = []
+        superoperator = PauliLindbladian.superoperator
+
+        def recording(gen, rows=None):
+            requested.append(gen.dim ** 2 if rows is None else len(rows))
+            return superoperator(gen, rows)
+
+        monkeypatch.setattr(PauliLindbladian, "superoperator", recording)
+        oracle._steady_states.cache_clear()
+        oracle.steady_states(tfim_chain(4, 0.5))
+        assert requested and max(requested) <= 16
 
 
 class TestSteadyStates:
@@ -118,7 +137,7 @@ class TestSteadyStates:
         basis = oracle.steady_states(xxz_dephasing(3, 1.0))
         model = xxz_dephasing(3, 1.0)
         for elem in basis.elements:
-            assert (np.linalg.norm(Lindbladian.from_model(model).apply(elem))
+            assert (np.linalg.norm(PauliLindbladian(model).apply(elem))
                     <= 1e-9 * np.linalg.norm(elem))
 
 
@@ -151,7 +170,7 @@ def svd_reference(model):
     """Real-coordinate matrix, its full-SVD singular values, and the
     Hermitian null basis that the full SVD gives."""
     dim = 2 ** model.n_qubits
-    real = _real_coordinates(oracle.build_liouvillian(model), dim)
+    real = _real_coordinates(oracle.build_liouvillian(model).__getitem__, dim)
     _, svals, vh = np.linalg.svd(real)
     null = vh[svals <= oracle.NULL_SPACE_RTOL * max(svals[0], 1e-300)]
     return real, svals, list(_hermitian_matrix(null, dim))
@@ -210,14 +229,18 @@ class TestGramNullSpace:
 
 class TestMemo:
     def test_sweep_computes_null_space_once_per_model(self, runner, tmp_path, monkeypatch):
-        builds = []
-        build = oracle.build_liouvillian
+        scattered = {}  # generator -> model, for each generator whose matrix is read
 
-        def counting_build(model, **kwargs):
-            builds.append(model)
-            return build(model, **kwargs)
+        class CountingGenerator(PauliLindbladian):
+            def __init__(self, model):
+                super().__init__(model)
+                self.source = model
 
-        monkeypatch.setattr(oracle, "build_liouvillian", counting_build)
+            def superoperator(self, rows=None):
+                scattered[self] = self.source
+                return super().superoperator(rows)
+
+        monkeypatch.setattr(oracle, "PauliLindbladian", CountingGenerator)
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({
             "model": {"builder": "tfim_chain", "params": {"n": 3, "g": 0.0}},
@@ -232,6 +255,7 @@ class TestMemo:
         info = oracle._steady_states.cache_info()
         # four feasible points, each asking for the exact NESS twice: for
         # the oracle-top seed and for the oracle section of its row
+        builds = list(scattered.values())
         assert len(builds) == len(set(builds)) == info.misses == 2
         assert info.hits == 6
 
@@ -291,7 +315,7 @@ class TestTrueResidual:
     def test_row_blocked_norm_equals_full_apply(self, rng):
         for n in range(1, 7):
             model = random_model(rng, n)
-            gen = Lindbladian.from_model(model)
+            gen = PauliLindbladian(model)
             dim = 2 ** n
             x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             full = np.linalg.norm(gen.apply(x))

@@ -282,7 +282,7 @@ class TestInconsistentConstraints:
         system, _ = whiten(problem)
         dim = system.dim
         x0 = np.eye(dim) / dim
-        a = np.vstack([_real_coordinates(system.generator.superoperator(), dim),
+        a = np.vstack([_real_coordinates(system.generator.superoperator().__getitem__, dim),
                        _real_vector(np.eye(dim))])
         b = np.concatenate([-_real_vector(system.generator.apply(x0)), [0.0]])
         u, svals, _ = np.linalg.svd(a, full_matrices=False)
@@ -384,7 +384,7 @@ def exact_lambda_max(problem):
     """lambda_max(A^T A + N^T N) from eigvalsh of the real matrix."""
     system, _ = whiten(problem)
     forward, backward, rows = sdp._least_squares_operator(system)
-    a = _real_coordinates(system.generator.superoperator(), system.dim)
+    a = _real_coordinates(system.generator.superoperator().__getitem__, system.dim)
     return float(np.linalg.eigvalsh(a.T @ a + rows.T @ rows)[-1])
 
 
