@@ -242,8 +242,9 @@ def _dump_json(obj, fh):
     """``json.dump(obj, fh, default=float)``, byte for byte, through the C encoder.
 
     ``json.dump`` runs the pure-Python encoder, and ``json.dumps`` of a whole
-    report holds the whole string. This walks dicts, and lists that hold
-    containers, and writes every other value with ``json.dumps``.
+    report holds the whole string. This walks dicts, and lists that hold a
+    dict, and writes every other value whole with ``json.dumps``: a matrix
+    goes out as one string, and its rows are never scanned here.
     """
     if isinstance(obj, dict) and obj:
         sep = "{"
@@ -252,7 +253,7 @@ def _dump_json(obj, fh):
             _dump_json(value, fh)
             sep = ", "
         fh.write("}")
-    elif isinstance(obj, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in obj):
+    elif isinstance(obj, (list, tuple)) and any(isinstance(v, dict) for v in obj):
         sep = "["
         for value in obj:
             fh.write(sep)

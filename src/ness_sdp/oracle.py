@@ -34,7 +34,8 @@ nearest I/d.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,21 +51,12 @@ INVARIANCE_TOL = 1e-10
 SPARSE_LIMIT = 10
 SPARSE_MAX_ITER = 20000
 GRAM_SPLIT = 1e-6
-"""Eigenvalues lambda <= GRAM_SPLIT * lambda_max of C = A^T A (singular
-values sigma <= 1e-3 sigma_max of A) form the near-null cluster that
-``_hermitian_null_space`` refines by a direct SVD of A on its eigenvectors.
-
-``eigh(C)`` is backward stable: its results are exact for some C + E with
-||E|| <= eps lambda_max (eps = 2.2e-16), which gives
-
-- above the split, sigma = sqrt(lambda) with absolute error at most
-  eps lambda_max / (2 sqrt(GRAM_SPLIT lambda_max))
-  = eps sigma_max / (2e-3) ~ 1.1e-13 sigma_max;
-- the null space of A lies in the span of the cluster's eigenvectors up to
-  an angle eps / GRAM_SPLIT ~ 2.2e-10, so the null vectors refined inside
-  that span have ||A v|| <= eps sigma_max / sqrt(GRAM_SPLIT)
-  ~ 2.2e-13 sigma_max, far below the cutoff NULL_SPACE_RTOL sigma_max.
-"""
+"""DOC PLACEHOLDER"""
+_POWER_BLOCK, _POWER_STEPS = 4, 6  # the lambda_max estimate
+_FIRST_BLOCK, _GUARDS = 8, 2       # inverse iteration: first width, spare Ritz vectors
+_RITZ_TOL = 1e-14                  # Ritz residual stop, relative to lambda_max
+_SLOW = 0.5                        # a step that cuts the Ritz residual less grows the block
+_SOLVE_BLOCK = 128                 # rows per step of the triangular solves
 _MEMO_MODELS = 32
 
 
@@ -81,6 +73,10 @@ def build_liouvillian(model: OpenSystemModel,
     return PauliLindbladian(model).superoperator()
 
 
+def _real_superoperator(model: OpenSystemModel) -> np.ndarray:
+    return _real_coordinates(PauliLindbladian(model).superoperator, 2 ** model.n_qubits)
+
+
 @dataclass(frozen=True)
 class NessBasis:
     """Hermitian basis of the Liouvillian null space.
@@ -91,11 +87,20 @@ class NessBasis:
 
     elements: tuple[np.ndarray, ...]
     physical: tuple[bool, ...]
-    singular_values: np.ndarray
+    _spectrum: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return len(self.elements)
+
+    @functools.cached_property
+    def singular_values(self) -> np.ndarray:
+        """All 4^n singular values of the Liouvillian, descending and
+        read-only; computed on first read (one ``eigvalsh`` of A^T A) and
+        kept with the basis."""
+        svals = self._spectrum()
+        svals.setflags(write=False)
+        return svals
 
     def physical_representative(self, k: int) -> np.ndarray:
         if not self.physical[k]:
@@ -104,24 +109,124 @@ class NessBasis:
         return elem / np.trace(elem).real
 
 
-def _hermitian_null_space(real: np.ndarray, dim: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Singular values of a real-coordinate superoperator A, and its null
-    vectors (relative cutoff ``NULL_SPACE_RTOL``) as orthonormal Hermitian matrices.
+def _inverse_solver(gram: np.ndarray, shift: float):
+    """x -> (C + shift I)^-1 x through the Cholesky factor L of C + shift I.
 
-    One ``eigh`` of A^T A splits off the near-null eigenvectors V_s
-    (``GRAM_SPLIT``). Above the split the singular values are
-    sqrt(lambda), accurate to ~1.1e-13 sigma_max. The SVD of the thin
-    matrix A V_s gives the cluster's singular values, to which the cutoff
-    ``NULL_SPACE_RTOL * sigma_max`` applies, and its right singular vectors, rotated
-    back by V_s, are the null vectors (||A v|| <= ~2.2e-13 sigma_max).
+    numpy has no triangular solve, so the forward and back substitutions
+    run over row blocks of L, each a product with the inverse of one
+    diagonal block. C is left as it was.
     """
-    lam, vecs = np.linalg.eigh(real.T @ real)
-    split = np.count_nonzero(lam <= GRAM_SPLIT * lam[-1])
-    near = vecs[:, :split]
+    n = len(gram)
+    diag = gram.diagonal().copy()
+    gram.flat[::n + 1] += shift
+    low = np.linalg.cholesky(gram)
+    gram.flat[::n + 1] = diag
+    cuts = list(range(0, n, _SOLVE_BLOCK)) + [n]
+    spans = list(zip(cuts[:-1], cuts[1:]))
+    inverses = [np.linalg.inv(low[a:b, a:b]) for a, b in spans]
+
+    def solve(x: np.ndarray) -> np.ndarray:
+        y = np.empty_like(x)
+        for (a, b), inv in zip(spans, inverses):
+            y[a:b] = inv @ (x[a:b] - low[a:b, :a] @ y[:a])
+        for (a, b), inv in zip(spans[::-1], inverses[::-1]):
+            y[a:b] = inv.T @ (y[a:b] - low[b:, a:b].T @ y[b:])
+        return y
+
+    return solve
+
+
+def _certified(gram: np.ndarray, near: np.ndarray, lam_max: float, tau: float) -> bool:
+    """True when C + lam_max V V^T - tau I has a Cholesky factor: then no
+    eigenvalue of C below tau lies outside span V. Overwrites C."""
+    gram += (lam_max * near) @ near.T
+    gram.flat[::len(gram) + 1] -= tau
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _near_null_cluster(real: np.ndarray) -> tuple[np.ndarray, float]:
+    """Orthonormal V spanning the eigenvectors of C = A^T A with eigenvalues
+    <= GRAM_SPLIT * lambda_max, and that lambda_max (``GRAM_SPLIT``)."""
+    n = real.shape[1]
+    rng = np.random.default_rng(0)  # a fixed start: the oracle repeats bit for bit
+    gram = real.T @ real
+    x = rng.standard_normal((n, min(_POWER_BLOCK, n)))
+    for _ in range(_POWER_STEPS):
+        x = np.linalg.qr(gram @ x)[0]
+    lam_max = float(np.linalg.svd(real @ x, compute_uv=False)[0]) ** 2
+    if lam_max == 0.0:
+        return np.eye(n), 0.0
+    tau = GRAM_SPLIT * lam_max
+    shift = n * np.finfo(float).eps * lam_max
+    solve = _inverse_solver(gram, shift)
+    block = rng.standard_normal((n, min(_FIRST_BLOCK, n)))
+    last = np.inf
+    while True:
+        q = np.linalg.qr(solve(block))[0]
+        aq = real @ q
+        theta, turn = np.linalg.eigh(aq.T @ aq)  # Rayleigh-Ritz through A Q
+        block = q @ turn
+        size = np.count_nonzero(theta <= tau)
+        near = block[:, :size]
+        width = block.shape[1]
+        if width == n or size + _GUARDS <= width:
+            worst = np.linalg.norm(gram @ near - near * theta[:size], axis=0).max(initial=0.0)
+            if worst <= _RITZ_TOL * lam_max:
+                if width == n:
+                    return near, lam_max
+                del solve
+                if _certified(gram, near, lam_max, tau):
+                    return near, lam_max
+                np.matmul(real.T, real, out=gram)
+                solve = _inverse_solver(gram, shift)
+            elif width == n or worst < _SLOW * last:
+                last = worst
+                continue
+        block = np.hstack([block, rng.standard_normal((n, min(n, 2 * width) - width))])
+        last = np.inf
+
+
+def _hermitian_null_space(real: np.ndarray, dim: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Singular values of a real-coordinate superoperator A on its near-null
+    cluster (``GRAM_SPLIT``), descending, and its null vectors (relative
+    cutoff ``NULL_SPACE_RTOL``) as orthonormal Hermitian matrices.
+
+    The SVD of the thin matrix A V on the certified cluster V gives the
+    cluster's singular values, to which the cutoff
+    ``NULL_SPACE_RTOL * sigma_max`` applies, and its right singular
+    vectors, rotated back by V, are the null vectors.
+    ``_singular_values`` completes the spectrum.
+    """
+    near, lam_max = _near_null_cluster(real)
     _, cluster, wh = np.linalg.svd(real @ near, full_matrices=False)
-    svals = np.concatenate([np.sqrt(lam[split:][::-1]), cluster])
-    null = wh[cluster <= NULL_SPACE_RTOL * max(svals[0], 1e-300)] @ near.T
-    return svals, list(_hermitian_matrix(null, dim))
+    null = wh[cluster <= NULL_SPACE_RTOL * max(np.sqrt(lam_max), 1e-300)] @ near.T
+    return cluster, list(_hermitian_matrix(_on_axes(null), dim))
+
+
+def _on_axes(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows with the same span, taken greedily along the
+    coordinate axes that the span holds most of (column-pivoted
+    Gram-Schmidt). The basis then depends on the span only, and a span that
+    holds coordinate axes, such as the diagonal of a dephased qubit, has
+    them as elements."""
+    cols = rows.copy()
+    turn = np.empty((len(rows), len(rows)))
+    for k in range(len(rows)):
+        j = np.argmax(np.einsum("ij,ij->j", cols, cols))
+        turn[:, k] = cols[:, j] / np.linalg.norm(cols[:, j])
+        cols -= np.outer(turn[:, k], turn[:, k] @ cols)
+    return turn.T @ rows
+
+
+def _singular_values(real: np.ndarray, cluster: np.ndarray) -> np.ndarray:
+    """All singular values of A, descending: sqrt of the eigenvalues of
+    A^T A above the cluster (no eigenvectors), then the cluster's own."""
+    lam = np.linalg.eigvalsh(real.T @ real)
+    return np.concatenate([np.sqrt(lam[len(cluster):][::-1]), cluster])
 
 
 def _is_physical(elem: np.ndarray) -> bool:
@@ -200,15 +305,14 @@ def steady_states(model: OpenSystemModel,
 def _steady_states(model: OpenSystemModel, dense_limit: int) -> NessBasis:
     _check_dense_limit(model, dense_limit)
     dim = 2 ** model.n_qubits
-    real = _real_coordinates(PauliLindbladian(model).superoperator, dim)
-    svals, basis = _hermitian_null_space(real, dim)
+    cluster, basis = _hermitian_null_space(_real_superoperator(model), dim)
     basis = _align_basis(basis, _generator_projectors(model))
-    for arr in (svals, *basis):
+    for arr in basis:
         arr.setflags(write=False)
     return NessBasis(
         elements=tuple(basis),
         physical=tuple(_is_physical(b) for b in basis),
-        singular_values=svals,
+        _spectrum=lambda: _singular_values(_real_superoperator(model), cluster),
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ness_sdp.cli import _dump_json, main
+from ness_sdp.cli import _dump_json, _matrix_obj, main
 
 
 @pytest.fixture
@@ -515,11 +515,17 @@ def test_report_writer_matches_json_dump():
         "none": None,
         "empty": [],
         "scalar": np.float64(0.1),
+        "matrix": _matrix_obj(np.array([[0.0, 1.5 - 2j, 3.0], [0.0, 0.0, 0.0], [-0.0, 1e-17j, 7.0]])),
+        "mixed": [{"re": [[0, -0.0, 2]]}, [0, 1, np.float64(2.5)], [[0, 0], [1.0, -0.0]],
+                  ({"x": [0, 1]}, [np.int64(4)]), 5, [], {}],
         3: "int key",
         1.5: "float key",
         True: "bool key",
         None: "none key",
     }
+    zero_row = obj["matrix"]["re"][1]
+    obj["matrix"]["re"].append(zero_row)  # rows shared, as _matrix_obj shares its zero rows
+    obj["matrix"]["im"].append([np.int64(3), -0.0, 0])
     expect, got = io.StringIO(), io.StringIO()
     json.dump(obj, expect, default=float)
     _dump_json(obj, got)

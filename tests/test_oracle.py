@@ -190,7 +190,8 @@ class TestGramNullSpace:
         for model in models:
             dim = 2 ** model.n_qubits
             real, ref_svals, ref_null = svd_reference(model)
-            svals, null = oracle._hermitian_null_space(real, dim)
+            cluster, null = oracle._hermitian_null_space(real, dim)
+            svals = oracle._singular_values(real, cluster)
             assert np.abs(svals - ref_svals).max() <= 1e-12 * ref_svals[0]
             assert len(null) == len(ref_null) == oracle.steady_states(model).dimension
             assert np.abs(null_projector(null, dim)
@@ -211,6 +212,64 @@ class TestGramNullSpace:
         ref_aligned = oracle._align_basis(ref_null, oracle._generator_projectors(model))
         assert basis.physical == tuple(oracle._is_physical(b) for b in ref_aligned)
 
+    def test_cluster_larger_than_first_block(self):
+        model = xxz_dephasing(4, 1.0, gamma=1e-4)
+        dim = 2 ** model.n_qubits
+        real, ref_svals, ref_null = svd_reference(model)
+        cluster, null = oracle._hermitian_null_space(real, dim)
+        assert len(cluster) == 54 > oracle._FIRST_BLOCK
+        svals = oracle._singular_values(real, cluster)
+        assert np.abs(svals - ref_svals).max() <= 1e-12 * ref_svals[0]
+        assert len(null) == len(ref_null) == 5
+        assert np.abs(null_projector(null, dim) - null_projector(ref_null, dim)).max() <= 1e-9
+
+    def test_certificate_catches_a_block_that_stopped_short(self, monkeypatch):
+        # Without guard vectors the first block of 8 fills with converged
+        # null vectors of a 10-dimensional null space and stops; the
+        # certificate fails, and the grown block finds the other two.
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def recording(mat):
+            try:
+                low = cholesky(mat)
+            except np.linalg.LinAlgError:
+                factored.append(False)
+                raise
+            factored.append(True)
+            return low
+
+        model = xxz_boundary_driven(4, 1.0, 1.0, 0.5)
+        dim = 2 ** model.n_qubits
+        real, ref_svals, ref_null = svd_reference(model)
+        monkeypatch.setattr(oracle, "_GUARDS", 0)
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        cluster, null = oracle._hermitian_null_space(real, dim)
+        # factor, failed certificate, factor again, certificate
+        assert factored == [True, False, True, True]
+        svals = oracle._singular_values(real, cluster)
+        assert np.abs(svals - ref_svals).max() <= 1e-12 * ref_svals[0]
+        assert len(null) == len(ref_null) == 10
+        assert np.abs(null_projector(null, dim) - null_projector(ref_null, dim)).max() <= 1e-9
+
+    def test_no_dense_diagonalization(self, monkeypatch):
+        shapes = []
+
+        def recording(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(mat, *args, **kwargs):
+                shapes.append(np.shape(mat))
+                return original(mat, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, recording(name))
+        oracle._steady_states.cache_clear()
+        oracle.exact_ness(tfim_chain(5, 0.5))
+        assert shapes and (1024, 1024) not in shapes
+
     def test_zero_generator_is_all_null(self):
         model = OpenSystemModel(n_qubits=2, hamiltonian=PauliSum.zero(2), dissipators=(),
                                 label="zero")
@@ -221,8 +280,9 @@ class TestGramNullSpace:
 
     def test_full_rank_matrix_has_no_null_vectors(self, rng):
         real = rng.normal(size=(16, 16))
-        svals, null = oracle._hermitian_null_space(real, 4)
+        cluster, null = oracle._hermitian_null_space(real, 4)
         assert null == []
+        svals = oracle._singular_values(real, cluster)
         ref = np.linalg.svd(real, compute_uv=False)
         assert np.abs(svals - ref).max() <= 1e-12 * ref[0]
 
@@ -258,6 +318,57 @@ class TestMemo:
         builds = list(scattered.values())
         assert len(builds) == len(set(builds)) == info.misses == 2
         assert info.hits == 6
+
+    def test_sweep_reads_no_spectrum_and_decomposes_inside_steady_states(
+            self, runner, tmp_path, monkeypatch):
+        calls = {"spectrum": 0, "inside": 0, "outside": 0}
+        depth = [0]
+        steady_states, null_space = oracle.steady_states, oracle._hermitian_null_space
+        singular_values = oracle._singular_values
+
+        def counting_steady_states(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return steady_states(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def counting_null_space(*args):
+            calls["inside" if depth[0] else "outside"] += 1
+            return null_space(*args)
+
+        def counting_spectrum(*args):
+            calls["spectrum"] += 1
+            return singular_values(*args)
+
+        monkeypatch.setattr(oracle, "steady_states", counting_steady_states)
+        monkeypatch.setattr(oracle, "_hermitian_null_space", counting_null_space)
+        monkeypatch.setattr(oracle, "_singular_values", counting_spectrum)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "model": {"builder": "tfim_chain", "params": {"n": 3, "g": 0.0}},
+            "ansatz": {"seed": "oracle-top", "K": 2},
+            "sweep": {"parameter": "g", "values": [0.4, 1.1]},
+        }))
+        oracle._steady_states.cache_clear()
+        result = runner.invoke(main, ["sweep", "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        # each model decomposed once, inside steady_states, and its
+        # spectrum never computed
+        assert calls == {"spectrum": 0, "inside": 2, "outside": 0}
+
+    def test_spectrum_is_computed_once_on_first_read(self, monkeypatch):
+        calls = []
+        singular_values = oracle._singular_values
+        monkeypatch.setattr(oracle, "_singular_values",
+                            lambda *args: calls.append(1) or singular_values(*args))
+        oracle._steady_states.cache_clear()
+        basis = oracle.steady_states(tfim_chain(3, 0.6))
+        assert calls == []
+        first = basis.singular_values
+        assert first is basis.singular_values and len(calls) == 1
+        assert first.shape == (64,) and np.all(np.diff(first) <= 0)
 
     def test_exact_ness_returns_a_fresh_array(self):
         model = tfim_chain(3, 0.6)
