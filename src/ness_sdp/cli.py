@@ -242,9 +242,11 @@ def _dump_json(obj, fh):
     """``json.dump(obj, fh, default=float)``, byte for byte, through the C encoder.
 
     ``json.dump`` runs the pure-Python encoder, and ``json.dumps`` of a whole
-    report holds the whole string. This walks dicts, and lists that hold a
-    dict, and writes every other value whole with ``json.dumps``: a matrix
-    goes out as one string, and its rows are never scanned here.
+    report holds the whole string. This walks dicts, and lists whose first
+    item is a container (a matrix's rows, a list of sections), and writes
+    every other value whole with ``json.dumps``: a row goes out as one
+    string, its numbers never looked at here. What is walked sets only the
+    size of the largest string held, not the bytes written.
     """
     if isinstance(obj, dict) and obj:
         sep = "{"
@@ -253,7 +255,7 @@ def _dump_json(obj, fh):
             _dump_json(value, fh)
             sep = ", "
         fh.write("}")
-    elif isinstance(obj, (list, tuple)) and any(isinstance(v, dict) for v in obj):
+    elif isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], (dict, list, tuple)):
         sep = "["
         for value in obj:
             fh.write(sep)

@@ -517,7 +517,7 @@ def test_report_writer_matches_json_dump():
         "scalar": np.float64(0.1),
         "matrix": _matrix_obj(np.array([[0.0, 1.5 - 2j, 3.0], [0.0, 0.0, 0.0], [-0.0, 1e-17j, 7.0]])),
         "mixed": [{"re": [[0, -0.0, 2]]}, [0, 1, np.float64(2.5)], [[0, 0], [1.0, -0.0]],
-                  ({"x": [0, 1]}, [np.int64(4)]), 5, [], {}],
+                  ({"x": [0, 1]}, [np.int64(4)]), 5, [], {}, [3, {"k": np.int64(1)}, [2]]],
         3: "int key",
         1.5: "float key",
         True: "bool key",
