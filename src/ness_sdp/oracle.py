@@ -216,7 +216,7 @@ def _near_null_cluster(real: np.ndarray) -> tuple[np.ndarray, float]:
             if worst <= _RITZ_TOL * lam_max:
                 if width == n:
                     return near, lam_max
-                del solve  # the certificate C + lam_max V V^T - tau I goes in C's buffer
+                del solve  # frees the factor: C's buffer takes C + lam_max V V^T - tau I
                 gram += (lam_max * near) @ near.T
                 gram.flat[::n + 1] -= tau
                 try:
