@@ -139,9 +139,7 @@ class Lindbladian:
         if self.metric is not None:
             h = h @ self.metric
         h *= -2j
-        for rows, cols, b, b_dag in self._blocks:
-            _add_block(h, rows, b @ _block(x, cols) @ b_dag)
-        return hermitize(h)
+        return hermitize(self.add_jumps(h, x))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """G^dag(y) = H' + H'^dag for Hermitian y, formed from 2H'.
@@ -153,9 +151,19 @@ class Lindbladian:
         if self.metric is not None:
             h = h @ self.metric
         h *= 2j
+        return hermitize(self.add_jumps_adjoint(h, y))
+
+    def add_jumps(self, out: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """out += sum_k J_k x J_k^dag, on each jump's support, in place; returns out."""
         for rows, cols, b, b_dag in self._blocks:
-            _add_block(h, cols, b_dag @ _block(y, rows) @ b)
-        return hermitize(h)
+            _add_block(out, rows, b @ _block(x, cols) @ b_dag)
+        return out
+
+    def add_jumps_adjoint(self, out: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """out += sum_k J_k^dag y J_k, on each jump's support, in place; returns out."""
+        for rows, cols, b, b_dag in self._blocks:
+            _add_block(out, cols, b_dag @ _block(y, rows) @ b)
+        return out
 
     def compress(self, w: np.ndarray) -> "Lindbladian":
         """The generator x -> W^dag G(W x W^dag) W, for any W with W^dag M W = I."""

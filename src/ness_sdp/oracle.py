@@ -243,9 +243,17 @@ def _hermitian_null_space(real: np.ndarray, dim: int) -> tuple[np.ndarray, list[
     ``NULL_SPACE_RTOL * sigma_max`` applies, and its right singular
     vectors, rotated back by V, are the null vectors.
     ``_singular_values`` completes the spectrum.
+    If LAPACK's gesdd fails to converge (it did once, on a finite
+    1024 x 64 A V), the SVD of the transpose gives the same singular
+    values, and its left vectors are the right vectors needed here.
     """
     near, lam_max = _near_null_cluster(real)
-    _, cluster, wh = np.linalg.svd(real @ near, full_matrices=False)
+    thin = real @ near
+    try:
+        _, cluster, wh = np.linalg.svd(thin, full_matrices=False)
+    except np.linalg.LinAlgError:
+        v, cluster, _ = np.linalg.svd(thin.T, full_matrices=False)
+        wh = v.T
     null = wh[cluster <= NULL_SPACE_RTOL * max(np.sqrt(lam_max), 1e-300)] @ near.T
     return cluster, list(_hermitian_matrix(_on_axes(null), dim))
 

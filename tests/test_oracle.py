@@ -245,6 +245,31 @@ class TestGramNullSpace:
         assert len(null) == len(ref_null) == 10
         assert np.abs(null_projector(null, dim) - null_projector(ref_null, dim)).max() <= 1e-9
 
+    def test_svd_failure_retries_on_the_transpose(self, monkeypatch):
+        # gesdd can fail to converge on a finite A V; the SVD of the
+        # transpose must give the same cluster and null basis.
+        model = xxz_boundary_driven(4, 1.0, 1.0, 0.5)
+        dim = 2 ** model.n_qubits
+        real = oracle._real_superoperator(model)
+        expect_cluster, expect_null = oracle._hermitian_null_space(real, dim)
+        svd, shapes = np.linalg.svd, []
+
+        def failing_once(mat, *args, **kwargs):
+            if kwargs.get("compute_uv", True):  # the SVD of A V, not the lambda_max estimate
+                shapes.append(np.shape(mat))
+                if len(shapes) == 1:
+                    raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_once)
+        cluster, null = oracle._hermitian_null_space(real, dim)
+        assert shapes == [shapes[0], shapes[0][::-1]]
+        assert np.abs(cluster - expect_cluster).max() <= 1e-12 * expect_cluster[0]
+        assert len(null) == len(expect_null) == 10
+        # the same elements; ties between equally long axes may order them differently
+        for elem in null:
+            assert min(np.abs(elem - expect).max() for expect in expect_null) <= 1e-12
+
     def test_no_dense_diagonalization(self, monkeypatch):
         shapes = []
 

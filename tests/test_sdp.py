@@ -18,7 +18,7 @@ from ness_sdp.errors import (
 )
 from ness_sdp.cli import EXIT_INFEASIBLE, main
 from ness_sdp.lindblad import _hermitian_matrix, _real_coordinates, _real_vector, hermitize
-from ness_sdp.models import magnetization, tfim_chain, xxz_dephasing
+from ness_sdp.models import magnetization, tfim_chain, xxz_boundary_driven, xxz_dephasing
 from ness_sdp.overlaps import add_shot_noise, assemble
 from ness_sdp.sdp import (
     FeasibilityProblem,
@@ -38,7 +38,7 @@ from ness_sdp.states import (
     moment_states,
     moment_states_random,
 )
-from ness_sdp.symmetry import sector_constraint
+from ness_sdp.symmetry import sector_basis_ansatz, sector_constraint
 
 
 def basis_ansatz(n, bitstrings):
@@ -54,6 +54,25 @@ def tfim_problem(g=1.0, order=2, seed_bits="11", **opt_kwargs):
     ovl = assemble(model, ans)
     options = SolverOptions(**opt_kwargs) if opt_kwargs else SolverOptions()
     return model, ans, FeasibilityProblem(overlaps=ovl, options=options)
+
+
+def boundary_problem(n, target=0.0):
+    """The boundary-extract solve: the boundary-driven XXZ chain on its m=0
+    sector basis, magnetization constraint at ``target``, outer cap 10."""
+    model = xxz_boundary_driven(n, 1.0, 1.0, 0.5)
+    ans = sector_basis_ansatz(n, 0)
+    con = sector_constraint(magnetization(n), target, ans)
+    return FeasibilityProblem(overlaps=assemble(model, ans), extra_constraints=(con,),
+                              options=SolverOptions(max_iter=10))
+
+
+@pytest.fixture
+def plain_affine_step(monkeypatch):
+    """Switches the no-jump preconditioner off: every affine step runs the
+    unpreconditioned LSQR, as before the preconditioner existed."""
+    def switch_off():
+        monkeypatch.setattr(sdp._WhitenedSystem, "preconditioned", property(lambda self: None))
+    return switch_off
 
 
 class TestWhiten:
@@ -128,16 +147,33 @@ class TestProjectAffine:
         problem = FeasibilityProblem(overlaps=problem.overlaps,
                                      extra_constraints=(con,))
         system, _ = whiten(problem)
-        for _ in range(10):
-            x = random_hermitian(rng, system.dim)
-            y = random_hermitian(rng, system.dim)
-            t = rng.normal()
-            vals = rng.normal(size=len(system.extras))
-            ax_g, ax_t, ax_v = system.apply(x)
-            lhs = (np.trace(ax_g.conj().T @ y).real + ax_t * t
-                   + float(np.dot(ax_v, vals)))
-            rhs = np.trace(x.conj().T @ system.adjoint(y, t, vals)).real
-            assert abs(lhs - rhs) < 1e-10
+        # and the boundary n=6 system with its generator rows preconditioned
+        preconditioned = whiten(boundary_problem(6))[0].preconditioned
+        assert preconditioned is not None
+        for system in (system, preconditioned):
+            for _ in range(10):
+                x = random_hermitian(rng, system.dim)
+                y = random_hermitian(rng, system.dim)
+                t = rng.normal()
+                vals = rng.normal(size=len(system.extras))
+                ax_g, ax_t, ax_v = system.apply(x)
+                lhs = (np.trace(ax_g.conj().T @ y).real + ax_t * t
+                       + float(np.dot(ax_v, vals)))
+                rhs = np.trace(x.conj().T @ system.adjoint(y, t, vals)).real
+                assert abs(lhs - rhs) < 1e-10
+
+    def test_preconditioned_step_is_the_least_norm_correction(self, rng, plain_affine_step):
+        system, _ = whiten(boundary_problem(6))
+        assert system.preconditioned is not None
+        x = random_hermitian(rng, system.dim)
+        projected, info = project_affine(x, system, tol=2e-11, max_iter=3000)
+        assert info["stop_reason"] == "converged"
+        plain_affine_step()
+        plain_system, _ = whiten(boundary_problem(6))
+        expect, plain_info = project_affine(x, plain_system, tol=2e-11, max_iter=3000)
+        assert plain_info["stop_reason"] == "converged"
+        assert info["inner_iterations"] < plain_info["inner_iterations"] / 4
+        assert np.abs(projected - expect).max() <= 1e-10
 
 
 class TestSolveFeasibility:
@@ -261,6 +297,47 @@ class TestSolveFeasibility:
         diag = residuals(FeasibilityProblem(overlaps=assemble(model, superset)), padded)
         assert diag["subspace_residual"] <= 1e-9
         assert diag["trace_error"] <= 1e-9
+
+
+class TestNoJumpPreconditioner:
+    """The affine step's G0^-1 preconditioner: where it applies, what it keeps."""
+
+    def test_eight_qubit_step_takes_at_most_300_iterations(self):
+        beta = solve_feasibility(boundary_problem(8))
+        assert beta.iterations == 1
+        assert beta.inner_iterations <= 300
+        assert beta.subspace_residual <= 1e-9
+
+    @pytest.mark.parametrize("make_problem", [
+        lambda: boundary_problem(4),  # min |lambda_i - conj lambda_j| = 0: G0 is singular
+        lambda: tfim_problem(g=1.0)[2],
+    ], ids=["boundary-n4", "tfim"])
+    def test_gate_keeps_the_plain_path(self, make_problem, plain_affine_step):
+        problem = make_problem()
+        assert whiten(problem)[0].preconditioned is None
+        beta = solve_feasibility(problem)
+        plain_affine_step()
+        expect = solve_feasibility(make_problem())
+        assert np.array_equal(beta.matrix, expect.matrix)
+        assert beta.inner_iterations == expect.inner_iterations
+
+    @pytest.mark.parametrize("target", [1.0, 0.5])
+    def test_infeasible_target_keeps_the_unweighted_certificate(self, target,
+                                                                 plain_affine_step):
+        # The m=0 sector has zero magnetization, so the least-squares
+        # residual is the target itself.
+        assert whiten(boundary_problem(6, target))[0].preconditioned is not None
+        with pytest.raises(InfeasibleError) as excinfo:
+            solve_feasibility(boundary_problem(6, target))
+        report = excinfo.value.report
+        plain_affine_step()
+        with pytest.raises(InfeasibleError) as plain:
+            solve_feasibility(boundary_problem(6, target))
+        assert report["stop_reason"] == plain.value.report["stop_reason"] == "least-squares"
+        assert (report["least_squares_residual"] == plain.value.report["least_squares_residual"]
+                == pytest.approx(target, rel=1e-12))
+        # the count covers the preconditioned run and the plain re-run
+        assert report["inner_iterations"] > plain.value.report["inner_iterations"]
 
 
 class TestInconsistentConstraints:
