@@ -67,8 +67,11 @@ def _number(value, what: str) -> float:
 
 
 def _integer(value, what: str, minimum: int = 0) -> int:
+    """An int, a digit string or an integral float such as 1e6; never a bool or 1.9."""
+    integral = not isinstance(value, bool) and (not isinstance(value, float)
+                                                or value.is_integer())
     try:
-        number = int(value)
+        number = int(value) if integral else None
     except (TypeError, ValueError):
         number = None
     if number is None or number < minimum:

@@ -35,12 +35,12 @@ EIGENVALUE_TOL = 1e-8
 class SymmetrySpec:
     """A strong symmetry U of a model, stored as U's Pauli expansion.
 
-    ``generator`` is an optional Hermitian operator conserved with U; the
-    dense oracle splits its null basis along the generator's eigenspaces.
-    The dense ``unitary`` is expanded on each use and not kept; its
-    distinct ``eigenvalues`` are derived on first use and cached, ordered
-    by phase angle in (-pi, pi], so they are distinct by construction and
-    -1 comes last.
+    ``generator`` is an optional Hermitian operator conserved with U;
+    ``validate`` checks that it commutes with H and every jump. The dense
+    ``unitary`` is expanded on each use and not kept; its distinct
+    ``eigenvalues`` are derived on first use and cached, ordered by phase
+    angle in (-pi, pi], so they are distinct by construction and -1 comes
+    last.
     """
 
     pauli_expansion: PauliSum

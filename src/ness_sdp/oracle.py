@@ -119,6 +119,8 @@ def _real_superoperator(model: OpenSystemModel) -> np.ndarray:
 class NessBasis:
     """Hermitian basis of the Liouvillian null space.
 
+    The elements are orthonormal and taken along the real-coordinate
+    axes (``steady_states``), physical elements first.
     ``physical[k]`` is True when elements[k] admits a trace-one PSD
     representative on its own (it is PSD or NSD with nonzero trace).
     """
@@ -289,65 +291,18 @@ def _is_physical(elem: np.ndarray) -> bool:
     return (psd and trace > 1e-10) or (nsd and trace < -1e-10)
 
 
-def _generator_projectors(model: OpenSystemModel) -> list[list[np.ndarray]]:
-    """Eigenspace projectors of each declared Hermitian symmetry generator."""
-    projector_sets = []
-    for spec in model.symmetries:
-        if spec.generator is None:
-            continue
-        gdense = spec.generator.to_dense(dense_limit=model.n_qubits)
-        vals, vecs = np.linalg.eigh(gdense)
-        projs = []
-        used = np.zeros(len(vals), dtype=bool)
-        for k in range(len(vals)):
-            if used[k]:
-                continue
-            group = np.abs(vals - vals[k]) < 1e-8
-            used |= group
-            sub = vecs[:, group]
-            projs.append(sub @ sub.conj().T)
-        if len(projs) > 1:
-            projector_sets.append(projs)
-    return projector_sets
-
-
-def _align_basis(basis: list[np.ndarray], projector_sets) -> list[np.ndarray]:
-    """Split null elements along symmetry blocks so per-element physicality
-    flags reflect the sector structure (diagonal-block states stand alone)."""
-    for projs in projector_sets:
-        candidates = []
-        for a in range(len(projs)):
-            for c in basis:
-                candidates.append(projs[a] @ c @ projs[a])
-        for a in range(len(projs)):
-            for b in range(a + 1, len(projs)):
-                for c in basis:
-                    x = projs[a] @ c @ projs[b]
-                    candidates.append(x + x.conj().T)
-                    candidates.append(1j * (x - x.conj().T))
-        refined: list[np.ndarray] = []
-        for cand in candidates:
-            for kept in refined:
-                cand = cand - kept * np.trace(kept.conj().T @ cand).real
-            nrm = np.linalg.norm(cand)
-            if nrm > 1e-8:
-                refined.append(cand / nrm)
-            if len(refined) == len(basis):
-                break
-        if len(refined) == len(basis):
-            basis = refined
-    return basis
-
-
 def steady_states(model: OpenSystemModel,
                   dense_limit: int = DEFAULT_DENSE_LIMIT) -> NessBasis:
     """Null space of the dense Liouvillian as a Hermitian matrix basis.
 
-    When the model declares symmetry generators, basis elements are
-    split along the symmetry blocks so that per-sector steady states
-    appear as individual (physical-flagged) elements. The result is
-    computed once per (model, dense_limit) and its arrays are
-    read-only. Raises ``DenseLimitError`` for n > dense_limit.
+    The elements are the null space pivoted onto the real-coordinate
+    axes (``_on_axes``), physical elements first. Each one lies in a
+    single block of any symmetry generator that is diagonal in the
+    computational basis, such as magnetization, whose blocks P_m rho P_m'
+    own disjoint sets of axes; so per-sector steady states appear as
+    individual (physical-flagged) elements. The result is computed once
+    per (model, dense_limit) and its arrays are read-only. Raises
+    ``DenseLimitError`` for n > dense_limit.
     """
     return _steady_states(model, dense_limit)
 
@@ -357,12 +312,13 @@ def _steady_states(model: OpenSystemModel, dense_limit: int) -> NessBasis:
     _check_dense_limit(model, dense_limit)
     dim = 2 ** model.n_qubits
     cluster, basis = _hermitian_null_space(_real_superoperator(model), dim)
-    basis = _align_basis(basis, _generator_projectors(model))
+    flags = [_is_physical(b) for b in basis]
+    order = sorted(range(len(basis)), key=lambda k: not flags[k])  # stable: physical first
     for arr in basis:
         arr.setflags(write=False)
     return NessBasis(
-        elements=tuple(basis),
-        physical=tuple(_is_physical(b) for b in basis),
+        elements=tuple(basis[k] for k in order),
+        physical=tuple(flags[k] for k in order),
         _spectrum=lambda: _singular_values(_real_superoperator(model), cluster),
     )
 
@@ -478,7 +434,7 @@ def sparse_steady_state(model: OpenSystemModel, tol: float = 1e-8) -> np.ndarray
     if n > SPARSE_LIMIT:
         raise DenseLimitError(f"sparse steady state supports n <= {SPARSE_LIMIT}")
     system = _WhitenedSystem(PauliLindbladian(model), (), ())
-    x0 = system.eye / system.dim
+    x0 = np.eye(system.dim, dtype=complex) / system.dim
     g, tr, vals = system.apply(x0)
     dx, _, iterations, stop = _lsqr(system, (-g, 1.0 - tr, -vals), 0.5 * tol,
                                     SPARSE_MAX_ITER)

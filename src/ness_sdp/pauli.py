@@ -69,9 +69,6 @@ class PauliString:
     def n_qubits(self) -> int:
         return len(self.codes)
 
-    def is_identity(self) -> bool:
-        return set(self.codes) == {"I"}
-
     def __str__(self) -> str:
         return self.codes
 

@@ -210,7 +210,6 @@ class _WhitenedSystem:
         self.extras = extras
         self.targets = np.asarray(targets, dtype=float)
         self.dim = generator.dim
-        self.eye = np.eye(self.dim, dtype=complex)
 
     @functools.cached_property
     def preconditioned(self) -> "_WhitenedSystem | None":

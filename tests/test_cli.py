@@ -394,6 +394,8 @@ class TestMalformedConfigs:
         ({"ansatz": {"seed": "bits:11", "K": 2, "q": 2, "rng_seed": "x"}}, "ansatz.rng_seed"),
         ({"shots": "many"}, "shots"),
         ({"shots": 100, "noise_rng_seed": "x"}, "noise_rng_seed"),
+        ({"ansatz": {"seed": "bits:11", "K": 1.9}}, "ansatz.K"),
+        ({"shots": 100, "noise_rng_seed": True}, "noise_rng_seed"),
     ])
     def test_solve_integer_not_an_integer(self, runner, tmp_path, extra, field):
         cfg = write_config(tmp_path / "cfg.json", dict(TFIM_CFG, **extra))

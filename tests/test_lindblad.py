@@ -149,14 +149,9 @@ class TestCompiledTable:
     @pytest.mark.parametrize("model", [xxz_dephasing(3, 0.8), tfim_chain(3, 0.5)],
                              ids=["dephasing3", "tfim3"])
     def test_no_path_expands_the_generator_densely(self, monkeypatch, model):
-        # Only the declared symmetry generators, which split the null basis
-        # into sectors, may still be expanded.
-        allowed = [spec.generator for spec in model.symmetries]
-        to_dense = PauliSum.to_dense
-
+        # Not even the declared symmetry generators are expanded.
         def guarded(op, *args, **kwargs):
-            assert any(op is g for g in allowed), f"dense expansion of {op!r}"
-            return to_dense(op, *args, **kwargs)
+            raise AssertionError(f"dense expansion of {op!r}")
 
         monkeypatch.setattr(PauliSum, "to_dense", guarded)
         oracle._steady_states.cache_clear()

@@ -140,6 +140,24 @@ class TestSteadyStates:
             assert (np.linalg.norm(PauliLindbladian(model).apply(elem))
                     <= 1e-9 * np.linalg.norm(elem))
 
+    @pytest.mark.parametrize("model", [xxz_dephasing(n, 1.0) for n in (3, 4, 5)]
+                             + [xxz_boundary_driven(n, 1.0, 1.0, 0.5) for n in (3, 4, 5)],
+                             ids=[f"{name}{n}" for name in ("dephasing", "boundary")
+                                  for n in (3, 4, 5)])
+    def test_elements_lie_in_one_magnetization_block_pair(self, model):
+        # L is block diagonal over the pairs P_m rho P_m' + h.c., and each
+        # pair owns its own real-coordinate axes, so every axis-pivoted
+        # element lies in one pair; physical elements come first.
+        n = model.n_qubits
+        mag = n - 2 * np.bitwise_count(np.arange(2 ** n)).astype(np.int64)
+        pair = np.add.outer(mag, mag) * (2 * n + 1) + np.abs(np.subtract.outer(mag, mag))
+        _, label = np.unique(pair, return_inverse=True)
+        basis = oracle.steady_states(model)
+        for elem in basis.elements:
+            mass = np.bincount(label.ravel(), weights=np.abs(elem.ravel()) ** 2)
+            assert np.sqrt(mass.sum() - mass.max()) <= 1e-12 * np.linalg.norm(elem)
+        assert list(basis.physical) == sorted(basis.physical, reverse=True)
+
 
 # (model, dimension, physical) as computed by the complex-SVD oracle
 REAL_COORDINATE_CASES = [
@@ -148,6 +166,7 @@ REAL_COORDINATE_CASES = [
     (tfim_chain(3, 2.0), 1, (True,)),
     (xxz_dephasing(3, 1.0), 4, (True,) * 4),
     (xxz_boundary_driven(3, 1.0, 1.0, 0.5), 8, (True,) * 4 + (False,) * 4),
+    (xxz_boundary_driven(4, 1.0, 1.0, 0.5), 10, (True,) * 5 + (False,) * 5),
 ]
 
 
@@ -213,8 +232,7 @@ class TestGramNullSpace:
         basis = oracle.steady_states(model)
         assert basis.dimension == len(ref_null) == dimension
         assert np.abs(basis.singular_values - ref_svals).max() <= 1e-12 * ref_svals[0]
-        ref_aligned = oracle._align_basis(ref_null, oracle._generator_projectors(model))
-        assert basis.physical == tuple(oracle._is_physical(b) for b in ref_aligned)
+        assert basis.physical == (True,) * dimension
 
     def test_certificate_catches_a_block_that_stopped_short(self, monkeypatch):
         # Without guard vectors the first block of 8 fills with converged

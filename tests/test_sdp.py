@@ -573,7 +573,7 @@ class TestLeastSquares:
             assert rel(_hermitian_matrix(forward(v), system.dim), g) <= 1e-12
             assert rel(rows @ v, cons) <= 1e-12
             adj = system.adjoint(y, t, vals)
-            back = backward(_real_vector(y)) + rows.T @ vals + t * _real_vector(system.eye)
+            back = backward(_real_vector(y)) + rows.T @ vals + t * _real_vector(np.eye(system.dim))
             assert rel(_hermitian_matrix(back, system.dim), adj) <= 1e-12
 
     def test_matrix_free_route_agrees_with_the_matrix(self, monkeypatch):
