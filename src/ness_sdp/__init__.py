@@ -24,7 +24,7 @@ from .models import (
     xxz_boundary_driven,
     xxz_dephasing,
 )
-from .overlaps import ObservableMatrix, OverlapSet, add_shot_noise, assemble, observable_matrix
+from .overlaps import OverlapSet, add_shot_noise, assemble, observable_matrix
 from .pauli import PauliString, PauliSum, pauli_mul
 from .sdp import (
     BetaMatrix,

@@ -60,10 +60,14 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def _number(value, what: str) -> float:
+    """A finite float from a number or numeric string; never a bool, inf or nan."""
     try:
-        return float(value)
+        number = None if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+        number = None
+    if number is None or not np.isfinite(number):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 def _integer(value, what: str, minimum: int = 0) -> int:
@@ -229,7 +233,11 @@ def _oracle_section(model, rho_fit, cfg, dense_limit):
     if not _section(cfg, "oracle").get("enabled", True):
         return {}
     if model.n_qubits > dense_limit:
-        return {"skipped": f"n={model.n_qubits} above dense limit {dense_limit}"}
+        section = {"skipped": f"n={model.n_qubits} above dense limit {dense_limit}"}
+        if model.n_qubits <= oracle.SPARSE_LIMIT:
+            # no fidelity without the exact state, but L[rho] is cheap here
+            section["true_residual"] = oracle.true_residual(rho_fit, model)
+        return section
     try:
         rho_exact = oracle.exact_ness(model, dense_limit=dense_limit)
         fid = oracle.fidelity(rho_fit, rho_exact)
@@ -391,8 +399,6 @@ def sweep(config_path, out_dir, dense_limit, workers):
         if not isinstance(swp["values"], list):
             raise ConfigError(f"sweep values must be a list, got {swp['values']!r}")
         values = [_number(v, "sweep value") for v in swp["values"]]
-        if not all(np.isfinite(values)):
-            raise ConfigError("sweep values must be finite")
         if "builder" not in _section(cfg, "model"):
             raise ConfigError("sweep requires a builder-based model section")
         if workers < 1:

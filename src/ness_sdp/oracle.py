@@ -288,7 +288,7 @@ def _is_physical(elem: np.ndarray) -> bool:
     trace = np.trace(elem).real
     psd = eigs[0] >= -1e-10 * scale
     nsd = eigs[-1] <= 1e-10 * scale
-    return (psd and trace > 1e-10) or (nsd and trace < -1e-10)
+    return bool((psd and trace > 1e-10) or (nsd and trace < -1e-10))
 
 
 def steady_states(model: OpenSystemModel,

@@ -22,10 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .lindblad import Lindbladian, _support, hermitize
+from .lindblad import Lindbladian, hermitize
 from .models import OpenSystemModel
 from .pauli import PauliSum
-from .states import AnsatzSet, apply_to_columns
+from .states import AnsatzSet, _support, apply_to_columns
 
 
 @dataclass(frozen=True)
@@ -43,26 +43,9 @@ class OverlapSet:
     def size(self) -> int:
         return self.E.shape[0]
 
-    @property
-    def noise_std(self) -> float:
-        return 0.0 if self.shots is None else 1.0 / np.sqrt(self.shots)
-
     def generator(self) -> Lindbladian:
         """The projected generator G(beta), built from the current E, D, R, F."""
         return Lindbladian.from_overlaps(self)
-
-
-@dataclass(frozen=True)
-class ObservableMatrix:
-    """Ansatz-projected observable: entries <chi_i| O |chi_j>."""
-
-    name: str
-    matrix: np.ndarray
-
-
-def _support_rows(mat: np.ndarray):
-    """Rows of ``mat`` that hold a nonzero entry; a full slice (a view) when all do."""
-    return _support((mat != 0).any(axis=1))
 
 
 def assemble(model: OpenSystemModel, ansatz: AnsatzSet) -> OverlapSet:
@@ -77,8 +60,7 @@ def assemble(model: OpenSystemModel, ansatz: AnsatzSet) -> OverlapSet:
         raise DimensionMismatchError(
             f"model on {model.n_qubits} qubits, ansatz on {ansatz.n_qubits}"
         )
-    s = ansatz.states_matrix()
-    rows = _support_rows(s)
+    s, rows = ansatz.columns, ansatz.support
     sdag = s[rows].conj().T
     gram = hermitize(sdag @ s[rows])
     ham = hermitize(sdag @ apply_to_columns(model.hamiltonian, s)[rows])
@@ -87,7 +69,7 @@ def assemble(model: OpenSystemModel, ansatz: AnsatzSet) -> OverlapSet:
     for _, jump in model.dissipators:
         x_n = apply_to_columns(jump, s)
         r_mats.append(sdag @ x_n[rows])
-        x_n = x_n[_support_rows(x_n)]
+        x_n = x_n[_support((x_n != 0).any(axis=1))]
         f_mats.append(hermitize(x_n.conj().T @ x_n))
     return OverlapSet(
         E=gram,
@@ -98,17 +80,15 @@ def assemble(model: OpenSystemModel, ansatz: AnsatzSet) -> OverlapSet:
     )
 
 
-def observable_matrix(obs: PauliSum, ansatz: AnsatzSet, name: str = "") -> ObservableMatrix:
+def observable_matrix(obs: PauliSum, ansatz: AnsatzSet) -> np.ndarray:
+    """Ansatz-projected observable: entries <chi_i| O |chi_j>, summed over the ansatz's support."""
     if obs.n_qubits != ansatz.n_qubits:
         raise DimensionMismatchError(
             f"observable on {obs.n_qubits} qubits, ansatz on {ansatz.n_qubits}"
         )
-    s = ansatz.states_matrix()
-    rows = _support_rows(s)
+    s, rows = ansatz.columns, ansatz.support
     mat = s[rows].conj().T @ apply_to_columns(obs, s)[rows]
-    if obs.is_hermitian():
-        mat = hermitize(mat)
-    return ObservableMatrix(name=name, matrix=mat)
+    return hermitize(mat) if obs.is_hermitian() else mat
 
 
 def _perturb_hermitian(mat: np.ndarray, std: float, rng) -> np.ndarray:
@@ -136,7 +116,7 @@ def add_shot_noise(overlaps: OverlapSet, shots: int, rng_seed: int) -> OverlapSe
     return replace(overlaps, E=gram, D=ham, R=r_mats, F=f_mats, shots=shots)
 
 
-def expectation(beta: np.ndarray, obs: ObservableMatrix) -> complex:
-    """Tr(beta O~) = Tr(rho O) for the reconstructed density matrix."""
-    return complex(np.trace(np.asarray(beta) @ obs.matrix))
+def expectation(beta: np.ndarray, obs: np.ndarray) -> complex:
+    """Tr(beta O~) = Tr(rho O) for the reconstructed density matrix, O~ from ``observable_matrix``."""
+    return complex(np.trace(np.asarray(beta) @ obs))
 

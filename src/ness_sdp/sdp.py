@@ -63,7 +63,7 @@ from .lindblad import (
     _real_vector,
     hermitize,
 )
-from .overlaps import ObservableMatrix, OverlapSet
+from .overlaps import OverlapSet
 
 
 _OPTION_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
@@ -139,8 +139,8 @@ class SolverOptions:
             value, kind = getattr(self, f.name), type(f.default)
             if isinstance(value, bool) or not isinstance(value, _OPTION_TYPES[kind]):
                 raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
-        if self.feas_tol <= 0:
-            raise ValueError("feas_tol must be > 0")
+        if not 0 < self.feas_tol < float("inf"):
+            raise ValueError(f"feas_tol must be finite and > 0, got {self.feas_tol!r}")
         if self.initial not in ("identity", "random"):
             raise ValueError(f"unknown initial point kind {self.initial!r}")
         if self.mode not in ("feasibility", "least-squares", "auto"):
@@ -154,12 +154,9 @@ class SolverOptions:
 @dataclass(frozen=True)
 class FeasibilityProblem:
     overlaps: OverlapSet
-    extra_constraints: tuple[tuple[ObservableMatrix, float], ...] = ()
+    # (projected observable from ``observable_matrix``, target) per Tr(beta N~) = target
+    extra_constraints: tuple[tuple[np.ndarray, float], ...] = ()
     options: SolverOptions = field(default_factory=SolverOptions)
-
-    @property
-    def size(self) -> int:
-        return self.overlaps.size
 
 
 @dataclass(frozen=True)
@@ -302,7 +299,7 @@ def whiten(problem: FeasibilityProblem):
     if not np.any(keep):
         raise DegenerateAnsatzError("no Gram eigenvalue above the whitening cutoff")
     w = vecs[:, keep] / np.sqrt(vals[keep])
-    extras = [hermitize(w.conj().T @ obs.matrix @ w)
+    extras = [hermitize(w.conj().T @ obs @ w)
               for obs, _ in problem.extra_constraints]
     targets = [target for _, target in problem.extra_constraints]
     system = _WhitenedSystem(problem.overlaps.generator().compress(w), extras, targets)
@@ -425,7 +422,7 @@ def residuals(problem: FeasibilityProblem, beta: np.ndarray) -> dict:
     gal = ovl.generator().apply(herm)
     eigs = np.linalg.eigvalsh(herm)
     cons = tuple(
-        float(abs(np.trace(beta @ obs.matrix) - target))
+        float(abs(np.trace(beta @ obs) - target))
         for obs, target in problem.extra_constraints
     )
     return {

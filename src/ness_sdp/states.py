@@ -15,6 +15,7 @@ coefficient matrix, so phases are irrelevant to the expressible set).
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -54,6 +55,12 @@ def apply_to_columns(op: PauliSum, matrix: np.ndarray) -> np.ndarray:
     return _apply_flips(op.flip_weights(), matrix)
 
 
+def _support(mask: np.ndarray):
+    """Positions where ``mask`` holds: a full slice, which indexes by view, when it holds everywhere."""
+    idx = np.flatnonzero(mask)
+    return slice(None) if len(idx) == len(mask) else idx
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Dense n-qubit state; amplitudes indexed with site 1 as the MSB."""
@@ -70,10 +77,6 @@ class StateVector:
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     @classmethod
     def basis(cls, n_qubits: int, bits: str) -> "StateVector":
@@ -105,7 +108,8 @@ def _canonical_phase(amps: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnsatzSet:
-    """Ordered ansatz states with the unitary words that produced them.
+    """Ordered ansatz states, the columns of one read-only (2^n, L) block,
+    with the unitary words that produced them.
 
     ``words[i]`` is the sequence of Hamiltonian term indices applied to
     the seed (first applied first); the seed itself has the empty word.
@@ -113,33 +117,37 @@ class AnsatzSet:
     regenerate the set bit-identically.
     """
 
-    states: tuple[StateVector, ...]
+    columns: np.ndarray
     words: tuple[tuple[int, ...], ...]
     seed_descriptor: str = "custom"
     rng_seed: int | None = None
 
     def __post_init__(self):
-        if not self.states:
+        cols = np.array(self.columns, dtype=complex, order="C")
+        if cols.ndim != 2 or cols.shape[0] < 2 or cols.shape[0] & (cols.shape[0] - 1):
+            raise DimensionMismatchError(
+                f"ansatz columns must be a (2^n, L) array with n >= 1, got shape {cols.shape}")
+        if cols.shape[1] == 0:
             raise ValueError("empty ansatz")
-        n = self.states[0].n_qubits
-        if any(s.n_qubits != n for s in self.states):
-            raise DimensionMismatchError("ansatz states on mixed qubit counts")
+        cols.flags.writeable = False
+        object.__setattr__(self, "columns", cols)
 
     @property
     def n_qubits(self) -> int:
-        return self.states[0].n_qubits
+        return self.columns.shape[0].bit_length() - 1
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return self.columns.shape[1]
 
-    def states_matrix(self) -> np.ndarray:
-        """(2^n, L) array with ansatz states as columns."""
-        return np.column_stack([s.amplitudes for s in self.states])
+    @functools.cached_property
+    def support(self):
+        """Rows where some column is nonzero (``_support``): the only rows an overlap sums over."""
+        return _support((self.columns != 0).any(axis=1))
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
-        h.update(self.states_matrix().tobytes())
+        h.update(self.columns.tobytes())
         h.update(json.dumps(self.words).encode())
         return h.hexdigest()[:16]
 
@@ -156,7 +164,6 @@ class _Retained:
     """Phase-canonical retained states as rows of one growing buffer, with their words."""
 
     def __init__(self, seed: StateVector):
-        self.n_qubits = seed.n_qubits
         self.rows = np.empty((16, 2 ** seed.n_qubits), dtype=complex)
         self.words: list[tuple[int, ...]] = []
         self.add_if_new(seed.amplitudes.astype(complex), ())
@@ -183,7 +190,7 @@ class _Retained:
 
     def ansatz(self, seed_descriptor: str, rng_seed: int | None = None) -> AnsatzSet:
         return AnsatzSet(
-            states=tuple(StateVector(self.n_qubits, a) for a in self.rows[:len(self)]),
+            columns=self.rows[:len(self)].T,
             words=tuple(self.words),
             seed_descriptor=seed_descriptor,
             rng_seed=rng_seed,
@@ -243,5 +250,5 @@ def _grow_levels(hamiltonian: PauliSum, seed: StateVector, order: int, q: int | 
 
 def density_from_beta(beta: np.ndarray, ansatz: AnsatzSet) -> np.ndarray:
     """Dense rho = sum_ij beta_ij |chi_i><chi_j| for desk-scale verification."""
-    s = ansatz.states_matrix()
+    s = ansatz.columns
     return s @ np.asarray(beta, dtype=complex) @ s.conj().T

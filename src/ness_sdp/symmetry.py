@@ -35,7 +35,7 @@ from .models import (
     magnetization_symmetry,
     z_rotation_pauli,
 )
-from .overlaps import ObservableMatrix, assemble, observable_matrix
+from .overlaps import assemble, observable_matrix
 from .pauli import PauliSum
 from .sdp import BetaMatrix, FeasibilityProblem, SolverOptions, solve_feasibility
 from .states import AnsatzSet, apply_to_columns
@@ -49,11 +49,11 @@ TRACE_FLOOR = 1e-8
 # ---------------------------------------------------------------------------
 
 def sector_constraint(generator: PauliSum, target: float,
-                      ansatz: AnsatzSet) -> tuple[ObservableMatrix, float]:
+                      ansatz: AnsatzSet) -> tuple[np.ndarray, float]:
     """Linear constraint Tr(beta N~) = target selecting a symmetry sector."""
     if not generator.is_hermitian():
         raise ValueError("sector generator must be Hermitian")
-    return observable_matrix(generator, ansatz, name="sector-generator"), target
+    return observable_matrix(generator, ansatz), target
 
 
 def sector_basis_ansatz(n: int, m: int) -> AnsatzSet:
@@ -62,13 +62,11 @@ def sector_basis_ansatz(n: int, m: int) -> AnsatzSet:
     The span equals the full magnetization sector, so the projected
     constraints coincide with the exact steady-state condition there.
     """
-    from .states import StateVector
-
     iso = oracle.sector_basis(n, m)
     if iso.shape[1] == 0:
         raise ConfigError(f"magnetization {m} is empty for {n} qubits")
     return AnsatzSet(
-        states=tuple(StateVector(n, iso[:, k]) for k in range(iso.shape[1])),
+        columns=iso,
         words=tuple(() for _ in range(iso.shape[1])),
         seed_descriptor=f"sector-basis:m={m}",
     )
@@ -246,7 +244,7 @@ def qm_expectation(beta: np.ndarray, ansatz: AnsatzSet, u_power: PauliSum,
         word = u_power_right * word
     total = 0j
     for coeff, string in word.terms:
-        q_m = observable_matrix(PauliSum([(1.0, string)]), ansatz).matrix
+        q_m = observable_matrix(PauliSum([(1.0, string)]), ansatz)
         total += coeff * np.trace(q_m @ np.asarray(beta))
     return complex(total)
 
@@ -292,7 +290,7 @@ def extract_all_ness(model: OpenSystemModel, spec: SymmetrySpec, ansatz: AnsatzS
         problem = FeasibilityProblem(
             overlaps=overlaps, extra_constraints=tuple(extra_constraints), options=opts)
         beta = solve_feasibility(problem)
-        rc = RhoCombination.initial(beta.matrix, spec, factor=ansatz.states_matrix())
+        rc = RhoCombination.initial(beta.matrix, spec, factor=ansatz.columns)
         rc = twirl_eliminate_all(rc, spec)
         states = vandermonde_extract(rc, spec)
         states = [

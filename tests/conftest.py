@@ -116,7 +116,7 @@ def random_state(rng, n: int) -> StateVector:
 
 def random_ansatz(rng, n: int, size: int) -> AnsatzSet:
     return AnsatzSet(
-        states=tuple(random_state(rng, n) for _ in range(size)),
+        columns=np.column_stack([random_state(rng, n).amplitudes for _ in range(size)]),
         words=tuple((k,) for k in range(size)),
         seed_descriptor="random-test",
     )

@@ -190,7 +190,7 @@ def test_criterion_3_galerkin_equivalence(rng):
             overlaps = assemble(model, ansatz)
             beta = random_hermitian(rng, 4)
             lhs = overlaps.generator().apply(beta)
-            smat = ansatz.states_matrix()
+            smat = ansatz.columns
             dense = smat.conj().T @ dense_lindblad(
                 model, density_from_beta(beta, ansatz)) @ smat
             assert np.max(np.abs(lhs - dense)) <= 1e-10

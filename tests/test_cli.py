@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ness_sdp import oracle
 from ness_sdp.cli import _dump_json, _matrix_obj, main
+from ness_sdp.models import tfim_chain
+from ness_sdp.states import basis_state, density_from_beta, moment_states
 
 
 @pytest.fixture
@@ -52,6 +55,34 @@ class TestSolve:
         assert report["diagnostics"]["stop_reason"] in ("grad-map", "stall")
         assert report["diagnostics"]["inner_iterations"] == 0
         assert report["shots"] == 10 ** 6
+
+    def test_true_residual_above_the_dense_limit(self, runner, tmp_path, monkeypatch):
+        # Above the dense limit there is no exact state, so no fidelity, but
+        # up to the sparse limit the report still carries ||L[rho]||.
+        cfg_obj = {"model": {"builder": "tfim_chain", "params": {"n": 7, "g": 0.5}},
+                   "ansatz": {"K": 1}, "sweep": {"parameter": "g", "values": [0.5]}}
+        cfg = write_config(tmp_path / "cfg.json", cfg_obj)
+        args = ["--config", cfg, "--out", str(tmp_path / "out"), "--dense-limit", "6"]
+        result = runner.invoke(main, ["solve", *args])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "solution.json").read_text())
+        assert set(report["oracle"]) == {"skipped", "true_residual"}
+        model = tfim_chain(7, 0.5)
+        ansatz = moment_states(model.hamiltonian, basis_state(7, "1" * 7), 1)
+        beta = np.array(report["beta"]["re"]) + 1j * np.array(report["beta"]["im"])
+        expect = oracle.true_residual(density_from_beta(beta, ansatz), model)
+        assert report["oracle"]["true_residual"] == pytest.approx(expect, rel=1e-12)
+        result = runner.invoke(main, ["sweep", *args])
+        assert result.exit_code == 0, result.output
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        cells = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert float(cells["true_residual"]) == report["oracle"]["true_residual"]
+        assert cells["fidelity"] == ""
+        monkeypatch.setattr(oracle, "SPARSE_LIMIT", 6)
+        result = runner.invoke(main, ["solve", *args])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "solution.json").read_text())
+        assert set(report["oracle"]) == {"skipped"}
 
     def test_missing_config_is_config_error(self, runner, tmp_path):
         result = runner.invoke(main, ["solve", "--config",
@@ -404,6 +435,23 @@ class TestMalformedConfigs:
         assert result.exit_code == 2, result.output
         assert field in result.output
 
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("solve", dict(TFIM_CFG, constraints=[{"generator": "magnetization", "target": True}]),
+         "constraint target"),
+        ("solve", dict(TFIM_CFG, constraints=[{"generator": "magnetization",
+                                               "target": float("inf")}]),
+         "constraint target"),
+        ("sweep", {"model": TFIM_CFG["model"], "sweep": {"parameter": "g", "values": [True]}},
+         "sweep value"),
+    ])
+    def test_number_is_a_bool_or_not_finite(self, runner, tmp_path, command, cfg, field):
+        # json reads true as a bool and Infinity as inf; neither is a number here.
+        path = write_config(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, [command, "--config", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert field in result.output
+
     def test_max_retries_not_an_integer(self, runner, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {
             "model": {"builder": "xxz_dephasing", "params": {"n": 2, "delta": 1.0}},
@@ -432,6 +480,8 @@ class TestMalformedConfigs:
         ({"max_iter": -3}, "max_iter"),
         ({"max_iter": 0}, "max_iter"),
         ({"initial": "random", "rng_seed": -1}, "rng_seed"),
+        ({"feas_tol": float("inf")}, "feas_tol"),
+        ({"feas_tol": float("nan")}, "feas_tol"),
     ])
     def test_invalid_solver_option(self, runner, tmp_path, solver, field):
         cfg = write_config(tmp_path / "cfg.json", dict(TFIM_CFG, solver=solver))

@@ -129,6 +129,11 @@ class TestSteadyStates:
             found.append(rho)
         assert abs(np.trace(found[0].conj().T @ found[1])) < 1e-10
 
+    def test_physical_flags_are_python_bools(self):
+        basis = oracle.steady_states(xxz_boundary_driven(3, 1.0, 1.0, 0.5))
+        assert all(type(flag) is bool for flag in basis.physical)
+        assert json.loads(json.dumps(basis.physical)) == [True] * 4 + [False] * 4
+
     def test_exact_ness_rejects_degenerate(self):
         with pytest.raises(DegenerateSteadySpaceError):
             oracle.exact_ness(xxz_dephasing(3, 1.0))

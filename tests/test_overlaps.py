@@ -31,7 +31,7 @@ from ness_sdp.symmetry import sector_basis_ansatz
 
 def basis_ansatz(n, bitstrings):
     return AnsatzSet(
-        states=tuple(basis_state(n, b) for b in bitstrings),
+        columns=np.column_stack([basis_state(n, b).amplitudes for b in bitstrings]),
         words=tuple((k,) for k in range(len(bitstrings))),
     )
 
@@ -59,7 +59,7 @@ class TestAssemble:
         ovl = assemble(model, ans)
         proj = observable_matrix(
             PauliSum.identity(2, 0.5) + single_site(2, 1, "Z", 0.5), ans)
-        assert np.allclose(ovl.F[1], proj.matrix, atol=1e-12)
+        assert np.allclose(ovl.F[1], proj, atol=1e-12)
 
     def test_hermitian_blocks(self, rng):
         model = random_model(rng, 3)
@@ -77,7 +77,7 @@ class TestAssemble:
 def full_row_overlaps(model, ans):
     """E, D, R_n, F_n and the magnetization and sigma_-^(1) matrices, summed
     over all 2^n rows, with F_n from A_n^dag A_n applied to the states."""
-    s = ans.states_matrix()
+    s = ans.columns
     sdag = s.conj().T
     mats = [hermitize(sdag @ s), hermitize(sdag @ apply_to_columns(model.hamiltonian, s))]
     for _, jump in model.dissipators:
@@ -94,8 +94,8 @@ def overlaps_on_support(model, ans):
     for r_n, f_n in zip(ovl.R, ovl.F):
         mats += [r_n, f_n]
     n = model.n_qubits
-    return mats + [observable_matrix(magnetization(n), ans).matrix,
-                   observable_matrix(sigma_minus(n, 1), ans).matrix]
+    return mats + [observable_matrix(magnetization(n), ans),
+                   observable_matrix(sigma_minus(n, 1), ans)]
 
 
 class TestSupportRows:
@@ -124,17 +124,17 @@ class TestObservableMatrix:
         ans = random_ansatz(rng, 2, 4)
         ovl = assemble(tfim_chain(2, 1.0), ans)
         obs = observable_matrix(PauliSum.identity(2), ans)
-        assert np.allclose(obs.matrix, ovl.E, atol=1e-12)
+        assert np.allclose(obs, ovl.E, atol=1e-12)
 
     def test_magnetization_eigenbasis(self):
         ans = basis_ansatz(2, ["00", "11"])
         obs = observable_matrix(magnetization(2), ans)
-        assert np.allclose(obs.matrix, np.diag([2.0, -2.0]))
+        assert np.allclose(obs, np.diag([2.0, -2.0]))
 
     def test_z1_on_partial_basis(self):
         ans = basis_ansatz(2, ["00", "10"])
         obs = observable_matrix(single_site(2, 1, "Z"), ans)
-        assert np.allclose(obs.matrix, np.diag([1.0, -1.0]))
+        assert np.allclose(obs, np.diag([1.0, -1.0]))
 
 
 class TestGalerkinIdentity:
@@ -150,7 +150,7 @@ class TestGalerkinIdentity:
                 lhs = ovl.generator().apply(beta)
                 rho = density_from_beta(beta, ans)
                 dense = dense_lindblad(model, rho)
-                smat = ans.states_matrix()
+                smat = ans.columns
                 projected = smat.conj().T @ dense @ smat
                 assert np.allclose(lhs, projected, atol=1e-10)
 
@@ -187,7 +187,6 @@ class TestShotNoise:
         ovl = assemble(tfim_chain(2, 1.0), random_ansatz(rng, 2, 4))
         noisy = add_shot_noise(ovl, 10 ** 6, rng_seed=1)
         assert noisy.shots == 10 ** 6
-        assert noisy.noise_std == pytest.approx(1e-3)
         for mat in (noisy.E, noisy.D, *noisy.F):
             assert np.allclose(mat, mat.conj().T)
         # 5-sigma entrywise bound at std 1e-3

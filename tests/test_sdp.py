@@ -43,7 +43,7 @@ from ness_sdp.symmetry import sector_basis_ansatz, sector_constraint
 
 def basis_ansatz(n, bitstrings):
     return AnsatzSet(
-        states=tuple(basis_state(n, b) for b in bitstrings),
+        columns=np.column_stack([basis_state(n, b).amplitudes for b in bitstrings]),
         words=tuple((k,) for k in range(len(bitstrings))),
     )
 
@@ -79,7 +79,7 @@ class TestWhiten:
     def test_orthonormal_identity_transform(self):
         _, _, problem = tfim_problem()
         system, w = whiten(problem)
-        assert system.dim == problem.size
+        assert system.dim == problem.overlaps.size
         assert np.allclose(w.conj().T @ problem.overlaps.E @ w, np.eye(system.dim),
                            atol=1e-12)
 
@@ -92,7 +92,7 @@ class TestWhiten:
 
     def test_zero_gram_rejected(self):
         model = tfim_chain(2, 1.0)
-        zero = AnsatzSet(states=(basis_state(2, "00"),), words=((),))
+        zero = AnsatzSet(columns=basis_state(2, "00").amplitudes[:, None], words=((),))
         ovl = assemble(model, zero)
         object.__setattr__(ovl, "E", np.zeros((1, 1), dtype=complex))
         with pytest.raises(DegenerateAnsatzError):
@@ -289,7 +289,7 @@ class TestSolveFeasibility:
         sub = moment_states(model.hamiltonian, basis_state(2, "11"), 0)
         beta_sub = solve_feasibility(FeasibilityProblem(overlaps=assemble(model, sub)))
         superset = AnsatzSet(
-            states=sub.states + (basis_state(2, "00"), basis_state(2, "01")),
+            columns=np.column_stack([sub.columns, np.eye(4)[:, :2]]),  # + |00>, |01>
             words=sub.words + ((1,), (2,)),
         )
         padded = np.zeros((3, 3), dtype=complex)
@@ -595,8 +595,8 @@ class TestLeastSquares:
 
 def test_residuals_read_the_hermitian_part(rng):
     _, _, problem = tfim_problem(g=0.7)
-    beta = random_hermitian(rng, problem.size)
-    skew = 1j * random_hermitian(rng, problem.size)
+    beta = random_hermitian(rng, problem.overlaps.size)
+    skew = 1j * random_hermitian(rng, problem.overlaps.size)
     superop = problem.overlaps.generator().superoperator()
     expect = np.linalg.norm(superop @ beta.reshape(-1, order="F"))
     diag = residuals(problem, beta + skew)

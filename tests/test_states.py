@@ -16,6 +16,7 @@ from ness_sdp.states import (
     moment_states,
     moment_states_random,
 )
+from ness_sdp.symmetry import sector_basis_ansatz
 
 
 class TestBasisState:
@@ -91,7 +92,7 @@ class TestMomentStates:
         ham = tfim_chain(2, 1.0).hamiltonian
         ans = moment_states(ham, basis_state(2, "00"), 1)
         assert ans.size == 3
-        got = {tuple(np.flatnonzero(np.abs(s.amplitudes) > 1e-12)) for s in ans.states}
+        got = {tuple(np.flatnonzero(np.abs(col) > 1e-12)) for col in ans.columns.T}
         assert got == {(0,), (1,), (2,)}  # |00>, |01>, |10>
 
     def test_order_two_completes_basis(self):
@@ -109,13 +110,12 @@ class TestMomentStates:
         ham = tfim_chain(3, 0.8).hamiltonian
         small = moment_states(ham, basis_state(3, "000"), 1)
         large = moment_states(ham, basis_state(3, "000"), 2)
-        for a, b in zip(small.states, large.states):
-            assert np.allclose(a.amplitudes, b.amplitudes)
+        assert np.allclose(small.columns, large.columns[:, :small.size])
 
     def test_unit_norm_and_dedup_soundness(self, rng):
         ham = random_pauli_sum(rng, 3, 4, hermitian=True)
         ans = moment_states(ham, StateVector.uniform(3), 3)
-        mat = ans.states_matrix()
+        mat = ans.columns
         assert np.allclose(np.linalg.norm(mat, axis=0), 1.0, atol=1e-12)
         gram = np.abs(mat.conj().T @ mat)
         np.fill_diagonal(gram, 0.0)
@@ -149,14 +149,14 @@ class TestMomentStatesRandom:
         exact = moment_states(ham, basis_state(3, "110"), 3)
         rand = moment_states_random(ham, basis_state(3, "110"), 3, q=10 ** 6, rng_seed=3)
         assert rand.words == exact.words
-        assert np.array_equal(rand.states_matrix(), exact.states_matrix())
+        assert np.array_equal(rand.columns, exact.columns)
 
     def test_deterministic_for_fixed_seed(self):
         ham = tfim_chain(2, 1.0).hamiltonian
         a = moment_states_random(ham, basis_state(2, "00"), 3, q=2, rng_seed=11)
         b = moment_states_random(ham, basis_state(2, "00"), 3, q=2, rng_seed=11)
         assert a.words == b.words
-        assert np.array_equal(a.states_matrix(), b.states_matrix())
+        assert np.array_equal(a.columns, b.columns)
 
     def test_order_zero_is_seed(self):
         ham = tfim_chain(2, 1.0).hamiltonian
@@ -181,6 +181,34 @@ def test_density_from_beta(rng):
 
 
 def test_ansatz_requires_matching_qubits():
+    # The rows are 2^n amplitudes for one n >= 1; three rows fit no qubit count.
     with pytest.raises(DimensionMismatchError):
-        AnsatzSet(states=(basis_state(1, "0"), basis_state(2, "00")),
-                  words=((), ()))
+        AnsatzSet(columns=np.zeros((3, 2)), words=((), ()))
+
+
+class TestAnsatzSet:
+    def test_columns_are_a_read_only_c_ordered_copy(self):
+        cols = np.eye(4)[:, 1:3]
+        ans = AnsatzSet(columns=cols, words=((), ()))
+        assert ans.columns.dtype == complex and ans.columns.flags.c_contiguous
+        assert not ans.columns.flags.writeable
+        cols[1, 0] = 5.0
+        assert ans.columns[1, 0] == 1.0
+        assert (ans.n_qubits, ans.size) == (2, 2)
+
+    def test_empty_ansatz(self):
+        with pytest.raises(ValueError, match="empty ansatz"):
+            AnsatzSet(columns=np.zeros((4, 0)), words=())
+
+    def test_support_is_the_nonzero_rows(self):
+        ham = tfim_chain(3, 0.5).hamiltonian
+        ans = moment_states(ham, basis_state(3, "111"), 1)
+        assert np.array_equal(ans.support, np.flatnonzero(np.abs(ans.columns).sum(axis=1)))
+        assert moment_states(ham, StateVector.uniform(3), 1).support == slice(None)
+
+    def test_content_hash_is_pinned(self):
+        # The hash covers the bytes of the C-ordered column block and the
+        # words; a change of either layout has to change these on purpose.
+        ans = moment_states(tfim_chain(3, 0.5).hamiltonian, basis_state(3, "111"), 2)
+        assert ans.content_hash() == "6dc504b0acef22df"
+        assert sector_basis_ansatz(4, 0).content_hash() == "d1bbb2a942a3da5d"

@@ -80,7 +80,7 @@ class TestSectorConstraint:
         ans = sector_basis_ansatz(4, 2)
         obs, target = sector_constraint(magnetization(4), 2.0, ans)
         ovl = assemble(xxz_dephasing(4, 1.0), ans)
-        assert np.allclose(obs.matrix, 2.0 * ovl.E, atol=1e-12)
+        assert np.allclose(obs, 2.0 * ovl.E, atol=1e-12)
         assert target == 2.0
 
     def test_non_hermitian_generator_rejected(self):
@@ -248,7 +248,7 @@ class TestQmExpectation:
         beta = random_hermitian(rng, ans.size)
         obs = magnetization(2)
         got = qm_expectation(beta, ans, PauliSum.identity(2), obs)
-        expect = np.trace(observable_matrix(obs, ans).matrix @ beta)
+        expect = np.trace(observable_matrix(obs, ans) @ beta)
         assert abs(got - expect) < 1e-10
 
     def test_pauli_symmetry_power_matches_dense(self, rng):
@@ -301,7 +301,7 @@ class TestExtractAllNess:
         model = xxz_dephasing(3, 1.0)
         spec = magnetization_symmetry(3)
         full = AnsatzSet(
-            states=tuple(basis_state(3, format(i, "03b")) for i in range(8)),
+            columns=np.eye(8),  # every computational basis state
             words=tuple((i,) for i in range(8)))
         result = extract_all_ness(model, spec, full)
         assert len(result.found) == 4
