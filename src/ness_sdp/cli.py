@@ -32,6 +32,21 @@ EXIT_INFEASIBLE = 3
 EXIT_ITERATION_BUDGET = 4
 EXIT_ORACLE = 5
 
+# The keys a command config may hold, per section; any other key exits 2.
+# "" is the top level, "constraints" each constraint entry, and "ansatz"
+# also each sweep.ansatz_grid entry. The solver section takes the fields
+# of sdp.SolverOptions, which rejects any other key itself.
+_CONFIG_KEYS = {
+    "": ("model", "ansatz", "solver", "constraints", "shots", "noise_rng_seed",
+         "sweep", "overlap_table", "symmetry"),
+    "model": ("builder", "params", "file"),
+    "ansatz": ("seed", "K", "q", "rng_seed"),
+    "sweep": ("parameter", "values", "ansatz_grid"),
+    "overlap_table": ("parameter", "g_values"),
+    "symmetry": ("use", "max_retries"),
+    "constraints": ("generator", "observable", "target"),
+}
+
 
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
@@ -57,6 +72,35 @@ def _section(cfg: dict, name: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be a JSON object, got {section!r}")
     return section
+
+
+def _entries(obj: dict, name: str, what: str, default: list) -> list:
+    """obj[name] as a list of JSON objects, default when absent."""
+    entries = obj.get(name, default)
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError(f"{what} must be a list of JSON objects, got {entries!r}")
+    return entries
+
+
+def _check_keys(obj: dict, allowed: tuple, where: str):
+    unknown = [key for key in obj if key not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r} {where}; "
+                          f"allowed: {', '.join(allowed)}")
+
+
+def _command_config(path: str) -> dict:
+    """A command's config file, every key checked against _CONFIG_KEYS."""
+    cfg = _load_config(path)
+    _check_keys(cfg, _CONFIG_KEYS[""], "at the top level")
+    for name in ("model", "ansatz", "sweep", "overlap_table", "symmetry"):
+        _check_keys(_section(cfg, name), _CONFIG_KEYS[name], f"in section {name!r}")
+    for k, entry in enumerate(_entries(cfg, "constraints", "constraints", [])):
+        _check_keys(entry, _CONFIG_KEYS["constraints"], f"in constraints[{k}]")
+    grid = _entries(_section(cfg, "sweep"), "ansatz_grid", "sweep.ansatz_grid", [])
+    for k, entry in enumerate(grid):
+        _check_keys(entry, _CONFIG_KEYS["ansatz"], f"in sweep.ansatz_grid[{k}]")
+    return cfg
 
 
 def _number(value, what: str) -> float:
@@ -87,7 +131,7 @@ def _build_model(cfg: dict) -> models.OpenSystemModel:
     mcfg = _section(cfg, "model")
     if not mcfg:
         raise ConfigError("config needs a 'model' section")
-    if "file" in mcfg:
+    if mcfg.get("file") is not None:
         return models.load_model(mcfg["file"])
     if "builder" in mcfg:
         try:
@@ -97,6 +141,13 @@ def _build_model(cfg: dict) -> models.OpenSystemModel:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad model parameters: {exc}")
     raise ConfigError("model section needs 'file' or 'builder'")
+
+
+def _steady_state(model: models.OpenSystemModel, dense_limit: int) -> np.ndarray:
+    """The exact steady state: dense up to dense_limit qubits, else matrix-free."""
+    if model.n_qubits <= dense_limit:
+        return oracle.exact_ness(model, dense_limit=dense_limit)
+    return oracle.sparse_steady_state(model)
 
 
 def _seed_state(model: models.OpenSystemModel, descriptor: str,
@@ -110,11 +161,7 @@ def _seed_state(model: models.OpenSystemModel, descriptor: str,
         return states.StateVector.uniform(model.n_qubits)
     if descriptor == "oracle-top":
         # Benchmarking-only seed: consults the exact steady state.
-        if model.n_qubits <= dense_limit:
-            rho = oracle.exact_ness(model, dense_limit=dense_limit)
-        else:
-            rho = oracle.sparse_steady_state(model)
-        _, seed = oracle.dominant_eigenstate(rho, model.n_qubits)
+        _, seed = oracle.dominant_eigenstate(_steady_state(model, dense_limit), model.n_qubits)
         return seed
     raise ConfigError(f"unknown seed descriptor {descriptor!r}")
 
@@ -144,10 +191,7 @@ def _build_ansatz(model: models.OpenSystemModel, cfg: dict,
 def _constraints(cfg: dict, ansatz: states.AnsatzSet,
                  model: models.OpenSystemModel):
     out = []
-    entries = cfg.get("constraints", [])
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ConfigError(f"constraints must be a list of JSON objects, got {entries!r}")
-    for entry in entries:
+    for entry in _entries(cfg, "constraints", "constraints", []):
         if "target" not in entry:
             raise ConfigError(f"constraint needs a 'target': {entry}")
         target = _number(entry["target"], "constraint target")
@@ -219,28 +263,28 @@ def _matrix_obj(mat: np.ndarray) -> dict:
 
 def _solve_once(model, cfg, dense_limit):
     ansatz = _build_ansatz(model, cfg, dense_limit)
-    ovl = _assemble(model, ansatz, cfg)
     problem = sdp.FeasibilityProblem(
-        overlaps=ovl,
+        overlaps=_assemble(model, ansatz, cfg),
         extra_constraints=_constraints(cfg, ansatz, model),
         options=_solver_options(cfg),
     )
-    beta = sdp.solve(problem)
-    return ansatz, ovl, beta
+    return ansatz, sdp.solve(problem)
 
 
-def _oracle_section(model, rho_fit, cfg, dense_limit):
-    if not _section(cfg, "oracle").get("enabled", True):
-        return {}
-    if model.n_qubits > dense_limit:
-        section = {"skipped": f"n={model.n_qubits} above dense limit {dense_limit}"}
-        if model.n_qubits <= oracle.SPARSE_LIMIT:
+def _oracle_section(model, beta: np.ndarray, ansatz: states.AnsatzSet, dense_limit):
+    """Fidelity and ||L[rho]|| of rho = S beta S^dag up to dense_limit qubits,
+    ||L[rho]|| alone up to oracle.SPARSE_LIMIT; rho is formed only for these."""
+    n = model.n_qubits
+    if n > dense_limit:
+        section = {"skipped": f"n={n} above dense limit {dense_limit}"}
+        if n <= oracle.SPARSE_LIMIT:
             # no fidelity without the exact state, but L[rho] is cheap here
-            section["true_residual"] = oracle.true_residual(rho_fit, model)
+            section["true_residual"] = oracle.true_residual(
+                states.density_from_beta(beta, ansatz), model)
         return section
+    rho_fit = states.density_from_beta(beta, ansatz)
     try:
-        rho_exact = oracle.exact_ness(model, dense_limit=dense_limit)
-        fid = oracle.fidelity(rho_fit, rho_exact)
+        fid = oracle.fidelity(rho_fit, oracle.exact_ness(model, dense_limit=dense_limit))
     except DegenerateSteadySpaceError:
         fid = None
     return {
@@ -310,20 +354,18 @@ def main():
 def solve(config_path, out_dir, dense_limit):
     """Solve one configuration and write a solution report."""
     def body():
-        cfg = _load_config(config_path)
+        cfg = _command_config(config_path)
         model = _build_model(cfg)
-        ansatz, ovl, beta = _solve_once(model, cfg, dense_limit)
-        rho_fit = states.density_from_beta(beta.matrix, ansatz)
+        ansatz, beta = _solve_once(model, cfg, dense_limit)
         report = {
             "model": model.label,
             "ansatz": ansatz.to_record(),
             "ansatz_size": ansatz.size,
             "shots": cfg.get("shots"),
-            "noisy_mode": beta.mode == "least-squares",
             "diagnostics": beta.as_dict(),
             "beta": _matrix_obj(beta.matrix),
             "observables": _observable_row(beta.matrix, ansatz, model.n_qubits),
-            "oracle": _oracle_section(model, rho_fit, cfg, dense_limit),
+            "oracle": _oracle_section(model, beta.matrix, ansatz, dense_limit),
         }
         _write_json(Path(out_dir) / "solution.json", report)
     _run(body)
@@ -358,21 +400,20 @@ def _sweep_point(cfg, value, ansatz_cfg, dense_limit):
         "feas_tol": _solver_options(point_cfg).feas_tol,
     }
     try:
-        ansatz, _, beta = _solve_once(model, point_cfg, dense_limit)
+        ansatz, beta = _solve_once(model, point_cfg, dense_limit)
     except (InfeasibleError, IterationBudgetError) as exc:
         row.update({"ansatz_size": "", "feasible": 0,
                     "subspace_residual": exc.report["best_residual"],
                     "true_residual": "", "fidelity": "",
                     "avg_X": "", "avg_Z": "", "avg_ZZ": ""})
         return row
-    rho_fit = states.density_from_beta(beta.matrix, ansatz)
     row.update({
         "ansatz_size": ansatz.size,
         "feasible": 1,
         "subspace_residual": beta.subspace_residual,
     })
     row.update(_observable_row(beta.matrix, ansatz, model.n_qubits))
-    osec = _oracle_section(model, rho_fit, point_cfg, dense_limit)
+    osec = _oracle_section(model, beta.matrix, ansatz, dense_limit)
     row["true_residual"] = osec.get("true_residual", "")
     row["fidelity"] = "" if osec.get("fidelity") is None else osec.get("fidelity")
     return row
@@ -392,7 +433,7 @@ def _format_cell(value) -> str:
 def sweep(config_path, out_dir, dense_limit, workers):
     """Sweep a model parameter; one CSV row per sweep point."""
     def body():
-        cfg = _load_config(config_path)
+        cfg = _command_config(config_path)
         swp = _section(cfg, "sweep")
         if "parameter" not in swp or "values" not in swp:
             raise ConfigError("sweep section needs 'parameter' and 'values'")
@@ -403,9 +444,7 @@ def sweep(config_path, out_dir, dense_limit, workers):
             raise ConfigError("sweep requires a builder-based model section")
         if workers < 1:
             raise ConfigError("--workers must be >= 1")
-        grid = swp.get("ansatz_grid", [{}])
-        if not isinstance(grid, list) or not all(isinstance(a, dict) for a in grid):
-            raise ConfigError(f"sweep.ansatz_grid must be a list of JSON objects, got {grid!r}")
+        grid = _entries(swp, "ansatz_grid", "sweep.ansatz_grid", [{}])
         points = [(v, a) for v in values for a in grid]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(
@@ -427,7 +466,7 @@ def sweep(config_path, out_dir, dense_limit, workers):
 def oracle_cmd(config_path, out_dir, dense_limit):
     """Exact steady-state structure; optional seed-overlap table for large n."""
     def body():
-        cfg = _load_config(config_path)
+        cfg = _command_config(config_path)
         model = _build_model(cfg)
         report = {"model": model.label}
         if model.n_qubits <= dense_limit:
@@ -444,10 +483,7 @@ def oracle_cmd(config_path, out_dir, dense_limit):
             for value in table_cfg["g_values"]:
                 point = _with_param(cfg, table_cfg.get("parameter", "g"), value)
                 pmodel = _build_model(point)
-                if pmodel.n_qubits <= dense_limit:
-                    rho = oracle.exact_ness(pmodel, dense_limit=dense_limit)
-                else:
-                    rho = oracle.sparse_steady_state(pmodel)
+                rho = _steady_state(pmodel, dense_limit)
                 lam, _ = oracle.dominant_eigenstate(rho, pmodel.n_qubits)
                 column.append({"value": value, "seed_overlap": lam,
                                "residual": oracle.true_residual(rho, pmodel)})
@@ -476,7 +512,9 @@ def _declared_symmetry(model: models.OpenSystemModel, label) -> models.SymmetryS
 def symmetry_cmd(config_path, out_dir, dense_limit):
     """Twirl + Vandermonde extraction of per-sector steady states."""
     def body():
-        cfg = _load_config(config_path)
+        cfg = _command_config(config_path)
+        if cfg.get("shots") is not None:
+            raise ConfigError("symmetry extraction runs on exact overlaps; it takes no 'shots'")
         model = _build_model(cfg)
         scfg = _section(cfg, "symmetry")
         spec = _declared_symmetry(model, scfg.get("use"))
@@ -527,7 +565,7 @@ def ansatz():
 @click.option("--dense-limit", default=oracle.DEFAULT_DENSE_LIMIT, show_default=True)
 def ansatz_generate(config_path, out_path, dense_limit):
     def body():
-        cfg = _load_config(config_path)
+        cfg = _command_config(config_path)
         model = _build_model(cfg)
         ans = _build_ansatz(model, cfg, dense_limit)
         record = ans.to_record()

@@ -37,10 +37,10 @@ class SymmetrySpec:
 
     ``generator`` is an optional Hermitian operator conserved with U;
     ``validate`` checks that it commutes with H and every jump. The dense
-    ``unitary`` is expanded on each use and not kept; its distinct
-    ``eigenvalues`` are derived on first use and cached, ordered by phase
-    angle in (-pi, pi], so they are distinct by construction and -1 comes
-    last.
+    ``unitary`` is expanded on each use and not kept (DenseLimitError above
+    ``pauli.DEFAULT_DENSE_LIMIT`` qubits); its distinct ``eigenvalues`` are
+    derived on first use and cached, ordered by phase angle in (-pi, pi],
+    so they are distinct by construction and -1 comes last.
     """
 
     pauli_expansion: PauliSum
@@ -49,7 +49,7 @@ class SymmetrySpec:
 
     @property
     def unitary(self) -> np.ndarray:
-        return self.pauli_expansion.to_dense(dense_limit=self.pauli_expansion.n_qubits)
+        return self.pauli_expansion.to_dense()
 
     @functools.cached_property
     def eigenvalues(self) -> tuple[complex, ...]:
@@ -80,9 +80,9 @@ class SymmetrySpec:
         if self.generator is not None:
             if not self.generator.is_hermitian():
                 violations.append("generator is not Hermitian")
-            conserved.append(("generator", self.generator.to_dense(dense_limit=model.n_qubits)))
+            conserved.append(("generator", self.generator.to_dense()))
         for name, op in ops:
-            a = op.to_dense(dense_limit=model.n_qubits)
+            a = op.to_dense()
             for sym_name, s in conserved:
                 if np.linalg.norm(s @ a - a @ s) > tol * max(1.0, np.linalg.norm(a)):
                     violations.append(f"{sym_name} does not commute with {name}")
@@ -253,7 +253,8 @@ def xxz_boundary_driven(n: int, delta: float, drive: float, mu: float) -> OpenSy
 
 def validate(model: OpenSystemModel) -> list[str]:
     """Structural diagnostics, then each declared symmetry's ``validate``
-    once the operators are well-formed; returns violations, never raises."""
+    once the operators are well-formed; returns violations. The symmetry
+    checks are dense: DenseLimitError above ``pauli.DEFAULT_DENSE_LIMIT`` qubits."""
     violations = []
     if not model.hamiltonian.is_hermitian():
         violations.append("hamiltonian is not Hermitian")

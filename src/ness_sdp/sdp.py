@@ -132,7 +132,6 @@ class SolverOptions:
     max_iter: int = 10000
     initial: str = "identity"           # "identity" or "random"
     rng_seed: int = 0
-    mode: str = "auto"                  # "feasibility", "least-squares", "auto"
 
     def __post_init__(self):
         for f in fields(self):
@@ -143,8 +142,6 @@ class SolverOptions:
             raise ValueError(f"feas_tol must be finite and > 0, got {self.feas_tol!r}")
         if self.initial not in ("identity", "random"):
             raise ValueError(f"unknown initial point kind {self.initial!r}")
-        if self.mode not in ("feasibility", "least-squares", "auto"):
-            raise ValueError(f"unknown solver mode {self.mode!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.rng_seed < 0:
@@ -675,11 +672,8 @@ def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
 
 
 def solve(problem: FeasibilityProblem) -> BetaMatrix:
-    """Mode dispatch: exact assemblies solve for strict feasibility, noisy
-    assemblies fall back to the least-squares mode."""
-    mode = problem.options.mode
-    if mode == "auto":
-        mode = "least-squares" if problem.overlaps.shots is not None else "feasibility"
-    if mode == "least-squares":
+    """Exact assemblies solve for strict feasibility; noisy (finite-shot)
+    assemblies go to the least-squares mode."""
+    if problem.overlaps.shots is not None:
         return solve_least_squares(problem)
     return solve_feasibility(problem)

@@ -22,7 +22,7 @@ from ness_sdp import oracle
 from ness_sdp.errors import InfeasibleError, IterationBudgetError
 from ness_sdp.models import magnetization, tfim_chain, xxz_boundary_driven, xxz_dephasing
 from ness_sdp.overlaps import add_shot_noise, assemble
-from ness_sdp.sdp import FeasibilityProblem, SolverOptions, solve_feasibility, solve_least_squares
+from ness_sdp.sdp import FeasibilityProblem, solve_feasibility, solve_least_squares
 from ness_sdp.states import basis_state, density_from_beta, moment_states, moment_states_random
 from ness_sdp.symmetry import (
     RhoCombination,
@@ -316,8 +316,7 @@ _NOISE_EXACT = oracle.exact_ness(_NOISE_MODEL)
 def test_criterion_9_noise_robustness(rng_seed):
     """Least-squares mode under emulated shot noise keeps fidelity >= 0.95."""
     noisy = add_shot_noise(_NOISE_OVERLAPS, 10 ** 8, rng_seed=rng_seed)
-    problem = FeasibilityProblem(overlaps=noisy,
-                                 options=SolverOptions(mode="least-squares"))
+    problem = FeasibilityProblem(overlaps=noisy)
     beta = solve_least_squares(problem)
     rho_fit = density_from_beta(beta.matrix, _NOISE_ANSATZ)
     assert oracle.fidelity(rho_fit, _NOISE_EXACT) >= 0.95

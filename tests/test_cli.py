@@ -1,14 +1,20 @@
 """Command-line driver: reports, exit codes, reproducibility."""
 import io
 import json
+import re
+import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ness_sdp import oracle
-from ness_sdp.cli import _dump_json, _matrix_obj, main
-from ness_sdp.models import tfim_chain
+from ness_sdp import oracle, states
+from ness_sdp.cli import _CONFIG_KEYS, _dump_json, _matrix_obj, main
+from ness_sdp.errors import DenseLimitError
+from ness_sdp.models import save_model, tfim_chain, xxz_dephasing
+from ness_sdp.sdp import SolverOptions
 from ness_sdp.states import basis_state, density_from_beta, moment_states
 
 
@@ -25,7 +31,6 @@ def write_config(path, obj):
 TFIM_CFG = {
     "model": {"builder": "tfim_chain", "params": {"n": 2, "g": 1.0, "gamma": 1.0}},
     "ansatz": {"seed": "bits:11", "K": 2},
-    "oracle": {"enabled": True},
 }
 
 
@@ -50,8 +55,8 @@ class TestSolve:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "out" / "solution.json").read_text())
-        assert report["noisy_mode"] is True
         assert report["diagnostics"]["mode"] == "least-squares"
+        assert "noisy_mode" not in report
         assert report["diagnostics"]["stop_reason"] in ("grad-map", "stall")
         assert report["diagnostics"]["inner_iterations"] == 0
         assert report["shots"] == 10 ** 6
@@ -78,11 +83,31 @@ class TestSolve:
         cells = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(cells["true_residual"]) == report["oracle"]["true_residual"]
         assert cells["fidelity"] == ""
+        # Above the sparse limit nothing reads rho, so the dense S beta S^dag
+        # is never formed.
         monkeypatch.setattr(oracle, "SPARSE_LIMIT", 6)
-        result = runner.invoke(main, ["solve", *args])
-        assert result.exit_code == 0, result.output
+
+        def guarded(beta, ansatz):
+            if ansatz.n_qubits > oracle.SPARSE_LIMIT:
+                raise AssertionError("dense rho formed above the sparse limit")
+            return density_from_beta(beta, ansatz)
+
+        monkeypatch.setattr(states, "density_from_beta", guarded)
+        for command in ("solve", "sweep"):
+            result = runner.invoke(main, [command, *args])
+            assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "out" / "solution.json").read_text())
         assert set(report["oracle"]) == {"skipped"}
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        cells = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert cells["true_residual"] == cells["fidelity"] == ""
+
+    def test_null_model_file_builds_from_the_builder(self, runner, tmp_path):
+        model = dict(TFIM_CFG["model"], file=None)
+        cfg = write_config(tmp_path / "cfg.json", dict(TFIM_CFG, model=model))
+        result = runner.invoke(main, ["solve", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
 
     def test_missing_config_is_config_error(self, runner, tmp_path):
         result = runner.invoke(main, ["solve", "--config",
@@ -118,7 +143,6 @@ class TestSweep:
             "model": {"builder": "tfim_chain", "params": {"n": 2, "g": 0.0}},
             "ansatz": {"seed": "bits:11", "K": 2},
             "sweep": {"parameter": "g", "values": list(values)},
-            "oracle": {"enabled": True},
         })
 
     def test_csv_structure_and_content(self, runner, tmp_path):
@@ -149,7 +173,6 @@ class TestSweep:
             "model": {"builder": "tfim_chain", "params": {"n": 2, "g": 1.0}},
             "ansatz": {"seed": "bits:11", "K": 2},
             "sweep": {"parameter": "g", "values": [1.0]},
-            "oracle": {"enabled": True},
         }
         cfg = write_config(tmp_path / "cfg.json", cfg_obj)
         runner.invoke(main, ["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -182,7 +205,6 @@ class TestSweep:
                 "ansatz_grid": [{"K": 4, "q": 30, "rng_seed": 1},
                                 {"K": 5, "q": 40, "rng_seed": 1}],
             },
-            "oracle": {"enabled": True},
         })
         result = runner.invoke(main, ["sweep", "--config", cfg,
                                       "--out", str(tmp_path / "out")])
@@ -292,6 +314,17 @@ class TestSymmetryCmd:
         assert result.exit_code == 2, result.output
         assert message in result.output
 
+    def test_shots_are_a_config_error(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "xxz_boundary_driven",
+                      "params": {"n": 4, "delta": 1.0, "drive": 1.0, "mu": 0.5}},
+            "shots": 100,
+        })
+        result = runner.invoke(main, ["symmetry", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "exact overlaps" in result.output
+
     def test_invalid_declared_symmetry_is_config_error(self, runner, tmp_path):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(BAD_GENERATOR_MODEL))
@@ -358,6 +391,23 @@ class TestModelAndAnsatzCmds:
         result = runner.invoke(main, ["ansatz", "inspect", str(record)])
         assert result.exit_code == 0
         assert "states:          4" in result.output
+
+    def test_symmetry_check_above_the_dense_limit(self, runner, tmp_path):
+        # The symmetry checks are dense, so they stop at the default dense
+        # limit of 12 qubits, before a 2^13 x 2^13 operator (1 GiB) exists.
+        model = xxz_dephasing(13, 1.0)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError):
+                model.symmetries[0].validate(model)
+            result = runner.invoke(main, ["model", "validate", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 5, result.output
+        assert peak < 2 ** 26
 
 
 class TestMalformedConfigs:
@@ -490,11 +540,49 @@ class TestMalformedConfigs:
         assert result.exit_code == 2, result.output
         assert field in result.output
 
+    @pytest.mark.parametrize("command, cfg, key, where", [
+        ("solve", dict(TFIM_CFG, shot=100), "shot", "at the top level"),
+        # removed: verification always runs
+        ("solve", dict(TFIM_CFG, oracle={"enabled": False}), "oracle", "at the top level"),
+        ("solve", dict(TFIM_CFG, model=dict(TFIM_CFG["model"], parms={"g": 0.5})),
+         "parms", "in section 'model'"),
+        ("solve", dict(TFIM_CFG, ansatz={"seed": "bits:11", "k": 2}), "k",
+         "in section 'ansatz'"),
+        ("solve", dict(TFIM_CFG, solver={"tolerance": 1e-9}), "tolerance",
+         "bad solver options"),
+        ("solve", {"model": {"builder": "xxz_dephasing", "params": {"n": 2, "delta": 1.0}},
+                   "ansatz": {"seed": "sector-basis:0"},
+                   "constraints": [{"generator": "magnetization", "target": 0.0,
+                                    "weight": 1.0}]},
+         "weight", "in constraints[0]"),
+        ("sweep", {"model": TFIM_CFG["model"],
+                   "sweep": {"parameter": "g", "values": [1.0], "workers": 2}},
+         "workers", "in section 'sweep'"),
+        ("sweep", {"model": TFIM_CFG["model"],
+                   "sweep": {"parameter": "g", "values": [1.0],
+                             "ansatz_grid": [{"K": 2}, {"K": 2, "order": 3}]}},
+         "order", "in sweep.ansatz_grid[1]"),
+        ("oracle", {"model": TFIM_CFG["model"],
+                    "overlap_table": {"g_values": [0.5], "values": [1.0]}},
+         "values", "in section 'overlap_table'"),
+        ("symmetry", {"model": {"builder": "xxz_dephasing", "params": {"n": 2, "delta": 1.0}},
+                      "symmetry": {"uses": "magnetization"}},
+         "uses", "in section 'symmetry'"),
+    ])
+    def test_unknown_key(self, runner, tmp_path, command, cfg, key, where):
+        # A key no code reads was silently ignored: "k" solved with K=0.
+        path = write_config(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, [command, "--config", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert repr(key) in result.output and where in result.output
+
     @pytest.mark.parametrize("key", ["psd_tol", "whiten_cutoff", "cg_tol_factor",
                                      "cg_max_iter", "stall_window", "stall_improvement",
-                                     "ls_max_iter", "ls_grad_tol", "ls_penalty"])
+                                     "ls_max_iter", "ls_grad_tol", "ls_penalty", "mode"])
     def test_removed_solver_option(self, runner, tmp_path, key):
-        # Tolerances and budgets are sdp module constants, not config keys.
+        # Tolerances and budgets are sdp module constants, not config keys,
+        # and the mode follows "shots".
         cfg = write_config(tmp_path / "cfg.json", dict(TFIM_CFG, solver={key: 1}))
         result = runner.invoke(main, ["solve", "--config", cfg,
                                       "--out", str(tmp_path / "out")])
@@ -526,7 +614,7 @@ class TestMalformedConfigs:
     @pytest.mark.parametrize("command, section, value", [
         ("symmetry", "symmetry", "magnetization"),
         ("solve", "ansatz", "x"),
-        ("solve", "oracle", 3),
+        ("solve", "model", 3),
         ("solve", "solver", "x"),
         ("sweep", "sweep", 5),
         ("oracle", "overlap_table", [0.5]),
@@ -582,3 +670,17 @@ def test_report_writer_matches_json_dump():
     json.dump(obj, expect, default=float)
     _dump_json(obj, got)
     assert got.getvalue() == expect.getvalue()
+
+
+def test_readme_documents_the_config_schema():
+    """The README's config block parses once its // comments are stripped
+    and lists exactly the keys each section accepts."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    cfg = json.loads(re.sub(r"//.*", "", block))
+    documented = {"": set(cfg), "constraints": set().union(*cfg["constraints"])}
+    for name in ("model", "ansatz", "sweep", "overlap_table", "symmetry"):
+        documented[name] = set(cfg[name])
+    assert documented == {name: set(keys) for name, keys in _CONFIG_KEYS.items()}
+    assert set().union(*cfg["sweep"]["ansatz_grid"]) == set(_CONFIG_KEYS["ansatz"])
+    assert set(cfg["solver"]) == {f.name for f in fields(SolverOptions)}
