@@ -44,7 +44,6 @@ from .symmetry import (
     exchange_parity_symmetry,
     extract_all_ness,
     magnetization_symmetry,
-    qm_expectation,
     sector_constraint,
     twirl_eliminate,
     vandermonde_extract,

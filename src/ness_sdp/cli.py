@@ -90,11 +90,17 @@ def _check_keys(obj: dict, allowed: tuple, where: str):
 
 
 def _command_config(path: str) -> dict:
-    """A command's config file, every key checked against _CONFIG_KEYS."""
+    """A command's config file, every key checked against _CONFIG_KEYS; a
+    model file comes alone, since builder and params beside it would go unread."""
     cfg = _load_config(path)
     _check_keys(cfg, _CONFIG_KEYS[""], "at the top level")
     for name in ("model", "ansatz", "sweep", "overlap_table", "symmetry"):
         _check_keys(_section(cfg, name), _CONFIG_KEYS[name], f"in section {name!r}")
+    mcfg = _section(cfg, "model")
+    beside = [key for key in ("builder", "params") if key in mcfg]
+    if mcfg.get("file") is not None and beside:
+        raise ConfigError(f"model section has 'file' and {' and '.join(map(repr, beside))}; "
+                          "a model file takes no builder or params")
     for k, entry in enumerate(_entries(cfg, "constraints", "constraints", [])):
         _check_keys(entry, _CONFIG_KEYS["constraints"], f"in constraints[{k}]")
     grid = _entries(_section(cfg, "sweep"), "ansatz_grid", "sweep.ansatz_grid", [])
@@ -580,6 +586,8 @@ def ansatz_inspect(record_path):
     def body():
         record = _load_config(record_path)
         words = record.get("words", [])
+        if not isinstance(words, list) or not all(isinstance(w, list) for w in words):
+            raise ConfigError(f"ansatz record 'words' must be a list of lists, got {words!r}")
         click.echo(f"n_qubits:        {record.get('n_qubits')}")
         click.echo(f"seed_descriptor: {record.get('seed_descriptor')}")
         click.echo(f"rng_seed:        {record.get('rng_seed')}")

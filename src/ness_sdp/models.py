@@ -30,30 +30,89 @@ from .pauli import (
 
 EIGENVALUE_TOL = 1e-8
 
+# The keys of a model file's ``symmetries`` entry; the first three are required.
+SYMMETRY_KEYS = ("permutation", "flip", "phase", "generator", "label")
+
+
+def _frobenius(op: PauliSum) -> float:
+    """||op||_F from the coefficients: Pauli words are orthogonal, each of norm 2^(n/2)."""
+    return math.sqrt(2 ** op.n_qubits * sum(abs(c) ** 2 for c, _ in op.terms))
+
 
 @dataclass(frozen=True)
 class SymmetrySpec:
-    """A strong symmetry U of a model, stored as U's Pauli expansion.
+    """A strong symmetry U of a model, held as the signed permutation it is:
+    U|b> = exp(i phase m(c)) |c>, with c = pi(b) xor flip and
+    m(c) = sum_j (-1)^(c_j).
 
-    ``generator`` is an optional Hermitian operator conserved with U;
-    ``validate`` checks that it commutes with H and every jump. The dense
-    ``unitary`` is expanded on each use and not kept (DenseLimitError above
-    ``pauli.DEFAULT_DENSE_LIMIT`` qubits); its distinct ``eigenvalues`` are
-    derived on first use and cached, ordered by phase angle in (-pi, pi],
-    so they are distinct by construction and -1 comes last.
+    Under pi, site j's bit moves to site ``permutation[j-1]`` (1-based);
+    ``flip`` is a bitstring, site 1 leftmost. ``generator`` is an optional
+    Hermitian operator conserved with U. The distinct ``eigenvalues`` are
+    cached, ordered by phase angle in (-pi, pi], so -1 comes last.
+    Malformed fields raise ConfigError.
     """
 
-    pauli_expansion: PauliSum
+    permutation: tuple[int, ...]
+    flip: str
+    phase: float
     generator: PauliSum | None = None
     label: str = ""
 
+    def __post_init__(self):
+        perm, n = self.permutation, len(self.permutation)
+        if not (n and all(type(s) is int for s in perm) and sorted(perm) == list(range(1, n + 1))):
+            raise ConfigError(f"symmetry permutation must list the sites 1..n once each, got {perm!r}")
+        if not (isinstance(self.flip, str) and len(self.flip) == n and set(self.flip) <= set("01")):
+            raise ConfigError(f"symmetry flip must be a bitstring of {n} sites, got {self.flip!r}")
+        if (isinstance(self.phase, bool) or not isinstance(self.phase, (int, float))
+                or not math.isfinite(self.phase)):
+            raise ConfigError(f"symmetry phase must be a finite number, got {self.phase!r}")
+        if self.generator is not None and self.generator.n_qubits != n:
+            raise ConfigError(f"symmetry generator must act on {n} qubits")
+        object.__setattr__(self, "permutation", tuple(perm))
+        object.__setattr__(self, "phase", float(self.phase))
+
     @property
-    def unitary(self) -> np.ndarray:
-        return self.pauli_expansion.to_dense()
+    def n_qubits(self) -> int:
+        return len(self.permutation)
+
+    @functools.cached_property
+    def _action(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c, m(c), w) with U|b> = w[b] |c[b]> for every basis index b
+        (site 1 = most significant bit)."""
+        n, idx = self.n_qubits, np.arange(2 ** self.n_qubits)
+        moved = sum(((idx >> (n - 1 - j)) & 1) << (n - site) for j, site in enumerate(self.permutation))
+        targets = moved ^ int(self.flip, 2)
+        mags = n - 2 * np.bitwise_count(targets).astype(np.int64)
+        return targets, mags, np.exp(1j * self.phase * mags)
+
+    def apply(self, columns: np.ndarray) -> np.ndarray:
+        """U applied to every column of a (2^n, m) array: a row scatter with phases."""
+        targets, _, phases = self._action
+        out = np.empty(columns.shape, dtype=complex)
+        out[targets] = phases[:, None] * columns
+        return out
 
     @functools.cached_property
     def eigenvalues(self) -> tuple[complex, ...]:
-        vals = np.linalg.eigvals(self.unitary)
+        """The l-th roots of exp(i phase M) for each cycle b -> c -> ... -> b
+        of length l and magnetization sum M, merged within EIGENVALUE_TOL of angle."""
+        targets, mags, _ = self._action
+        idx = np.arange(len(targets))
+        length, mag_sum, current, step = np.zeros_like(idx), np.zeros_like(idx), idx, 0
+        while not length.all():
+            step += 1
+            open_ = length == 0
+            mag_sum[open_] += mags[current[open_]]
+            current = targets[current]
+            length[open_ & (current == idx)] = step
+        vals = []
+        for order, total in np.unique(np.stack([length, mag_sum]), axis=1).T:
+            roots = np.exp(2j * np.pi * np.arange(order) / order)
+            if order % 2 == 0:
+                roots[order // 2] = -1.0  # exp(i pi) is -1 + 1.2e-16i; a real U's stay real
+            vals.append(np.exp(1j * self.phase * total / order) * roots)
+        vals = np.concatenate(vals)
         angles = np.angle(vals)
         angles[angles <= EIGENVALUE_TOL - math.pi] += 2 * math.pi
         order = np.argsort(angles)
@@ -64,52 +123,59 @@ class SymmetrySpec:
     def n_sectors(self) -> int:
         return len(self.eigenvalues)
 
+    def _conjugation_defect(self, op: PauliSum) -> float:
+        """||U op U^dag - op||_F from op's flip table (p, a_p): U moves mask p
+        to pi(p) = c[p] ^ c[0], with weight w[r] a_p[r] conj(w[r ^ p]) at row c[r]."""
+        targets, _, phases = self._action
+        table = dict(op.flip_weights())
+        hit, squared = set(), 0.0
+        for p, weights in table.items():
+            q = int(targets[p] ^ targets[0])
+            hit.add(q)
+            moved = np.empty(len(targets), dtype=complex)
+            moved[targets] = phases * weights * phases[np.arange(len(targets)) ^ p].conj()
+            diff = moved - table.get(q, 0)
+            squared += np.vdot(diff, diff).real
+        return math.sqrt(squared + sum(np.vdot(a, a).real for q, a in table.items() if q not in hit))
+
     def validate(self, model: "OpenSystemModel", tol: float = 1e-10) -> list[str]:
-        """Unitarity of U, and U and the generator commuting with H and every jump."""
-        if self.pauli_expansion.n_qubits != model.n_qubits:
-            return [f"U acts on {self.pauli_expansion.n_qubits} qubits, "
-                    f"the model on {model.n_qubits}"]
-        violations = []
-        u = self.unitary
-        dim = u.shape[0]
-        if np.linalg.norm(u @ u.conj().T - np.eye(dim)) > tol * dim:
-            violations.append("U is not unitary")
+        """U and the generator commuting with H and every jump, to tol times
+        the operator's Frobenius norm (at least 1): U on the operator's flip
+        table, the generator in Pauli algebra."""
+        if self.n_qubits != model.n_qubits:
+            return [f"U acts on {self.n_qubits} qubits, the model on {model.n_qubits}"]
+        gen = self.generator
+        violations = [] if gen is None or gen.is_hermitian() else ["generator is not Hermitian"]
         ops = [("H", model.hamiltonian)] + [
             (f"jump operator {k}", jump) for k, jump in enumerate(model.jumps)]
-        conserved = [("U", u)]
-        if self.generator is not None:
-            if not self.generator.is_hermitian():
-                violations.append("generator is not Hermitian")
-            conserved.append(("generator", self.generator.to_dense()))
         for name, op in ops:
-            a = op.to_dense()
-            for sym_name, s in conserved:
-                if np.linalg.norm(s @ a - a @ s) > tol * max(1.0, np.linalg.norm(a)):
-                    violations.append(f"{sym_name} does not commute with {name}")
+            bound = tol * max(1.0, _frobenius(op))
+            if self._conjugation_defect(op) > bound:
+                violations.append(f"U does not commute with {name}")
+            if gen is not None and _frobenius(gen * op - op * gen) > bound:
+                violations.append(f"generator does not commute with {name}")
         return violations
 
-    def power_pauli(self, k: int) -> PauliSum:
-        """Pauli expansion of U^k (U^dag for negative k)."""
-        out = PauliSum.identity(self.pauli_expansion.n_qubits)
-        base = self.pauli_expansion if k >= 0 else self.pauli_expansion.dagger()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
     def to_obj(self) -> dict:
-        obj = {"label": self.label, "unitary": pauli_sum_to_obj(self.pauli_expansion)}
+        obj = {"label": self.label, "permutation": list(self.permutation),
+               "flip": self.flip, "phase": self.phase}
         if self.generator is not None:
             obj["generator"] = pauli_sum_to_obj(self.generator)
         return obj
 
     @classmethod
     def from_obj(cls, obj: dict, n_qubits: int) -> "SymmetrySpec":
+        """A ``symmetries`` entry; a missing required key or any key outside
+        SYMMETRY_KEYS is a ConfigError that names it."""
+        unknown = [key for key in obj if key not in SYMMETRY_KEYS]
+        missing = [key for key in SYMMETRY_KEYS[:3] if key not in obj]
+        if unknown or missing:
+            raise ConfigError(f"symmetry entry: unknown keys {unknown}, missing keys {missing}; "
+                              f"allowed: {', '.join(SYMMETRY_KEYS)}")
         generator = obj.get("generator")
-        return cls(
-            pauli_expansion=pauli_sum_from_obj(obj["unitary"], n_qubits),
-            generator=None if generator is None else pauli_sum_from_obj(generator, n_qubits),
-            label=obj.get("label", ""),
-        )
+        return cls(obj["permutation"], obj["flip"], obj["phase"],
+                   None if generator is None else pauli_sum_from_obj(generator, n_qubits),
+                   obj.get("label", ""))
 
 
 @dataclass(frozen=True)
@@ -171,15 +237,6 @@ def magnetization(n: int) -> PauliSum:
     return m
 
 
-def z_rotation_pauli(n: int, phi: float) -> PauliSum:
-    """Pauli expansion of exp(i phi sum_j Z_j) via the per-site product."""
-    out = PauliSum.identity(n, math.cos(phi)) + single_site(n, 1, "Z", 1j * math.sin(phi))
-    for j in range(2, n + 1):
-        factor = PauliSum.identity(n, math.cos(phi)) + single_site(n, j, "Z", 1j * math.sin(phi))
-        out = out * factor
-    return out
-
-
 def magnetization_symmetry(n: int, phi: float | None = None) -> SymmetrySpec:
     """U = exp(i phi M), generator M; sectors m = -n, -n+2, ..., n in that order.
 
@@ -187,24 +244,12 @@ def magnetization_symmetry(n: int, phi: float | None = None) -> SymmetrySpec:
     """
     if phi is None:
         phi = 2.0 * math.pi / (2 * n + 2)
-    return SymmetrySpec(pauli_expansion=z_rotation_pauli(n, phi),
-                        generator=magnetization(n), label="magnetization")
-
-
-def _swap_pauli(n: int, a: int, b: int) -> PauliSum:
-    """SWAP_{ab} = (1/2)(II + XX + YY + ZZ) on sites a, b."""
-    out = PauliSum.identity(n, 0.5)
-    for axis in "XYZ":
-        out = out + two_site(n, a, axis, b, axis, 0.5)
-    return out
+    return SymmetrySpec(tuple(range(1, n + 1)), "0" * n, phi, magnetization(n), "magnetization")
 
 
 def exchange_parity_symmetry(n: int) -> SymmetrySpec:
     """S = P * prod_j X_j with P the site-reversal permutation; sectors (+1, -1)."""
-    expansion = PauliSum.from_label("X" * n)
-    for j in range(n // 2, 0, -1):
-        expansion = _swap_pauli(n, j, n + 1 - j) * expansion
-    return SymmetrySpec(pauli_expansion=expansion, label="exchange-parity")
+    return SymmetrySpec(tuple(range(n, 0, -1)), "1" * n, 0.0, label="exchange-parity")
 
 
 def xxz_dephasing(n: int, delta: float, gamma: float = 1.0) -> OpenSystemModel:
@@ -253,8 +298,8 @@ def xxz_boundary_driven(n: int, delta: float, drive: float, mu: float) -> OpenSy
 
 def validate(model: OpenSystemModel) -> list[str]:
     """Structural diagnostics, then each declared symmetry's ``validate``
-    once the operators are well-formed; returns violations. The symmetry
-    checks are dense: DenseLimitError above ``pauli.DEFAULT_DENSE_LIMIT`` qubits."""
+    once the operators are well-formed; returns violations. No check is
+    dense, so every qubit count is decided."""
     violations = []
     if not model.hamiltonian.is_hermitian():
         violations.append("hamiltonian is not Hermitian")
@@ -308,6 +353,8 @@ def model_from_obj(obj: dict) -> OpenSystemModel:
             for d in obj["dissipators"]
         )
         symmetries = tuple(SymmetrySpec.from_obj(s, n) for s in obj.get("symmetries", []))
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed model object: {exc!r}") from exc
     return OpenSystemModel(

@@ -109,7 +109,7 @@ def _canonical_phase(amps: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class AnsatzSet:
     """Ordered ansatz states, the columns of one read-only (2^n, L) block,
-    with the unitary words that produced them.
+    with the Pauli words that produced them.
 
     ``words[i]`` is the sequence of Hamiltonian term indices applied to
     the seed (first applied first); the seed itself has the empty word.

@@ -1,6 +1,6 @@
 """Multiple steady states under strong symmetries.
 
-A strong symmetry is a unitary U commuting with the Hamiltonian and all
+A strong symmetry is an operator U commuting with the Hamiltonian and all
 jump operators; the operator space splits into blocks B_ab between
 U-eigenspaces and each diagonal block carries a physical steady state.
 This module implements the three tools that recover them:
@@ -13,10 +13,10 @@ This module implements the three tools that recover them:
   {U^k rho_phys} onto the per-sector components c_a rho_aa.
 
 Combinations of U^k rho (U^dag)^k' are tracked symbolically on the
-solver's factor rho = S beta S^dag, and each sector state is realized
-densely once, as sum c (U^p S) beta (U^q S)^dag, so expectation values
-can be evaluated either from the coefficient matrix (hybrid path) or
-densely.
+solver's factor rho = S beta S^dag. U is never dense: U^p S is a row
+scatter of S with phases (``SymmetrySpec.apply``). Each found sector
+state is realized densely once, as sum c (U^p S) beta (U^q S)^dag, so
+extraction stops at ``pauli.DEFAULT_DENSE_LIMIT`` qubits.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DenseLimitError
 from .lindblad import PauliLindbladian, hermitize
 # SymmetrySpec and the two built-in symmetries live in models (a model
 # declares its symmetries) and are re-exported here.
@@ -33,12 +33,11 @@ from .models import (
     SymmetrySpec,
     exchange_parity_symmetry,
     magnetization_symmetry,
-    z_rotation_pauli,
 )
 from .overlaps import assemble, observable_matrix
-from .pauli import PauliSum
+from .pauli import DEFAULT_DENSE_LIMIT, PauliSum
 from .sdp import BetaMatrix, FeasibilityProblem, SolverOptions, solve_feasibility
-from .states import AnsatzSet, apply_to_columns
+from .states import AnsatzSet
 from . import oracle
 
 TRACE_FLOOR = 1e-8
@@ -82,8 +81,8 @@ class RhoCombination:
     rho1 = S beta S^dag.
 
     ``dense`` evaluates it as sum c_pq (U^p S) beta (U^q S)^dag, with U^p S
-    from U's Pauli expansion applied to the columns of the 2^n x L factor
-    S: one 2^n x 2^n product, and no dense rho1, U or power of U.
+    from U scattering the rows of the 2^n x L factor S with phases: one
+    2^n x 2^n product, and no dense rho1, U or power of U.
     """
 
     weights: dict[tuple[int, int], complex]
@@ -108,8 +107,7 @@ class RhoCombination:
         (c_pq beta) of blocks that it sandwiches."""
         used = sorted({p for key in self.weights for p in key})
         while len(self.powers) <= used[-1]:
-            self.powers.append(apply_to_columns(self.spec.pauli_expansion, self.powers[-1])
-                               if self.powers else self.factor)
+            self.powers.append(self.spec.apply(self.powers[-1]) if self.powers else self.factor)
         pos = {p: i for i, p in enumerate(used)}
         coeffs = np.zeros((len(used), len(used)), dtype=complex)
         for (p, q), c in self.weights.items():
@@ -155,10 +153,7 @@ def twirl_eliminate(rc: RhoCombination, spec: SymmetrySpec,
     weight = 1.0 / (1.0 - spec.eigenvalues[m] * np.conj(spec.eigenvalues[n]))
     # rho' = (1 - w) rho + w U rho U^dag
     shifted = {(k + 1, kp + 1): weight * c for (k, kp), c in rc.weights.items()}
-    weights = {key: (1.0 - weight) * c for key, c in rc.weights.items()}
-    for key, c in shifted.items():
-        weights[key] = weights.get(key, 0j) + c
-    return replace(rc, weights=weights)
+    return rc.scaled(1.0 - weight).added(replace(rc, weights=shifted))
 
 
 def twirl_eliminate_all(rc: RhoCombination, spec: SymmetrySpec) -> RhoCombination:
@@ -229,27 +224,6 @@ def vandermonde_extract(rho_phys: RhoCombination, spec: SymmetrySpec,
 
 
 # ---------------------------------------------------------------------------
-# Hybrid expectation values (never forming dense rho)
-# ---------------------------------------------------------------------------
-
-def qm_expectation(beta: np.ndarray, ansatz: AnsatzSet, u_power: PauliSum,
-                   obs: PauliSum, u_power_right: PauliSum | None = None) -> complex:
-    """Tr(U^k rho O) (or Tr(U^k rho U^k' O)) from beta and projected Pauli words.
-
-    Expands O * U^k (and optionally the right power) into Pauli strings
-    P_m and sums coeff_m * Tr(Q_m beta) with Q_m the projected word.
-    """
-    word = obs * u_power
-    if u_power_right is not None:
-        word = u_power_right * word
-    total = 0j
-    for coeff, string in word.terms:
-        q_m = observable_matrix(PauliSum([(1.0, string)]), ansatz)
-        total += coeff * np.trace(q_m @ np.asarray(beta))
-    return complex(total)
-
-
-# ---------------------------------------------------------------------------
 # Full pipeline (Appendix-style three stage extraction)
 # ---------------------------------------------------------------------------
 
@@ -273,8 +247,13 @@ def extract_all_ness(model: OpenSystemModel, spec: SymmetrySpec, ansatz: AnsatzS
     When a sector component is missing (zero weight in the solver output)
     the feasibility program is re-run from a seeded random start, per the
     documented remedy, up to max_retries times. A spec that fails
-    ``validate`` raises ``ConfigError``.
+    ``validate`` raises ``ConfigError``. The sector states are dense, so
+    above ``pauli.DEFAULT_DENSE_LIMIT`` qubits this raises
+    ``DenseLimitError`` before any work.
     """
+    if model.n_qubits > DEFAULT_DENSE_LIMIT:
+        raise DenseLimitError(f"sector states of {model.n_qubits} qubits are dense; "
+                              f"the limit is {DEFAULT_DENSE_LIMIT}")
     options = options or SolverOptions()
     violations = spec.validate(model)
     if violations:

@@ -48,6 +48,24 @@ def dense_exchange_parity(n: int) -> np.ndarray:
     return s
 
 
+def dense_symmetry(spec) -> np.ndarray:
+    """U from the definition U|b> = exp(i phase m(c)) |c>, one basis state at a
+    time: site j's bit of b goes to site permutation[j-1], then the flip sites
+    toggle, and m(c) counts +1 per 0 bit and -1 per 1 bit."""
+    n = len(spec.permutation)
+    flip = [int(ch) for ch in spec.flip]
+    u = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for b in range(2 ** n):
+        bits = [int(ch) for ch in format(b, f"0{n}b")]
+        moved = [0] * n
+        for j, site in enumerate(spec.permutation):
+            moved[site - 1] = bits[j]
+        c = [bit ^ f for bit, f in zip(moved, flip)]
+        m = sum(1 - 2 * bit for bit in c)
+        u[int("".join(map(str, c)), 2), b] = np.exp(1j * spec.phase * m)
+    return u
+
+
 def dense_lindblad(model: OpenSystemModel, rho: np.ndarray) -> np.ndarray:
     """L[rho] assembled from scratch with the local dense table."""
     h = dense_sum(model.hamiltonian)

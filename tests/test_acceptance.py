@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_lindblad, random_ansatz, random_hermitian, random_model
+from conftest import dense_lindblad, dense_symmetry, random_ansatz, random_hermitian, random_model
 from ness_sdp import oracle
 from ness_sdp.errors import InfeasibleError, IterationBudgetError
 from ness_sdp.models import magnetization, tfim_chain, xxz_boundary_driven, xxz_dephasing
@@ -33,7 +33,6 @@ from ness_sdp.symmetry import (
     sector_constraint,
     twirl_eliminate_all,
     vandermonde_extract,
-    z_rotation_pauli,
 )
 
 GROWTH_CAP = 6
@@ -146,7 +145,7 @@ def boundary_results(registry):
         result.beta))
 
     iso0 = oracle.sector_basis(4, 0)
-    s_r = iso0.conj().T @ spec.unitary @ iso0
+    s_r = iso0.conj().T @ dense_symmetry(spec) @ iso0
     vals, vecs = np.linalg.eigh((s_r + s_r.conj().T) / 2)
     oracle_states = {
         +1: oracle.restricted_steady_state(model, iso0 @ vecs[:, vals > 0]),
@@ -256,8 +255,7 @@ def test_criterion_7_planted_decomposition():
         (2 * np.pi / 8, {-3: 0.1, -1: 0.2, 1: 0.3, 3: 0.4}),
     ]
     for phi, weights in cases:
-        spec = SymmetrySpec(pauli_expansion=z_rotation_pauli(3, phi),
-                            generator=magnetization(3))
+        spec = SymmetrySpec((1, 2, 3), "000", phi, magnetization(3))
         n_u = spec.n_sectors
         assert n_u == len(weights)
         rho = sum(w * sector_states[m] for m, w in weights.items())

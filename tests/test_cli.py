@@ -12,8 +12,14 @@ from click.testing import CliRunner
 
 from ness_sdp import oracle, states
 from ness_sdp.cli import _CONFIG_KEYS, _dump_json, _matrix_obj, main
-from ness_sdp.errors import DenseLimitError
-from ness_sdp.models import save_model, tfim_chain, xxz_dephasing
+from ness_sdp.models import (
+    exchange_parity_symmetry,
+    model_to_obj,
+    save_model,
+    tfim_chain,
+    xxz_boundary_driven,
+    xxz_dephasing,
+)
 from ness_sdp.sdp import SolverOptions
 from ness_sdp.states import basis_state, density_from_beta, moment_states
 
@@ -341,8 +347,7 @@ BAD_GENERATOR_MODEL = {
     "n_qubits": 2,
     "hamiltonian": [{"coeff": [1.0, 0.0], "pauli": "XI"}],
     "dissipators": [],
-    "symmetries": [{"label": "z1",
-                    "unitary": [{"coeff": [1.0, 0.0], "pauli": "II"}],
+    "symmetries": [{"label": "z1", "permutation": [1, 2], "flip": "00", "phase": 0.0,
                     "generator": [{"coeff": [1.0, 0.0], "pauli": "ZI"}]}],
 }
 
@@ -380,7 +385,7 @@ class TestModelAndAnsatzCmds:
         bad.write_text(json.dumps(dict(BAD_GENERATOR_MODEL, symmetries=[{"label": "x"}])))
         result = runner.invoke(main, ["model", "validate", str(bad)])
         assert result.exit_code == 2, result.output
-        assert "unitary" in result.output
+        assert "'permutation'" in result.output
 
     def test_ansatz_generate_and_inspect(self, runner, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", TFIM_CFG)
@@ -393,25 +398,72 @@ class TestModelAndAnsatzCmds:
         assert "states:          4" in result.output
 
     def test_symmetry_check_above_the_dense_limit(self, runner, tmp_path):
-        # The symmetry checks are dense, so they stop at the default dense
-        # limit of 12 qubits, before a 2^13 x 2^13 operator (1 GiB) exists.
-        model = xxz_dephasing(13, 1.0)
+        # The symmetry checks read U's structure, so model validate decides
+        # at 13 qubits. The sector states are dense, so extraction stops at
+        # the default dense limit of 12, before a 2^13 x 2^13 array (1 GiB)
+        # exists.
         path = tmp_path / "model.json"
-        save_model(model, path)
+        save_model(xxz_dephasing(13, 1.0), path)
+        cfg = write_config(tmp_path / "cfg.json", {"model": {"file": str(path)}})
         tracemalloc.start()
         try:
-            with pytest.raises(DenseLimitError):
-                model.symmetries[0].validate(model)
+            validated = runner.invoke(main, ["model", "validate", str(path)])
+            extracted = runner.invoke(main, ["symmetry", "--config", cfg,
+                                             "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert validated.exit_code == 0, validated.output
+        assert extracted.exit_code == 5, extracted.output
+        assert peak < 2 ** 26
+
+    def test_failing_symmetry_above_the_dense_limit(self, runner, tmp_path):
+        obj = model_to_obj(tfim_chain(13, 0.5))
+        obj["symmetries"] = [exchange_parity_symmetry(13).to_obj()]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))
+        result = runner.invoke(main, ["model", "validate", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "U does not commute with jump operator 0" in result.output
+
+    def test_model_validate_at_sixteen_qubits(self, runner, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(xxz_boundary_driven(16, 1.0, 1.0, 0.5), path)
+        tracemalloc.start()
+        try:
             result = runner.invoke(main, ["model", "validate", str(path)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.exit_code == 5, result.output
+        assert result.exit_code == 0, result.output
         assert peak < 2 ** 26
 
 
 class TestMalformedConfigs:
     """Each malformed input exits 2 with a message, not 1 with a traceback."""
+
+    @pytest.mark.parametrize("beside", [["builder"], ["params"], ["builder", "params"]])
+    def test_model_file_beside_a_builder(self, runner, tmp_path, beside):
+        path = tmp_path / "model.json"
+        save_model(tfim_chain(2, 0.0), path)
+        model = {"file": str(path), "builder": "tfim_chain", "params": {"n": 2, "g": 0.0}}
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {key: model[key] for key in ["file", *beside]},
+            "sweep": {"parameter": "g", "values": [0.0, 1.0]},
+        })
+        for command in ("solve", "sweep"):
+            result = runner.invoke(main, [command, "--config", cfg,
+                                          "--out", str(tmp_path / "out")])
+            assert result.exit_code == 2, result.output
+            assert all(f"'{key}'" in result.output for key in ["file", *beside])
+
+    @pytest.mark.parametrize("words", [5, [3, 4]])
+    def test_ansatz_record_words_not_lists(self, runner, tmp_path, words):
+        record = tmp_path / "ansatz.json"
+        record.write_text(json.dumps({"n_qubits": 2, "words": words}))
+        result = runner.invoke(main, ["ansatz", "inspect", str(record)])
+        assert result.exit_code == 2, result.output
+        assert "words" in result.output
 
     def test_sweep_builder_without_params(self, runner, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {

@@ -1,4 +1,8 @@
 """Model builders, invariants, and serialization."""
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,9 @@ from conftest import dense_exchange_parity, dense_sum
 from ness_sdp import oracle
 from ness_sdp.errors import ConfigError
 from ness_sdp.models import (
+    SYMMETRY_KEYS,
     OpenSystemModel,
+    SymmetrySpec,
     build,
     load_model,
     magnetization,
@@ -143,9 +149,67 @@ def test_obj_roundtrip_preserves_symmetries():
         assert again == m
         for a, b in zip(again.symmetries, m.symmetries):
             assert a.generator == b.generator
-            assert a.pauli_expansion == b.pauli_expansion
-            assert np.array_equal(a.unitary, b.unitary)
+            assert (a.permutation, a.flip, a.phase) == (b.permutation, b.flip, b.phase)
             assert a.eigenvalues == b.eigenvalues
+
+
+def test_saved_symmetries_are_small(tmp_path):
+    # A symmetry is written as its permutation, flip and phase, not as 2^n terms.
+    path = tmp_path / "model.json"
+    save_model(xxz_boundary_driven(8, 1.0, 1.0, 0.5), path)
+    assert path.stat().st_size < 10_000
+
+
+@pytest.mark.parametrize("entry, key", [
+    ({"flip": "00", "phase": 0.0}, "permutation"),
+    ({"permutation": [1, 2], "phase": 0.0}, "flip"),
+    ({"permutation": [1, 2], "flip": "00"}, "phase"),
+    ({"permutation": [1, 2], "flip": "00", "phase": 0.0,
+      "unitary": [{"coeff": [1.0, 0.0], "pauli": "II"}]}, "unitary"),
+    ({"permutation": [1, 2], "flip": "00", "phase": 0.0, "sectors": 2}, "sectors"),
+])
+def test_symmetry_entry_keys(entry, key):
+    obj = model_to_obj(tfim_chain(2, 1.0))
+    obj["symmetries"] = [entry]
+    with pytest.raises(ConfigError, match=repr(key)):
+        model_from_obj(obj)
+
+
+@pytest.mark.parametrize("fields", [
+    {"permutation": ()},
+    {"permutation": (1, 1)},
+    {"permutation": (0, 1)},
+    {"permutation": (1.0, 2.0)},
+    {"permutation": (True, 2)},
+    {"flip": "0"},
+    {"flip": "012"},
+    {"flip": 3},
+    {"phase": float("nan")},
+    {"phase": "0.5"},
+    {"phase": True},
+    {"generator": magnetization(3)},
+])
+def test_malformed_symmetry_fields_rejected(fields):
+    with pytest.raises(ConfigError):
+        SymmetrySpec(**{"permutation": (1, 2), "flip": "00", "phase": 0.0, **fields})
+
+
+def test_malformed_symmetry_flip_in_file():
+    obj = model_to_obj(xxz_dephasing(2, 1.0))
+    for flip in ("0", "012", 3):
+        obj["symmetries"][0]["flip"] = flip
+        with pytest.raises(ConfigError, match="flip"):
+            model_from_obj(obj)
+
+
+def test_readme_model_file_names_the_symmetry_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Model files", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    assert [set(entry) for entry in example["symmetries"]] == [set(SYMMETRY_KEYS)]
+    assert model_from_obj(example) == xxz_dephasing(2, 1.0)
+    assert set(re.findall(r"^- `(\w+)`", section, re.M)) == set(SYMMETRY_KEYS)
+    assert "unitary" not in section
 
 
 def test_declared_symmetries():

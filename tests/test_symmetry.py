@@ -1,28 +1,26 @@
-"""Strong-symmetry machinery: twirls, Vandermonde extraction, hybrid traces."""
+"""Strong-symmetry machinery: the structured U, twirls, Vandermonde extraction."""
 import numpy as np
 import pytest
 
-from conftest import dense_exchange_parity, dense_sum, random_hermitian
+from conftest import dense_exchange_parity, dense_sum, dense_symmetry, random_hermitian
 from ness_sdp import oracle
 from ness_sdp.errors import ConfigError
 from ness_sdp.models import magnetization, tfim_chain, xxz_boundary_driven, xxz_dephasing
-from ness_sdp.overlaps import assemble, observable_matrix
+from ness_sdp.overlaps import assemble
 from ness_sdp.pauli import PauliSum
 from ness_sdp.sdp import SolverOptions
-from ness_sdp.states import AnsatzSet, basis_state, density_from_beta, moment_states
+from ness_sdp.states import AnsatzSet, basis_state, moment_states
 from ness_sdp.symmetry import (
     RhoCombination,
     SymmetrySpec,
     exchange_parity_symmetry,
     extract_all_ness,
     magnetization_symmetry,
-    qm_expectation,
     sector_basis_ansatz,
     sector_constraint,
     twirl_eliminate,
     twirl_eliminate_all,
     vandermonde_extract,
-    z_rotation_pauli,
 )
 
 
@@ -41,7 +39,7 @@ class TestSpecs:
     def test_exchange_parity_matches_dense_expansion(self):
         for n in (2, 3, 4):
             spec = exchange_parity_symmetry(n)
-            assert np.allclose(spec.unitary, dense_exchange_parity(n), atol=1e-12)
+            assert np.allclose(spec.apply(np.eye(2 ** n)), dense_exchange_parity(n), atol=1e-12)
 
     def test_exchange_parity_validates_on_boundary_driven(self):
         model = xxz_boundary_driven(4, 1.0, 1.0, 0.5)
@@ -51,12 +49,13 @@ class TestSpecs:
         model = tfim_chain(2, 1.0)
         assert exchange_parity_symmetry(2).validate(model) != []
 
-    def test_z_rotation_pauli_matches_diagonal(self):
+    def test_magnetization_matches_diagonal(self):
         n, phi = 3, 0.37
         idx = np.arange(2 ** n)
         mags = n - 2 * np.bitwise_count(idx).astype(np.int64)
         expect = np.diag(np.exp(1j * phi * mags))
-        assert np.allclose(z_rotation_pauli(n, phi).to_dense(), expect, atol=1e-12)
+        spec = magnetization_symmetry(n, phi)
+        assert np.allclose(spec.apply(np.eye(2 ** n)), expect, atol=1e-12)
 
     def test_sector_order(self):
         # magnetization m = -n..n, exchange parity (+1, -1)
@@ -64,15 +63,85 @@ class TestSpecs:
             phi = 2 * np.pi / (2 * n + 2)
             expect = [np.exp(1j * phi * m) for m in range(-n, n + 1, 2)]
             assert np.allclose(magnetization_symmetry(n).eigenvalues, expect, atol=1e-12)
-            assert np.allclose(exchange_parity_symmetry(n).eigenvalues, [1.0, -1.0],
-                               atol=1e-12)
+            # exactly, as the sector bytes downstream depend on it
+            assert exchange_parity_symmetry(n).eigenvalues == (1.0, -1.0)
 
-    def test_power_pauli(self):
-        spec = magnetization_symmetry(2)
-        u2 = spec.power_pauli(2).to_dense()
-        assert np.allclose(u2, spec.unitary @ spec.unitary, atol=1e-12)
-        u_minus = spec.power_pauli(-1).to_dense()
-        assert np.allclose(u_minus, spec.unitary.conj().T, atol=1e-12)
+
+def random_specs(rng, count, n_range=(1, 5)):
+    """SymmetrySpecs with random (permutation, flip, phase); the phases
+    include 0, pi and pi/2, where sector phases coincide and merge."""
+    for _ in range(count):
+        n = int(rng.integers(*n_range))
+        phase = rng.choice([0.0, np.pi, np.pi / 2, rng.uniform(-np.pi, np.pi)])
+        yield SymmetrySpec(tuple(int(s) for s in rng.permutation(n) + 1),
+                           format(int(rng.integers(2 ** n)), f"0{n}b"), float(phase))
+
+
+def distinct_eigenvalues(u, tol=1e-8):
+    """The eigenvalues of a dense unitary, merged within tol of phase angle and
+    ordered by angle in (-pi, pi]."""
+    vals = np.linalg.eigvals(u)
+    angles = np.angle(vals)
+    angles[angles <= tol - np.pi] += 2 * np.pi
+    order = np.argsort(angles)
+    keep = np.concatenate([[True], np.diff(angles[order]) > tol])
+    return vals[order][keep]
+
+
+def dense_violations(spec, model, tol=1e-10):
+    """SymmetrySpec.validate's verdicts from dense commutators."""
+    u = dense_symmetry(spec)
+    gen = None if spec.generator is None else dense_sum(spec.generator)
+    out = [] if gen is None or np.allclose(gen, gen.conj().T) else ["generator is not Hermitian"]
+    ops = [("H", model.hamiltonian)] + [
+        (f"jump operator {k}", jump) for k, jump in enumerate(model.jumps)]
+    for name, op in ops:
+        a = dense_sum(op)
+        bound = tol * max(1.0, np.linalg.norm(a))
+        if np.linalg.norm(u @ a - a @ u) > bound:
+            out.append(f"U does not commute with {name}")
+        if gen is not None and np.linalg.norm(gen @ a - a @ gen) > bound:
+            out.append(f"generator does not commute with {name}")
+    return out
+
+
+class TestStructuredSymmetry:
+    """The signed-permutation U against a dense U built state by state."""
+
+    def builtins(self):
+        for n in (1, 2, 3, 4):
+            yield exchange_parity_symmetry(n)
+            for phi in (None, np.pi / 2, np.pi / 3, 2 * np.pi / 8, 0.9):
+                yield magnetization_symmetry(n, phi)
+
+    def test_action_matches_reference(self, rng):
+        for spec in [*self.builtins(), *random_specs(rng, 60)]:
+            dim = 2 ** spec.n_qubits
+            assert np.allclose(spec.apply(np.eye(dim)), dense_symmetry(spec), atol=1e-13)
+
+    def test_eigenvalues_match_dense(self, rng):
+        for spec in [*self.builtins(), *random_specs(rng, 60)]:
+            expect = distinct_eigenvalues(dense_symmetry(spec))
+            assert len(spec.eigenvalues) == len(expect), spec
+            assert np.allclose(spec.eigenvalues, expect, rtol=0, atol=1e-12), spec
+
+    def test_validate_matches_dense_commutators(self, rng):
+        verdicts = set()
+        for n in (2, 3, 4):
+            models = (xxz_boundary_driven(n, 1.0, 1.0, 0.5), xxz_dephasing(n, 0.7),
+                      tfim_chain(n, 0.5))
+            generators = (None, magnetization(n), PauliSum.from_label("X" + "I" * (n - 1)),
+                          PauliSum.from_label("Z" * n, 1j))
+            specs = [exchange_parity_symmetry(n), magnetization_symmetry(n),
+                     *(SymmetrySpec(s.permutation, s.flip, s.phase,
+                                    generators[int(rng.integers(len(generators)))])
+                       for s in random_specs(rng, 20, (n, n + 1)))]
+            for model in models:
+                for spec in specs:
+                    got = spec.validate(model)
+                    assert got == dense_violations(spec, model), (spec, model.label)
+                    verdicts.add(not got)
+        assert verdicts == {True, False}
 
 
 class TestSectorConstraint:
@@ -103,7 +172,8 @@ class TestTwirl:
         spec = exchange_parity_symmetry(2)
         rho = random_hermitian(rng, 4)
         rc = twirl_eliminate_all(RhoCombination.initial(rho, spec), spec)
-        expect = 0.5 * (rho + spec.unitary @ rho @ spec.unitary.conj().T)
+        u = dense_symmetry(spec)
+        expect = 0.5 * (rho + u @ rho @ u.conj().T)
         assert np.allclose(rc.dense(), expect, atol=1e-12)
 
     def test_planted_offdiagonal_component_annihilated(self):
@@ -136,7 +206,7 @@ class TestTwirl:
             rho = random_hermitian(rng, 8)
             rc = twirl_eliminate_all(RhoCombination.initial(rho, spec), spec)
             dense = rc.dense()
-            u = spec.unitary
+            u = dense_symmetry(spec)
             assert np.linalg.norm(dense - u @ dense @ u.conj().T) <= 1e-9
 
     def test_order_independence(self, rng):
@@ -155,7 +225,7 @@ class TestTwirl:
     def test_formal_weights_match_manual_twirl(self, rng):
         spec = synthetic_spec(2, 0.8)
         rho = random_hermitian(rng, 4)
-        u = spec.unitary
+        u = dense_symmetry(spec)
         rc = RhoCombination.initial(rho, spec)
         manual = rho.copy()
         for m, n in ((0, 1), (0, 2), (1, 0)):
@@ -172,7 +242,7 @@ class TestVandermonde:
         rc = twirl_eliminate_all(RhoCombination.initial(rho, spec), spec)
         rho_pp = rc.dense()
         parts = vandermonde_extract(rc, spec)
-        u = spec.unitary
+        u = dense_symmetry(spec)
         for part, sign in zip(parts, (1.0, -1.0)):
             expect = (rho_pp + sign * (u @ rho_pp)) / 2
             got = part.state * part.trace_weight
@@ -241,57 +311,12 @@ class TestVandermonde:
                     assert np.linalg.norm(a.combination.dense() - a.state) <= 1e-10
 
 
-class TestQmExpectation:
-    def test_identity_power_reduces_to_observable_trace(self, rng):
-        model = tfim_chain(2, 1.0)
-        ans = moment_states(model.hamiltonian, basis_state(2, "11"), 2)
-        beta = random_hermitian(rng, ans.size)
-        obs = magnetization(2)
-        got = qm_expectation(beta, ans, PauliSum.identity(2), obs)
-        expect = np.trace(observable_matrix(obs, ans) @ beta)
-        assert abs(got - expect) < 1e-10
-
-    def test_pauli_symmetry_power_matches_dense(self, rng):
-        model = tfim_chain(2, 1.0)
-        ans = moment_states(model.hamiltonian, basis_state(2, "11"), 2)
-        u = PauliSum.from_label("ZZ")
-        obs = magnetization(2)
-        for _ in range(5):
-            beta = random_hermitian(rng, ans.size)
-            rho = density_from_beta(beta, ans)
-            got = qm_expectation(beta, ans, u, obs)
-            expect = np.trace(dense_sum(u) @ rho @ dense_sum(obs))
-            assert abs(got - expect) < 1e-10
-
-    def test_trace_of_u_rho(self, rng):
-        spec = magnetization_symmetry(2)
-        model = tfim_chain(2, 1.0)
-        ans = moment_states(model.hamiltonian, basis_state(2, "11"), 2)
-        beta = random_hermitian(rng, ans.size)
-        rho = density_from_beta(beta, ans)
-        got = qm_expectation(beta, ans, spec.power_pauli(1), PauliSum.identity(2))
-        assert abs(got - np.trace(spec.unitary @ rho)) < 1e-10
-
-    def test_right_power(self, rng):
-        spec = magnetization_symmetry(2)
-        model = tfim_chain(2, 1.0)
-        ans = moment_states(model.hamiltonian, basis_state(2, "11"), 2)
-        beta = random_hermitian(rng, ans.size)
-        rho = density_from_beta(beta, ans)
-        u1 = spec.power_pauli(1)
-        u2 = spec.power_pauli(2)
-        obs = magnetization(2)
-        got = qm_expectation(beta, ans, u1, obs, u_power_right=u2)
-        u1d, u2d, od = spec.unitary, spec.unitary @ spec.unitary, dense_sum(obs)
-        assert abs(got - np.trace(u1d @ rho @ u2d @ od)) < 1e-10
-
-
 class TestExtractAllNess:
     def test_unique_ness_returns_plain_solution(self):
         model = tfim_chain(2, 1.0)
         ans = moment_states(model.hamiltonian, basis_state(2, "11"), 2)
         # trivial symmetry: identity unitary, single sector
-        spec = SymmetrySpec(pauli_expansion=PauliSum.identity(2))
+        spec = SymmetrySpec((1, 2), "00", 0.0)
         result = extract_all_ness(model, spec, ans)
         assert len(result.found) == 1
         rho_exact = oracle.exact_ness(model)
