@@ -25,7 +25,7 @@ from .errors import (
     InfeasibleError,
     IterationBudgetError,
 )
-from .pauli import PauliSum, pauli_sum_from_obj, single_site, two_site
+from .pauli import DEFAULT_DENSE_LIMIT, PauliSum, pauli_sum_from_obj, single_site, two_site
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
@@ -138,6 +138,8 @@ def _build_model(cfg: dict) -> models.OpenSystemModel:
     if not mcfg:
         raise ConfigError("config needs a 'model' section")
     if mcfg.get("file") is not None:
+        if not isinstance(mcfg["file"], str):
+            raise ConfigError(f"model.file must be a path string, got {mcfg['file']!r}")
         return models.load_model(mcfg["file"])
     if "builder" in mcfg:
         try:
@@ -179,6 +181,10 @@ def _build_ansatz(model: models.OpenSystemModel, cfg: dict,
     if not isinstance(descriptor, str):
         raise ConfigError(f"ansatz.seed must be a string, got {descriptor!r}")
     if descriptor.startswith("sector-basis:"):
+        unread = [key for key in ("K", "q", "rng_seed") if key in acfg]
+        if unread:
+            raise ConfigError(f"ansatz seed {descriptor!r} takes no {' or '.join(map(repr, unread))}; "
+                              "a sector basis spans its whole sector")
         m = _integer(descriptor.split(":", 1)[1], "the magnetization of a sector-basis seed",
                      minimum=-model.n_qubits)
         return symmetry.sector_basis_ansatz(model.n_qubits, m)
@@ -511,10 +517,16 @@ def _declared_symmetry(model: models.OpenSystemModel, label) -> models.SymmetryS
     return model.symmetries[labels.index(label)]
 
 
+_EXTRACTION_LIMIT = (f"extraction realizes dense sector states, so it stops at "
+                     f"{DEFAULT_DENSE_LIMIT} qubits (pauli.DEFAULT_DENSE_LIMIT)")
+
+
 @main.command(name="symmetry")
 @click.option("--config", "config_path", required=True, type=str)
 @click.option("--out", "out_dir", default="ness_out", show_default=True)
-@click.option("--dense-limit", default=oracle.DEFAULT_DENSE_LIMIT, show_default=True)
+@click.option("--dense-limit", default=oracle.DEFAULT_DENSE_LIMIT, show_default=True,
+              help=f"Largest n at which the oracle-top seed uses the dense oracle; "
+                   f"{_EXTRACTION_LIMIT}.")
 def symmetry_cmd(config_path, out_dir, dense_limit):
     """Twirl + Vandermonde extraction of per-sector steady states."""
     def body():
@@ -522,6 +534,9 @@ def symmetry_cmd(config_path, out_dir, dense_limit):
         if cfg.get("shots") is not None:
             raise ConfigError("symmetry extraction runs on exact overlaps; it takes no 'shots'")
         model = _build_model(cfg)
+        if model.n_qubits > DEFAULT_DENSE_LIMIT:
+            raise DenseLimitError(f"the model has {model.n_qubits} qubits; {_EXTRACTION_LIMIT}; "
+                                  "--dense-limit bounds only the oracle-top seed")
         scfg = _section(cfg, "symmetry")
         spec = _declared_symmetry(model, scfg.get("use"))
         ansatz = _build_ansatz(model, cfg, dense_limit)

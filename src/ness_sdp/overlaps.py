@@ -24,8 +24,8 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .lindblad import Lindbladian, hermitize
 from .models import OpenSystemModel
-from .pauli import PauliSum
-from .states import AnsatzSet, _support, apply_to_columns
+from .pauli import PauliSum, string_masks
+from .states import AnsatzSet, _apply_at, _support
 
 
 @dataclass(frozen=True)
@@ -51,24 +51,26 @@ class OverlapSet:
 def assemble(model: OpenSystemModel, ansatz: AnsatzSet) -> OverlapSet:
     """Exact overlap matrices for a model/ansatz pair.
 
-    Every S^dag X sums over the rows where S has a nonzero, and
-    F_n = X_n^dag X_n over the rows where X_n = A_n S has one: a basis-state
-    ansatz pays for its support, not for 2^n. With a single nonzero per
+    Every S^dag X sums over the ansatz's support T, so X is evaluated at T
+    only; F_n = X_n^dag X_n sums over the rows where X_n = A_n S has a
+    nonzero, all of them in T ^ (the flip masks of A_n). A basis-state
+    ansatz so pays for its support, not for 2^n. With a single nonzero per
     column the sums have one term, so they are exact in any order.
     """
     if model.n_qubits != ansatz.n_qubits:
         raise DimensionMismatchError(
             f"model on {model.n_qubits} qubits, ansatz on {ansatz.n_qubits}"
         )
-    s, rows = ansatz.columns, ansatz.support
-    sdag = s[rows].conj().T
-    gram = hermitize(sdag @ s[rows])
-    ham = hermitize(sdag @ apply_to_columns(model.hamiltonian, s)[rows])
+    rows, block = ansatz.support, ansatz.block
+    sdag = block.conj().T
+    gram = hermitize(sdag @ block)
+    ham = hermitize(sdag @ _apply_at(model.hamiltonian, rows, block, rows))
     r_mats = []
     f_mats = []
     for _, jump in model.dissipators:
-        x_n = apply_to_columns(jump, s)
-        r_mats.append(sdag @ x_n[rows])
+        at = _reach(jump, rows)
+        x_n = _apply_at(jump, rows, block, at)
+        r_mats.append(sdag @ (x_n if at is rows else x_n[np.searchsorted(at, rows)]))
         x_n = x_n[_support((x_n != 0).any(axis=1))]
         f_mats.append(hermitize(x_n.conj().T @ x_n))
     return OverlapSet(
@@ -80,14 +82,25 @@ def assemble(model: OpenSystemModel, ansatz: AnsatzSet) -> OverlapSet:
     )
 
 
+def _reach(op: PauliSum, rows):
+    """The sorted rows that S and op S live on, for S held on ``rows``:
+    ``rows`` itself when op moves no row outside them."""
+    if isinstance(rows, slice):
+        return rows
+    masks = sorted({string_masks(string.codes)[0] for _, string in op.terms})
+    at = np.sort(np.concatenate([rows] + [rows ^ p for p in masks]))
+    at = at[np.append(True, at[1:] != at[:-1])]   # np.unique would import numpy.ma
+    return rows if len(at) == len(rows) else at
+
+
 def observable_matrix(obs: PauliSum, ansatz: AnsatzSet) -> np.ndarray:
     """Ansatz-projected observable: entries <chi_i| O |chi_j>, summed over the ansatz's support."""
     if obs.n_qubits != ansatz.n_qubits:
         raise DimensionMismatchError(
             f"observable on {obs.n_qubits} qubits, ansatz on {ansatz.n_qubits}"
         )
-    s, rows = ansatz.columns, ansatz.support
-    mat = s[rows].conj().T @ apply_to_columns(obs, s)[rows]
+    rows, block = ansatz.support, ansatz.block
+    mat = block.conj().T @ _apply_at(obs, rows, block, rows)
     return hermitize(mat) if obs.is_hermitian() else mat
 
 

@@ -182,25 +182,34 @@ class PauliSum:
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return all(abs(c.imag) <= tol for c, _ in self._terms)
 
-    def flip_weights(self) -> tuple[tuple[int, np.ndarray], ...]:
+    def flip_weights(self, rows: np.ndarray | None = None) -> tuple[tuple[int, np.ndarray], ...]:
         """(p, u_p) per distinct flip mask p, in increasing p, with
-        u_p[a] = op[a, a ^ p], so that (op x)[a] = sum_p u_p[a] x[a ^ p].
+        u_p[k] = op[a, a ^ p] at a = rows[k], so that
+        (op x)[a] = sum_p u_p[k] x[a ^ p].
 
         Each word is the signed permutation P[b ^ x, b] = pre *
         (-1)^popcount(b & z), so the words sharing a mask x sum into one
-        weight vector. Compiled once per sum; the vectors are read-only.
+        weight vector, in term order. Without ``rows`` the table covers all
+        2^n rows and is compiled once per sum, read-only; on given rows it
+        is evaluated afresh and costs only those rows.
         """
+        if rows is not None:
+            return self._weights_at(np.asarray(rows))
         if self._flips is None:
-            idx = np.arange(2 ** self._n)
-            acc: dict[int, np.ndarray] = {}
-            for coeff, string in self._terms:
-                x_mask, z_mask, pre = string_masks(string.codes)
-                signs = 1.0 - 2.0 * (np.bitwise_count((idx ^ x_mask) & z_mask) & 1)
-                acc[x_mask] = acc.get(x_mask, 0) + (coeff * pre) * signs
-            for weights in acc.values():
+            flips = self._weights_at(np.arange(2 ** self._n))
+            for _, weights in flips:
                 weights.setflags(write=False)
-            self._flips = tuple(sorted(acc.items()))
+            self._flips = flips
         return self._flips
+
+    def _weights_at(self, idx: np.ndarray) -> tuple[tuple[int, np.ndarray], ...]:
+        """``flip_weights`` at the rows ``idx``."""
+        acc: dict[int, np.ndarray] = {}
+        for coeff, string in self._terms:
+            x_mask, z_mask, pre = string_masks(string.codes)
+            signs = 1.0 - 2.0 * (np.bitwise_count((idx ^ x_mask) & z_mask) & 1)
+            acc[x_mask] = acc.get(x_mask, 0) + (coeff * pre) * signs
+        return tuple(sorted(acc.items()))
 
     def to_dense(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
         """Dense 2^n x 2^n matrix (site 1 = most significant bit), one

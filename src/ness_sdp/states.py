@@ -1,10 +1,12 @@
-"""Dense statevector engine: ansatz preparation and overlap evaluation.
+"""Statevector engine: ansatz preparation and overlap evaluation.
 
 This module plays the part of the quantum processor. Pauli words act on
-2^n amplitude vectors by a bit-mask permutation plus phases, so a Pauli
-sum, compiled once to one weight vector per distinct flip mask
-(``PauliSum.flip_weights``), costs one multiply and one row gather per
-mask instead of a dense matrix product.
+amplitudes by a bit-mask permutation plus phases, so a Pauli sum, as one
+weight vector per distinct flip mask (``PauliSum.flip_weights``), costs
+one multiply and one row gather per mask instead of a dense matrix
+product. Amplitudes are held on a sorted set of rows (zero off them), or
+on all 2^n rows through the full slice: a state grown from a basis state
+costs its support, not 2^n.
 
 Moment-state generation follows the cumulative construction: level j
 holds states reached by words of exactly j Hamiltonian Pauli strings,
@@ -23,36 +25,58 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .pauli import PauliSum
+from .pauli import PauliSum, string_masks
 
 DEDUP_TOL = 1e-10
 _PHASE_EPS = 1e-9
+_BATCH_ROWS = 1 << 16   # candidate amplitudes computed together in moment growth
 
 
-def _apply_flips(flips, amps: np.ndarray) -> np.ndarray:
-    """sum_p u_p[a] amps[a ^ p] along axis 0, for the (p, u_p) pairs of
-    ``PauliSum.flip_weights``: one multiply per mask, and one row gather
-    per mask other than 0."""
-    amps = np.asarray(amps, dtype=complex)
-    idx = np.arange(amps.shape[0])
-    shape = (-1,) + (1,) * (amps.ndim - 1)
+def _gather(rows, block: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Rows ``src`` of the state(s) held on ``rows`` (a full slice, or sorted
+    indices with zero off them)."""
+    if isinstance(rows, slice):
+        return block[src]
+    if not len(rows):
+        return np.zeros((len(src),) + block.shape[1:], dtype=complex)
+    pos = np.minimum(np.searchsorted(rows, src), len(rows) - 1)
+    out = block[pos]
+    out[rows[pos] != src] = 0
+    return out
+
+
+def _apply_at(op: PauliSum, rows, block: np.ndarray, at) -> np.ndarray:
+    """(op S)[at] = sum_p u_p[a] S[a ^ p] along axis 0, for the (p, u_p)
+    pairs of ``PauliSum.flip_weights`` at the rows ``at``: one multiply per
+    mask, and one row gather per mask other than 0.
+
+    S is held on ``rows``; ``rows`` and ``at`` are sorted index arrays, or
+    both the full slice, which reads the compiled table of all 2^n rows.
+    """
+    block = np.asarray(block, dtype=complex)
+    if isinstance(at, slice):
+        flips, idx = op.flip_weights(), np.arange(block.shape[0])
+    else:
+        flips, idx = op.flip_weights(at), at
+    shape = (-1,) + (1,) * (block.ndim - 1)
     out = None
     for mask, weights in flips:
         if mask:
-            term = amps[idx ^ mask]
+            term = _gather(rows, block, idx ^ mask)
             term *= weights.reshape(shape)
         else:
-            term = weights.reshape(shape) * amps
+            same = isinstance(at, slice) or rows is at
+            term = weights.reshape(shape) * (block if same else _gather(rows, block, idx))
         if out is None:
             out = term
         else:
             out += term
-    return np.zeros(amps.shape, dtype=complex) if out is None else out
+    return np.zeros((len(idx),) + block.shape[1:], dtype=complex) if out is None else out
 
 
 def apply_to_columns(op: PauliSum, matrix: np.ndarray) -> np.ndarray:
     """Apply a Pauli sum to every column of a (2^n, m) array."""
-    return _apply_flips(op.flip_weights(), matrix)
+    return _apply_at(op, slice(None), matrix, slice(None))
 
 
 def _support(mask: np.ndarray):
@@ -108,8 +132,13 @@ def _canonical_phase(amps: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnsatzSet:
-    """Ordered ansatz states, the columns of one read-only (2^n, L) block,
-    with the Pauli words that produced them.
+    """Ordered ansatz states held on their support, with the Pauli words
+    that produced them.
+
+    ``rows`` are the sorted basis indices where some state is nonzero, and
+    ``block`` is the read-only (len(rows), L) array of the states there, one
+    column each; rows where every state vanishes are dropped. A bitstring
+    ansatz so costs |rows|, never 2^n.
 
     ``words[i]`` is the sequence of Hamiltonian term indices applied to
     the seed (first applied first); the seed itself has the empty word.
@@ -117,37 +146,59 @@ class AnsatzSet:
     regenerate the set bit-identically.
     """
 
-    columns: np.ndarray
+    n_qubits: int
+    rows: np.ndarray
+    block: np.ndarray
     words: tuple[tuple[int, ...], ...]
     seed_descriptor: str = "custom"
     rng_seed: int | None = None
 
     def __post_init__(self):
-        cols = np.array(self.columns, dtype=complex, order="C")
-        if cols.ndim != 2 or cols.shape[0] < 2 or cols.shape[0] & (cols.shape[0] - 1):
+        n = self.n_qubits
+        rows = np.asarray(self.rows)
+        block = np.array(self.block, dtype=complex, order="C")
+        if (not isinstance(n, int) or n < 1 or rows.ndim != 1 or block.ndim != 2
+                or block.shape[0] != len(rows)):
             raise DimensionMismatchError(
-                f"ansatz columns must be a (2^n, L) array with n >= 1, got shape {cols.shape}")
-        if cols.shape[1] == 0:
+                f"an ansatz needs n >= 1 and a (len(rows), L) block, got n={n!r}, "
+                f"{len(rows) if rows.ndim == 1 else rows.shape} rows, block {block.shape}")
+        rows = rows.astype(np.int64)
+        if len(rows) and (rows[0] < 0 or rows[-1] >= 2 ** n or (np.diff(rows) <= 0).any()):
+            raise DimensionMismatchError(
+                f"ansatz rows must be increasing basis indices below 2^{n}")
+        if block.shape[1] == 0:
             raise ValueError("empty ansatz")
-        cols.flags.writeable = False
-        object.__setattr__(self, "columns", cols)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.columns.shape[0].bit_length() - 1
+        kept = (block != 0).any(axis=1)
+        if not kept.all():
+            rows, block = rows[kept], block[kept]
+        rows.flags.writeable = False
+        block.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "block", block)
 
     @property
     def size(self) -> int:
-        return self.columns.shape[1]
+        return self.block.shape[1]
 
     @functools.cached_property
     def support(self):
-        """Rows where some column is nonzero (``_support``): the only rows an overlap sums over."""
-        return _support((self.columns != 0).any(axis=1))
+        """``rows``, or the full slice when they are every basis index: the rows an overlap sums over."""
+        return slice(None) if len(self.rows) == 2 ** self.n_qubits else self.rows
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The (2^n, L) dense states, scattered from the block on each read."""
+        if isinstance(self.support, slice):
+            return self.block
+        out = np.zeros((2 ** self.n_qubits, self.size), dtype=complex)
+        out[self.rows] = self.block
+        return out
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
-        h.update(self.columns.tobytes())
+        h.update(json.dumps(self.n_qubits).encode())
+        h.update(self.rows.tobytes())
+        h.update(self.block.tobytes())
         h.update(json.dumps(self.words).encode())
         return h.hexdigest()[:16]
 
@@ -161,36 +212,141 @@ class AnsatzSet:
 
 
 class _Retained:
-    """Phase-canonical retained states as rows of one growing buffer, with their words."""
+    """Phase-canonical retained states on their union support, with their words.
+
+    ``buf`` holds one row per state and one column per support index, in
+    the order the indices first appeared (``order``; ``column`` maps an
+    index to its column, and ``peak`` holds the largest magnitude a state
+    has there). Each state keeps its own sorted rows with their columns,
+    so an extension and a candidate's dedup overlap cost the candidate's
+    support: a one-element candidate c|b> overlaps a state s by |s_b||c|,
+    so it dedups by a lookup of its bitstring. A seed of full support keeps
+    every state on all 2^n rows in index order, through the full slice.
+    """
 
     def __init__(self, seed: StateVector):
-        self.rows = np.empty((16, 2 ** seed.n_qubits), dtype=complex)
+        self.n = seed.n_qubits
+        rows = np.flatnonzero(seed.amplitudes)
+        self.full = len(rows) == 2 ** self.n
+        self.buf = np.zeros((16, max(len(rows), 1)), dtype=complex)
+        self.peak = np.zeros(self.buf.shape[1])
+        self.order: list[int] = []
+        self.column: dict[int, int] = {}
+        self.states: list[tuple[np.ndarray, object]] = []   # (rows, columns) of each state
         self.words: list[tuple[int, ...]] = []
-        self.add_if_new(seed.amplitudes.astype(complex), ())
+        self.add_if_new(rows, seed.amplitudes[rows], ())
 
     def __len__(self) -> int:
         return len(self.words)
 
-    def add_if_new(self, amps: np.ndarray, word: tuple[int, ...]) -> bool:
-        """Keep a candidate unless it duplicates a retained state up to phase."""
+    def add_if_new(self, rows: np.ndarray, amps: np.ndarray, word: tuple[int, ...]) -> bool:
+        """Keep a candidate held on the sorted ``rows`` unless it duplicates a
+        retained state up to phase."""
         canon = _canonical_phase(amps)
         k = len(self.words)
-        if k and np.abs(self.rows[:k] @ canon.conj()).max() > 1.0 - DEDUP_TOL:
+        if self.full:
+            cols = slice(None)
+            overlap = self.buf[:k] @ canon.conj()
+        else:
+            cols = [self.column.get(r, -1) for r in rows.tolist()]
+            seen = [j for j, c in enumerate(cols) if c >= 0]
+            overlap = self.buf[:k, [cols[j] for j in seen]] @ canon[seen].conj()
+        if k and np.abs(overlap).max() > 1.0 - DEDUP_TOL:
             return False
-        if k == len(self.rows):
-            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
-        self.rows[k] = canon
+        if not self.full:
+            if -1 in cols:
+                cols = self._add_columns(rows, cols)
+            cols = np.array(cols, dtype=np.int64)
+            self.peak[cols] = np.maximum(self.peak[cols], np.abs(canon))
+        if k == len(self.buf):
+            self.buf = np.concatenate([self.buf, np.zeros_like(self.buf)])
+        self.buf[k, cols] = canon
+        self.states.append((rows, cols))
         self.words.append(word)
         return True
 
-    def extend(self, src: int, op: PauliSum, i: int) -> bool:
-        """Apply Hamiltonian word i (``op``, a one-term sum) to retained state src; keep it if new."""
-        return self.add_if_new(_apply_flips(op.flip_weights(), self.rows[src]),
-                               self.words[src] + (i,))
+    def _known(self, row: int, magnitude: float) -> bool:
+        """Whether a one-element candidate of this magnitude at ``row``
+        duplicates a retained state: a lookup in place of ``add_if_new``'s overlap."""
+        col = self.column.get(row, -1)
+        return col >= 0 and self.peak[col] * magnitude > 1.0 - DEDUP_TOL
+
+    def _add_columns(self, rows: np.ndarray, cols: list[int]) -> list[int]:
+        """Zero columns for the rows whose column is -1, filled into ``cols``."""
+        m = len(self.order)
+        for j, r in enumerate(rows.tolist()):
+            if cols[j] < 0:
+                cols[j] = self.column[r] = len(self.order)
+                self.order.append(r)
+        if len(self.order) > self.buf.shape[1]:
+            width = max(2 * self.buf.shape[1], len(self.order))
+            self.buf = np.concatenate(
+                [self.buf[:, :m], np.zeros((len(self.buf), width - m), dtype=complex)], axis=1)
+            self.peak = np.concatenate([self.peak[:m], np.zeros(width - m)])
+        return cols
+
+    def extend(self, pairs: list[tuple[int, int]], ops: list[PauliSum]) -> list[int]:
+        """Apply Hamiltonian word i (``ops[i]``, a one-term sum) to retained
+        state src for each (src, i) in turn, keeping each result that is new;
+        returns the indices of the states kept.
+
+        On all 2^n rows a word applies through its compiled table. On a
+        smaller support the candidates of a batch of pairs are computed
+        together: word i moves row t to a = t ^ p_i with the weight
+        u_{p_i}[a] of ``PauliSum.flip_weights``, and the moved rows are
+        sorted within each candidate.
+        """
+        kept = []
+        if self.full:
+            for src, i in pairs:
+                rows, cols = self.states[src]
+                if self.add_if_new(rows, _apply_at(ops[i], cols, self.buf[src], cols),
+                                   self.words[src] + (i,)):
+                    kept.append(len(self.words) - 1)
+            return kept
+        masks = np.array([string_masks(op.terms[0][1].codes)[0] for op in ops])
+        lens = [len(self.states[src][0]) for src, _ in pairs]
+        ends = np.cumsum(lens)
+        start = 0
+        while start < len(pairs):
+            stop = max(start + 1, int(np.searchsorted(ends, ends[start] - lens[start] + _BATCH_ROWS,
+                                                      side="right")))
+            batch = pairs[start:stop]
+            sizes = lens[start:stop]
+            which = np.repeat([i for _, i in batch], sizes)
+            seg = np.repeat(np.arange(len(batch)), sizes)
+            moved = np.concatenate([self.states[src][0] for src, _ in batch]) ^ masks[which]
+            amps = self.buf[np.repeat([src for src, _ in batch], sizes),
+                            np.concatenate([self.states[src][1] for src, _ in batch])]
+            weights = np.empty(len(moved), dtype=complex)
+            for i in sorted({i for _, i in batch}):
+                at = np.flatnonzero(which == i)
+                ((_, weights[at]),) = ops[i].flip_weights(moved[at])
+            amps = amps * weights   # a weight is +-1 or +-i, so exact in any order
+            order = np.argsort((seg << self.n) | moved)
+            moved, amps = moved[order], amps[order]
+            rows, mags = moved.tolist(), np.abs(amps).tolist()
+            hi = np.cumsum(sizes).tolist()
+            for (src, i), a, b in zip(batch, [0] + hi[:-1], hi):
+                if b - a == 1 and self._known(rows[a], mags[a]):
+                    continue
+                if self.add_if_new(moved[a:b], amps[a:b], self.words[src] + (i,)):
+                    kept.append(len(self.words) - 1)
+            start = stop
+        return kept
 
     def ansatz(self, seed_descriptor: str, rng_seed: int | None = None) -> AnsatzSet:
+        k = len(self)
+        if self.full:
+            rows, block = np.arange(2 ** self.n), self.buf[:k].T
+        else:
+            keys = np.array(self.order, dtype=np.int64)
+            slot = np.argsort(keys)
+            rows, block = keys[slot], self.buf[:k, slot].T
         return AnsatzSet(
-            columns=self.rows[:len(self)].T,
+            n_qubits=self.n,
+            rows=rows,
+            block=block,
             words=tuple(self.words),
             seed_descriptor=seed_descriptor,
             rng_seed=rng_seed,
@@ -238,10 +394,7 @@ def _grow_levels(hamiltonian: PauliSum, seed: StateVector, order: int, q: int | 
         if q is not None and len(pairs) > q:
             chosen = rng.choice(len(pairs), size=q, replace=False)
             pairs = [pairs[k] for k in sorted(chosen)]
-        next_frontier = []
-        for src, i in pairs:
-            if kept.extend(src, ops[i], i):
-                next_frontier.append(len(kept) - 1)
+        next_frontier = kept.extend(pairs, ops)
         if not next_frontier:
             break
         frontier = next_frontier

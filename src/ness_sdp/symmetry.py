@@ -61,12 +61,14 @@ def sector_basis_ansatz(n: int, m: int) -> AnsatzSet:
     The span equals the full magnetization sector, so the projected
     constraints coincide with the exact steady-state condition there.
     """
-    iso = oracle.sector_basis(n, m)
-    if iso.shape[1] == 0:
+    rows = oracle.magnetization_sector_indices(n, m)
+    if len(rows) == 0:
         raise ConfigError(f"magnetization {m} is empty for {n} qubits")
     return AnsatzSet(
-        columns=iso,
-        words=tuple(() for _ in range(iso.shape[1])),
+        n_qubits=n,
+        rows=rows,
+        block=np.eye(len(rows), dtype=complex),
+        words=tuple(() for _ in rows),
         seed_descriptor=f"sector-basis:m={m}",
     )
 

@@ -132,10 +132,17 @@ def random_state(rng, n: int) -> StateVector:
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
+def dense_ansatz(columns, words, seed_descriptor: str = "custom") -> AnsatzSet:
+    """An ansatz from its dense (2^n, L) columns; it keeps their nonzero rows."""
+    cols = np.asarray(columns, dtype=complex)
+    return AnsatzSet(n_qubits=cols.shape[0].bit_length() - 1, rows=np.arange(cols.shape[0]),
+                     block=cols, words=tuple(words), seed_descriptor=seed_descriptor)
+
+
 def random_ansatz(rng, n: int, size: int) -> AnsatzSet:
-    return AnsatzSet(
-        columns=np.column_stack([random_state(rng, n).amplitudes for _ in range(size)]),
-        words=tuple((k,) for k in range(size)),
+    return dense_ansatz(
+        np.column_stack([random_state(rng, n).amplitudes for _ in range(size)]),
+        tuple((k,) for k in range(size)),
         seed_descriptor="random-test",
     )
 
@@ -154,3 +161,70 @@ def random_density(rng, dim: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# -- the dense ansatz path, kept as the reference for the support-held one ----
+
+def reference_apply(op: PauliSum, amps: np.ndarray) -> np.ndarray:
+    """sum_p u_p[a] amps[a ^ p] over all 2^n rows a, one gather per flip mask."""
+    amps = np.asarray(amps, dtype=complex)
+    idx = np.arange(amps.shape[0])
+    shape = (-1,) + (1,) * (amps.ndim - 1)
+    out = np.zeros(amps.shape, dtype=complex)
+    for k, (mask, weights) in enumerate(op.flip_weights()):
+        if mask:
+            term = amps[idx ^ mask]
+            term *= weights.reshape(shape)
+        else:
+            term = weights.reshape(shape) * amps
+        out = term if k == 0 else out + term
+    return out
+
+
+def reference_moment_states(hamiltonian: PauliSum, seed: StateVector, order: int,
+                            q: int | None = None, rng_seed: int | None = None):
+    """(columns, words) of the moment states grown as 2^n-long rows, every
+    candidate deduped against every retained row."""
+    from ness_sdp.states import DEDUP_TOL, _canonical_phase
+
+    rng = None if q is None else np.random.default_rng(rng_seed)
+    ops = [PauliSum([(1.0, s)]) for _, s in hamiltonian.terms]
+    rows, words, frontier = [_canonical_phase(seed.amplitudes.astype(complex))], [()], [0]
+    for _ in range(order):
+        pairs = [(src, i) for src in frontier for i in range(len(ops))]
+        if q is not None and len(pairs) > q:
+            chosen = rng.choice(len(pairs), size=q, replace=False)
+            pairs = [pairs[k] for k in sorted(chosen)]
+        frontier = []
+        for src, i in pairs:
+            canon = _canonical_phase(reference_apply(ops[i], rows[src]))
+            if np.abs(np.array(rows) @ canon.conj()).max() > 1.0 - DEDUP_TOL:
+                continue
+            rows.append(canon)
+            words.append(words[src] + (i,))
+            frontier.append(len(rows) - 1)
+        if not frontier:
+            break
+    return np.array(rows).T, tuple(words)
+
+
+def reference_overlaps(model: OpenSystemModel, columns: np.ndarray, observables=()):
+    """E, D, (R_n, F_n) per jump, then each observable's projection, from the
+    dense columns: every S^dag X summed over S's nonzero rows."""
+    from ness_sdp.lindblad import hermitize
+    from ness_sdp.states import _support
+
+    s = np.asarray(columns, dtype=complex)
+    rows = _support((s != 0).any(axis=1))
+    sdag = s[rows].conj().T
+    mats = [hermitize(sdag @ s[rows]),
+            hermitize(sdag @ reference_apply(model.hamiltonian, s)[rows])]
+    for _, jump in model.dissipators:
+        x_n = reference_apply(jump, s)
+        mats.append(sdag @ x_n[rows])
+        x_n = x_n[_support((x_n != 0).any(axis=1))]
+        mats.append(hermitize(x_n.conj().T @ x_n))
+    for obs in observables:
+        mat = sdag @ reference_apply(obs, s)[rows]
+        mats.append(hermitize(mat) if obs.is_hermitian() else mat)
+    return mats

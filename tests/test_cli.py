@@ -115,6 +115,35 @@ class TestSolve:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
 
+    def test_model_file_must_be_a_string(self, runner, tmp_path):
+        # open(5) would read file descriptor 5 as a model file.
+        cfg = write_config(tmp_path / "cfg.json", {"model": {"file": 5}})
+        result = runner.invoke(main, ["solve", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "model.file" in result.output
+
+    def test_fourteen_qubit_solve_holds_the_ansatz_on_its_support(self, runner, tmp_path):
+        # bits:1...1 at K=2 grows 106 basis states. Held on their 106 rows,
+        # not as 2^14-row columns, the whole solve peaks far below the
+        # 122 MiB that the dense block took.
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "tfim_chain", "params": {"n": 14, "g": 0.5}},
+            "ansatz": {"K": 2},
+        })
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["solve", "--config", cfg,
+                                          "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "solution.json").read_text())
+        assert report["ansatz_size"] == 106
+        assert report["diagnostics"]["stop_reason"] == "converged"
+        assert peak < 48 * 2 ** 20
+
     def test_missing_config_is_config_error(self, runner, tmp_path):
         result = runner.invoke(main, ["solve", "--config",
                                       str(tmp_path / "nope.json")])
@@ -291,6 +320,30 @@ class TestSymmetryCmd:
             assert s["residual"] <= 1e-7
         assert report["symmetry"] == "exchange-parity"
         assert [s["eigenvalue"][0] for s in report["sectors"]] == pytest.approx([1.0, -1.0])
+
+    def test_extraction_limit_is_checked_before_the_ansatz(self, runner, tmp_path):
+        # The 13-qubit m=1 sector basis has 1716 states; the 12-qubit cap of
+        # extraction exits 5 before any of them is built, and --dense-limit
+        # does not move it.
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "xxz_boundary_driven",
+                      "params": {"n": 13, "delta": 1.0, "drive": 1.0, "mu": 0.5}},
+            "ansatz": {"seed": "sector-basis:1"},
+            "symmetry": {"use": "exchange-parity"},
+        })
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["symmetry", "--config", cfg, "--dense-limit", "13",
+                                          "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 5, result.output
+        assert "stops at 12 qubits (pauli.DEFAULT_DENSE_LIMIT)" in result.output
+        assert "--dense-limit bounds only the oracle-top seed" in result.output
+        assert peak < 16 * 2 ** 20
+        usage = runner.invoke(main, ["symmetry", "--help"]).output
+        assert "oracle-top seed" in usage and "12 qubits" in usage
 
     def test_defaults_to_declared_magnetization(self, runner, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {
@@ -640,6 +693,25 @@ class TestMalformedConfigs:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert "bad solver options" in result.output and key in result.output
+
+    @pytest.mark.parametrize("command, section", [
+        ("ansatz", {"ansatz": {"seed": "sector-basis:1", "K": 3, "q": 2, "rng_seed": 7}}),
+        ("sweep", {"ansatz": {"seed": "sector-basis:1"},
+                   "sweep": {"parameter": "g", "values": [0.5],
+                             "ansatz_grid": [{"K": 1}, {"K": 2}]}}),
+    ])
+    def test_sector_basis_seed_takes_no_growth_keys(self, runner, tmp_path, command, section):
+        # A sector basis spans its sector whatever K, q and rng_seed say, so
+        # the keys would go unread and a grid over K would repeat one row.
+        model = {"builder": "tfim_chain", "params": {"n": 3, "g": 0.5}}
+        cfg = write_config(tmp_path / "cfg.json", dict(section, model=model))
+        args = ["ansatz", "generate", "--config", cfg, "--out", str(tmp_path / "a.json")]
+        if command == "sweep":
+            args = ["sweep", "--config", cfg, "--out", str(tmp_path / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        unread = [key for key in ("'K'", "'q'", "'rng_seed'") if key in result.output]
+        assert unread == (["'K'", "'q'", "'rng_seed'"] if command == "ansatz" else ["'K'"])
 
     @pytest.mark.parametrize("seed", ["sector-basis:1", "sector-basis:one"])
     def test_sector_basis_seed(self, runner, tmp_path, seed):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_ansatz,
     dense_lindblad,
     random_ansatz,
     random_hermitian,
@@ -20,7 +21,6 @@ from ness_sdp.overlaps import (
 )
 from ness_sdp.pauli import PauliSum, sigma_minus, single_site
 from ness_sdp.states import (
-    AnsatzSet,
     apply_to_columns,
     basis_state,
     density_from_beta,
@@ -30,9 +30,9 @@ from ness_sdp.symmetry import sector_basis_ansatz
 
 
 def basis_ansatz(n, bitstrings):
-    return AnsatzSet(
-        columns=np.column_stack([basis_state(n, b).amplitudes for b in bitstrings]),
-        words=tuple((k,) for k in range(len(bitstrings))),
+    return dense_ansatz(
+        np.column_stack([basis_state(n, b).amplitudes for b in bitstrings]),
+        tuple((k,) for k in range(len(bitstrings))),
     )
 
 

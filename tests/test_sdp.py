@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import random_hermitian
+from conftest import dense_ansatz, random_hermitian
 from ness_sdp import oracle, sdp
 from ness_sdp.errors import (
     DegenerateAnsatzError,
@@ -29,7 +29,6 @@ from ness_sdp.sdp import (
     whiten,
 )
 from ness_sdp.states import (
-    AnsatzSet,
     basis_state,
     density_from_beta,
     moment_states,
@@ -39,9 +38,9 @@ from ness_sdp.symmetry import sector_basis_ansatz, sector_constraint
 
 
 def basis_ansatz(n, bitstrings):
-    return AnsatzSet(
-        columns=np.column_stack([basis_state(n, b).amplitudes for b in bitstrings]),
-        words=tuple((k,) for k in range(len(bitstrings))),
+    return dense_ansatz(
+        np.column_stack([basis_state(n, b).amplitudes for b in bitstrings]),
+        tuple((k,) for k in range(len(bitstrings))),
     )
 
 
@@ -89,7 +88,7 @@ class TestWhiten:
 
     def test_zero_gram_rejected(self):
         model = tfim_chain(2, 1.0)
-        zero = AnsatzSet(columns=basis_state(2, "00").amplitudes[:, None], words=((),))
+        zero = dense_ansatz(basis_state(2, "00").amplitudes[:, None], ((),))
         ovl = assemble(model, zero)
         object.__setattr__(ovl, "E", np.zeros((1, 1), dtype=complex))
         with pytest.raises(DegenerateAnsatzError):
@@ -285,9 +284,9 @@ class TestSolveFeasibility:
         model = tfim_chain(2, 0.0)
         sub = moment_states(model.hamiltonian, basis_state(2, "11"), 0)
         beta_sub = solve_feasibility(FeasibilityProblem(overlaps=assemble(model, sub)))
-        superset = AnsatzSet(
-            columns=np.column_stack([sub.columns, np.eye(4)[:, :2]]),  # + |00>, |01>
-            words=sub.words + ((1,), (2,)),
+        superset = dense_ansatz(
+            np.column_stack([sub.columns, np.eye(4)[:, :2]]),  # + |00>, |01>
+            sub.words + ((1,), (2,)),
         )
         padded = np.zeros((3, 3), dtype=complex)
         padded[0, 0] = beta_sub.matrix[0, 0]

@@ -2,10 +2,19 @@
 import numpy as np
 import pytest
 
-from conftest import dense_string, dense_sum, random_pauli_sum, random_state
-from ness_sdp.errors import DimensionMismatchError
-from ness_sdp.models import tfim_chain
-from ness_sdp.pauli import PauliSum, sigma_minus
+from conftest import (
+    dense_string,
+    dense_sum,
+    random_pauli_sum,
+    random_state,
+    reference_moment_states,
+    reference_overlaps,
+)
+from ness_sdp import oracle
+from ness_sdp.errors import DegenerateSteadySpaceError, DimensionMismatchError
+from ness_sdp.models import magnetization, tfim_chain, xxz_boundary_driven, xxz_dephasing
+from ness_sdp.overlaps import assemble, observable_matrix
+from ness_sdp.pauli import PauliSum, sigma_minus, single_site
 from ness_sdp.states import (
     AnsatzSet,
     StateVector,
@@ -181,24 +190,29 @@ def test_density_from_beta(rng):
 
 
 def test_ansatz_requires_matching_qubits():
-    # The rows are 2^n amplitudes for one n >= 1; three rows fit no qubit count.
-    with pytest.raises(DimensionMismatchError):
-        AnsatzSet(columns=np.zeros((3, 2)), words=((), ()))
+    # The rows are increasing basis indices of n >= 1 qubits, one block row each.
+    block = np.ones((2, 2))
+    for n, rows in ((2, [0, 4]), (2, [1, 1]), (2, [2, 1]), (0, [0, 1]), (2, [0, 1, 2])):
+        with pytest.raises(DimensionMismatchError):
+            AnsatzSet(n_qubits=n, rows=rows, block=block, words=((), ()))
 
 
 class TestAnsatzSet:
-    def test_columns_are_a_read_only_c_ordered_copy(self):
-        cols = np.eye(4)[:, 1:3]
-        ans = AnsatzSet(columns=cols, words=((), ()))
-        assert ans.columns.dtype == complex and ans.columns.flags.c_contiguous
-        assert not ans.columns.flags.writeable
-        cols[1, 0] = 5.0
-        assert ans.columns[1, 0] == 1.0
+    def test_block_is_a_read_only_c_ordered_copy(self):
+        block = np.eye(4)[:, 1:3]
+        ans = AnsatzSet(n_qubits=2, rows=np.arange(4), block=block, words=((), ()))
+        assert ans.block.dtype == complex and ans.block.flags.c_contiguous
+        assert not ans.block.flags.writeable and not ans.rows.flags.writeable
+        block[1, 0] = 5.0
+        assert ans.block[0, 0] == 1.0
         assert (ans.n_qubits, ans.size) == (2, 2)
+        # rows where every state vanishes are dropped; columns scatters back
+        assert np.array_equal(ans.rows, [1, 2])
+        assert np.array_equal(ans.columns, np.eye(4)[:, 1:3])
 
     def test_empty_ansatz(self):
         with pytest.raises(ValueError, match="empty ansatz"):
-            AnsatzSet(columns=np.zeros((4, 0)), words=())
+            AnsatzSet(n_qubits=2, rows=np.arange(4), block=np.zeros((4, 0)), words=())
 
     def test_support_is_the_nonzero_rows(self):
         ham = tfim_chain(3, 0.5).hamiltonian
@@ -207,8 +221,85 @@ class TestAnsatzSet:
         assert moment_states(ham, StateVector.uniform(3), 1).support == slice(None)
 
     def test_content_hash_is_pinned(self):
-        # The hash covers the bytes of the C-ordered column block and the
-        # words; a change of either layout has to change these on purpose.
+        # The hash covers n, the support rows, the bytes of the C-ordered
+        # block and the words; a change of any layout has to change these on
+        # purpose.
         ans = moment_states(tfim_chain(3, 0.5).hamiltonian, basis_state(3, "111"), 2)
-        assert ans.content_hash() == "6dc504b0acef22df"
-        assert sector_basis_ansatz(4, 0).content_hash() == "d1bbb2a942a3da5d"
+        assert ans.content_hash() == "71c837281e39c775"
+        assert sector_basis_ansatz(4, 0).content_hash() == "1a28d5dc1289a429"
+
+
+FAMILIES = {
+    "tfim": lambda n: tfim_chain(n, 0.5),
+    "xxz-dephasing": lambda n: xxz_dephasing(n, 0.8),
+    "boundary-driven": lambda n: xxz_boundary_driven(n, 1.0, 1.0, 0.5),
+}
+
+
+def _oracle_top(model) -> StateVector:
+    """The dominant eigenvector of the exact steady state, or of the first
+    physical one where the steady space is degenerate."""
+    try:
+        rho = oracle.exact_ness(model)
+    except DegenerateSteadySpaceError:
+        basis = oracle.steady_states(model)
+        rho = basis.physical_representative(basis.physical.index(True))
+    return oracle.dominant_eigenstate(rho, model.n_qubits)[1]
+
+
+def _partial(n: int) -> StateVector:
+    """Random amplitudes on every other basis state, exact zeros elsewhere."""
+    rng = np.random.default_rng(n)
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[::2] = rng.normal(size=2 ** (n - 1)) + 1j * rng.normal(size=2 ** (n - 1))
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+SEEDS = {  # kind: (n, seed of a model, K, q, rng_seed)
+    "bits": (6, lambda m: basis_state(6, "110100"), 3, None, None),
+    "bits-random-subset": (6, lambda m: basis_state(6, "111111"), 3, 25, 4),
+    "uniform": (4, lambda m: StateVector.uniform(4), 2, None, None),
+    "uniform-random-subset": (4, lambda m: StateVector.uniform(4), 3, 12, 1),
+    "oracle-top": (4, _oracle_top, 2, None, None),
+    "partial-support": (5, lambda m: _partial(5), 2, None, None),
+}
+
+
+class TestDenseReference:
+    """The support-held ansatz against the dense growth and overlap loops it
+    replaced: equal words, and columns and matrices equal to the last bit."""
+
+    @staticmethod
+    def _check_overlaps(model, ans, columns):
+        n = model.n_qubits
+        observables = (magnetization(n), sigma_minus(n, 1), single_site(n, 2, "Y", 0.3 + 0.1j))
+        ovl = assemble(model, ans)
+        got = [ovl.E, ovl.D]
+        for r_n, f_n in zip(ovl.R, ovl.F, strict=True):
+            got += [r_n, f_n]
+        got += [observable_matrix(obs, ans) for obs in observables]
+        for mat, ref in zip(got, reference_overlaps(model, columns, observables), strict=True):
+            assert mat.shape == ref.shape and np.array_equal(mat, ref)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("kind", sorted(SEEDS))
+    def test_moment_states_match_the_dense_loop(self, family, kind):
+        n, make_seed, order, q, rng_seed = SEEDS[kind]
+        model = FAMILIES[family](n)
+        seed = make_seed(model)
+        if q is None:
+            ans = moment_states(model.hamiltonian, seed, order)
+        else:
+            ans = moment_states_random(model.hamiltonian, seed, order, q, rng_seed)
+        columns, words = reference_moment_states(model.hamiltonian, seed, order, q, rng_seed)
+        assert ans.words == words and ans.size > 1
+        assert np.array_equal(ans.columns, columns)
+        self._check_overlaps(model, ans, columns)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_sector_basis_matches_the_isometry(self, family):
+        model = FAMILIES[family](6)
+        ans = sector_basis_ansatz(6, 2)
+        assert np.array_equal(ans.columns, oracle.sector_basis(6, 2))
+        assert ans.words == ((),) * 15   # C(6, 2) states with magnetization 2
+        self._check_overlaps(model, ans, oracle.sector_basis(6, 2))

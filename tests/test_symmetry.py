@@ -2,14 +2,20 @@
 import numpy as np
 import pytest
 
-from conftest import dense_exchange_parity, dense_sum, dense_symmetry, random_hermitian
+from conftest import (
+    dense_ansatz,
+    dense_exchange_parity,
+    dense_sum,
+    dense_symmetry,
+    random_hermitian,
+)
 from ness_sdp import oracle
 from ness_sdp.errors import ConfigError
 from ness_sdp.models import magnetization, tfim_chain, xxz_boundary_driven, xxz_dephasing
 from ness_sdp.overlaps import assemble
 from ness_sdp.pauli import PauliSum
 from ness_sdp.sdp import SolverOptions
-from ness_sdp.states import AnsatzSet, basis_state, moment_states
+from ness_sdp.states import basis_state, moment_states
 from ness_sdp.symmetry import (
     RhoCombination,
     SymmetrySpec,
@@ -325,9 +331,8 @@ class TestExtractAllNess:
     def test_xxz_dephasing_all_sectors(self):
         model = xxz_dephasing(3, 1.0)
         spec = magnetization_symmetry(3)
-        full = AnsatzSet(
-            columns=np.eye(8),  # every computational basis state
-            words=tuple((i,) for i in range(8)))
+        full = dense_ansatz(np.eye(8),  # every computational basis state
+                            tuple((i,) for i in range(8)))
         result = extract_all_ness(model, spec, full)
         assert len(result.found) == 4
         for part in result.found:
