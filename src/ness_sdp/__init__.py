@@ -36,7 +36,7 @@ from .sdp import (
     solve_least_squares,
     whiten,
 )
-from .states import AnsatzSet, StateVector, basis_state, density_from_beta
+from .states import AnsatzSet, basis_state, density_from_beta
 from .states import moment_states, moment_states_random
 from .symmetry import (
     RhoCombination,

@@ -159,14 +159,14 @@ def _steady_state(model: models.OpenSystemModel, dense_limit: int) -> np.ndarray
 
 
 def _seed_state(model: models.OpenSystemModel, descriptor: str,
-                dense_limit: int) -> states.StateVector:
+                dense_limit: int) -> states.AnsatzSet:
     if descriptor.startswith("bits:"):
         try:
             return states.basis_state(model.n_qubits, descriptor.split(":", 1)[1])
         except DimensionMismatchError as exc:
             raise ConfigError(f"bad ansatz seed {descriptor!r}: {exc}")
     if descriptor == "uniform":
-        return states.StateVector.uniform(model.n_qubits)
+        return states.uniform_state(model.n_qubits)
     if descriptor == "oracle-top":
         # Benchmarking-only seed: consults the exact steady state.
         _, seed = oracle.dominant_eigenstate(_steady_state(model, dense_limit), model.n_qubits)
@@ -188,9 +188,12 @@ def _build_ansatz(model: models.OpenSystemModel, cfg: dict,
         m = _integer(descriptor.split(":", 1)[1], "the magnetization of a sector-basis seed",
                      minimum=-model.n_qubits)
         return symmetry.sector_basis_ansatz(model.n_qubits, m)
+    q = acfg.get("q")
+    if q is None and "rng_seed" in acfg:
+        raise ConfigError("ansatz 'rng_seed' seeds the random subset, so it needs 'q' "
+                          "beside it; without 'q' every extension is kept")
     seed = _seed_state(model, descriptor, dense_limit)
     order = _integer(acfg.get("K", 0), "ansatz.K")
-    q = acfg.get("q")
     if q is None:
         return states.moment_states(model.hamiltonian, seed, order,
                                     seed_descriptor=descriptor)

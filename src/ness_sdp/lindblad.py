@@ -46,7 +46,7 @@ import itertools
 import numpy as np
 
 from .errors import ConfigError
-from .states import _support, apply_to_columns
+from .states import apply_to_columns
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -59,6 +59,12 @@ def _sqrt_rates(rates) -> np.ndarray:
     if any(rate < 0 for rate in rates):
         raise ConfigError(f"dissipator rates must be >= 0, got {tuple(rates)}")
     return np.sqrt(np.asarray(rates, dtype=float))
+
+
+def _support(mask: np.ndarray):
+    """Positions where ``mask`` holds: a full slice, which indexes by view, when it holds everywhere."""
+    idx = np.flatnonzero(mask)
+    return slice(None) if len(idx) == len(mask) else idx
 
 
 def _square(idx, dim: int):

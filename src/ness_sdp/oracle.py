@@ -49,7 +49,7 @@ from .errors import ConvergenceError, DegenerateSteadySpaceError, DenseLimitErro
 from .lindblad import PauliLindbladian, _hermitian_matrix, _real_coordinates, hermitize
 from .models import OpenSystemModel
 from .sdp import _WhitenedSystem, _lsqr
-from .states import StateVector, apply_to_columns
+from .states import AnsatzSet, apply_to_columns
 
 DEFAULT_DENSE_LIMIT = 6
 NULL_SPACE_RTOL = 1e-10
@@ -359,13 +359,13 @@ def true_residual(rho: np.ndarray, model: OpenSystemModel,
     return gen.apply_norm(rho)
 
 
-def dominant_eigenstate(rho: np.ndarray, n_qubits: int) -> tuple[float, StateVector]:
-    """Largest-eigenvalue eigenvector of a density matrix, as a StateVector."""
+def dominant_eigenstate(rho: np.ndarray, n_qubits: int) -> tuple[float, AnsatzSet]:
+    """Largest-eigenvalue eigenvector of a density matrix, as a one-state set."""
     vals, vecs = np.linalg.eigh(hermitize(rho))
     vec = vecs[:, -1]
     k = np.argmax(np.abs(vec))
     vec = vec * (vec[k].conjugate() / abs(vec[k]))
-    return float(vals[-1]), StateVector(n_qubits, vec)
+    return float(vals[-1]), AnsatzSet(n_qubits, np.arange(len(vec)), vec[:, None], ((),))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import DimensionMismatchError
 from .lindblad import Lindbladian, hermitize
 from .models import OpenSystemModel
 from .pauli import PauliSum, string_masks
-from .states import AnsatzSet, _apply_at, _support
+from .states import AnsatzSet, _apply_at
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def assemble(model: OpenSystemModel, ansatz: AnsatzSet) -> OverlapSet:
         raise DimensionMismatchError(
             f"model on {model.n_qubits} qubits, ansatz on {ansatz.n_qubits}"
         )
-    rows, block = ansatz.support, ansatz.block
+    rows, block = ansatz.rows, ansatz.block
     sdag = block.conj().T
     gram = hermitize(sdag @ block)
     ham = hermitize(sdag @ _apply_at(model.hamiltonian, rows, block, rows))
@@ -71,7 +71,7 @@ def assemble(model: OpenSystemModel, ansatz: AnsatzSet) -> OverlapSet:
         at = _reach(jump, rows)
         x_n = _apply_at(jump, rows, block, at)
         r_mats.append(sdag @ (x_n if at is rows else x_n[np.searchsorted(at, rows)]))
-        x_n = x_n[_support((x_n != 0).any(axis=1))]
+        x_n = x_n[(x_n != 0).any(axis=1)]
         f_mats.append(hermitize(x_n.conj().T @ x_n))
     return OverlapSet(
         E=gram,
@@ -82,11 +82,9 @@ def assemble(model: OpenSystemModel, ansatz: AnsatzSet) -> OverlapSet:
     )
 
 
-def _reach(op: PauliSum, rows):
+def _reach(op: PauliSum, rows: np.ndarray) -> np.ndarray:
     """The sorted rows that S and op S live on, for S held on ``rows``:
     ``rows`` itself when op moves no row outside them."""
-    if isinstance(rows, slice):
-        return rows
     masks = sorted({string_masks(string.codes)[0] for _, string in op.terms})
     at = np.sort(np.concatenate([rows] + [rows ^ p for p in masks]))
     at = at[np.append(True, at[1:] != at[:-1])]   # np.unique would import numpy.ma
@@ -99,7 +97,7 @@ def observable_matrix(obs: PauliSum, ansatz: AnsatzSet) -> np.ndarray:
         raise DimensionMismatchError(
             f"observable on {obs.n_qubits} qubits, ansatz on {ansatz.n_qubits}"
         )
-    rows, block = ansatz.support, ansatz.block
+    rows, block = ansatz.rows, ansatz.block
     mat = block.conj().T @ _apply_at(obs, rows, block, rows)
     return hermitize(mat) if obs.is_hermitian() else mat
 

@@ -4,9 +4,9 @@ This module plays the part of the quantum processor. Pauli words act on
 amplitudes by a bit-mask permutation plus phases, so a Pauli sum, as one
 weight vector per distinct flip mask (``PauliSum.flip_weights``), costs
 one multiply and one row gather per mask instead of a dense matrix
-product. Amplitudes are held on a sorted set of rows (zero off them), or
-on all 2^n rows through the full slice: a state grown from a basis state
-costs its support, not 2^n.
+product. Every state, a seed included, is an ``AnsatzSet`` held on the
+sorted rows where it is nonzero (zero off them): a state grown from a
+basis state costs its support, not 2^n.
 
 Moment-state generation follows the cumulative construction: level j
 holds states reached by words of exactly j Hamiltonian Pauli strings,
@@ -17,7 +17,6 @@ coefficient matrix, so phases are irrelevant to the expressible set).
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -32,11 +31,8 @@ _PHASE_EPS = 1e-9
 _BATCH_ROWS = 1 << 16   # candidate amplitudes computed together in moment growth
 
 
-def _gather(rows, block: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """Rows ``src`` of the state(s) held on ``rows`` (a full slice, or sorted
-    indices with zero off them)."""
-    if isinstance(rows, slice):
-        return block[src]
+def _gather(rows: np.ndarray, block: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Rows ``src`` of the state(s) held on the sorted ``rows``, zero off them."""
     if not len(rows):
         return np.zeros((len(src),) + block.shape[1:], dtype=complex)
     pos = np.minimum(np.searchsorted(rows, src), len(rows) - 1)
@@ -45,80 +41,32 @@ def _gather(rows, block: np.ndarray, src: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_at(op: PauliSum, rows, block: np.ndarray, at) -> np.ndarray:
+def _apply_at(op: PauliSum, rows: np.ndarray, block: np.ndarray, at: np.ndarray) -> np.ndarray:
     """(op S)[at] = sum_p u_p[a] S[a ^ p] along axis 0, for the (p, u_p)
-    pairs of ``PauliSum.flip_weights`` at the rows ``at``: one multiply per
-    mask, and one row gather per mask other than 0.
-
-    S is held on ``rows``; ``rows`` and ``at`` are sorted index arrays, or
-    both the full slice, which reads the compiled table of all 2^n rows.
+    pairs of ``PauliSum.flip_weights`` at the sorted rows ``at``: one
+    multiply per mask, and one row gather per mask other than 0. S is held
+    on the sorted ``rows``.
     """
     block = np.asarray(block, dtype=complex)
-    if isinstance(at, slice):
-        flips, idx = op.flip_weights(), np.arange(block.shape[0])
-    else:
-        flips, idx = op.flip_weights(at), at
     shape = (-1,) + (1,) * (block.ndim - 1)
     out = None
-    for mask, weights in flips:
+    for mask, weights in op.flip_weights(at):
         if mask:
-            term = _gather(rows, block, idx ^ mask)
+            term = _gather(rows, block, at ^ mask)
             term *= weights.reshape(shape)
         else:
-            same = isinstance(at, slice) or rows is at
-            term = weights.reshape(shape) * (block if same else _gather(rows, block, idx))
+            term = weights.reshape(shape) * (block if rows is at else _gather(rows, block, at))
         if out is None:
             out = term
         else:
             out += term
-    return np.zeros((len(idx),) + block.shape[1:], dtype=complex) if out is None else out
+    return np.zeros((len(at),) + block.shape[1:], dtype=complex) if out is None else out
 
 
 def apply_to_columns(op: PauliSum, matrix: np.ndarray) -> np.ndarray:
     """Apply a Pauli sum to every column of a (2^n, m) array."""
-    return _apply_at(op, slice(None), matrix, slice(None))
-
-
-def _support(mask: np.ndarray):
-    """Positions where ``mask`` holds: a full slice, which indexes by view, when it holds everywhere."""
-    idx = np.flatnonzero(mask)
-    return slice(None) if len(idx) == len(mask) else idx
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Dense n-qubit state; amplitudes indexed with site 1 as the MSB."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2 ** self.n_qubits,):
-            raise DimensionMismatchError(
-                f"expected {2 ** self.n_qubits} amplitudes, got shape {amps.shape}"
-            )
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def basis(cls, n_qubits: int, bits: str) -> "StateVector":
-        """Computational basis state from a bitstring (site 1 = leftmost bit)."""
-        if len(bits) != n_qubits or set(bits) - {"0", "1"}:
-            raise DimensionMismatchError(f"need {n_qubits} bits, got {bits!r}")
-        amps = np.zeros(2 ** n_qubits, dtype=complex)
-        amps[int(bits, 2)] = 1.0
-        return cls(n_qubits, amps)
-
-    @classmethod
-    def uniform(cls, n_qubits: int) -> "StateVector":
-        dim = 2 ** n_qubits
-        return cls(n_qubits, np.full(dim, 1.0 / np.sqrt(dim), dtype=complex))
-
-
-def basis_state(n_qubits: int, bits: str) -> StateVector:
-    return StateVector.basis(n_qubits, bits)
+    rows = np.arange(len(matrix))
+    return _apply_at(op, rows, matrix, rows)
 
 
 def _canonical_phase(amps: np.ndarray) -> np.ndarray:
@@ -180,16 +128,9 @@ class AnsatzSet:
     def size(self) -> int:
         return self.block.shape[1]
 
-    @functools.cached_property
-    def support(self):
-        """``rows``, or the full slice when they are every basis index: the rows an overlap sums over."""
-        return slice(None) if len(self.rows) == 2 ** self.n_qubits else self.rows
-
     @property
     def columns(self) -> np.ndarray:
         """The (2^n, L) dense states, scattered from the block on each read."""
-        if isinstance(self.support, slice):
-            return self.block
         out = np.zeros((2 ** self.n_qubits, self.size), dtype=complex)
         out[self.rows] = self.block
         return out
@@ -211,30 +152,44 @@ class AnsatzSet:
         }
 
 
+def basis_state(n_qubits: int, bits: str) -> AnsatzSet:
+    """Computational basis state from a bitstring (site 1 = leftmost bit), as
+    a one-state set held on its one row."""
+    if len(bits) != n_qubits or set(bits) - {"0", "1"}:
+        raise DimensionMismatchError(f"need {n_qubits} bits, got {bits!r}")
+    return AnsatzSet(n_qubits, [int(bits, 2)], [[1.0]], ((),))
+
+
+def uniform_state(n_qubits: int) -> AnsatzSet:
+    """The equal superposition of all 2^n basis states, as a one-state set."""
+    dim = 2 ** n_qubits
+    return AnsatzSet(n_qubits, np.arange(dim), np.full((dim, 1), 1.0 / np.sqrt(dim)), ((),))
+
+
 class _Retained:
     """Phase-canonical retained states on their union support, with their words.
 
     ``buf`` holds one row per state and one column per support index, in
-    the order the indices first appeared (``order``; ``column`` maps an
-    index to its column, and ``peak`` holds the largest magnitude a state
-    has there). Each state keeps its own sorted rows with their columns,
-    so an extension and a candidate's dedup overlap cost the candidate's
-    support: a one-element candidate c|b> overlaps a state s by |s_b||c|,
-    so it dedups by a lookup of its bitstring. A seed of full support keeps
-    every state on all 2^n rows in index order, through the full slice.
+    the order the indices first appeared. ``index`` holds the support
+    indices in increasing order, ending in the sentinel 2^n, over their
+    columns, so a lookup of many rows is one ``searchsorted``; ``peak``
+    holds the largest magnitude a state has in each column. Each state
+    keeps its own sorted rows with their columns, so an extension and a
+    candidate's dedup overlap cost the candidate's support: a one-element
+    candidate c|b> overlaps a state s by |s_b||c|, so it dedups by a lookup
+    of its bitstring.
     """
 
-    def __init__(self, seed: StateVector):
+    def __init__(self, seed: AnsatzSet):
+        if seed.size != 1:
+            raise ValueError(f"a seed is one state, got {seed.size}")
         self.n = seed.n_qubits
-        rows = np.flatnonzero(seed.amplitudes)
-        self.full = len(rows) == 2 ** self.n
-        self.buf = np.zeros((16, max(len(rows), 1)), dtype=complex)
+        self.buf = np.zeros((16, max(len(seed.rows), 1)), dtype=complex)
         self.peak = np.zeros(self.buf.shape[1])
-        self.order: list[int] = []
-        self.column: dict[int, int] = {}
-        self.states: list[tuple[np.ndarray, object]] = []   # (rows, columns) of each state
+        self.index = np.array([[2 ** self.n], [-1]], dtype=np.int64)
+        self.states: list[tuple[np.ndarray, np.ndarray]] = []   # (rows, columns) of each state
         self.words: list[tuple[int, ...]] = []
-        self.add_if_new(rows, seed.amplitudes[rows], ())
+        self.add_if_new(seed.rows, seed.block[:, 0], ())
 
     def __len__(self) -> int:
         return len(self.words)
@@ -244,20 +199,15 @@ class _Retained:
         retained state up to phase."""
         canon = _canonical_phase(amps)
         k = len(self.words)
-        if self.full:
-            cols = slice(None)
-            overlap = self.buf[:k] @ canon.conj()
-        else:
-            cols = [self.column.get(r, -1) for r in rows.tolist()]
-            seen = [j for j, c in enumerate(cols) if c >= 0]
-            overlap = self.buf[:k, [cols[j] for j in seen]] @ canon[seen].conj()
+        pos = self.index[0].searchsorted(rows)
+        keys, cols = self.index[:, pos]
+        new = keys != rows   # rows without a column yet
+        overlap = self.buf[:k, cols[~new]] @ canon[~new].conj()
         if k and np.abs(overlap).max() > 1.0 - DEDUP_TOL:
             return False
-        if not self.full:
-            if -1 in cols:
-                cols = self._add_columns(rows, cols)
-            cols = np.array(cols, dtype=np.int64)
-            self.peak[cols] = np.maximum(self.peak[cols], np.abs(canon))
+        if new.any():
+            cols[new] = self._add_columns(rows[new], pos[new])
+        self.peak[cols] = np.maximum(self.peak[cols], np.abs(canon))
         if k == len(self.buf):
             self.buf = np.concatenate([self.buf, np.zeros_like(self.buf)])
         self.buf[k, cols] = canon
@@ -268,49 +218,42 @@ class _Retained:
     def _known(self, row: int, magnitude: float) -> bool:
         """Whether a one-element candidate of this magnitude at ``row``
         duplicates a retained state: a lookup in place of ``add_if_new``'s overlap."""
-        col = self.column.get(row, -1)
-        return col >= 0 and self.peak[col] * magnitude > 1.0 - DEDUP_TOL
+        keys = self.index[0]
+        pos = keys.searchsorted(row)
+        return keys[pos] == row and self.peak[self.index[1, pos]] * magnitude > 1.0 - DEDUP_TOL
 
-    def _add_columns(self, rows: np.ndarray, cols: list[int]) -> list[int]:
-        """Zero columns for the rows whose column is -1, filled into ``cols``."""
-        m = len(self.order)
-        for j, r in enumerate(rows.tolist()):
-            if cols[j] < 0:
-                cols[j] = self.column[r] = len(self.order)
-                self.order.append(r)
-        if len(self.order) > self.buf.shape[1]:
-            width = max(2 * self.buf.shape[1], len(self.order))
+    def _add_columns(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Zero columns for ``rows``, which go in at positions ``pos`` of
+        ``index``; returns their numbers."""
+        m = self.index.shape[1] - 1
+        fresh = np.arange(m, m + len(rows))
+        self.index = np.insert(self.index, pos, (rows, fresh), axis=1)
+        if m + len(rows) > self.buf.shape[1]:
+            width = max(2 * self.buf.shape[1], m + len(rows))
             self.buf = np.concatenate(
                 [self.buf[:, :m], np.zeros((len(self.buf), width - m), dtype=complex)], axis=1)
             self.peak = np.concatenate([self.peak[:m], np.zeros(width - m)])
-        return cols
+        return fresh
 
     def extend(self, pairs: list[tuple[int, int]], ops: list[PauliSum]) -> list[int]:
         """Apply Hamiltonian word i (``ops[i]``, a one-term sum) to retained
         state src for each (src, i) in turn, keeping each result that is new;
         returns the indices of the states kept.
 
-        On all 2^n rows a word applies through its compiled table. On a
-        smaller support the candidates of a batch of pairs are computed
-        together: word i moves row t to a = t ^ p_i with the weight
-        u_{p_i}[a] of ``PauliSum.flip_weights``, and the moved rows are
-        sorted within each candidate.
+        The candidates of a batch of pairs are computed together: word i
+        moves row t to a = t ^ p_i with the weight u_{p_i}[a] of
+        ``PauliSum.flip_weights``, and the moved rows are sorted within each
+        candidate.
         """
         kept = []
-        if self.full:
-            for src, i in pairs:
-                rows, cols = self.states[src]
-                if self.add_if_new(rows, _apply_at(ops[i], cols, self.buf[src], cols),
-                                   self.words[src] + (i,)):
-                    kept.append(len(self.words) - 1)
-            return kept
         masks = np.array([string_masks(op.terms[0][1].codes)[0] for op in ops])
         lens = [len(self.states[src][0]) for src, _ in pairs]
         ends = np.cumsum(lens)
+        most = 1 << max(0, 62 - self.n)   # pairs per batch, so that (seg << n) | row fits in int64
         start = 0
         while start < len(pairs):
-            stop = max(start + 1, int(np.searchsorted(ends, ends[start] - lens[start] + _BATCH_ROWS,
-                                                      side="right")))
+            stop = max(start + 1, min(start + most, int(np.searchsorted(
+                ends, ends[start] - lens[start] + _BATCH_ROWS, side="right"))))
             batch = pairs[start:stop]
             sizes = lens[start:stop]
             which = np.repeat([i for _, i in batch], sizes)
@@ -325,10 +268,11 @@ class _Retained:
             amps = amps * weights   # a weight is +-1 or +-i, so exact in any order
             order = np.argsort((seg << self.n) | moved)
             moved, amps = moved[order], amps[order]
-            rows, mags = moved.tolist(), np.abs(amps).tolist()
-            hi = np.cumsum(sizes).tolist()
-            for (src, i), a, b in zip(batch, [0] + hi[:-1], hi):
-                if b - a == 1 and self._known(rows[a], mags[a]):
+            hi = np.cumsum(sizes)
+            lo = hi - sizes
+            heads, mags = moved[lo].tolist(), np.abs(amps[lo]).tolist()
+            for (src, i), a, b, row, mag in zip(batch, lo.tolist(), hi.tolist(), heads, mags):
+                if b - a == 1 and self._known(row, mag):
                     continue
                 if self.add_if_new(moved[a:b], amps[a:b], self.words[src] + (i,)):
                     kept.append(len(self.words) - 1)
@@ -336,27 +280,22 @@ class _Retained:
         return kept
 
     def ansatz(self, seed_descriptor: str, rng_seed: int | None = None) -> AnsatzSet:
-        k = len(self)
-        if self.full:
-            rows, block = np.arange(2 ** self.n), self.buf[:k].T
-        else:
-            keys = np.array(self.order, dtype=np.int64)
-            slot = np.argsort(keys)
-            rows, block = keys[slot], self.buf[:k, slot].T
         return AnsatzSet(
             n_qubits=self.n,
-            rows=rows,
-            block=block,
+            rows=self.index[0, :-1],
+            block=self.buf[:len(self), self.index[1, :-1]].T,
             words=tuple(self.words),
             seed_descriptor=seed_descriptor,
             rng_seed=rng_seed,
         )
 
 
-def moment_states(hamiltonian: PauliSum, seed: StateVector, order: int,
+def moment_states(hamiltonian: PauliSum, seed: AnsatzSet, order: int,
                   seed_descriptor: str = "custom") -> AnsatzSet:
     """Cumulative moment states of the given order from a seed state.
 
+    The seed is a one-state ``AnsatzSet`` (``basis_state``,
+    ``uniform_state``); a set of more than one state raises ``ValueError``.
     Level 0 is the seed; level j applies every Hamiltonian Pauli word to
     each retained level-(j-1) state. Duplicates (up to global phase) are
     dropped, so the result size is at most 1 + r + ... + r^order.
@@ -364,7 +303,7 @@ def moment_states(hamiltonian: PauliSum, seed: StateVector, order: int,
     return _grow_levels(hamiltonian, seed, order, None, None, seed_descriptor)
 
 
-def moment_states_random(hamiltonian: PauliSum, seed: StateVector, order: int,
+def moment_states_random(hamiltonian: PauliSum, seed: AnsatzSet, order: int,
                          q: int, rng_seed: int,
                          seed_descriptor: str = "custom") -> AnsatzSet:
     """Random-subset variant: each level keeps at most q one-step extensions.
@@ -380,7 +319,7 @@ def moment_states_random(hamiltonian: PauliSum, seed: StateVector, order: int,
     return _grow_levels(hamiltonian, seed, order, q, rng_seed, seed_descriptor)
 
 
-def _grow_levels(hamiltonian: PauliSum, seed: StateVector, order: int, q: int | None,
+def _grow_levels(hamiltonian: PauliSum, seed: AnsatzSet, order: int, q: int | None,
                  rng_seed: int | None, seed_descriptor: str) -> AnsatzSet:
     """The level loop of both generators; q=None keeps every extension."""
     if order < 0:

@@ -9,7 +9,7 @@ import pytest
 
 from ness_sdp.models import OpenSystemModel
 from ness_sdp.pauli import PauliString, PauliSum, sigma_minus
-from ness_sdp.states import AnsatzSet, StateVector
+from ness_sdp.states import AnsatzSet
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -127,9 +127,9 @@ def shared_mask_model(rng, n: int) -> OpenSystemModel:
                            label="shared-mask")
 
 
-def random_state(rng, n: int) -> StateVector:
+def random_state(rng, n: int) -> AnsatzSet:
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-    return StateVector(n, amps / np.linalg.norm(amps))
+    return dense_ansatz((amps / np.linalg.norm(amps))[:, None], [()])
 
 
 def dense_ansatz(columns, words, seed_descriptor: str = "custom") -> AnsatzSet:
@@ -141,7 +141,7 @@ def dense_ansatz(columns, words, seed_descriptor: str = "custom") -> AnsatzSet:
 
 def random_ansatz(rng, n: int, size: int) -> AnsatzSet:
     return dense_ansatz(
-        np.column_stack([random_state(rng, n).amplitudes for _ in range(size)]),
+        np.column_stack([random_state(rng, n).columns[:, 0] for _ in range(size)]),
         tuple((k,) for k in range(size)),
         seed_descriptor="random-test",
     )
@@ -181,7 +181,7 @@ def reference_apply(op: PauliSum, amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_moment_states(hamiltonian: PauliSum, seed: StateVector, order: int,
+def reference_moment_states(hamiltonian: PauliSum, seed: AnsatzSet, order: int,
                             q: int | None = None, rng_seed: int | None = None):
     """(columns, words) of the moment states grown as 2^n-long rows, every
     candidate deduped against every retained row."""
@@ -189,7 +189,7 @@ def reference_moment_states(hamiltonian: PauliSum, seed: StateVector, order: int
 
     rng = None if q is None else np.random.default_rng(rng_seed)
     ops = [PauliSum([(1.0, s)]) for _, s in hamiltonian.terms]
-    rows, words, frontier = [_canonical_phase(seed.amplitudes.astype(complex))], [()], [0]
+    rows, words, frontier = [_canonical_phase(seed.columns[:, 0])], [()], [0]
     for _ in range(order):
         pairs = [(src, i) for src in frontier for i in range(len(ops))]
         if q is not None and len(pairs) > q:
@@ -211,8 +211,7 @@ def reference_moment_states(hamiltonian: PauliSum, seed: StateVector, order: int
 def reference_overlaps(model: OpenSystemModel, columns: np.ndarray, observables=()):
     """E, D, (R_n, F_n) per jump, then each observable's projection, from the
     dense columns: every S^dag X summed over S's nonzero rows."""
-    from ness_sdp.lindblad import hermitize
-    from ness_sdp.states import _support
+    from ness_sdp.lindblad import _support, hermitize
 
     s = np.asarray(columns, dtype=complex)
     rows = _support((s != 0).any(axis=1))

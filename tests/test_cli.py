@@ -144,6 +144,25 @@ class TestSolve:
         assert report["diagnostics"]["stop_reason"] == "converged"
         assert peak < 48 * 2 ** 20
 
+    def test_twenty_four_qubit_ansatz_holds_the_seed_on_its_row(self, runner, tmp_path):
+        # The bits:1...1 seed is one row, not a 2^24 vector (256 MiB, and as
+        # much again for its copy), so growing its 301 K=2 states stays small.
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "tfim_chain", "params": {"n": 24, "g": 0.5}},
+            "ansatz": {"seed": "bits:" + "1" * 24, "K": 2},
+        })
+        record = tmp_path / "ansatz.json"
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["ansatz", "generate", "--config", cfg,
+                                          "--out", str(record)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(record.read_text())["words"]) == 301
+        assert peak < 16 * 2 ** 20
+
     def test_missing_config_is_config_error(self, runner, tmp_path):
         result = runner.invoke(main, ["solve", "--config",
                                       str(tmp_path / "nope.json")])
@@ -712,6 +731,24 @@ class TestMalformedConfigs:
         assert result.exit_code == 2, result.output
         unread = [key for key in ("'K'", "'q'", "'rng_seed'") if key in result.output]
         assert unread == (["'K'", "'q'", "'rng_seed'"] if command == "ansatz" else ["'K'"])
+
+    @pytest.mark.parametrize("command, section", [
+        ("ansatz", {"ansatz": {"seed": "bits:111", "K": 2, "rng_seed": 5}}),
+        ("sweep", {"ansatz": {"seed": "bits:111", "K": 2},
+                   "sweep": {"parameter": "g", "values": [0.5],
+                             "ansatz_grid": [{"rng_seed": 5}, {"rng_seed": 6}]}}),
+    ])
+    def test_rng_seed_without_q(self, runner, tmp_path, command, section):
+        # rng_seed seeds only the random subset: without q it would go
+        # unread, and a grid over it would repeat one row.
+        model = {"builder": "tfim_chain", "params": {"n": 3, "g": 0.5}}
+        cfg = write_config(tmp_path / "cfg.json", dict(section, model=model))
+        args = ["ansatz", "generate", "--config", cfg, "--out", str(tmp_path / "a.json")]
+        if command == "sweep":
+            args = ["sweep", "--config", cfg, "--out", str(tmp_path / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "'rng_seed'" in result.output and "'q'" in result.output
 
     @pytest.mark.parametrize("seed", ["sector-basis:1", "sector-basis:one"])
     def test_sector_basis_seed(self, runner, tmp_path, seed):

@@ -535,8 +535,8 @@ class TestSparseSteadyState:
 def test_dominant_eigenstate():
     rho = np.diag([0.2, 0.7, 0.1, 0.0]).astype(complex)
     lam, state = oracle.dominant_eigenstate(rho, 2)
-    assert lam == pytest.approx(0.7)
-    assert np.argmax(np.abs(state.amplitudes)) == 1
+    assert lam == pytest.approx(0.7) and state.size == 1
+    assert np.argmax(np.abs(state.columns[:, 0])) == 1
 
 
 def test_restricted_steady_state_rejects_leaky_subspace():

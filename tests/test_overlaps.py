@@ -31,7 +31,7 @@ from ness_sdp.symmetry import sector_basis_ansatz
 
 def basis_ansatz(n, bitstrings):
     return dense_ansatz(
-        np.column_stack([basis_state(n, b).amplitudes for b in bitstrings]),
+        np.column_stack([basis_state(n, b).columns[:, 0] for b in bitstrings]),
         tuple((k,) for k in range(len(bitstrings))),
     )
 

@@ -39,7 +39,7 @@ from ness_sdp.symmetry import sector_basis_ansatz, sector_constraint
 
 def basis_ansatz(n, bitstrings):
     return dense_ansatz(
-        np.column_stack([basis_state(n, b).amplitudes for b in bitstrings]),
+        np.column_stack([basis_state(n, b).columns[:, 0] for b in bitstrings]),
         tuple((k,) for k in range(len(bitstrings))),
     )
 
@@ -88,7 +88,7 @@ class TestWhiten:
 
     def test_zero_gram_rejected(self):
         model = tfim_chain(2, 1.0)
-        zero = dense_ansatz(basis_state(2, "00").amplitudes[:, None], ((),))
+        zero = basis_state(2, "00")
         ovl = assemble(model, zero)
         object.__setattr__(ovl, "E", np.zeros((1, 1), dtype=complex))
         with pytest.raises(DegenerateAnsatzError):

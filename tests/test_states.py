@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_ansatz,
     dense_string,
     dense_sum,
     random_pauli_sum,
@@ -14,30 +15,31 @@ from ness_sdp import oracle
 from ness_sdp.errors import DegenerateSteadySpaceError, DimensionMismatchError
 from ness_sdp.models import magnetization, tfim_chain, xxz_boundary_driven, xxz_dephasing
 from ness_sdp.overlaps import assemble, observable_matrix
-from ness_sdp.pauli import PauliSum, sigma_minus, single_site
+from ness_sdp.pauli import PauliSum, sigma_minus, single_site, string_masks
 from ness_sdp.states import (
     AnsatzSet,
-    StateVector,
     _canonical_phase,
     apply_to_columns,
     basis_state,
     density_from_beta,
     moment_states,
     moment_states_random,
+    uniform_state,
 )
 from ness_sdp.symmetry import sector_basis_ansatz
 
 
 class TestBasisState:
     def test_all_zero(self):
-        assert np.allclose(basis_state(2, "00").amplitudes, [1, 0, 0, 0])
+        assert np.allclose(basis_state(2, "00").columns[:, 0], [1, 0, 0, 0])
 
     def test_site_one_is_msb(self):
-        assert np.allclose(basis_state(2, "10").amplitudes, [0, 0, 1, 0])
+        assert np.allclose(basis_state(2, "10").columns[:, 0], [0, 0, 1, 0])
 
     def test_five_qubit_all_ones(self):
-        amps = basis_state(5, "11111").amplitudes
+        amps = basis_state(5, "11111").columns[:, 0]
         assert amps[31] == 1.0 and np.count_nonzero(amps) == 1
+        assert np.array_equal(basis_state(5, "11111").rows, [31])
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -46,27 +48,27 @@ class TestBasisState:
 
 class TestApply:
     def test_x_flips(self):
-        out = apply_to_columns(PauliSum.from_label("X"), basis_state(1, "0").amplitudes)
+        out = apply_to_columns(PauliSum.from_label("X"), basis_state(1, "0").columns[:, 0])
         assert np.allclose(out, [0, 1])
 
     def test_tfim_on_00(self):
         ham = tfim_chain(2, 1.0).hamiltonian
-        out = apply_to_columns(ham, basis_state(2, "00").amplitudes)
+        out = apply_to_columns(ham, basis_state(2, "00").columns[:, 0])
         # dense oracle cross-check plus the explicit expansion
-        dense = dense_sum(ham) @ basis_state(2, "00").amplitudes
+        dense = dense_sum(ham) @ basis_state(2, "00").columns[:, 0]
         assert np.allclose(out, dense, atol=1e-12)
         assert np.allclose(out, [0.5, 1.0, 1.0, 0.0])
 
     def test_lowering_annihilates_one(self):
-        out = apply_to_columns(sigma_minus(1, 1), basis_state(1, "1").amplitudes)
+        out = apply_to_columns(sigma_minus(1, 1), basis_state(1, "1").columns[:, 0])
         assert np.allclose(out, 0.0)
 
     def test_matches_dense_on_random(self, rng):
         for n in (1, 2, 3, 4):
             op = random_pauli_sum(rng, n, 4)
-            state = random_state(rng, n)
-            out = apply_to_columns(op, state.amplitudes)
-            assert np.allclose(out, dense_sum(op) @ state.amplitudes, atol=1e-12)
+            state = random_state(rng, n).columns[:, 0]
+            out = apply_to_columns(op, state)
+            assert np.allclose(out, dense_sum(op) @ state, atol=1e-12)
 
     def test_merged_masks_match_per_term_reference(self, rng):
         # one gather per flip mask, against one dense word per term; many
@@ -123,7 +125,7 @@ class TestMomentStates:
 
     def test_unit_norm_and_dedup_soundness(self, rng):
         ham = random_pauli_sum(rng, 3, 4, hermitian=True)
-        ans = moment_states(ham, StateVector.uniform(3), 3)
+        ans = moment_states(ham, uniform_state(3), 3)
         mat = ans.columns
         assert np.allclose(np.linalg.norm(mat, axis=0), 1.0, atol=1e-12)
         gram = np.abs(mat.conj().T @ mat)
@@ -133,6 +135,26 @@ class TestMomentStates:
     def test_empty_hamiltonian_keeps_seed(self):
         ans = moment_states(PauliSum.zero(2), basis_state(2, "01"), 3)
         assert ans.size == 1
+
+    def test_sixty_qubit_states_sit_on_the_rows_their_words_reach(self):
+        # A basis seed is one row, so 60 qubits grow; each state is the
+        # seed's bitstring flipped by the masks of its word.
+        ham = tfim_chain(60, 0.5).hamiltonian
+        ans = moment_states(ham, basis_state(60, "1" * 60), 1)
+        assert ans.size == 61
+        for column, word in zip(ans.block.T, ans.words):
+            row = 2 ** 60 - 1
+            for i in word:
+                row ^= string_masks(ham.terms[i][1].codes)[0]
+            assert ans.rows[np.flatnonzero(column)].tolist() == [row]
+
+    def test_seed_of_more_than_one_state_raises(self):
+        ham = tfim_chain(2, 1.0).hamiltonian
+        two = moment_states(ham, basis_state(2, "00"), 1)
+        with pytest.raises(ValueError, match="one state"):
+            moment_states(ham, two, 1)
+        with pytest.raises(ValueError, match="one state"):
+            moment_states_random(ham, two, 1, q=2, rng_seed=0)
 
 
 class TestCanonicalPhase:
@@ -174,7 +196,7 @@ class TestMomentStatesRandom:
 
     def test_level_cardinality_bound(self):
         ham = tfim_chain(3, 0.9).hamiltonian
-        ans = moment_states_random(ham, StateVector.uniform(3), 4, q=3, rng_seed=7)
+        ans = moment_states_random(ham, uniform_state(3), 4, q=3, rng_seed=7)
         per_level = {}
         for word in ans.words:
             per_level[len(word)] = per_level.get(len(word), 0) + 1
@@ -217,8 +239,8 @@ class TestAnsatzSet:
     def test_support_is_the_nonzero_rows(self):
         ham = tfim_chain(3, 0.5).hamiltonian
         ans = moment_states(ham, basis_state(3, "111"), 1)
-        assert np.array_equal(ans.support, np.flatnonzero(np.abs(ans.columns).sum(axis=1)))
-        assert moment_states(ham, StateVector.uniform(3), 1).support == slice(None)
+        assert np.array_equal(ans.rows, np.flatnonzero(np.abs(ans.columns).sum(axis=1)))
+        assert np.array_equal(moment_states(ham, uniform_state(3), 1).rows, np.arange(8))
 
     def test_content_hash_is_pinned(self):
         # The hash covers n, the support rows, the bytes of the C-ordered
@@ -236,7 +258,7 @@ FAMILIES = {
 }
 
 
-def _oracle_top(model) -> StateVector:
+def _oracle_top(model) -> AnsatzSet:
     """The dominant eigenvector of the exact steady state, or of the first
     physical one where the steady space is degenerate."""
     try:
@@ -247,19 +269,19 @@ def _oracle_top(model) -> StateVector:
     return oracle.dominant_eigenstate(rho, model.n_qubits)[1]
 
 
-def _partial(n: int) -> StateVector:
+def _partial(n: int) -> AnsatzSet:
     """Random amplitudes on every other basis state, exact zeros elsewhere."""
     rng = np.random.default_rng(n)
     amps = np.zeros(2 ** n, dtype=complex)
     amps[::2] = rng.normal(size=2 ** (n - 1)) + 1j * rng.normal(size=2 ** (n - 1))
-    return StateVector(n, amps / np.linalg.norm(amps))
+    return dense_ansatz((amps / np.linalg.norm(amps))[:, None], [()])
 
 
 SEEDS = {  # kind: (n, seed of a model, K, q, rng_seed)
     "bits": (6, lambda m: basis_state(6, "110100"), 3, None, None),
     "bits-random-subset": (6, lambda m: basis_state(6, "111111"), 3, 25, 4),
-    "uniform": (4, lambda m: StateVector.uniform(4), 2, None, None),
-    "uniform-random-subset": (4, lambda m: StateVector.uniform(4), 3, 12, 1),
+    "uniform": (4, lambda m: uniform_state(4), 2, None, None),
+    "uniform-random-subset": (4, lambda m: uniform_state(4), 3, 12, 1),
     "oracle-top": (4, _oracle_top, 2, None, None),
     "partial-support": (5, lambda m: _partial(5), 2, None, None),
 }
