@@ -13,9 +13,9 @@ M = I this is the usual L[rho] = -i[H, rho]
 Vectorization is column-stacking: vec(x) = x.reshape(-1, order="F"),
 so vec(B x C) = (C^T kron B) vec(x).
 
-G maps Hermitian matrices to Hermitian matrices, and the solver applies
-the coefficient-basis generators (``Lindbladian``: ``from_overlaps``,
-``compress``) to nothing else. For Hermitian x, M x K^dag = (K x M)^dag,
+G maps Hermitian matrices to Hermitian matrices, and the package applies
+it to nothing else: ``apply`` and ``adjoint`` of both generator classes
+take Hermitian matrices only. For Hermitian x, M x K^dag = (K x M)^dag,
 so with
 
     H = -i K x M + 1/2 sum_k J_k x J_k^dag,    G(x) = H + H^dag,
@@ -28,20 +28,22 @@ G^dag(y) = H' + H'^dag with H' = i K^dag y M + 1/2 sum_k J_k^dag y J_k.
 
 In the computational basis (``PauliLindbladian``) no dense K or J_k is
 ever formed. K and J_k are Pauli sums, and a Pauli word maps |b> to a phase
-times |b ^ mask>, so
+times |b ^ mask>, so the half is
 
-    G(x)[a, b] = sum_t W_t[a, b] x[a ^ p_t, b ^ q_t]
+    H[a, b] = sum_t W_t[a, b] x[a ^ p_t, b ^ q_t]
 
-over a table of terms t, one per distinct pair of bit-flip masks
-(p_t, q_t). With x viewed as a (2,)*2n tensor, x[a ^ p, b ^ q] is
-``np.flip`` over the qubit axes set in p and q, a view. The adjoint reads
-the same table, G^dag(y) = sum_t flip(conj(W_t) y), and so does the dense
-superoperator, into which each term scatters one entry per row.
+over a table of terms t: one per distinct flip mask p of K (q = 0, W a
+column vector), and one per mask pair (p, q) of each jump. With x viewed
+as a (2,)*2n tensor, x[a ^ p, b ^ q] is ``np.flip`` over the qubit axes set
+in p and q, a view, and a jump term is taken only on the sub-cube of bits
+where its weight is nonzero. The adjoint's half H' has its own table,
+compiled the same way from -K^dag and the J_k^dag. The dense superoperator
+scatters the full table of G on any matrix, one term per mask pair of
+-i (K x - x K^dag) + sum_k J_k x J_k^dag, each term one entry per row.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -257,17 +259,130 @@ def _weight_factors(pieces: list[tuple[np.ndarray, ...]], n: int) -> tuple[np.nd
                  for f in pieces[0])
 
 
+def _cube(weight: np.ndarray, n: int) -> list | None:
+    """The sub-cube of the (2,)*n view of ``weight`` that holds its nonzero entries: per
+    axis the one bit they all have, or None where they have both; None for a zero weight."""
+    on = weight.reshape((2,) * n) != 0
+    if not on.any():
+        return None
+    return [None if held.all() else int(held[1])
+            for held in (on.any(axis=tuple(a for a in range(n) if a != axis))
+                         for axis in range(n))]
+
+
+def _half_term(p: int, q: int, u: np.ndarray, v: np.ndarray | None, n: int):
+    """The piece u[a] v[b] x[a ^ p, b ^ q] (v None: no column factor) as a half-table
+    term (at, src, axes, factors), or None when its weight is zero.
+
+    With x and the output viewed as (2,)*2n, the term adds prod(factors) *
+    flip(x[src], axes) into out[at]. ``at`` fixes each axis on which the
+    weight is nonzero at one bit only, so the term covers the sub-cube that
+    holds the weight (a quarter of the matrix for a sigma_- jump), and ``src``
+    fixes the same axes at that bit flipped by the masks; ``axes`` are the
+    flips left on the free axes. A factor constant on the sub-cube becomes a
+    scalar, folded into the other factor when there is one.
+    """
+    rows = _cube(u, n)
+    cols = [None] * n if v is None else _cube(v, n)
+    if rows is None or cols is None:
+        return None
+    fixed = rows + cols
+    flips = _flip_axes(p, q, n)
+    at = tuple(slice(None) if bit is None else bit for bit in fixed) + (...,)  # a view, even 0-d
+    src = tuple(slice(None) if bit is None else bit ^ (axis in flips)
+                for axis, bit in enumerate(fixed))
+    free = [axis for axis, bit in enumerate(fixed) if bit is None]
+    axes = tuple(k for k, axis in enumerate(free) if axis in flips)
+    free_rows = sum(bit is None for bit in rows)
+    free_cols = len(free) - free_rows
+    scalar, factors = 1.0, []
+    for weight, idx, shape in ((u, at[:n], (2,) * free_rows + (1,) * free_cols),
+                               (v, at[n:], (1,) * free_rows + (2,) * free_cols)):
+        if weight is None:
+            continue
+        sub = weight.reshape((2,) * n)[idx]
+        if np.all(sub == sub.flat[0]):
+            scalar = scalar * sub.flat[0]
+        else:
+            factors.append(sub.reshape(shape))
+    if not factors:
+        return at, src, axes, (scalar,)
+    return at, src, axes, (scalar * factors[0], *factors[1:])
+
+
+def _half_table(k_op, jump_ops, n: int) -> tuple:
+    """Terms (``_half_term``) of the half H = -i K x + 1/2 sum_k J_k x J_k^dag.
+
+    One term per distinct flip mask p of K, which flips rows only, and one
+    per mask pair (p, q) of each jump, on the sub-cube where its weight is
+    nonzero. The diagonal pieces, K's mask 0 and each jump's pair (0, 0),
+    come first: alone, K's is a column vector; with any jump's, they merge
+    into one full 2^n x 2^n weight.
+    """
+    k_weights = dict(k_op.flip_weights())
+    diag = -1j * k_weights.pop(0) if 0 in k_weights else None
+    jump_weights = [jump.flip_weights() for jump in jump_ops]
+    zero = [u for weights in jump_weights for p, u in weights if p == 0]
+    terms = []
+    if zero:
+        stacked = np.stack(zero, axis=1)
+        full = (0.5 * stacked) @ stacked.conj().T
+        if diag is not None:
+            full += diag[:, None]
+        everywhere = (slice(None),) * (2 * n)
+        terms.append((everywhere, everywhere, (), (full.reshape((2,) * (2 * n)),)))
+    elif diag is not None:
+        terms.append(_half_term(0, 0, diag, None, n))
+    terms += [_half_term(p, 0, -1j * u, None, n) for p, u in k_weights.items()]
+    terms += [_half_term(p, q, 0.5 * u, v.conj(), n)
+              for weights in jump_weights for p, u in weights for q, v in weights if p or q]
+    return tuple(term for term in terms if term is not None)
+
+
+_TILE = 64  # rows and columns of one tile of the in-place mirror
+
+
+def _mirror(h: np.ndarray) -> np.ndarray:
+    """h + h^dag into h itself, one pair of tiles at a time; returns h.
+
+    Entry (j, i) becomes the exact conjugate of entry (i, j), and no
+    temporary is larger than one tile.
+    """
+    dim = len(h)
+    for i in range(0, dim, _TILE):
+        tile = h[i:i + _TILE, i:i + _TILE]
+        tile += tile.conj().T
+        for j in range(i + _TILE, dim, _TILE):
+            upper, lower = h[i:i + _TILE, j:j + _TILE], h[j:j + _TILE, i:i + _TILE]
+            upper += lower.conj().T
+            np.conjugate(upper.T, out=lower)
+    return h
+
+
 class PauliLindbladian:
-    """The computational-basis generator of a model, as one table of flip terms.
+    """The computational-basis generator of a model, from its Pauli sums.
 
     K and the J_k are held as ``PauliSum``s (``k_op``, ``jump_ops``), and
-    every method reads them or their table. A term (axes, factors) stands
-    for x -> W * flip(x, axes), with W the product of its broadcast
-    factors: a column u for a -i K x piece, a row for an i x K^dag piece,
-    a column times a row for a J_k x J_k^dag piece. A mask pair reached by
-    several pieces, such as the diagonal pair (0, 0) of a K with a
-    diagonal part, holds them merged in one full 2^n x 2^n weight. Unlike
-    ``Lindbladian``, ``apply`` and ``adjoint`` accept any matrix.
+    every method reads them or a table compiled from them. Like
+    ``Lindbladian``, ``apply`` and ``adjoint`` take Hermitian matrices only
+    and return exactly Hermitian ones, G(x) = H + H^dag with
+
+        H = -i K x + 1/2 sum_k J_k x J_k^dag,   H' = i K^dag y + 1/2 sum_k J_k^dag y J_k
+
+    for the adjoint. Each half is a table (``_half_table``) compiled on
+    first use, the adjoint's from -K^dag and the J_k^dag. A K term flips
+    rows only, so with x viewed as (2,)*2n every inner loop runs along a
+    contiguous row of 2^n entries, and a jump term covers only the sub-cube
+    where its weight is nonzero. H is summed term by term into a fresh
+    array, each product going through one scratch buffer that every call
+    reuses, and mirrored in place (``_mirror``).
+
+    ``superoperator`` accepts any matrix: it scatters the full two-sided
+    table ``terms``, one term (axes, factors) per distinct mask pair (p, q),
+    standing for x -> W * flip(x, axes) with W the product of its broadcast
+    factors: a column u for a -i K x piece, a row for an i x K^dag piece, a
+    column times a row for a J_k x J_k^dag piece. A mask pair reached by
+    several pieces holds them merged in one full 2^n x 2^n weight.
     """
 
     def __init__(self, model):
@@ -278,7 +393,6 @@ class PauliLindbladian:
             k_op = k_op - (0.5j * rate) * (jump.dagger() * jump)
         self.k_op = k_op
         self.jump_ops = [root * jump for root, jump in zip(roots, model.jumps)]
-        self._split: dict[int, list] = {}
 
     @property
     def dim(self) -> int:
@@ -286,7 +400,7 @@ class PauliLindbladian:
 
     @functools.cached_property
     def terms(self) -> tuple[tuple[tuple[int, ...], tuple[np.ndarray, ...]], ...]:
-        """(flip axes, weight factors) per distinct mask pair (p, q)."""
+        """(flip axes, weight factors) per distinct mask pair (p, q) of G."""
         pieces: dict[tuple[int, int], list[tuple[np.ndarray, ...]]] = {}
         for p, u in self.k_op.flip_weights():
             pieces.setdefault((p, 0), []).append((-1j * u[:, None],))
@@ -298,6 +412,22 @@ class PauliLindbladian:
                     pieces.setdefault((p, q), []).append((u[:, None], v.conj()[None, :]))
         return tuple((_flip_axes(p, q, self.n), _weight_factors(parts, self.n))
                      for (p, q), parts in pieces.items())
+
+    @functools.cached_property
+    def half_terms(self) -> tuple:
+        """The table of H = -i K x + 1/2 sum_k J_k x J_k^dag (``_half_table``)."""
+        return _half_table(self.k_op, self.jump_ops, self.n)
+
+    @functools.cached_property
+    def adjoint_half_terms(self) -> tuple:
+        """The table of H' = i K^dag y + 1/2 sum_k J_k^dag y J_k."""
+        return _half_table(-self.k_op.dagger(), [j.dagger() for j in self.jump_ops], self.n)
+
+    @functools.cached_property
+    def _scratch(self) -> np.ndarray:
+        """The buffer every term's product goes through, reused by each apply and
+        adjoint: one generator serves one caller at a time."""
+        return np.empty(self.dim * self.dim, dtype=complex)
 
     def superoperator(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Rows ``rows`` (all by default) of the column-stacking 4^n x 4^n matrix of G.
@@ -322,55 +452,36 @@ class PauliLindbladian:
         return Lindbladian(w_dag @ apply_to_columns(self.k_op, w),
                            [w_dag @ apply_to_columns(j, w) for j in self.jump_ops])
 
-    def _row_blocks(self, lead: int) -> list:
-        """The table split over the 2^lead values of the top ``lead`` row bits.
-
-        Per block: one (source block, remaining flip axes, factors at the
-        block's rows) triple per term, the source block being the block's
-        bits flipped by the term's row mask. ``lead`` = 0 is the whole table.
-        """
-        if lead not in self._split:
-            blocks = []
-            for bits in itertools.product((0, 1), repeat=lead):
-                blocks.append([
-                    (tuple(bit ^ (axis in axes) for axis, bit in enumerate(bits)),
-                     tuple(axis - lead for axis in axes if axis >= lead),
-                     tuple(f[tuple(min(bit, f.shape[axis] - 1) for axis, bit in enumerate(bits))]
-                           for f in factors))
-                    for axes, factors in self.terms])
-            self._split[lead] = blocks
-        return self._split[lead]
-
-    def _apply_rows(self, x: np.ndarray, lead: int):
-        """G(x) one row block at a time, in one buffer that each block reuses."""
+    def _mirrored_half(self, x: np.ndarray, table) -> np.ndarray:
+        """H + H^dag, with H summed from ``table`` into a fresh array and mirrored there."""
         x = np.asarray(x, dtype=complex).reshape((2,) * (2 * self.n))
-        out = np.empty(x.shape[lead:], dtype=complex)
-        tmp = np.empty_like(out)
-        for terms in self._row_blocks(lead):
-            out.fill(0)
-            for src, axes, (first, *rest) in terms:
-                np.multiply(first, np.flip(x[src], axes), out=tmp)
-                for factor in rest:
-                    tmp *= factor
-                out += tmp
-            yield out
+        out = np.zeros_like(x)
+        for at, src, axes, (first, *rest) in table:
+            target = out[at]
+            tmp = self._scratch[:target.size].reshape(target.shape)
+            np.multiply(first, np.flip(x[src], axes), out=tmp)
+            for factor in rest:
+                tmp *= factor
+            target += tmp
+        return _mirror(out.reshape(self.dim, self.dim))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        (out,) = self._apply_rows(x, 0)
-        return out.reshape(self.dim, self.dim)
+        """G(x) = H + H^dag for Hermitian x, exactly Hermitian."""
+        return self._mirrored_half(x, self.half_terms)
 
     def apply_norm(self, x: np.ndarray) -> float:
-        """||G(x)||_F, summed over 4 row blocks so that G(x) is never held whole."""
-        return float(np.sqrt(sum(np.vdot(block, block).real
-                                 for block in self._apply_rows(x, min(2, self.n)))))
+        """||G(x)||_F for Hermitian x, the norm of the formed sum H + H^dag.
+
+        Not 2 ||H||^2 + 2 Re Tr(H^2), which near a steady state (||G(x)|| about
+        1e-9 with ||H|| about 1) cancels to rounding.
+        """
+        out = self.apply(x)
+        return float(np.sqrt(np.vdot(out, out).real))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """G^dag under the Frobenius inner product: <G x, y> = <x, G^dag y>."""
-        y = np.asarray(y, dtype=complex).reshape((2,) * (2 * self.n))
-        out, tmp = np.zeros_like(y), np.empty_like(y)
-        for axes, (first, *rest) in self.terms:
-            np.multiply(first.conj(), y, out=tmp)
-            for factor in rest:
-                tmp *= factor.conj()
-            out += np.flip(tmp, axes)
-        return out.reshape(self.dim, self.dim)
+        """G^dag(y) = H' + H'^dag for Hermitian y, exactly Hermitian.
+
+        The adjoint under the real inner product Re Tr(x^dag y) on Hermitian
+        matrices: <G x, y> = <x, G^dag y>.
+        """
+        return self._mirrored_half(y, self.adjoint_half_terms)

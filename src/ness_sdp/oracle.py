@@ -31,11 +31,13 @@ the result per (model, dense_limit), so repeated oracle calls on one
 model, such as the ``oracle-top`` seed and the oracle report of one sweep
 point, pay for one decomposition.
 
-The iterative path never materializes that 4^n x 4^n matrix: it applies
-L and L^dag from the same table, one flipped view and one weighted sum
-per distinct pair of flip masks. It runs the solver's LSQR on
-A(x) = (L(x), Tr x) from I/d and returns the trace-one steady state
-nearest I/d.
+The iterative path never materializes that 4^n x 4^n matrix. On Hermitian
+x it applies L(x) = H + H^dag with H = -i K x + 1/2 sum_n J_n x J_n^dag,
+and L^dag the same way, from the generator's half tables: one weighted
+row flip of x per flip mask of K, and one weighted flipped view per mask
+pair of each jump on the sub-cube where its weight is nonzero. It runs
+the solver's LSQR on A(x) = (L(x), Tr x) from I/d and returns the
+trace-one steady state nearest I/d.
 """
 from __future__ import annotations
 
@@ -349,14 +351,16 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def true_residual(rho: np.ndarray, model: OpenSystemModel,
                   generator: PauliLindbladian | None = None) -> float:
-    """Frobenius norm of L[rho]; zero exactly for genuine steady states.
+    """Frobenius norm of L[(rho + rho^dag) / 2]; zero exactly for genuine steady states.
 
-    L[rho] is summed over row blocks and never held whole. ``generator``,
-    the model's ``PauliLindbladian``, lets several calls share one
-    compiled table.
+    rho is hermitized first (``hermitize``, the identity on an exactly
+    Hermitian rho): the generator takes Hermitian matrices only, and a
+    state formed as S beta S^dag (``states.density_from_beta``) is Hermitian
+    only up to rounding. ``generator``, the model's ``PauliLindbladian``,
+    lets several calls share one compiled table.
     """
     gen = PauliLindbladian(model) if generator is None else generator
-    return gen.apply_norm(rho)
+    return gen.apply_norm(hermitize(rho))
 
 
 def dominant_eigenstate(rho: np.ndarray, n_qubits: int) -> tuple[float, AnsatzSet]:
@@ -425,10 +429,12 @@ def sparse_steady_state(model: OpenSystemModel, tol: float = 1e-8) -> np.ndarray
     x0 + dx is the trace-one steady state nearest I/d in Frobenius norm:
     the unique one when the steady space has dimension 1, otherwise
     sum_k Tr(B_k) B_k / sum_k Tr(B_k)^2 over an orthonormal null basis
-    {B_k}. L and L^dag are applied from the model's compiled Pauli table as
-    weighted bit-flip views, so a step costs O(terms * 4^n) and no dense K
-    or J_n is formed. Raises ConvergenceError, carrying LSQR's stop reason
-    and iteration count, when the true residual ||L rho|| exceeds tol.
+    {B_k}. LSQR's iterates are Hermitian, and L and L^dag are applied to
+    them in the half form of ``PauliLindbladian`` as weighted bit-flip views,
+    so a step costs O(terms * 4^n), each jump term only on its sub-cube, and
+    no dense K or J_n is formed. Raises ConvergenceError, carrying LSQR's
+    stop reason and iteration count, when the true residual ||L rho||
+    exceeds tol.
     """
     n = model.n_qubits
     if n > SPARSE_LIMIT:

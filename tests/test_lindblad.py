@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     dense_lindblad,
@@ -42,7 +44,7 @@ class TestAdjoint:
         for n in (1, 2, 3):
             for _ in range(3):
                 gen = PauliLindbladian(random_model(rng, n))
-                x, y = random_matrix(rng, 2 ** n), random_matrix(rng, 2 ** n)
+                x, y = random_hermitian(rng, 2 ** n), random_hermitian(rng, 2 ** n)
                 lhs = frobenius(gen.apply(x), y)
                 rhs = frobenius(x, gen.adjoint(y))
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -63,14 +65,14 @@ class TestModelGenerator:
     def test_matches_reference(self, rng):
         for n in (1, 2, 3):
             model = random_model(rng, n)
-            x = random_matrix(rng, 2 ** n)
+            x = random_hermitian(rng, 2 ** n)
             out = PauliLindbladian(model).apply(x)
             assert np.allclose(out, dense_lindblad(model, x), atol=1e-10)
 
     def test_superoperator_matches_apply(self, rng):
         for n in (1, 2):
             gen = PauliLindbladian(random_model(rng, n))
-            x = random_matrix(rng, 2 ** n)
+            x = random_hermitian(rng, 2 ** n)
             vec = gen.superoperator() @ x.reshape(-1, order="F")
             assert np.allclose(vec.reshape(2 ** n, 2 ** n, order="F"), gen.apply(x),
                                atol=1e-10)
@@ -97,7 +99,7 @@ class TestCompiledTable:
     def test_apply_and_adjoint_match_reference(self, rng, n):
         for model in (random_model(rng, n), shared_mask_model(rng, n)):
             gen = PauliLindbladian(model)
-            x = random_matrix(rng, 2 ** n)
+            x = random_hermitian(rng, 2 ** n)
             for got, ref in ((gen.apply(x), dense_lindblad(model, x)),
                              (gen.adjoint(x), dense_lindblad_adjoint(model, x))):
                 assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -105,7 +107,7 @@ class TestCompiledTable:
     def test_adjoint_identity_n5(self, rng):
         for model in (random_model(rng, 5), shared_mask_model(rng, 5), tfim_chain(5, 0.7)):
             gen = PauliLindbladian(model)
-            x, y = random_matrix(rng, 32), random_matrix(rng, 32)
+            x, y = random_hermitian(rng, 32), random_hermitian(rng, 32)
             lhs = frobenius(gen.apply(x), y)
             rhs = frobenius(x, gen.adjoint(y))
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
@@ -113,7 +115,15 @@ class TestCompiledTable:
     def test_tfim_table_size(self):
         # K has the diagonal mask and one X mask per site (15 mask pairs with
         # the K^dag side); each sigma_- jump adds one pair, the Z jumps share (0, 0).
-        assert len(PauliLindbladian(tfim_chain(7, 0.5)).terms) == 22
+        gen = PauliLindbladian(tfim_chain(7, 0.5))
+        assert len(gen.terms) == 22
+        # The half form: the merged diagonal, one row flip per X mask, and one
+        # sigma_- piece per site on the quarter of the matrix where it is nonzero.
+        for table in (gen.half_terms, gen.adjoint_half_terms):
+            assert len(table) == 15
+            covered = [gen.dim ** 2 >> sum(isinstance(i, int) for i in at)
+                       for at, *_ in table]
+            assert covered == [gen.dim ** 2] * 8 + [gen.dim ** 2 // 4] * 7
 
     @pytest.mark.parametrize("build", [
         lambda rng: tfim_chain(6, 0.5),
@@ -124,11 +134,16 @@ class TestCompiledTable:
     ])
     def test_holds_no_more_full_arrays_than_dense_operators(self, rng, build):
         # The dense form held K, K^dag, J_k and J_k^dag: 2(1 + k) full arrays.
+        # The half tables and the product scratch hold one full array each at
+        # most; every other weight factor is a row or column on a sub-cube.
         model = build(rng)
         gen = PauliLindbladian(model)
-        gen.adjoint(gen.apply(random_matrix(rng, gen.dim)))
-        sizes = [f.size for _, factors in gen.terms for f in factors]
-        assert set(sizes) <= {gen.dim, gen.dim ** 2}
+        gen.adjoint(gen.apply(random_hermitian(rng, gen.dim)))
+        assert "terms" not in vars(gen)  # the superoperator's table is not compiled
+        arrays = [f for table in (gen.half_terms, gen.adjoint_half_terms)
+                  for *_, factors in table for f in factors if np.ndim(f)]
+        sizes = [f.size for f in arrays] + [gen._scratch.size]
+        assert all(size <= gen.dim or size == gen.dim ** 2 for size in sizes)
         assert sizes.count(gen.dim ** 2) <= 2 * (1 + len(model.dissipators))
 
     @pytest.mark.parametrize("model", [
@@ -165,6 +180,21 @@ class TestCompiledTable:
         iso = oracle.sector_basis(3, 1) if model.symmetries else np.eye(8)
         assert PauliLindbladian(model).compress(iso).dim == iso.shape[1]
         assert oracle.true_residual(oracle.restricted_steady_state(model, iso), model) <= 1e-9
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), shared=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_half_form_is_hermitian_and_adjoint(seed, n, shared):
+    # apply and adjoint return exactly Hermitian matrices, and
+    # <G x, y> = <x, G^dag y> under Re Tr on Hermitian x, y.
+    rng = np.random.default_rng(seed)
+    gen = PauliLindbladian((shared_mask_model if shared else random_model)(rng, n))
+    x, y = random_hermitian(rng, gen.dim), random_hermitian(rng, gen.dim)
+    gx, gy = gen.apply(x), gen.adjoint(y)
+    for out in (gx, gy):
+        assert np.array_equal(out, out.conj().T)
+    lhs, rhs = np.vdot(gx, y).real, np.vdot(x, gy).real
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestJumpSupport:

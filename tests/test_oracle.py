@@ -1,17 +1,26 @@
 """Dense Liouvillian oracle: construction, null spaces, fidelity, sparse path."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import dense_lindblad, random_density, random_model, shared_mask_model
+from conftest import (
+    dense_ansatz,
+    dense_lindblad,
+    random_density,
+    random_hermitian,
+    random_model,
+    shared_mask_model,
+)
 from ness_sdp import oracle
 from ness_sdp.cli import main
 from ness_sdp.errors import ConvergenceError, DegenerateSteadySpaceError, DenseLimitError
-from ness_sdp.lindblad import PauliLindbladian, _hermitian_matrix, _real_coordinates
+from ness_sdp.lindblad import PauliLindbladian, _hermitian_matrix, _real_coordinates, hermitize
 from ness_sdp.models import OpenSystemModel, tfim_chain, xxz_boundary_driven, xxz_dephasing
 from ness_sdp.pauli import PauliSum, sigma_minus
+from ness_sdp.states import density_from_beta
 
 
 @pytest.fixture
@@ -54,12 +63,19 @@ class TestBuildLiouvillian:
         assert np.linalg.norm(left) < 1e-10
 
     def test_hermiticity_preservation(self, rng):
+        # L[mat^dag] = L[mat]^dag on any matrix; the generator's own apply
+        # takes Hermitian matrices and returns Hermitian ones.
         model = random_model(rng, 2)
+        liou = oracle.build_liouvillian(model)
         for _ in range(5):
             mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            out = PauliLindbladian(model).apply(mat)
-            out_dag = PauliLindbladian(model).apply(mat.conj().T)
+            out, out_dag = ((liou @ m.reshape(-1, order="F")).reshape(4, 4, order="F")
+                            for m in (mat, mat.conj().T))
             assert np.allclose(out.conj().T, out_dag, atol=1e-10)
+            herm = hermitize(mat)
+            out = PauliLindbladian(model).apply(herm)
+            assert np.allclose(out.conj().T, out, atol=1e-10)
+            assert np.allclose(out, dense_lindblad(model, herm), atol=1e-10)
 
     def test_size_limit(self):
         with pytest.raises(DenseLimitError):
@@ -469,13 +485,58 @@ class TestTrueResidual:
             model = random_model(rng, n)
             gen = PauliLindbladian(model)
             dim = 2 ** n
-            x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            x = random_hermitian(rng, dim)
             full = np.linalg.norm(gen.apply(x))
             assert abs(gen.apply_norm(x) - full) <= 1e-14 * full
-            rho = random_density(rng, dim)
+            rho = hermitize(random_density(rng, dim))
             expect = np.linalg.norm(gen.apply(rho))
             assert abs(oracle.true_residual(rho, model) - expect) <= 1e-14 * expect
             assert oracle.true_residual(rho, model, gen) == oracle.true_residual(rho, model)
+
+    def test_norm_at_a_near_steady_state(self, rng):
+        # ||G(rho)|| is about 1e-9 while ||H|| is about 1: the norm of the
+        # formed sum H + H^dag keeps its digits, where 2||H||^2 + 2 Re Tr(H^2)
+        # would cancel to rounding.
+        for model in (tfim_chain(4, 0.5), shared_mask_model(rng, 4)):
+            gen = PauliLindbladian(model)
+            rho = oracle.sparse_steady_state(model, tol=1e-9)
+            full = np.linalg.norm(gen.apply(rho))
+            assert 0.0 < full <= 1e-9
+            assert abs(gen.apply_norm(rho) - full) <= 1e-14 * full
+            assert oracle.true_residual(rho, model, gen) == gen.apply_norm(rho)
+            # The dense superoperator agrees to its rounding on ||L|| ||rho||.
+            dense = np.linalg.norm(oracle.build_liouvillian(model) @ rho.reshape(-1, order="F"))
+            assert abs(dense - full) <= 1e-14 * np.linalg.norm(gen.superoperator(), 2)
+
+    def test_hermitizes_its_input(self, rng):
+        # S beta S^dag is Hermitian only up to rounding (here plus a 1e-13
+        # anti-Hermitian part); the residual is that of its Hermitian part.
+        model = tfim_chain(3, 0.7)
+        s = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+        rho = density_from_beta(random_hermitian(rng, 5), dense_ansatz(s, [(k,) for k in range(5)]))
+        assert not np.array_equal(rho, rho.conj().T)
+        rho = rho + 1e-13j * random_hermitian(rng, 8)
+        assert np.array_equal(hermitize(hermitize(rho)), hermitize(rho))
+        assert oracle.true_residual(rho, model) == oracle.true_residual(hermitize(rho), model)
+
+    def test_ten_qubit_peak_is_two_states(self, rng):
+        # The half form holds H whole. With the table compiled, the first
+        # apply at n=10 holds H and the product scratch, and a residual the
+        # hermitized input and H; each plus one mirror tile (64 x 64) of
+        # temporaries and Python objects (1 MiB slack).
+        model = tfim_chain(10, 0.5)
+        gen = PauliLindbladian(model)
+        probs = rng.uniform(size=gen.dim)
+        rho = np.diag(probs / probs.sum()).astype(complex)
+        gen.half_terms
+        for call in (gen.apply, lambda x: oracle.true_residual(x, model, gen)):
+            tracemalloc.start()
+            try:
+                call(rho)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * rho.nbytes + (1 << 20)
 
 
 class TestSparseSteadyState:
