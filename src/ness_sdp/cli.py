@@ -550,10 +550,7 @@ def symmetry_cmd(config_path, out_dir, dense_limit):
             max_retries=_integer(scfg.get("max_retries", 2), "symmetry.max_retries"),
         )
         found = result.found
-        pairwise = [
-            [abs(complex(np.trace(a.state.conj().T @ b.state))) for b in found]
-            for a in found
-        ]
+        pairwise = [[float(abs(np.vdot(a.state, b.state))) for b in found] for a in found]
         report = {
             "model": model.label,
             "symmetry": spec.label,

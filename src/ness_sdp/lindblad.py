@@ -44,6 +44,7 @@ scatters the full table of G on any matrix, one term per mask pair of
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +88,42 @@ def _add_block(mat: np.ndarray, square, block: np.ndarray):
         mat.reshape(-1)[square] += block
 
 
+class _JumpGroup(NamedTuple):
+    """Jumps B_1, ..., B_m with the same support rows r and columns c, stacked once."""
+    rows: np.ndarray | slice        # r (``_support``: a full slice when it is every row)
+    row_square: np.ndarray | None   # flat positions of the block [r, r] (``_square``)
+    col_square: np.ndarray | None   # flat positions of the block [c, c]
+    stacked: np.ndarray             # [B_1; ...; B_m], (m|r|, |c|)
+    stacked_dag: np.ndarray         # [B_1^dag; ...; B_m^dag], (m|c|, |r|)
+
+    @property
+    def size(self) -> int:
+        """m, the number of jumps in the group."""
+        return len(self.stacked) // self.stacked_dag.shape[1]
+
+
+def _side_by_side(t: np.ndarray, m: int) -> np.ndarray:
+    """The m row blocks of t = [T_1; ...; T_m] as [T_1, ..., T_m]; t itself when m = 1."""
+    rows = len(t) // m
+    return t.reshape(m, rows, -1).swapaxes(0, 1).reshape(rows, -1)
+
+
+def _add_jump_sum(out: np.ndarray, x: np.ndarray, groups) -> np.ndarray:
+    """out[r, r] += sum_k B_k x[c, c] B_k^dag per group, two products each; returns out."""
+    for group in groups:
+        left = group.stacked @ _block(x, group.col_square)  # [B_1 x; ...; B_m x]
+        _add_block(out, group.row_square, _side_by_side(left, group.size) @ group.stacked_dag)
+    return out
+
+
+def _add_jump_sum_adjoint(out: np.ndarray, y: np.ndarray, groups) -> np.ndarray:
+    """out[c, c] += sum_k B_k^dag y[r, r] B_k per group, two products each; returns out."""
+    for group in groups:
+        left = group.stacked_dag @ _block(y, group.row_square)  # [B_1^dag y; ...; B_m^dag y]
+        _add_block(out, group.col_square, _side_by_side(left, group.size) @ group.stacked)
+    return out
+
+
 class Lindbladian:
     """G and its adjoint as short sequences of dense matrix products.
 
@@ -98,13 +135,16 @@ class Lindbladian:
     Holds K and K^dag densely, plus the metric when it is not the
     identity. Each J_k is kept densely in ``jumps`` (for ``superoperator``
     and ``compress``) and, for ``apply`` and ``adjoint``, as its block B_k
-    on the rows r and columns c where it has a nonzero entry, so that
-    J_k x J_k^dag is B_k x[c, c] B_k^dag added into H[r, r], both blocks
-    reached through their flat positions. The support
-    comes from exact zeros: on a basis-state ansatz the R_k are nonzero
-    only between the states a jump connects, and a product costs the
-    block's size, not the basis dimension. A jump with full support takes
-    the plain products, on views.
+    on the rows r and columns c where it has a nonzero entry. Jumps with
+    the same r and c form one group (``groups``, in order of first
+    appearance), stacked once as [B_1; ...; B_m] and
+    [B_1^dag; ...; B_m^dag], so that sum_k B_k x[c, c] B_k^dag is two
+    products, the second over the side-by-side blocks B_k x[c, c], added
+    into H[r, r]; both blocks are reached through their flat positions. A
+    group of one jump is the plain b @ x[c, c] @ b^dag. The support comes
+    from exact zeros: on a basis-state ansatz the R_k are nonzero only
+    between the states a jump connects, and a product costs the block's
+    size, not the basis dimension. A zero jump has no group.
     This is the form of the coefficient-basis generators (``from_overlaps``,
     ``compress``); a model's own generator is a ``PauliLindbladian``.
     """
@@ -114,13 +154,20 @@ class Lindbladian:
         self.k_dag = self.k.conj().T
         self.jumps = [np.asarray(j, dtype=complex) for j in jumps]
         self.metric = metric
-        self._blocks = []  # (row block, column block, B_k, B_k^dag) per jump
+        supports: dict[bytes, tuple] = {}  # (rows, cols, blocks) per support pattern
         for j in self.jumps:
             nonzero = j != 0
-            rows, cols = _support(nonzero.any(axis=1)), _support(nonzero.any(axis=0))
-            block = j[rows][:, cols]
-            self._blocks.append((_square(rows, self.dim), _square(cols, self.dim),
-                                 block, block.conj().T))
+            row_mask, col_mask = nonzero.any(axis=1), nonzero.any(axis=0)
+            if row_mask.any():
+                key = row_mask.tobytes() + col_mask.tobytes()
+                rows, cols, blocks = supports.setdefault(
+                    key, (_support(row_mask), _support(col_mask), []))
+                blocks.append(j[rows][:, cols])
+        self.groups = []
+        for rows, cols, blocks in supports.values():
+            stacked = np.concatenate(blocks)
+            self.groups.append(_JumpGroup(rows, _square(rows, self.dim), _square(cols, self.dim),
+                                          stacked, _side_by_side(stacked, len(blocks)).conj().T))
 
     @classmethod
     def from_overlaps(cls, overlaps) -> "Lindbladian":
@@ -156,16 +203,12 @@ class Lindbladian:
         return hermitize(self.add_jumps_adjoint(h, y))
 
     def add_jumps(self, out: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """out += sum_k J_k x J_k^dag, on each jump's support, in place; returns out."""
-        for rows, cols, b, b_dag in self._blocks:
-            _add_block(out, rows, b @ _block(x, cols) @ b_dag)
-        return out
+        """out += sum_k J_k x J_k^dag, group by group on the supports, in place; returns out."""
+        return _add_jump_sum(out, x, self.groups)
 
     def add_jumps_adjoint(self, out: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """out += sum_k J_k^dag y J_k, on each jump's support, in place; returns out."""
-        for rows, cols, b, b_dag in self._blocks:
-            _add_block(out, cols, b_dag @ _block(y, rows) @ b)
-        return out
+        """out += sum_k J_k^dag y J_k, group by group on the supports, in place; returns out."""
+        return _add_jump_sum_adjoint(out, y, self.groups)
 
     def compress(self, w: np.ndarray) -> "Lindbladian":
         """The generator x -> W^dag G(W x W^dag) W, for any W with W^dag M W = I."""

@@ -20,7 +20,10 @@ LSQR crawls (boundary-driven XXZ: 1855 iterations per step at L = 70).
 When the eigenvalues of G0, from one eig of K_w per solve, spread by
 more than PRECONDITION_SPREAD, LSQR runs on the generator rows
 left-multiplied by G0^-1 (``_NoJumpPreconditioned``; 199 iterations
-there). That keeps the solution set, hence the least-norm correction. It
+there). That keeps the solution set, hence the least-norm correction.
+Its apply and its adjoint take two full L x L products, with V and V^dag
+of K = V Lambda V^-1, besides two products per jump group with the
+jumps' blocks already multiplied by V^-1, and none with V^-1. LSQR
 stops when the residual, with its generator rows weighted by G0^-1, is
 <= tol / max(1, 2 ||K_w||_2), which bounds the true residual by tol.
 LSQR's least-squares stop certifies an empty affine set
@@ -58,9 +61,13 @@ from .errors import (
     IterationBudgetError,
 )
 from .lindblad import (
+    _add_jump_sum,
+    _add_jump_sum_adjoint,
     _hermitian_matrix,
+    _JumpGroup,
     _real_coordinates,
     _real_vector,
+    _side_by_side,
     hermitize,
 )
 from .overlaps import OverlapSet
@@ -249,19 +256,32 @@ class _NoJumpPreconditioned:
     G0^-1(Z) = V [(V^-1 Z V^-dag) / D] V^dag, the Sylvester solve of
     Bartels & Stewart (Comm. ACM 15, 820, 1972) in K's eigenbasis. So
     G0^-1 G(x) = x + G0^-1(J(x)), with the adjoint y + J^dag(W),
-    W = V^-dag [(V^dag y V) / conj D] V^-1. The jump sums run on the
-    generator's support blocks, and both outputs are hermitized, as
-    ``Lindbladian.apply`` does. ``scale`` = max(1, 2 ||K||_2) bounds ||G0||.
+    W = V^-dag [(V^dag y V) / conj D] V^-1. Each jump group of the
+    generator (``Lindbladian.groups``: blocks B_k on rows r and columns c)
+    is kept once per solve as C_k = V^-1[:, r] B_k, so that
+
+        V^-1 J(x) V^-dag = sum_k C_k x[c, c] C_k^dag,
+        J^dag(W)[c, c] = sum_k C_k^dag Z C_k,   Z = (V^dag y V) / conj D,
+
+    and an apply or an adjoint takes two full L x L products (with V and
+    V^dag) besides the groups' products, and none with V^-1. Both outputs
+    are hermitized, as ``Lindbladian.apply`` does. ``scale`` =
+    max(1, 2 ||K||_2) bounds ||G0||.
     """
 
     def __init__(self, generator, lam: np.ndarray, vecs: np.ndarray):
         self.generator = generator
         self.v, self.v_dag = vecs, vecs.conj().T
         self.v_inv = np.linalg.inv(vecs)
-        self.v_inv_dag = self.v_inv.conj().T
         self.d_inv = 1.0 / (-1j * (lam[:, None] - lam.conj()))
         self.d_inv_conj = self.d_inv.conj()
         self.scale = max(1.0, 2.0 * float(np.linalg.norm(generator.k, 2)))
+        self.groups = []  # the generator's groups with C_k in place of B_k, on all rows
+        for group in generator.groups:
+            blocks = group.stacked.reshape(group.size, -1, group.stacked.shape[1])
+            stacked = (self.v_inv[:, group.rows] @ blocks).reshape(-1, blocks.shape[2])
+            self.groups.append(_JumpGroup(slice(None), None, group.col_square, stacked,
+                                          _side_by_side(stacked, group.size).conj().T))
 
     @property
     def dim(self) -> int:
@@ -269,16 +289,17 @@ class _NoJumpPreconditioned:
 
     def no_jump_inverse(self, z: np.ndarray) -> np.ndarray:
         """G0^-1(z), not hermitized."""
-        return self.v @ ((self.v_inv @ z @ self.v_inv_dag) * self.d_inv) @ self.v_dag
+        return self.v @ ((self.v_inv @ z @ self.v_inv.conj().T) * self.d_inv) @ self.v_dag
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        out = self.no_jump_inverse(self.generator.add_jumps(np.zeros_like(x), x))
+        out = _add_jump_sum(np.zeros_like(x), x, self.groups)  # V^-1 J(x) V^-dag
+        out = self.v @ (out * self.d_inv) @ self.v_dag
         out += x
         return hermitize(out)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        w = self.v_inv_dag @ ((self.v_dag @ y @ self.v) * self.d_inv_conj) @ self.v_inv
-        return hermitize(self.generator.add_jumps_adjoint(y.copy(), w))
+        z = (self.v_dag @ y @ self.v) * self.d_inv_conj
+        return hermitize(_add_jump_sum_adjoint(y.copy(), z, self.groups))
 
 
 def whiten(problem: FeasibilityProblem):
@@ -312,18 +333,6 @@ def project_psd(x: np.ndarray) -> np.ndarray:
     return hermitize((vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T)
 
 
-def _divided(parts: tuple, beta: float) -> tuple:
-    """A constraint-space element (y, t, vals) divided by a real beta > 0.
-
-    numpy divides a complex array by a real scalar as (a + b*0) * (1/beta)
-    per entry, so y * (1 / beta) gives the same numbers at a fraction of the
-    cost (up to the sign of a zero). For the real t and vals the two differ
-    in the last bit, so they keep the division.
-    """
-    y, t, vals = parts
-    return y * (1.0 / beta), t / beta, vals / beta
-
-
 def _lsqr(system: _WhitenedSystem, rhs: tuple, tol: float, max_iter: int):
     """LSQR for the least-norm Hermitian dx minimizing ||A(dx) - rhs||.
 
@@ -336,27 +345,38 @@ def _lsqr(system: _WhitenedSystem, rhs: tuple, tol: float, max_iter: int):
     ``least-squares`` (||A^dag r|| <= LSQR_ATOL ||A|| ||r||: dx solves the
     least-squares problem, so ||r|| is the distance of rhs from the range
     of A) or ``budget`` (max_iter steps).
+
+    The matrix parts of u, v, w and dx are updated in place, through one
+    kept step buffer, so that an iteration allocates no matrix besides
+    the outputs of A and A^dag. The matrix part of u is divided by a real
+    beta as y * (1 / beta): numpy's y / beta gives the same numbers (up to
+    the sign of a zero) at more cost. For the real t and vals the two
+    differ in the last bit, so they keep the division.
     """
     dx = np.zeros((system.dim, system.dim), dtype=complex)
     beta = system.norm(*rhs)
     if beta <= tol:
         return dx, beta, 0, "converged"
-    u = _divided(rhs, beta)
-    v = system.adjoint(*u)
+    u_y, u_t, u_vals = rhs[0] * (1.0 / beta), rhs[1] / beta, rhs[2] / beta
+    v = system.adjoint(u_y, u_t, u_vals)
     alpha = float(np.linalg.norm(v))
     if alpha == 0.0:
         return dx, beta, 0, "least-squares"
     v *= 1.0 / alpha
-    w = v.copy()
+    w, step = v.copy(), np.empty_like(v)
     phibar, rhobar, anorm_sq = beta, alpha, 0.0
     for it in range(1, max_iter + 1):
-        u = tuple(av - alpha * part for av, part in zip(system.apply(v), u))
-        beta = system.norm(*u)
+        av_y, av_t, av_vals = system.apply(v)
+        u_y *= -alpha
+        u_y += av_y
+        u_t, u_vals = av_t - alpha * u_t, av_vals - alpha * u_vals
+        beta = system.norm(u_y, u_t, u_vals)
         anorm_sq += alpha * alpha + beta * beta
         if beta > 0.0:
-            u = _divided(u, beta)
+            u_y *= 1.0 / beta
+            u_t, u_vals = u_t / beta, u_vals / beta
             v *= -beta
-            v += system.adjoint(*u)
+            v += system.adjoint(u_y, u_t, u_vals)
             alpha = float(np.linalg.norm(v))
             if alpha > 0.0:
                 v *= 1.0 / alpha
@@ -364,7 +384,8 @@ def _lsqr(system: _WhitenedSystem, rhs: tuple, tol: float, max_iter: int):
         cs, sn = rhobar / rho, beta / rho
         theta, rhobar = sn * alpha, -cs * alpha
         phi, phibar = cs * phibar, sn * phibar
-        dx += (phi / rho) * w
+        np.multiply(w, phi / rho, out=step)
+        dx += step
         w *= -(theta / rho)
         w += v
         if phibar <= tol:

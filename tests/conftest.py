@@ -227,3 +227,52 @@ def reference_overlaps(model: OpenSystemModel, columns: np.ndarray, observables=
         mat = sdag @ reference_apply(obs, s)[rows]
         mats.append(hermitize(mat) if obs.is_hermitian() else mat)
     return mats
+
+
+# -- the affine step's LSQR as it allocated every iterate, kept as the reference
+#    for the kept-buffer loop of sdp._lsqr ---------------------------------------
+
+def reference_lsqr(system, rhs: tuple, tol: float, max_iter: int):
+    """LSQR on ``system`` with fresh arrays for u, dx and the w step in every
+    iteration; (dx, ||r||, iterations, stop) as ``sdp._lsqr`` returns them."""
+    from ness_sdp.sdp import LSQR_ATOL
+
+    def divided(parts, beta):
+        y, t, vals = parts
+        return y * (1.0 / beta), t / beta, vals / beta
+
+    dx = np.zeros((system.dim, system.dim), dtype=complex)
+    beta = system.norm(*rhs)
+    if beta <= tol:
+        return dx, beta, 0, "converged"
+    u = divided(rhs, beta)
+    v = system.adjoint(*u)
+    alpha = float(np.linalg.norm(v))
+    if alpha == 0.0:
+        return dx, beta, 0, "least-squares"
+    v *= 1.0 / alpha
+    w = v.copy()
+    phibar, rhobar, anorm_sq = beta, alpha, 0.0
+    for it in range(1, max_iter + 1):
+        u = tuple(av - alpha * part for av, part in zip(system.apply(v), u))
+        beta = system.norm(*u)
+        anorm_sq += alpha * alpha + beta * beta
+        if beta > 0.0:
+            u = divided(u, beta)
+            v *= -beta
+            v += system.adjoint(*u)
+            alpha = float(np.linalg.norm(v))
+            if alpha > 0.0:
+                v *= 1.0 / alpha
+        rho = float(np.hypot(rhobar, beta))
+        cs, sn = rhobar / rho, beta / rho
+        theta, rhobar = sn * alpha, -cs * alpha
+        phi, phibar = cs * phibar, sn * phibar
+        dx += (phi / rho) * w
+        w *= -(theta / rho)
+        w += v
+        if phibar <= tol:
+            return dx, phibar, it, "converged"
+        if alpha * abs(cs) <= LSQR_ATOL * np.sqrt(anorm_sq):
+            return dx, phibar, it, "least-squares"
+    return dx, phibar, max_iter, "budget"

@@ -340,6 +340,25 @@ class TestSymmetryCmd:
         assert report["symmetry"] == "exchange-parity"
         assert [s["eigenvalue"][0] for s in report["sectors"]] == pytest.approx([1.0, -1.0])
 
+    def test_pairwise_overlaps_are_the_trace_products(self, runner, tmp_path):
+        # |Tr(a^dag b)| read as a vdot equals the dense product form.
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "xxz_boundary_driven",
+                      "params": {"n": 6, "delta": 1.0, "drive": 1.0, "mu": 0.5}},
+            "ansatz": {"seed": "sector-basis:0"},
+            "symmetry": {"use": "exchange-parity"},
+            "constraints": [{"generator": "magnetization", "target": 0.0}],
+        })
+        result = runner.invoke(main, ["symmetry", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "symmetry.json").read_text())
+        states = [np.array(s["state"]["re"]) + 1j * np.array(s["state"]["im"])
+                  for s in report["sectors"] if not s["missing"]]
+        assert len(states) == 2
+        products = [[abs(np.trace(a.conj().T @ b)) for b in states] for a in states]
+        assert np.allclose(report["pairwise_trace_overlaps"], products, rtol=0, atol=1e-12)
+
     def test_extraction_limit_is_checked_before_the_ansatz(self, runner, tmp_path):
         # The 13-qubit m=1 sector basis has 1716 states; the 12-qubit cap of
         # extraction exits 5 before any of them is built, and --dense-limit

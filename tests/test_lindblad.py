@@ -210,7 +210,9 @@ class TestJumpSupport:
         gram = random_hermitian(rng, dim) + dim * np.eye(dim)
         for metric in (None, gram):
             gen = Lindbladian(k, jumps, metric=metric)
-            assert [b.shape for *_, b, _ in gen._blocks] == [(4, 3), (dim, dim), (0, 0)]
+            # one group per support, none for the zero jump
+            assert [(g.size, g.stacked.shape) for g in gen.groups] == [(1, (4, 3)),
+                                                                       (1, (dim, dim))]
             m = np.eye(dim) if metric is None else metric
             x, y = random_hermitian(rng, dim), random_hermitian(rng, dim)
             ref_apply = -1j * (k @ x @ m - m @ x @ k.conj().T)
@@ -239,9 +241,44 @@ class TestJumpSupport:
         ref_adjoint += j.conj().T @ x @ j
         assert np.array_equal(gen.apply(x), hermitize(ref_apply))
         assert np.array_equal(gen.adjoint(x), hermitize(ref_adjoint))
-        ((rows, cols, block, _),) = gen._blocks
-        assert rows is None and cols is None  # x and H themselves, no gather
-        assert np.shares_memory(block, gen.jumps[0])
+        (group,) = gen.groups
+        assert group.row_square is None and group.col_square is None  # x and H, no gather
+        assert np.array_equal(group.stacked, gen.jumps[0])
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 7),
+       kinds=st.lists(st.sampled_from(["full", "shared", "distinct", "zero"]),
+                      min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_grouped_jump_sums_equal_the_per_jump_sums(seed, dim, kinds):
+    # Jumps that share their nonzero rows and columns are stacked into one
+    # group; the grouped sums equal sum_k J_k x J_k^dag and sum_k J_k^dag y J_k.
+    rng = np.random.default_rng(seed)
+
+    def support():
+        mask = rng.random(dim) < 0.5
+        mask[rng.integers(dim)] = True
+        return mask
+
+    shared = support(), support()
+    jumps = []
+    for kind in kinds:
+        rows, cols = {"full": (np.ones(dim, bool),) * 2, "shared": shared,
+                      "distinct": (support(), support()),
+                      "zero": (np.zeros(dim, bool),) * 2}[kind]
+        jumps.append(random_matrix(rng, dim) * np.outer(rows, cols))
+    gen = Lindbladian(random_matrix(rng, dim), jumps)
+    assert sum(g.size for g in gen.groups) == sum(kind != "zero" for kind in kinds)
+    if kinds.count("shared") > 1:
+        assert max(g.size for g in gen.groups) >= kinds.count("shared")
+    x, y = random_hermitian(rng, dim), random_hermitian(rng, dim)
+    for grouped, per_jump in (
+            (gen.add_jumps(np.zeros((dim, dim), complex), x),
+             sum((j @ x @ j.conj().T for j in jumps), np.zeros((dim, dim)))),
+            (gen.add_jumps_adjoint(np.zeros((dim, dim), complex), y),
+             sum((j.conj().T @ y @ j for j in jumps), np.zeros((dim, dim))))):
+        scale = max(np.linalg.norm(per_jump), 1e-300)
+        assert np.linalg.norm(grouped - per_jump) <= 1e-13 * scale
 
 
 class TestHermitianDomain:
@@ -260,7 +297,8 @@ class TestHermitianDomain:
         gens = [Lindbladian(k, jumps), Lindbladian(k, jumps, metric=gram),
                 ovl.generator(), ovl.generator().compress(vecs / np.sqrt(vals)),
                 PauliLindbladian(xxz_dephasing(3, 0.8)).compress(oracle.sector_basis(3, 1))]
-        assert [b.shape for *_, b, _ in gens[0]._blocks] == [(4, 3), (dim, dim)]
+        assert [(g.size, g.stacked.shape) for g in gens[0].groups] == [(1, (4, 3)),
+                                                                       (1, (dim, dim))]
         for gen in gens:
             for _ in range(3):
                 x = random_hermitian(rng, gen.dim)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import dense_ansatz, random_hermitian
+from conftest import dense_ansatz, random_hermitian, reference_lsqr
 from ness_sdp import oracle, sdp
 from ness_sdp.errors import (
     DegenerateAnsatzError,
@@ -14,7 +14,13 @@ from ness_sdp.errors import (
     IterationBudgetError,
 )
 from ness_sdp.cli import EXIT_INFEASIBLE, main
-from ness_sdp.lindblad import _hermitian_matrix, _real_coordinates, _real_vector, hermitize
+from ness_sdp.lindblad import (
+    PauliLindbladian,
+    _hermitian_matrix,
+    _real_coordinates,
+    _real_vector,
+    hermitize,
+)
 from ness_sdp.models import magnetization, tfim_chain, xxz_boundary_driven, xxz_dephasing
 from ness_sdp.overlaps import add_shot_noise, assemble
 from ness_sdp.sdp import (
@@ -334,6 +340,49 @@ class TestNoJumpPreconditioner:
                 == pytest.approx(target, rel=1e-12))
         # the count covers the preconditioned run and the plain re-run
         assert report["inner_iterations"] > plain.value.report["inner_iterations"]
+
+    def test_apply_and_adjoint_match_the_dense_superoperators(self, rng):
+        # From the whitened K and jumps of boundary n=6 (L=20): the 400 x 400
+        # matrices of G0 and G give G0^-1 G, and its conjugate transpose the
+        # adjoint; both map Hermitian matrices to Hermitian ones.
+        system, _ = whiten(boundary_problem(6))
+        pre = system.preconditioned.generator
+        gen, dim = system.generator, system.dim
+        eye = np.eye(dim)
+        g0 = -1j * (np.kron(eye, gen.k) - np.kron(gen.k.conj(), eye))
+        ref = np.linalg.solve(g0, gen.superoperator())
+        for _ in range(5):
+            x = random_hermitian(rng, dim)
+            vec = x.reshape(-1, order="F")
+            for out, ref_vec in ((pre.apply(x), ref @ vec), (pre.adjoint(x), ref.conj().T @ vec)):
+                expect = hermitize(ref_vec.reshape(dim, dim, order="F"))
+                assert np.linalg.norm(out - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def _tfim5_sweep_system():
+    """The whitened g=0.5 point of sweep-tfim5: K=3, q=20, rng_seed=1 from the oracle top state."""
+    model = tfim_chain(5, 0.5)
+    _, seed = oracle.dominant_eigenstate(oracle.exact_ness(model, dense_limit=6), 5)
+    ansatz = moment_states_random(model.hamiltonian, seed, 3, q=20, rng_seed=1)
+    return whiten(FeasibilityProblem(overlaps=assemble(model, ansatz)))[0]
+
+
+@pytest.mark.parametrize("make_system", [
+    _tfim5_sweep_system,
+    lambda: whiten(boundary_problem(6))[0].preconditioned,
+    lambda: sdp._WhitenedSystem(PauliLindbladian(tfim_chain(5, 0.5)), (), ()),
+], ids=["tfim5-sweep", "boundary6-preconditioned", "sparse-tfim5"])
+def test_kept_buffer_lsqr_equals_the_allocating_loop(make_system):
+    # The in-place updates of u, v, w and dx change no bit of LSQR's output.
+    system = make_system()
+    x = np.eye(system.dim, dtype=complex) / system.dim
+    g, tr, vals = system.apply(x)
+    rhs = (-g, 1.0 - tr, system.targets - vals)
+    dx, res, iterations, stop = sdp._lsqr(system, rhs, 1e-11, 3000)
+    ref_dx, ref_res, ref_iterations, ref_stop = reference_lsqr(system, rhs, 1e-11, 3000)
+    assert iterations > 10
+    assert (res, iterations, stop) == (ref_res, ref_iterations, ref_stop)
+    assert np.array_equal(dx, ref_dx)
 
 
 class TestInconsistentConstraints:
