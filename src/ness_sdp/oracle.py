@@ -16,15 +16,17 @@ orthonormal Hermitian basis V = {E_jj, (E_jk + E_kj)/sqrt2,
 i(E_jk - E_kj)/sqrt2} the matrix V^dag L V is real, with the singular
 values of L, and its real null vectors map back to Hermitian matrices
 that are already orthonormal. Its null vectors come from the Gram matrix
-C = A^T A of that real matrix A without diagonalizing it: block inverse
+C = A^T A of that real matrix A without diagonalizing it. A Cholesky factor
+of C bordered by the trace functional certifies and solves a unique steady
+state; otherwise, or with a strong symmetry of several sectors, block inverse
 iteration on a Cholesky factor of C finds the small cluster of
 eigenvectors of C below ``GRAM_SPLIT`` (the near-null cluster), a second
 Cholesky factorization certifies that no eigenvalue below the split lies
 outside it, and an SVD of A on the cluster only gives the cluster's
 singular values and the null vectors (``GRAM_SPLIT`` gives the bounds).
-For TFIM n=5 this takes about 0.13 s against 0.27 s for one ``eigh`` of
-C and 0.68 s for the full real SVD; at n=6, 4.4 s and 568 MB peak against
-13.7 s and 816 MB for the ``eigh`` (one BLAS thread). The rest of the
+For TFIM n=5 this takes about 0.11 s against 0.15 s for the block
+iteration and 0.68 s for the full real SVD; at n=6, 3.8 s and a 0.56 GB
+peak against 5.3-6.0 s (one BLAS thread). The rest of the
 spectrum, one ``eigvalsh`` of C, is computed when
 ``NessBasis.singular_values`` is first read. ``steady_states`` memoizes
 the result per (model, dense_limit), so repeated oracle calls on one
@@ -87,6 +89,11 @@ eps = 2.2e-16 and N = 4^n:
   x orthogonal to V, so (Courant-Fischer) no eigenvalue of C below the
   split lies outside span V, up to the factorization's rounding of about
   N eps lambda_max. When it fails the block grows and iterates on.
+- The trace border comes first: with t the unit coordinates of I/sqrt d, a
+  factor of M = C + lambda_max t t^T - GRAM_SPLIT lambda_max I leaves at most
+  one eigenvalue of C below the split, its eigenvector v ~ (C + lambda_max t t^T)^-1 t.
+  Refinement by M contracts by GRAM_SPLIT lambda_max / lambda_min(M) (1e-3 per step
+  at TFIM n=5) until ||A v|| / ||v|| stops halving; v must meet the residual stop.
 - Above the split, sigma = sqrt(lambda) from ``eigvalsh`` (on demand) has
   absolute error at most eps lambda_max / (2 sqrt(GRAM_SPLIT lambda_max))
   = 1.1e-13 sigma_max; the cluster's values from the SVD agree with a
@@ -95,7 +102,7 @@ eps = 2.2e-16 and N = 4^n:
 _POWER_BLOCK, _POWER_STEPS = 4, 6  # the lambda_max estimate
 _FIRST_BLOCK, _GUARDS = 8, 2       # inverse iteration: first width, spare Ritz vectors
 _RITZ_TOL = 1e-14                  # Ritz residual stop, relative to lambda_max
-_SLOW = 0.5                        # a step that cuts the Ritz residual less grows the block
+_SLOW = 0.5                        # a step that cuts the residual by less is slow
 _SOLVE_BLOCK = 128                 # rows per step of the triangular solves
 _MEMO_MODELS = 32
 
@@ -151,18 +158,22 @@ class NessBasis:
         return elem / np.trace(elem).real
 
 
-def _inverse_solver(gram: np.ndarray, shift: float):
-    """x -> (C + shift I)^-1 x through the Cholesky factor L of C + shift I.
+def _inverse_solver(gram: np.ndarray, shift: float, border: float = 0.0, dim: int = 0):
+    """x -> (C + border t t^T + shift I)^-1 x through the Cholesky factor L of that matrix.
 
     numpy has no triangular solve, so the forward and back substitutions
     run over row blocks of L, each a product with the inverse of one
-    diagonal block. C is left as it was.
+    diagonal block; t = I/sqrt(dim). C is left bit for bit as it was, also on LinAlgError.
     """
     n = len(gram)
-    diag = gram.diagonal().copy()
+    diag, head = gram.diagonal().copy(), gram[:dim, :dim].copy()
+    gram[:dim, :dim] += border / max(dim, 1)
     gram.flat[::n + 1] += shift
-    low = np.linalg.cholesky(gram)
-    gram.flat[::n + 1] = diag
+    try:
+        low = np.linalg.cholesky(gram)
+    finally:
+        gram[:dim, :dim] = head
+        gram.flat[::n + 1] = diag
     cuts = list(range(0, n, _SOLVE_BLOCK)) + [n]
     spans = list(zip(cuts[:-1], cuts[1:]))
     inverses = [np.linalg.inv(low[a:b, a:b]) for a, b in spans]
@@ -178,7 +189,25 @@ def _inverse_solver(gram: np.ndarray, shift: float):
     return solve
 
 
-def _near_null_cluster(real: np.ndarray) -> tuple[np.ndarray, float]:
+def _unique_null_vector(real: np.ndarray, gram: np.ndarray, lam_max: float, tau: float, dim: int):
+    """The near-null cluster as one column if the trace border certifies
+    it, else None; residuals go through A, not the rounded C (``GRAM_SPLIT``)."""
+    try:
+        solve = _inverse_solver(gram, -tau, lam_max, dim)
+    except np.linalg.LinAlgError:  # two eigenvalues below tau, or a traceless null vector
+        return None
+    t = np.concatenate([np.full(dim, dim ** -0.5), np.zeros(len(gram) - dim)])
+    v, last = solve(t), np.inf
+    while (now := np.linalg.norm(av := real @ v) / np.linalg.norm(v)) < _SLOW * last:
+        best, last = v, now  # refine while a step halves ||A v|| / ||v||
+        v = v + solve(t - real.T @ av - (lam_max * (t @ v)) * t)
+    v = best / np.linalg.norm(best)
+    theta = np.linalg.norm(av := real @ v) ** 2
+    ritz = np.linalg.norm(real.T @ av - theta * v)
+    return v[:, None] if theta <= tau and ritz <= _RITZ_TOL * lam_max else None
+
+
+def _near_null_cluster(real: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
     """Orthonormal V spanning the eigenvectors of C = A^T A with eigenvalues
     <= tau = GRAM_SPLIT * lambda_max, and that lambda_max (bounds at
     ``GRAM_SPLIT``).
@@ -192,6 +221,7 @@ def _near_null_cluster(real: np.ndarray) -> tuple[np.ndarray, float]:
     if it fails, the block grows and the iteration goes on. A block as wide
     as C needs no certificate. At most three N x N arrays are held at a
     time: A, C and one factor or the certificate's outer product.
+    With dim > 0 the trace border of d = dim comes first (``_unique_null_vector``).
     """
     n = real.shape[1]
     rng = np.random.default_rng(0)  # a fixed start: the oracle repeats bit for bit
@@ -203,6 +233,8 @@ def _near_null_cluster(real: np.ndarray) -> tuple[np.ndarray, float]:
     if lam_max == 0.0:
         return np.eye(n), 0.0
     tau = GRAM_SPLIT * lam_max
+    if dim and (near := _unique_null_vector(real, gram, lam_max, tau, dim)) is not None:
+        return near, lam_max
     shift = n * np.finfo(float).eps * lam_max
     solve = _inverse_solver(gram, shift)
     block = rng.standard_normal((n, min(_FIRST_BLOCK, n)))
@@ -237,10 +269,12 @@ def _near_null_cluster(real: np.ndarray) -> tuple[np.ndarray, float]:
         last = np.inf
 
 
-def _hermitian_null_space(real: np.ndarray, dim: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def _hermitian_null_space(real: np.ndarray, dim: int,
+                          unique: bool = True) -> tuple[np.ndarray, list[np.ndarray]]:
     """Singular values of a real-coordinate superoperator A on its near-null
     cluster (``GRAM_SPLIT``), descending, and its null vectors (relative
     cutoff ``NULL_SPACE_RTOL``) as orthonormal Hermitian matrices.
+    ``unique=False`` skips the trace border, which finds one steady state only.
 
     The SVD of the thin matrix A V on the certified cluster V gives the
     cluster's singular values, to which the cutoff
@@ -251,7 +285,7 @@ def _hermitian_null_space(real: np.ndarray, dim: int) -> tuple[np.ndarray, list[
     1024 x 64 A V), the SVD of the transpose gives the same singular
     values, and its left vectors are the right vectors needed here.
     """
-    near, lam_max = _near_null_cluster(real)
+    near, lam_max = _near_null_cluster(real, dim if unique else 0)
     thin = real @ near
     try:
         _, cluster, wh = np.linalg.svd(thin, full_matrices=False)
@@ -313,7 +347,8 @@ def steady_states(model: OpenSystemModel,
 def _steady_states(model: OpenSystemModel, dense_limit: int) -> NessBasis:
     _check_dense_limit(model, dense_limit)
     dim = 2 ** model.n_qubits
-    cluster, basis = _hermitian_null_space(_real_superoperator(model), dim)
+    unique = all(spec.n_sectors == 1 for spec in model.symmetries)  # Buca & Prosen 2012
+    cluster, basis = _hermitian_null_space(_real_superoperator(model), dim, unique)
     flags = [_is_physical(b) for b in basis]
     order = sorted(range(len(basis)), key=lambda k: not flags[k])  # stable: physical first
     for arr in basis:
@@ -377,10 +412,15 @@ def dominant_eigenstate(rho: np.ndarray, n_qubits: int) -> tuple[float, AnsatzSe
 # ---------------------------------------------------------------------------
 
 def magnetization_sector_indices(n: int, m: int) -> np.ndarray:
-    """Basis indices with total magnetization sum_j <Z_j> equal to m."""
-    idx = np.arange(2 ** n)
-    mags = n - 2 * np.bitwise_count(idx).astype(np.int64)
-    return idx[mags == m]
+    """Basis indices with total magnetization sum_j <Z_j> equal to m, ascending."""
+    ones, odd = divmod(n - m, 2)
+    if odd or not 0 <= ones <= n:
+        return np.empty(0, dtype=np.int64)
+    below = [np.zeros(1, dtype=np.int64)] + [np.empty(0, dtype=np.int64)] * ones
+    for b in range(n):  # below[j]: the integers below 2^(b+1) with j one bits, ascending
+        below = below[:1] + [np.concatenate([below[j], below[j - 1] + (1 << b)])
+                             for j in range(1, ones + 1)]
+    return below[ones]
 
 
 def sector_basis(n: int, m: int) -> np.ndarray:

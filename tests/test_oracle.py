@@ -1,4 +1,5 @@
 """Dense Liouvillian oracle: construction, null spaces, fidelity, sparse path."""
+import dataclasses
 import json
 import tracemalloc
 
@@ -221,6 +222,27 @@ def null_projector(elements, dim):
     return vecs.T @ vecs.conj()
 
 
+def record_factorizations(monkeypatch, matrices=None):
+    """Patch ``np.linalg.cholesky`` to log each call's success (and its
+    input into ``matrices``); returns the log."""
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def recording(mat):
+        if matrices is not None:
+            matrices.append(mat.copy())
+        try:
+            low = cholesky(mat)
+        except np.linalg.LinAlgError:
+            factored.append(False)
+            raise
+        factored.append(True)
+        return low
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    return factored
+
+
 class TestGramNullSpace:
     """eigh of A^T A plus an SVD of the near-null cluster, against a full SVD."""
 
@@ -259,26 +281,15 @@ class TestGramNullSpace:
         # Without guard vectors the first block of 8 fills with converged
         # null vectors of a 10-dimensional null space and stops; the
         # certificate fails, and the grown block finds the other two.
-        factored = []
-        cholesky = np.linalg.cholesky
-
-        def recording(mat):
-            try:
-                low = cholesky(mat)
-            except np.linalg.LinAlgError:
-                factored.append(False)
-                raise
-            factored.append(True)
-            return low
-
         model = xxz_boundary_driven(4, 1.0, 1.0, 0.5)
         dim = 2 ** model.n_qubits
         real, ref_svals, ref_null = svd_reference(model)
         monkeypatch.setattr(oracle, "_GUARDS", 0)
-        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        factored = record_factorizations(monkeypatch)
         cluster, null = oracle._hermitian_null_space(real, dim)
-        # factor, failed certificate, factor again, certificate
-        assert factored == [True, False, True, True]
+        # failed trace border (no model, so it is tried), factor, failed
+        # certificate, factor again, certificate
+        assert factored == [False, True, False, True, True]
         svals = oracle._singular_values(real, cluster)
         assert np.abs(svals - ref_svals).max() <= 1e-12 * ref_svals[0]
         assert len(null) == len(ref_null) == 10
@@ -342,6 +353,71 @@ class TestGramNullSpace:
         svals = oracle._singular_values(real, cluster)
         ref = np.linalg.svd(real, compute_uv=False)
         assert np.abs(svals - ref).max() <= 1e-12 * ref[0]
+
+
+class TestTraceBorder:
+    """One factorization of C + lambda_max t t^T - tau I certifies and
+    solves a unique steady state; anything else takes the block iteration."""
+
+    def test_unique_steady_states_match_full_svd(self, rng, monkeypatch):
+        factored = record_factorizations(monkeypatch)
+        for k in range(24):
+            model = tfim_chain(2 + k % 3, rng.uniform(0.0, 3.0), rng.uniform(0.3, 2.0))
+            dim = 2 ** model.n_qubits
+            real, ref_svals, ref_null = svd_reference(model)
+            factored.clear()
+            cluster, null = oracle._hermitian_null_space(real, dim)
+            assert factored == [True]  # the border alone
+            svals = oracle._singular_values(real, cluster)
+            assert np.abs(svals - ref_svals).max() <= 1e-12 * ref_svals[0]
+            assert len(null) == len(ref_null) == 1
+            assert np.abs(null_projector(null, dim)
+                          - null_projector(ref_null, dim)).max() <= 1e-9
+
+    @pytest.mark.parametrize("g", [0.25, 0.5, 1.0])
+    def test_exact_ness_residual_is_at_rounding(self, g):
+        # refinement runs until ||A v|| stops falling, not to a fixed step size
+        model = tfim_chain(5, g)
+        oracle._steady_states.cache_clear()
+        assert oracle.true_residual(oracle.exact_ness(model), model) <= 2e-15
+
+    def test_failed_factorization_leaves_gram_bitwise_unchanged(self):
+        real = oracle._real_superoperator(xxz_dephasing(3, 1.0))  # four null vectors
+        gram = real.T @ real
+        before = gram.copy()
+        lam_max = np.linalg.eigvalsh(gram)[-1]
+        with pytest.raises(np.linalg.LinAlgError):
+            oracle._inverse_solver(gram, -oracle.GRAM_SPLIT * lam_max, lam_max, 8)
+        assert gram.tobytes() == before.tobytes()
+        oracle._inverse_solver(gram, lam_max, lam_max, 8)
+        assert gram.tobytes() == before.tobytes()
+
+    def test_undeclared_symmetry_falls_back_to_the_same_basis(self, monkeypatch):
+        declared = xxz_dephasing(4, 1.0)
+        undeclared = dataclasses.replace(declared, symmetries=())
+        factored = record_factorizations(monkeypatch)
+        oracle._steady_states.cache_clear()
+        expect = oracle.steady_states(declared)
+        assert factored == [True, True]
+        factored.clear()
+        basis = oracle.steady_states(undeclared)
+        assert factored == [False, True, True]
+        assert basis.physical == expect.physical and basis.dimension == 5
+        assert all(np.array_equal(a, b) for a, b in zip(basis.elements, expect.elements))
+
+    @pytest.mark.parametrize("model", [xxz_dephasing(3, 1.0),
+                                       xxz_boundary_driven(4, 1.0, 1.0, 0.5)])
+    def test_declared_symmetry_makes_the_unbordered_factorizations(self, model, monkeypatch):
+        # the shifted Gram matrix, then the certificate; no trace border
+        matrices = []
+        factored = record_factorizations(monkeypatch, matrices)
+        oracle._steady_states.cache_clear()
+        oracle.steady_states(model)
+        assert factored == [True, True]
+        real = oracle._real_superoperator(model)
+        gram = real.T @ real
+        off = ~np.eye(len(gram), dtype=bool)
+        assert np.array_equal(matrices[0][off], gram[off])
 
 
 class TestMemo:
@@ -605,3 +681,12 @@ def test_restricted_steady_state_rejects_leaky_subspace():
     iso = oracle.sector_basis(2, 0)
     with pytest.raises(ValueError):
         oracle.restricted_steady_state(model, iso)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_magnetization_sector_indices_equal_the_scan(n):
+    idx = np.arange(2 ** n)
+    mags = n - 2 * np.bitwise_count(idx).astype(np.int64)
+    for m in range(-n - 2, n + 3):
+        got = oracle.magnetization_sector_indices(n, m)
+        assert got.dtype == np.int64 and np.array_equal(got, idx[mags == m])
