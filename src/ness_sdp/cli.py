@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import models, oracle, overlaps, sdp, states, symmetry
+from . import models, oracle, pipeline, sdp, states, symmetry
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -25,7 +25,7 @@ from .errors import (
     InfeasibleError,
     IterationBudgetError,
 )
-from .pauli import DEFAULT_DENSE_LIMIT, PauliSum, pauli_sum_from_obj, single_site, two_site
+from .pauli import DEFAULT_DENSE_LIMIT, pauli_sum_from_obj
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
@@ -151,13 +151,6 @@ def _build_model(cfg: dict) -> models.OpenSystemModel:
     raise ConfigError("model section needs 'file' or 'builder'")
 
 
-def _steady_state(model: models.OpenSystemModel, dense_limit: int) -> np.ndarray:
-    """The exact steady state: dense up to dense_limit qubits, else matrix-free."""
-    if model.n_qubits <= dense_limit:
-        return oracle.exact_ness(model, dense_limit=dense_limit)
-    return oracle.sparse_steady_state(model)
-
-
 def _seed_state(model: models.OpenSystemModel, descriptor: str,
                 dense_limit: int) -> states.AnsatzSet:
     if descriptor.startswith("bits:"):
@@ -169,7 +162,8 @@ def _seed_state(model: models.OpenSystemModel, descriptor: str,
         return states.uniform_state(model.n_qubits)
     if descriptor == "oracle-top":
         # Benchmarking-only seed: consults the exact steady state.
-        _, seed = oracle.dominant_eigenstate(_steady_state(model, dense_limit), model.n_qubits)
+        _, seed = oracle.dominant_eigenstate(pipeline.exact_state(model, dense_limit),
+                                             model.n_qubits)
         return seed
     raise ConfigError(f"unknown seed descriptor {descriptor!r}")
 
@@ -231,39 +225,6 @@ def _solver_options(cfg: dict) -> sdp.SolverOptions:
         raise ConfigError(f"bad solver options: {exc}")
 
 
-def _assemble(model, ansatz, cfg) -> overlaps.OverlapSet:
-    ovl = overlaps.assemble(model, ansatz)
-    shots = cfg.get("shots")
-    if shots is not None:
-        ovl = overlaps.add_shot_noise(ovl, _integer(shots, "shots", minimum=1),
-                                      _integer(cfg.get("noise_rng_seed", 0), "noise_rng_seed"))
-    return ovl
-
-
-def _site_observables(n: int) -> dict[str, PauliSum]:
-    """Site-averaged <X>, <Z> and bond-averaged <ZZ> used in sweep reports."""
-    x = single_site(n, 1, "X")
-    z = single_site(n, 1, "Z")
-    for j in range(2, n + 1):
-        x = x + single_site(n, j, "X")
-        z = z + single_site(n, j, "Z")
-    obs = {"avg_X": (1.0 / n) * x, "avg_Z": (1.0 / n) * z}
-    if n > 1:
-        zz = two_site(n, 1, "Z", 2, "Z")
-        for j in range(2, n):
-            zz = zz + two_site(n, j, "Z", j + 1, "Z")
-        obs["avg_ZZ"] = (1.0 / (n - 1)) * zz
-    return obs
-
-
-def _observable_row(beta: np.ndarray, ansatz: states.AnsatzSet, n: int) -> dict:
-    row = {}
-    for name, op in _site_observables(n).items():
-        mat = overlaps.observable_matrix(op, ansatz)
-        row[name] = overlaps.expectation(beta, mat).real
-    return row
-
-
 def _matrix_obj(mat: np.ndarray) -> dict:
     """Real and imaginary parts as nested lists. Exact zeros are written as
     0, and every all-zero row is one shared list."""
@@ -276,36 +237,15 @@ def _matrix_obj(mat: np.ndarray) -> dict:
     return {"re": rows(np.real(mat)), "im": rows(np.imag(mat))}
 
 
-def _solve_once(model, cfg, dense_limit):
+def _run_config(model: models.OpenSystemModel, cfg: dict, dense_limit: int) -> pipeline.Run:
+    """``pipeline.run`` on the ansatz, shots, constraints and solver options of cfg."""
     ansatz = _build_ansatz(model, cfg, dense_limit)
-    problem = sdp.FeasibilityProblem(
-        overlaps=_assemble(model, ansatz, cfg),
-        extra_constraints=_constraints(cfg, ansatz, model),
-        options=_solver_options(cfg),
-    )
-    return ansatz, sdp.solve(problem)
-
-
-def _oracle_section(model, beta: np.ndarray, ansatz: states.AnsatzSet, dense_limit):
-    """Fidelity and ||L[rho]|| of rho = S beta S^dag up to dense_limit qubits,
-    ||L[rho]|| alone up to oracle.SPARSE_LIMIT; rho is formed only for these."""
-    n = model.n_qubits
-    if n > dense_limit:
-        section = {"skipped": f"n={n} above dense limit {dense_limit}"}
-        if n <= oracle.SPARSE_LIMIT:
-            # no fidelity without the exact state, but L[rho] is cheap here
-            section["true_residual"] = oracle.true_residual(
-                states.density_from_beta(beta, ansatz), model)
-        return section
-    rho_fit = states.density_from_beta(beta, ansatz)
-    try:
-        fid = oracle.fidelity(rho_fit, oracle.exact_ness(model, dense_limit=dense_limit))
-    except DegenerateSteadySpaceError:
-        fid = None
-    return {
-        "fidelity": fid,
-        "true_residual": oracle.true_residual(rho_fit, model),
-    }
+    noise = {}
+    if cfg.get("shots") is not None:
+        noise = {"shots": _integer(cfg["shots"], "shots", minimum=1),
+                 "noise_rng_seed": _integer(cfg.get("noise_rng_seed", 0), "noise_rng_seed")}
+    return pipeline.run(model, ansatz, constraints=_constraints(cfg, ansatz, model),
+                        options=_solver_options(cfg), dense_limit=dense_limit, **noise)
 
 
 def _dump_json(obj, fh):
@@ -371,16 +311,16 @@ def solve(config_path, out_dir, dense_limit):
     def body():
         cfg = _command_config(config_path)
         model = _build_model(cfg)
-        ansatz, beta = _solve_once(model, cfg, dense_limit)
+        result = _run_config(model, cfg, dense_limit)
         report = {
             "model": model.label,
-            "ansatz": ansatz.to_record(),
-            "ansatz_size": ansatz.size,
+            "ansatz": result.ansatz.to_record(),
+            "ansatz_size": result.ansatz.size,
             "shots": cfg.get("shots"),
-            "diagnostics": beta.as_dict(),
-            "beta": _matrix_obj(beta.matrix),
-            "observables": _observable_row(beta.matrix, ansatz, model.n_qubits),
-            "oracle": _oracle_section(model, beta.matrix, ansatz, dense_limit),
+            "diagnostics": result.beta.as_dict(),
+            "beta": _matrix_obj(result.beta.matrix),
+            "observables": result.observables,
+            "oracle": result.verification(),
         }
         _write_json(Path(out_dir) / "solution.json", report)
     _run(body)
@@ -415,22 +355,18 @@ def _sweep_point(cfg, value, ansatz_cfg, dense_limit):
         "feas_tol": _solver_options(point_cfg).feas_tol,
     }
     try:
-        ansatz, beta = _solve_once(model, point_cfg, dense_limit)
+        result = _run_config(model, point_cfg, dense_limit)
     except (InfeasibleError, IterationBudgetError) as exc:
         row.update({"ansatz_size": "", "feasible": 0,
                     "subspace_residual": exc.report["best_residual"],
                     "true_residual": "", "fidelity": "",
                     "avg_X": "", "avg_Z": "", "avg_ZZ": ""})
         return row
-    row.update({
-        "ansatz_size": ansatz.size,
-        "feasible": 1,
-        "subspace_residual": beta.subspace_residual,
-    })
-    row.update(_observable_row(beta.matrix, ansatz, model.n_qubits))
-    osec = _oracle_section(model, beta.matrix, ansatz, dense_limit)
-    row["true_residual"] = osec.get("true_residual", "")
-    row["fidelity"] = "" if osec.get("fidelity") is None else osec.get("fidelity")
+    row.update(result.observables,
+               ansatz_size=result.ansatz.size, feasible=1,
+               subspace_residual=result.beta.subspace_residual,
+               true_residual="" if result.true_residual is None else result.true_residual,
+               fidelity="" if result.fidelity is None else result.fidelity)
     return row
 
 
@@ -498,10 +434,8 @@ def oracle_cmd(config_path, out_dir, dense_limit):
             for value in table_cfg["g_values"]:
                 point = _with_param(cfg, table_cfg.get("parameter", "g"), value)
                 pmodel = _build_model(point)
-                rho = _steady_state(pmodel, dense_limit)
-                lam, _ = oracle.dominant_eigenstate(rho, pmodel.n_qubits)
-                column.append({"value": value, "seed_overlap": lam,
-                               "residual": oracle.true_residual(rho, pmodel)})
+                lam, residual = pipeline.seed_overlap(pmodel, dense_limit)
+                column.append({"value": value, "seed_overlap": lam, "residual": residual})
             report["overlap_table"] = column
         _write_json(Path(out_dir) / "oracle.json", report)
     _run(body)

@@ -324,8 +324,12 @@ _BUILDERS = {
 
 
 def build(name: str, **params) -> OpenSystemModel:
+    """A named builder's model; a bool, NaN or infinite parameter is a config error."""
     if name not in _BUILDERS:
         raise ConfigError(f"unknown model builder {name!r}; have {sorted(_BUILDERS)}")
+    for key, value in params.items():
+        if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+            raise ConfigError(f"model parameter {key!r} must be a finite number, got {value!r}")
     return _BUILDERS[name](**params)
 
 

@@ -26,14 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DenseLimitError
 from .lindblad import PauliLindbladian, hermitize
-# SymmetrySpec and the two built-in symmetries live in models (a model
-# declares its symmetries) and are re-exported here.
-from .models import (
-    OpenSystemModel,
-    SymmetrySpec,
-    exchange_parity_symmetry,
-    magnetization_symmetry,
-)
+from .models import OpenSystemModel, SymmetrySpec
 from .overlaps import assemble, observable_matrix
 from .pauli import DEFAULT_DENSE_LIMIT, PauliSum
 from .sdp import BetaMatrix, FeasibilityProblem, SolverOptions, solve_feasibility

@@ -20,14 +20,19 @@ from hypothesis import strategies as st
 from conftest import dense_lindblad, dense_symmetry, random_ansatz, random_hermitian, random_model
 from ness_sdp import oracle
 from ness_sdp.errors import InfeasibleError, IterationBudgetError
-from ness_sdp.models import magnetization, tfim_chain, xxz_boundary_driven, xxz_dephasing
+from ness_sdp.models import (
+    exchange_parity_symmetry,
+    magnetization,
+    tfim_chain,
+    xxz_boundary_driven,
+    xxz_dephasing,
+)
 from ness_sdp.overlaps import add_shot_noise, assemble
 from ness_sdp.sdp import FeasibilityProblem, solve_feasibility, solve_least_squares
 from ness_sdp.states import basis_state, density_from_beta, moment_states, moment_states_random
 from ness_sdp.symmetry import (
     RhoCombination,
     SymmetrySpec,
-    exchange_parity_symmetry,
     extract_all_ness,
     sector_basis_ansatz,
     sector_constraint,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ness_sdp import oracle, states
+from ness_sdp import oracle, run, states
 from ness_sdp.cli import _CONFIG_KEYS, _dump_json, _matrix_obj, main
 from ness_sdp.models import (
     exchange_parity_symmetry,
@@ -40,6 +40,15 @@ TFIM_CFG = {
 }
 
 
+def assert_report_holds_the_run(report, result):
+    """solution.json carries run()'s beta, observables and verification exactly."""
+    beta = np.array(report["beta"]["re"]) + 1j * np.array(report["beta"]["im"])
+    assert np.array_equal(beta, result.beta.matrix)
+    assert report["observables"] == result.observables
+    for field in ("fidelity", "true_residual", "skipped"):
+        assert report["oracle"].get(field) == getattr(result, field)
+
+
 class TestSolve:
     def test_writes_solution_with_fidelity(self, runner, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", TFIM_CFG)
@@ -53,6 +62,9 @@ class TestSolve:
         assert report["diagnostics"]["stop_reason"] == "converged"
         assert report["diagnostics"]["inner_iterations"] > 0
         assert report["ansatz"]["seed_descriptor"] == "bits:11"
+        model = tfim_chain(2, 1.0, 1.0)
+        ansatz = moment_states(model.hamiltonian, basis_state(2, "11"), 2)
+        assert_report_holds_the_run(report, run(model, ansatz))
 
     def test_shots_switch_to_least_squares(self, runner, tmp_path):
         cfg_obj = dict(TFIM_CFG, shots=10 ** 6, noise_rng_seed=1)
@@ -83,6 +95,7 @@ class TestSolve:
         beta = np.array(report["beta"]["re"]) + 1j * np.array(report["beta"]["im"])
         expect = oracle.true_residual(density_from_beta(beta, ansatz), model)
         assert report["oracle"]["true_residual"] == pytest.approx(expect, rel=1e-12)
+        assert_report_holds_the_run(report, run(model, ansatz, dense_limit=6))
         result = runner.invoke(main, ["sweep", *args])
         assert result.exit_code == 0, result.output
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
@@ -238,6 +251,22 @@ class TestSweep:
             solution["oracle"]["fidelity"], abs=1e-12)
         assert float(cells["avg_Z"]) == pytest.approx(
             solution["observables"]["avg_Z"], abs=1e-12)
+
+    @pytest.mark.parametrize("workers", ["2", "3"])
+    def test_workers_write_the_same_bytes(self, runner, tmp_path, workers):
+        # Points run concurrently on the thread pool but land in input order.
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "tfim_chain", "params": {"n": 3, "g": 0.0}},
+            "sweep": {"parameter": "g", "values": [0.0, 0.5, 1.0, 2.0],
+                      "ansatz_grid": [{"K": 1}, {"K": 2}]},
+        })
+        for count, out in (("1", "serial"), (workers, "pool")):
+            result = runner.invoke(main, ["sweep", "--config", cfg, "--workers", count,
+                                          "--out", str(tmp_path / out)])
+            assert result.exit_code == 0, result.output
+        serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
+        assert serial.count(b"\n") == 9
+        assert (tmp_path / "pool" / "sweep.csv").read_bytes() == serial
 
     def test_sweep_requires_finite_values(self, runner, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {
@@ -636,6 +665,13 @@ class TestMalformedConfigs:
          "constraint target"),
         ("sweep", {"model": TFIM_CFG["model"], "sweep": {"parameter": "g", "values": [True]}},
          "sweep value"),
+        *[("solve", dict(TFIM_CFG, model={"builder": "tfim_chain", "params": {"n": 2, "g": g}}),
+           "model parameter 'g'") for g in (float("nan"), float("inf"), -float("inf"), True)],
+        ("solve", dict(TFIM_CFG, model={"builder": "tfim_chain", "params": {"n": True, "g": 1.0}}),
+         "model parameter 'n'"),
+        ("oracle", {"model": TFIM_CFG["model"],
+                    "overlap_table": {"parameter": "g", "g_values": [True, float("nan")]}},
+         "model parameter 'g'"),
     ])
     def test_number_is_a_bool_or_not_finite(self, runner, tmp_path, command, cfg, field):
         # json reads true as a bool and Infinity as inf; neither is a number here.
@@ -644,6 +680,15 @@ class TestMalformedConfigs:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert field in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_model_emit_rejects_a_non_finite_parameter(self, runner, tmp_path):
+        out = tmp_path / "model.json"
+        result = runner.invoke(main, ["model", "emit", "--builder", "tfim_chain",
+                                      "--n", "2", "--g", "nan", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "model parameter 'g'" in result.output
+        assert not out.exists()
 
     def test_max_retries_not_an_integer(self, runner, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {
@@ -864,3 +909,12 @@ def test_readme_documents_the_config_schema():
     assert documented == {name: set(keys) for name, keys in _CONFIG_KEYS.items()}
     assert set().union(*cfg["sweep"]["ansatz_grid"]) == set(_CONFIG_KEYS["ansatz"])
     assert set(cfg["solver"]) == {f.name for f in fields(SolverOptions)}
+
+
+def test_readme_quickstart_runs(capsys):
+    """The README's API quickstart runs as written and prints a verified solve."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Quickstart (API)", 1)[1]
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+    residual, fidelity, true_residual = map(float, capsys.readouterr().out.split())
+    assert residual <= 1e-8 and fidelity >= 0.999 and true_residual <= 1e-8

@@ -11,7 +11,14 @@ from conftest import (
 )
 from ness_sdp import oracle
 from ness_sdp.errors import ConfigError
-from ness_sdp.models import magnetization, tfim_chain, xxz_boundary_driven, xxz_dephasing
+from ness_sdp.models import (
+    exchange_parity_symmetry,
+    magnetization,
+    magnetization_symmetry,
+    tfim_chain,
+    xxz_boundary_driven,
+    xxz_dephasing,
+)
 from ness_sdp.overlaps import assemble
 from ness_sdp.pauli import PauliSum
 from ness_sdp.sdp import SolverOptions
@@ -19,9 +26,7 @@ from ness_sdp.states import basis_state, moment_states
 from ness_sdp.symmetry import (
     RhoCombination,
     SymmetrySpec,
-    exchange_parity_symmetry,
     extract_all_ness,
-    magnetization_symmetry,
     sector_basis_ansatz,
     sector_constraint,
     twirl_eliminate,
