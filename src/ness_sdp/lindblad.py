@@ -242,7 +242,7 @@ def _vec_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _real_coordinates(rows_of, dim: int) -> np.ndarray:
+def _real_coordinates(rows_of, dim: int, keep: np.ndarray | None = None) -> np.ndarray:
     """V^dag L V of a column-stacking superoperator L, read dim rows idx at a
     time as ``rows_of(idx)``: ``m.__getitem__`` of a matrix, or a table's
     ``PauliLindbladian.superoperator``, which never holds L whole.
@@ -251,23 +251,43 @@ def _real_coordinates(rows_of, dim: int) -> np.ndarray:
     columns of L V are then vec of Hermitian matrices, so V^dag needs only
     their diagonal rows (real parts) and upper-triangle rows (sqrt2 times
     the real and the imaginary parts), and the complex temporaries stay at
-    a few dim^3 entries.
+    a few dim^3 entries. ``keep``, ascending positions in the list of the
+    dim diagonal and then the upper-triangle entries, reads only their rows:
+    the real rows ``keep`` and ``keep + dim(dim-1)/2`` of the upper ones'
+    imaginary parts, in that order.
     """
     diag, upper, lower = _vec_indices(dim)
     needed = np.concatenate([diag, upper])
-    out = np.empty((dim * dim, dim * dim))
-    for start in range(0, len(needed), dim):
-        rows = rows_of(needed[start:start + dim])
+    keep = np.arange(len(needed)) if keep is None else keep
+    split = np.count_nonzero(keep < dim)
+    out = np.empty((2 * len(keep) - split, dim * dim))
+    for start, stop in [(0, split)] + [(a, min(a + dim, len(keep)))
+                                       for a in range(split, len(keep), dim)]:
+        rows = rows_of(needed[keep[start:stop]])
         lv = np.concatenate([rows[:, diag],
                              np.sqrt(0.5) * (rows[:, upper] + rows[:, lower]),
                              1j * np.sqrt(0.5) * (rows[:, upper] - rows[:, lower])], axis=1)
-        if start == 0:  # the diagonal rows
-            out[:dim] = lv.real
+        if start < split:  # the diagonal rows
+            out[:split] = lv.real
         else:
-            imag = start + len(upper)
-            out[start:start + len(lv)] = np.sqrt(2) * lv.real
+            imag = start + len(keep) - split
+            out[start:stop] = np.sqrt(2) * lv.real
             out[imag:imag + len(lv)] = np.sqrt(2) * lv.imag
     return out
+
+
+def _real_permutation(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The map x -> y[j, k] = x[order[j], order[k]] of Hermitian matrices in real
+    coordinates, y_c = sign[c] x_perm[c]: a signed permutation (perm, sign).
+    An imaginary coordinate changes sign where ``order`` swaps its pair's rows."""
+    dim = len(order)
+    j, k = np.triu_indices(dim, 1)
+    a, b = order[j], order[k]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    pair = dim + lo * (2 * dim - lo - 1) // 2 + hi - lo - 1  # position of (lo, hi) in triu order
+    perm = np.concatenate([order, pair, pair + len(j)])
+    sign = np.concatenate([np.ones(dim + len(j)), np.where(a < b, 1.0, -1.0)])
+    return perm, sign
 
 
 def _real_vector(x: np.ndarray) -> np.ndarray:
@@ -455,6 +475,22 @@ class PauliLindbladian:
                     pieces.setdefault((p, q), []).append((u[:, None], v.conj()[None, :]))
         return tuple((_flip_axes(p, q, self.n), _weight_factors(parts, self.n))
                      for (p, q), parts in pieces.items())
+
+    def reversal_defect(self) -> float:
+        """||S G S - G||_F / ||G||_F (0 for G = 0) for the site reversal
+        S(x) = R x R, R|b_1 ... b_n> = |b_n ... b_1>, read from ``terms``: S G S
+        has, on the flip axes of term t mirrored, t's weight with both index
+        halves reversed, and distinct terms hold disjoint entries of G."""
+        n, shape = self.n, (2,) * (2 * self.n)
+        mirror = [*range(n - 1, -1, -1), *range(2 * n - 1, n - 1, -1)]
+        weights = {axes: functools.reduce(np.multiply, [np.broadcast_to(f, shape) for f in factors])
+                   for axes, factors in self.terms}
+        squared = defect = 0.0
+        for axes, w in weights.items():
+            diff = np.transpose(w, mirror) - weights.get(tuple(sorted(mirror[k] for k in axes)), 0.0)
+            squared += np.vdot(w, w).real
+            defect += np.vdot(diff, diff).real
+        return float(np.sqrt(defect / squared)) if squared else 0.0
 
     @functools.cached_property
     def half_terms(self) -> tuple:

@@ -106,8 +106,10 @@ class SymmetrySpec:
             mag_sum[open_] += mags[current[open_]]
             current = targets[current]
             length[open_ & (current == idx)] = step
+        pairs = np.stack([length, mag_sum])[:, np.lexsort((mag_sum, length))]
+        keep = np.append(True, (pairs[:, 1:] != pairs[:, :-1]).any(axis=0))
         vals = []
-        for order, total in np.unique(np.stack([length, mag_sum]), axis=1).T:
+        for order, total in pairs[:, keep].T:  # np.unique(axis=1) would import numpy.ma
             roots = np.exp(2j * np.pi * np.arange(order) / order)
             if order % 2 == 0:
                 roots[order // 2] = -1.0  # exp(i pi) is -1 + 1.2e-16i; a real U's stay real
@@ -306,8 +308,9 @@ def validate(model: OpenSystemModel) -> list[str]:
     if model.hamiltonian.n_qubits != model.n_qubits:
         violations.append("hamiltonian qubit count differs from model")
     for k, (rate, jump) in enumerate(model.dissipators):
-        if rate < 0:
-            violations.append(f"dissipator {k} has negative rate {rate}")
+        if rate < 0 or not math.isfinite(rate):  # rate < 0 is False for NaN
+            kind = "negative" if rate < 0 else "non-finite"
+            violations.append(f"dissipator {k} has {kind} rate {rate}")
         if jump.n_qubits != model.n_qubits:
             violations.append(f"dissipator {k} qubit count differs from model")
     if not violations:
@@ -348,14 +351,19 @@ def model_to_obj(model: OpenSystemModel) -> dict:
     return obj
 
 
+def _finite_rate(value, k: int) -> float:
+    rate = float(value)
+    if not math.isfinite(rate):
+        raise ConfigError(f"dissipator {k}: rate must be a finite number, got {value!r}")
+    return rate
+
+
 def model_from_obj(obj: dict) -> OpenSystemModel:
     try:
         n = int(obj["n_qubits"])
         ham = pauli_sum_from_obj(obj["hamiltonian"], n)
-        dissipators = tuple(
-            (float(d["rate"]), pauli_sum_from_obj(d["operator"], n))
-            for d in obj["dissipators"]
-        )
+        dissipators = tuple((_finite_rate(d["rate"], k), pauli_sum_from_obj(d["operator"], n))
+                            for k, d in enumerate(obj["dissipators"]))
         symmetries = tuple(SymmetrySpec.from_obj(s, n) for s in obj.get("symmetries", []))
     except ConfigError:
         raise

@@ -15,23 +15,33 @@ coordinates: L maps Hermitian matrices to Hermitian matrices, so in the
 orthonormal Hermitian basis V = {E_jj, (E_jk + E_kj)/sqrt2,
 i(E_jk - E_kj)/sqrt2} the matrix V^dag L V is real, with the singular
 values of L, and its real null vectors map back to Hermitian matrices
-that are already orthonormal. Its null vectors come from the Gram matrix
-C = A^T A of that real matrix A without diagonalizing it. A Cholesky factor
-of C bordered by the trace functional certifies and solves a unique steady
-state; otherwise, or with a strong symmetry of several sectors, block inverse
-iteration on a Cholesky factor of C finds the small cluster of
-eigenvectors of C below ``GRAM_SPLIT`` (the near-null cluster), a second
-Cholesky factorization certifies that no eigenvalue below the split lies
-outside it, and an SVD of A on the cluster only gives the cluster's
-singular values and the null vectors (``GRAM_SPLIT`` gives the bounds).
-For TFIM n=5 this takes about 0.11 s against 0.15 s for the block
-iteration and 0.68 s for the full real SVD; at n=6, 3.8 s and a 0.56 GB
-peak against 5.3-6.0 s (one BLAS thread). The rest of the
-spectrum, one ``eigvalsh`` of C, is computed when
-``NessBasis.singular_values`` is first read. ``steady_states`` memoizes
-the result per (model, dense_limit), so repeated oracle calls on one
-model, such as the ``oracle-top`` seed and the oracle report of one sweep
-point, pay for one decomposition.
+that are already orthonormal. Where the generator commutes with the site
+reversal j <-> n+1-j of the chain (the TFIM and dephasing chains, the
+driven chain at mu = 0, and any model file whose operators have it), as
+read from its compiled table, x -> R x R is a signed permutation of these
+coordinates and A splits exactly into an even and an odd block
+(``_coordinate_blocks``), each about half of A; the even block holds I and
+every unique steady state. A is read only on the first axis of each
+orbit, and each block is decomposed on its own with the split of the
+largest lambda_max of the blocks, so the near-null cluster is the same
+set. Other models keep A as one block. A block's null vectors come from
+the Gram matrix C = A^T A of that real matrix without diagonalizing it.
+A Cholesky factor of the block's C bordered by the trace functional
+certifies and solves a unique steady state, and one factor of C - tau I
+certifies that a block orthogonal to I holds none; otherwise, or with a
+strong symmetry of several sectors, block inverse iteration on a
+Cholesky factor of C finds the small cluster of eigenvectors of C below
+``GRAM_SPLIT`` (the near-null cluster), a second Cholesky factorization
+certifies that no eigenvalue below the split lies outside it, and an SVD
+of A on the cluster only gives the cluster's singular values and the
+null vectors (``GRAM_SPLIT`` gives the bounds). For TFIM n=5 this takes
+0.037-0.051 s against 0.10-0.13 s on A whole, and a 53 MB process peak
+against 74 MB; at n=6, 1.0-1.1 s and a 0.24 GB peak against 3.8 s and
+0.56 GB (one BLAS thread). The rest of the spectrum, one ``eigvalsh`` of
+each block's C, is computed when ``NessBasis.singular_values`` is first
+read. ``steady_states`` memoizes the result per (model, dense_limit), so
+repeated oracle calls on one model, such as the ``oracle-top`` seed and
+the oracle report of one sweep point, pay for one decomposition.
 
 The iterative path never materializes that 4^n x 4^n matrix. On Hermitian
 x it applies L(x) = H + H^dag with H = -i K x + 1/2 sum_n J_n x J_n^dag,
@@ -46,11 +56,18 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateSteadySpaceError, DenseLimitError
-from .lindblad import PauliLindbladian, _hermitian_matrix, _real_coordinates, hermitize
+from .lindblad import (
+    PauliLindbladian,
+    _hermitian_matrix,
+    _real_coordinates,
+    _real_permutation,
+    hermitize,
+)
 from .models import OpenSystemModel
 from .sdp import _WhitenedSystem, _lsqr
 from .states import AnsatzSet, apply_to_columns
@@ -64,19 +81,28 @@ GRAM_SPLIT = 1e-6
 """Eigenvalues lambda <= GRAM_SPLIT * lambda_max of C = A^T A (singular
 values sigma <= 1e-3 sigma_max of A) form the near-null cluster V that
 ``_near_null_cluster`` finds; ``_hermitian_null_space`` takes its
-singular values and the null vectors by an SVD of A V. With
-eps = 2.2e-16 and N = 4^n:
+singular values and the null vectors by an SVD of A V. A and C here are
+one coordinate block's (``_coordinate_blocks``): with no cross blocks,
+the eigenvalues of A^T A are those of the blocks' C together. With
+eps = 2.2e-16 and N the size of the block (4^n for A whole; 544 and 480
+at n=5 for the reflection blocks):
 
-- lambda_max is the top Ritz value after six block-power steps from four
-  vectors: a lower bound, 0.07-9% below lambda_max on the package's
-  models, whose top eigenvalues come in close groups. It sets scales
-  only: the split, the shift, the residual stop and the cutoff
-  NULL_SPACE_RTOL * sqrt(lambda_max) move with it by that factor.
+- The reflection split is exact up to ``_REFLECT_TOL``: the blocks are
+  those of an A' with ||A' - A||_F <= ||S G S - G||_F <= 1e-14 ||A||_F,
+  at most 6.4e-13 sigma_max at n=6 (||A||_F <= 2^n sigma_max), below the
+  residual stop; the table's sums round by a few eps (6e-17 measured).
+- lambda_max is the largest over the blocks of the top Ritz value after
+  six block-power steps from four vectors: a lower bound, 0.07-9% below
+  lambda_max on the package's models, whose top eigenvalues come in
+  close groups. It sets scales only: the split, the shift, the residual
+  stop and the cutoff NULL_SPACE_RTOL * sqrt(lambda_max) move with it by
+  that factor, and every block uses the same ones.
 - The iteration factors C + delta I with delta = N eps lambda_max
-  (2.3e-13 lambda_max at n=5). A computed Gram matrix is PSD only up to
-  about 1e-16 lambda_max (measured), so the factorization does not break
-  down. The shift sets only the speed: per step a null direction gains a
-  factor lambda / delta on an eigenvalue lambda outside the block.
+  (1.2e-13 lambda_max for the even block at n=5). A computed Gram matrix
+  is PSD only up to about 1e-16 lambda_max (measured), so the
+  factorization does not break down. The shift sets only the speed: per
+  step a null direction gains a factor lambda / delta on an eigenvalue
+  lambda outside the block.
 - It stops when every Ritz pair (theta, v) of the block with
   theta <= GRAM_SPLIT * lambda_max has ||C v - theta v|| <= 1e-14 lambda_max
   (the rounding floor is 0.3-3.5e-16 lambda_max at n=5). The part e of a
@@ -89,11 +115,15 @@ eps = 2.2e-16 and N = 4^n:
   x orthogonal to V, so (Courant-Fischer) no eigenvalue of C below the
   split lies outside span V, up to the factorization's rounding of about
   N eps lambda_max. When it fails the block grows and iterates on.
-- The trace border comes first: with t the unit coordinates of I/sqrt d, a
-  factor of M = C + lambda_max t t^T - GRAM_SPLIT lambda_max I leaves at most
-  one eigenvalue of C below the split, its eigenvector v ~ (C + lambda_max t t^T)^-1 t.
+- The trace border comes first: with t the unit coordinates of I/sqrt d in
+  the block (1/sqrt d on a diagonal axis that the reversal fixes, sqrt(2/d)
+  on a pair of diagonal axes), a factor of
+  M = C + lambda_max t t^T - GRAM_SPLIT lambda_max I leaves at most one
+  eigenvalue of C below the split, its eigenvector v ~ (C + lambda_max t t^T)^-1 t.
   Refinement by M contracts by GRAM_SPLIT lambda_max / lambda_min(M) (1e-3 per step
   at TFIM n=5) until ||A v|| / ||v|| stops halving; v must meet the residual stop.
+  A block orthogonal to I (t = 0, the odd block) factors C - GRAM_SPLIT lambda_max I
+  instead, and a factor leaves no eigenvalue below the split.
 - Above the split, sigma = sqrt(lambda) from ``eigvalsh`` (on demand) has
   absolute error at most eps lambda_max / (2 sqrt(GRAM_SPLIT lambda_max))
   = 1.1e-13 sigma_max; the cluster's values from the SVD agree with a
@@ -103,7 +133,8 @@ _POWER_BLOCK, _POWER_STEPS = 4, 6  # the lambda_max estimate
 _FIRST_BLOCK, _GUARDS = 8, 2       # inverse iteration: first width, spare Ritz vectors
 _RITZ_TOL = 1e-14                  # Ritz residual stop, relative to lambda_max
 _SLOW = 0.5                        # a step that cuts the residual by less is slow
-_SOLVE_BLOCK = 128                 # rows per step of the triangular solves
+_SOLVE_BLOCK = 128                 # rows per step of the triangular solves and block builds
+_REFLECT_TOL = 1e-14               # ||S G S - G||_F / ||G||_F that still counts as a symmetry
 _MEMO_MODELS = 32
 
 
@@ -145,8 +176,8 @@ class NessBasis:
     @functools.cached_property
     def singular_values(self) -> np.ndarray:
         """All 4^n singular values of the Liouvillian, descending and
-        read-only; computed on first read (one ``eigvalsh`` of A^T A) and
-        kept with the basis."""
+        read-only; computed on first read (one ``eigvalsh`` of A^T A per
+        coordinate block) and kept with the basis."""
         svals = self._spectrum()
         svals.setflags(write=False)
         return svals
@@ -158,22 +189,36 @@ class NessBasis:
         return elem / np.trace(elem).real
 
 
-def _inverse_solver(gram: np.ndarray, shift: float, border: float = 0.0, dim: int = 0):
-    """x -> (C + border t t^T + shift I)^-1 x through the Cholesky factor L of that matrix.
+def _cholesky(gram: np.ndarray, shift: float, border: float = 0.0,
+              trace: np.ndarray | int = 0) -> np.ndarray:
+    """Cholesky factor of C + border t t^T + shift I; C is left bit for bit as it
+    was, also on LinAlgError. ``trace`` holds the weights w of I on C's leading
+    coordinates, t = w / ||w|| (an int d: d unit weights, the whole coordinates
+    of a d x d matrix)."""
+    n = len(gram)
+    w = np.ones(trace) if isinstance(trace, int) else trace
+    diag, head = gram.diagonal().copy(), gram[:len(w), :len(w)].copy()
+    if border:
+        gram[:len(w), :len(w)] += np.outer(w, w) * border / (w @ w)
+    gram.flat[::n + 1] += shift
+    try:
+        return np.linalg.cholesky(gram)
+    finally:
+        gram[:len(w), :len(w)] = head
+        gram.flat[::n + 1] = diag
+
+
+def _inverse_solver(gram: np.ndarray, shift: float, border: float = 0.0,
+                    trace: np.ndarray | int = 0):
+    """x -> (C + border t t^T + shift I)^-1 x through the Cholesky factor L of
+    that matrix (``_cholesky``).
 
     numpy has no triangular solve, so the forward and back substitutions
     run over row blocks of L, each a product with the inverse of one
-    diagonal block; t = I/sqrt(dim). C is left bit for bit as it was, also on LinAlgError.
+    diagonal block.
     """
+    low = _cholesky(gram, shift, border, trace)
     n = len(gram)
-    diag, head = gram.diagonal().copy(), gram[:dim, :dim].copy()
-    gram[:dim, :dim] += border / max(dim, 1)
-    gram.flat[::n + 1] += shift
-    try:
-        low = np.linalg.cholesky(gram)
-    finally:
-        gram[:dim, :dim] = head
-        gram.flat[::n + 1] = diag
     cuts = list(range(0, n, _SOLVE_BLOCK)) + [n]
     spans = list(zip(cuts[:-1], cuts[1:]))
     inverses = [np.linalg.inv(low[a:b, a:b]) for a, b in spans]
@@ -189,14 +234,117 @@ def _inverse_solver(gram: np.ndarray, shift: float, border: float = 0.0, dim: in
     return solve
 
 
-def _unique_null_vector(real: np.ndarray, gram: np.ndarray, lam_max: float, tau: float, dim: int):
-    """The near-null cluster as one column if the trace border certifies
-    it, else None; residuals go through A, not the rounded C (``GRAM_SPLIT``)."""
+class _Block(NamedTuple):
+    """A coordinate block Q^T A Q of the real superoperator A: block coordinate k
+    is the unit vector Q e_k = c_lo[k] e_lo[k] + c_hi[k] e_hi[k] of A's
+    coordinates (c_hi[k] = 0 for a single axis), lo ascending."""
+
+    real: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    c_lo: np.ndarray
+    c_hi: np.ndarray
+
+    @classmethod
+    def whole(cls, real: np.ndarray) -> _Block:
+        axes = np.arange(real.shape[1])
+        return cls(real, axes, axes, np.ones(len(axes)), np.zeros(len(axes)))
+
+    def trace(self, dim: int) -> np.ndarray:
+        """Q^T of I's coordinates (ones on the dim diagonal axes) on the block's
+        leading coordinates, which hold all of it; all zero in an odd block."""
+        lead = np.count_nonzero(self.lo < dim)
+        return self.c_lo[:lead] + self.c_hi[:lead] * (self.hi[:lead] < dim)
+
+    def lift(self, rows: np.ndarray, size: int) -> np.ndarray:
+        """Rows of block coordinates as rows of A's size coordinates (rows Q^T)."""
+        out = np.zeros((len(rows), size))
+        out[:, self.lo] = rows * self.c_lo
+        out[:, self.hi] += rows * self.c_hi
+        return out
+
+
+def _as_blocks(real: np.ndarray | list[_Block]) -> list[_Block]:
+    return [_Block.whole(real)] if isinstance(real, np.ndarray) else real
+
+
+def _coordinate_blocks(model: OpenSystemModel) -> list[_Block]:
+    """The model's real superoperator A as its even and odd blocks under the
+    site reversal j <-> n+1-j, if the generator commutes with it
+    (``PauliLindbladian.reversal_defect`` at most ``_REFLECT_TOL``); else [A].
+
+    x -> R x R, with R the bit reversal of basis states, is a signed
+    permutation P of A's coordinates (``lindblad._real_permutation``). Its
+    orbits are single axes, P e_i = +-e_i, and pairs, P e_i = s e_j; the
+    even block has the +e_i and every (e_i + s e_j)/sqrt2, the odd block
+    the -e_i and every (e_i - s e_j)/sqrt2. With P A = A P, row j of A is
+    row i with its columns moved by P, so only the rows of the first axis
+    i < j of each orbit are read (``_block_matrix``).
+    """
+    gen, n = PauliLindbladian(model), model.n_qubits
+    dim = 2 ** n
+    if gen.reversal_defect() > _REFLECT_TOL:
+        return [_Block.whole(_real_coordinates(gen.superoperator, dim))]
+    idx = np.arange(dim)
+    perm, sign = _real_permutation(sum(((idx >> j) & 1) << (n - 1 - j) for j in range(n)))
+    lo = np.flatnonzero(perm >= np.arange(len(perm)))  # single axes and the first of each pair
+    rows = _real_coordinates(gen.superoperator, dim, lo[lo < dim * (dim + 1) // 2])
+    hi, s = perm[lo], sign[lo]
+    pair = hi != lo
+    c_lo = np.where(pair, np.sqrt(0.5), 1.0)
+    blocks = []
+    for parity in (1.0, -1.0):
+        keep = np.flatnonzero(pair | (s == parity))
+        axes = lo[keep], hi[keep], c_lo[keep], np.where(pair, parity * np.sqrt(0.5) * s, 0.0)[keep]
+        if len(keep):
+            blocks.append(_Block(_block_matrix(rows, keep, *axes), *axes))
+    return blocks
+
+
+def _block_matrix(rows: np.ndarray, keep: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  c_lo: np.ndarray, c_hi: np.ndarray) -> np.ndarray:
+    """Q^T A Q from the rows A[lo] alone (``rows[keep]``), for block
+    coordinates (``_Block``) that P maps to +-themselves: then
+    Q^T A Q = diag(1 / c_lo) A[lo] Q. Built _SOLVE_BLOCK rows at a time."""
+    out = np.empty((len(keep), len(keep)))
+    for a in range(0, len(keep), _SOLVE_BLOCK):
+        part, at = rows[keep[a:a + _SOLVE_BLOCK]], slice(a, a + _SOLVE_BLOCK)
+        np.take(part, lo, axis=1, out=out[at])  # np.take: 4x faster than part[:, lo]
+        out[at] *= c_lo
+        out[at] += np.take(part, hi, axis=1) * c_hi
+        out[at] /= c_lo[at, None]
+    return out
+
+
+def _top_eigenvalue(real: np.ndarray, gram: np.ndarray, rng: np.random.Generator) -> float:
+    """A lower bound on lambda_max of C = A^T A: block power steps, then the top
+    Ritz value through A (``GRAM_SPLIT``)."""
+    x = rng.standard_normal((len(gram), min(_POWER_BLOCK, len(gram))))
+    for _ in range(_POWER_STEPS):
+        x = np.linalg.qr(gram @ x)[0]
+    return float(np.linalg.svd(real @ x, compute_uv=False)[0]) ** 2
+
+
+def _certified_cluster(real: np.ndarray, gram: np.ndarray, lam_max: float, tau: float,
+                       trace: np.ndarray) -> np.ndarray | None:
+    """The near-null cluster of a block if one factorization certifies it, else
+    None; residuals go through A, not the rounded C (``GRAM_SPLIT``).
+
+    A block that holds I (trace weights w) has at most one eigenvalue of C
+    below tau when C + lambda_max t t^T - tau I factors, with t = w / ||w||, and
+    the same factor refines its eigenvector; a block orthogonal to I has none
+    when C - tau I factors.
+    """
+    n = len(gram)
     try:
-        solve = _inverse_solver(gram, -tau, lam_max, dim)
+        if not trace.any():
+            _cholesky(gram, -tau)
+            return np.empty((n, 0))
+        solve = _inverse_solver(gram, -tau, lam_max, trace)
     except np.linalg.LinAlgError:  # two eigenvalues below tau, or a traceless null vector
         return None
-    t = np.concatenate([np.full(dim, dim ** -0.5), np.zeros(len(gram) - dim)])
+    t = np.zeros(n)
+    t[:len(trace)] = trace * (trace @ trace) ** -0.5
     v, last = solve(t), np.inf
     while (now := np.linalg.norm(av := real @ v) / np.linalg.norm(v)) < _SLOW * last:
         best, last = v, now  # refine while a step halves ||A v|| / ||v||
@@ -207,34 +355,30 @@ def _unique_null_vector(real: np.ndarray, gram: np.ndarray, lam_max: float, tau:
     return v[:, None] if theta <= tau and ritz <= _RITZ_TOL * lam_max else None
 
 
-def _near_null_cluster(real: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
-    """Orthonormal V spanning the eigenvectors of C = A^T A with eigenvalues
-    <= tau = GRAM_SPLIT * lambda_max, and that lambda_max (bounds at
-    ``GRAM_SPLIT``).
+def _near_null_cluster(real: np.ndarray, gram: np.ndarray, lam_max: float,
+                       rng: np.random.Generator, trace: np.ndarray | None) -> np.ndarray:
+    """Orthonormal V spanning the eigenvectors of a block's C = A^T A with
+    eigenvalues <= tau = GRAM_SPLIT * lambda_max, lambda_max over all blocks
+    (bounds at ``GRAM_SPLIT``).
 
-    Block inverse iteration with the Cholesky factor of C + delta I from a
-    fixed random block, each step ending in a Rayleigh-Ritz step through
-    A Q. The block keeps ``_GUARDS`` Ritz vectors above tau, and doubles
-    when the cluster fills it or when a step cuts the Ritz residual by less
-    than ``_SLOW``. Once every Ritz pair below tau meets the residual stop,
-    a Cholesky factorization of C + lambda_max V V^T - tau I certifies V;
-    if it fails, the block grows and the iteration goes on. A block as wide
-    as C needs no certificate. At most three N x N arrays are held at a
-    time: A, C and one factor or the certificate's outer product.
-    With dim > 0 the trace border of d = dim comes first (``_unique_null_vector``).
+    With ``trace`` (the block's weights of I) one factorization is tried
+    first (``_certified_cluster``). Otherwise, or if it fails: block inverse
+    iteration with the Cholesky factor of C + delta I from a random block of
+    ``rng``, each step ending in a Rayleigh-Ritz step through A Q. The block
+    keeps ``_GUARDS`` Ritz vectors above tau, and doubles when the cluster
+    fills it or when a step cuts the Ritz residual by less than ``_SLOW``.
+    Once every Ritz pair below tau meets the residual stop, a Cholesky
+    factorization of C + lambda_max V V^T - tau I certifies V; if it fails,
+    the block grows and the iteration goes on. A block as wide as C needs no
+    certificate. Besides A and C, it holds one factor or the certificate's
+    outer product at a time.
     """
-    n = real.shape[1]
-    rng = np.random.default_rng(0)  # a fixed start: the oracle repeats bit for bit
-    gram = real.T @ real
-    x = rng.standard_normal((n, min(_POWER_BLOCK, n)))
-    for _ in range(_POWER_STEPS):
-        x = np.linalg.qr(gram @ x)[0]
-    lam_max = float(np.linalg.svd(real @ x, compute_uv=False)[0]) ** 2
+    n = len(gram)
     if lam_max == 0.0:
-        return np.eye(n), 0.0
+        return np.eye(n)
     tau = GRAM_SPLIT * lam_max
-    if dim and (near := _unique_null_vector(real, gram, lam_max, tau, dim)) is not None:
-        return near, lam_max
+    if trace is not None and (near := _certified_cluster(real, gram, lam_max, tau, trace)) is not None:
+        return near
     shift = n * np.finfo(float).eps * lam_max
     solve = _inverse_solver(gram, shift)
     block = rng.standard_normal((n, min(_FIRST_BLOCK, n)))
@@ -251,7 +395,7 @@ def _near_null_cluster(real: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
             worst = np.linalg.norm(gram @ near - near * theta[:size], axis=0).max(initial=0.0)
             if worst <= _RITZ_TOL * lam_max:
                 if width == n:
-                    return near, lam_max
+                    return near
                 del solve  # frees the factor: C's buffer takes C + lam_max V V^T - tau I
                 gram += (lam_max * near) @ near.T
                 gram.flat[::n + 1] -= tau
@@ -261,7 +405,7 @@ def _near_null_cluster(real: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
                     np.matmul(real.T, real, out=gram)
                     solve = _inverse_solver(gram, shift)
                 else:
-                    return near, lam_max
+                    return near
             elif width == n or worst < _SLOW * last:
                 last = worst
                 continue
@@ -269,31 +413,47 @@ def _near_null_cluster(real: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
         last = np.inf
 
 
-def _hermitian_null_space(real: np.ndarray, dim: int,
+def _hermitian_null_space(real: np.ndarray | list[_Block], dim: int,
                           unique: bool = True) -> tuple[np.ndarray, list[np.ndarray]]:
     """Singular values of a real-coordinate superoperator A on its near-null
     cluster (``GRAM_SPLIT``), descending, and its null vectors (relative
     cutoff ``NULL_SPACE_RTOL``) as orthonormal Hermitian matrices.
-    ``unique=False`` skips the trace border, which finds one steady state only.
+    ``real`` is A, or the list of its coordinate blocks (``_Block``), each
+    decomposed on its own with the split of the largest lambda_max.
+    ``unique=False`` skips the certificate (``_certified_cluster``), whose
+    trace border finds one steady state only.
 
-    The SVD of the thin matrix A V on the certified cluster V gives the
-    cluster's singular values, to which the cutoff
+    The SVD of the thin matrix A V on a block's certified cluster V gives
+    the cluster's singular values, to which the cutoff
     ``NULL_SPACE_RTOL * sigma_max`` applies, and its right singular
-    vectors, rotated back by V, are the null vectors.
-    ``_singular_values`` completes the spectrum.
+    vectors, rotated back by V and lifted out of the block, are the null
+    vectors. ``_singular_values`` completes the spectrum.
     If LAPACK's gesdd fails to converge (it did once, on a finite
     1024 x 64 A V), the SVD of the transpose gives the same singular
     values, and its left vectors are the right vectors needed here.
     """
-    near, lam_max = _near_null_cluster(real, dim if unique else 0)
-    thin = real @ near
-    try:
-        _, cluster, wh = np.linalg.svd(thin, full_matrices=False)
-    except np.linalg.LinAlgError:
-        v, cluster, _ = np.linalg.svd(thin.T, full_matrices=False)
-        wh = v.T
-    null = wh[cluster <= NULL_SPACE_RTOL * max(np.sqrt(lam_max), 1e-300)] @ near.T
-    return cluster, list(_hermitian_matrix(_on_axes(null), dim))
+    blocks = _as_blocks(real)
+    size = sum(len(b.lo) for b in blocks)
+    grams = [b.real.T @ b.real for b in blocks]
+    rngs = [np.random.default_rng(0) for _ in blocks]  # a fixed start: the oracle repeats bit for bit
+    lam_max = max(_top_eigenvalue(b.real, gram, rng) for b, gram, rng in zip(blocks, grams, rngs))
+    cutoff = NULL_SPACE_RTOL * max(np.sqrt(lam_max), 1e-300)
+    clusters, null = [np.empty(0)], [np.empty((0, size))]
+    for k, (b, rng) in enumerate(zip(blocks, rngs)):
+        gram, grams[k] = grams[k], None  # each block's C is dropped once it is decomposed
+        near = _near_null_cluster(b.real, gram, lam_max, rng, b.trace(dim) if unique else None)
+        if not near.shape[1]:
+            continue
+        thin = b.real @ near
+        try:
+            _, cluster, wh = np.linalg.svd(thin, full_matrices=False)
+        except np.linalg.LinAlgError:
+            v, cluster, _ = np.linalg.svd(thin.T, full_matrices=False)
+            wh = v.T
+        clusters.append(cluster)
+        null.append(b.lift(wh[cluster <= cutoff] @ near.T, size))
+    cluster = np.sort(np.concatenate(clusters))[::-1]
+    return cluster, list(_hermitian_matrix(_on_axes(np.concatenate(null)), dim))
 
 
 def _on_axes(rows: np.ndarray) -> np.ndarray:
@@ -311,10 +471,11 @@ def _on_axes(rows: np.ndarray) -> np.ndarray:
     return turn.T @ rows
 
 
-def _singular_values(real: np.ndarray, cluster: np.ndarray) -> np.ndarray:
+def _singular_values(real: np.ndarray | list[_Block], cluster: np.ndarray) -> np.ndarray:
     """All singular values of A, descending: sqrt of the eigenvalues of
-    A^T A above the cluster (no eigenvectors), then the cluster's own."""
-    lam = np.linalg.eigvalsh(real.T @ real)
+    A^T A above the cluster (no eigenvectors), one ``eigvalsh`` per block,
+    then the cluster's own."""
+    lam = np.sort(np.concatenate([np.linalg.eigvalsh(b.real.T @ b.real) for b in _as_blocks(real)]))
     return np.concatenate([np.sqrt(lam[len(cluster):][::-1]), cluster])
 
 
@@ -348,7 +509,7 @@ def _steady_states(model: OpenSystemModel, dense_limit: int) -> NessBasis:
     _check_dense_limit(model, dense_limit)
     dim = 2 ** model.n_qubits
     unique = all(spec.n_sectors == 1 for spec in model.symmetries)  # Buca & Prosen 2012
-    cluster, basis = _hermitian_null_space(_real_superoperator(model), dim, unique)
+    cluster, basis = _hermitian_null_space(_coordinate_blocks(model), dim, unique)
     flags = [_is_physical(b) for b in basis]
     order = sorted(range(len(basis)), key=lambda k: not flags[k])  # stable: physical first
     for arr in basis:
@@ -356,7 +517,7 @@ def _steady_states(model: OpenSystemModel, dense_limit: int) -> NessBasis:
     return NessBasis(
         elements=tuple(basis[k] for k in order),
         physical=tuple(flags[k] for k in order),
-        _spectrum=lambda: _singular_values(_real_superoperator(model), cluster),
+        _spectrum=lambda: _singular_values(_coordinate_blocks(model), cluster),
     )
 
 

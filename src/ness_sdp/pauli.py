@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DenseLimitError, DimensionMismatchError
+from .errors import ConfigError, DenseLimitError, DimensionMismatchError
 
 COEFF_EPS = 1e-14
 HERMITIAN_TOL = 1e-12
@@ -274,8 +274,13 @@ def pauli_sum_to_obj(op: PauliSum) -> list[dict]:
 
 
 def pauli_sum_from_obj(obj, n_qubits: int | None = None) -> PauliSum:
+    """The inverse of ``pauli_sum_to_obj``; a NaN or infinite coefficient part
+    is a ConfigError naming its entry (canonicalization would drop the term)."""
     terms = []
     for entry in obj:
         re, im = entry["coeff"]
-        terms.append((complex(re, im), PauliString(entry["pauli"])))
+        coeff = complex(re, im)
+        if not np.isfinite(coeff):
+            raise ConfigError(f"pauli term {entry!r}: coefficient parts must be finite numbers")
+        terms.append((coeff, PauliString(entry["pauli"])))
     return PauliSum(terms, n_qubits=n_qubits)

@@ -7,6 +7,7 @@ table), so they can serve as oracles for the algebra they check.
 import numpy as np
 import pytest
 
+from ness_sdp import oracle
 from ness_sdp.models import OpenSystemModel
 from ness_sdp.pauli import PauliString, PauliSum, sigma_minus
 from ness_sdp.states import AnsatzSet
@@ -111,6 +112,44 @@ def random_model(rng, n: int, n_diss: int = 2) -> OpenSystemModel:
     )
     return OpenSystemModel(n_qubits=n, hamiltonian=ham, dissipators=dissipators,
                            label="random")
+
+
+def reflected(op: PauliSum) -> PauliSum:
+    """op with its sites reversed, j <-> n+1-j."""
+    return PauliSum([(c, PauliString(s.codes[::-1])) for c, s in op.terms],
+                    n_qubits=op.n_qubits)
+
+
+def reflection_symmetric_model(rng, n: int, n_diss: int = 2) -> OpenSystemModel:
+    """A random model whose H, and set of jumps with their rates, are
+    invariant under the site reversal j <-> n+1-j."""
+    ham = random_pauli_sum(rng, n, n_terms=3, hermitian=True)
+    dissipators = []
+    for _ in range(n_diss):
+        rate, jump = float(rng.uniform(0.2, 1.5)), random_pauli_sum(rng, n, n_terms=2)
+        dissipators += [(rate, jump), (rate, reflected(jump))]
+    return OpenSystemModel(n_qubits=n, hamiltonian=ham + reflected(ham),
+                           dissipators=tuple(dissipators), label="reflected")
+
+
+def complex_svd_null_space(model: OpenSystemModel) -> np.ndarray:
+    """The null space of the complex column-stacking superoperator
+    (``oracle.build_liouvillian``) from its full SVD, with the oracle's
+    relative cutoff, as orthonormal rows of real Hermitian coordinates
+    (x_jj, sqrt2 Re x_jk, sqrt2 Im x_jk : j < k), one row per null vector."""
+    dim = 2 ** model.n_qubits
+    _, svals, vh = np.linalg.svd(oracle.build_liouvillian(model))
+    null = vh[svals <= oracle.NULL_SPACE_RTOL * max(svals[0], 1e-300)].conj()
+    if not len(null):
+        return np.empty((0, dim * dim))
+    j, k = np.triu_indices(dim, 1)
+    coords = []
+    for vec in null:  # the Hermitian and anti-Hermitian parts span the same space
+        x = vec.reshape(dim, dim, order="F")
+        for h in ((x + x.conj().T) / 2, (x - x.conj().T) / 2j):
+            coords.append(np.concatenate([h.diagonal().real, np.sqrt(2) * h[j, k].real,
+                                          np.sqrt(2) * h[j, k].imag]))
+    return np.linalg.svd(np.array(coords), full_matrices=False)[2][:len(null)]
 
 
 def shared_mask_model(rng, n: int) -> OpenSystemModel:

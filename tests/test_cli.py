@@ -507,6 +507,34 @@ class TestModelAndAnsatzCmds:
         assert result.exit_code == 2, result.output
         assert "'permutation'" in result.output
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("field, value, named", [
+        ("re", float("nan"), "pauli term"),
+        ("im", float("inf"), "pauli term"),
+        ("rate", float("nan"), "dissipator 0"),
+        ("rate", -float("inf"), "dissipator 0"),
+    ])
+    def test_model_file_with_a_non_finite_number(self, runner, tmp_path, command, field,
+                                                 value, named):
+        # json reads NaN and Infinity; such a file used to lose its H term
+        # silently, and solve ended in a LinAlgError traceback with exit 1
+        obj = model_to_obj(tfim_chain(2, 1.0))
+        if field == "rate":
+            obj["dissipators"][0]["rate"] = value
+        else:
+            obj["hamiltonian"][0]["coeff"][field == "im"] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))
+        args = ["model", "validate", str(path)]
+        if command == "solve":
+            cfg = write_config(tmp_path / "cfg.json",
+                               {"model": {"file": str(path)}, "ansatz": TFIM_CFG["ansatz"]})
+            args = ["solve", "--config", cfg, "--out", str(tmp_path / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert named in result.output and "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_ansatz_generate_and_inspect(self, runner, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", TFIM_CFG)
         record = tmp_path / "ansatz.json"

@@ -328,11 +328,23 @@ class TestCompress:
         assert np.allclose(gen.compress(w).apply(x), expect, atol=1e-9)
 
 
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, ness_sdp.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _fresh_process_output(code: str) -> str:
     src = str(Path(ness_sdp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _fresh_process_output(
+        "import sys, ness_sdp.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+
+
+def test_symmetry_eigenvalues_load_no_numpy_ma():
+    # numpy.ma costs about 20 ms CPU to import; np.unique(axis=...) would load it
+    assert _fresh_process_output(
+        "import sys; from ness_sdp.models import xxz_boundary_driven; "
+        "specs = xxz_boundary_driven(4, 1.0, 1.0, 0.5).symmetries; "
+        "print([spec.n_sectors for spec in specs], 'numpy.ma' in sys.modules)") == "[2, 5] False"

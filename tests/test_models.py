@@ -126,6 +126,16 @@ class TestValidate:
         )
         assert any("negative rate" in v for v in validate(bad))
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_flagged(self, rate):
+        # rate < 0 is False for NaN
+        bad = OpenSystemModel(
+            n_qubits=1,
+            hamiltonian=PauliSum.from_label("Z"),
+            dissipators=((rate, PauliSum.from_label("X")),),
+        )
+        assert validate(bad) == [f"dissipator 0 has non-finite rate {rate}"]
+
     def test_builder_outputs_validate(self):
         for model in (tfim_chain(3, 0.4), xxz_dephasing(3, 0.9),
                       xxz_boundary_driven(3, 1.0, 2.0, 0.1)):

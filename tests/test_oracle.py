@@ -8,18 +8,33 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import (
+    complex_svd_null_space,
     dense_ansatz,
     dense_lindblad,
     random_density,
     random_hermitian,
     random_model,
+    reflection_symmetric_model,
     shared_mask_model,
 )
 from ness_sdp import oracle
 from ness_sdp.cli import main
 from ness_sdp.errors import ConvergenceError, DegenerateSteadySpaceError, DenseLimitError
-from ness_sdp.lindblad import PauliLindbladian, _hermitian_matrix, _real_coordinates, hermitize
-from ness_sdp.models import OpenSystemModel, tfim_chain, xxz_boundary_driven, xxz_dephasing
+from ness_sdp.lindblad import (
+    PauliLindbladian,
+    _hermitian_matrix,
+    _real_coordinates,
+    _real_vector,
+    hermitize,
+)
+from ness_sdp.models import (
+    OpenSystemModel,
+    load_model,
+    save_model,
+    tfim_chain,
+    xxz_boundary_driven,
+    xxz_dephasing,
+)
 from ness_sdp.pauli import PauliSum, sigma_minus
 from ness_sdp.states import density_from_beta
 
@@ -393,31 +408,115 @@ class TestTraceBorder:
         assert gram.tobytes() == before.tobytes()
 
     def test_undeclared_symmetry_falls_back_to_the_same_basis(self, monkeypatch):
+        # both reflection blocks: the shifted Gram matrix, then the certificate
         declared = xxz_dephasing(4, 1.0)
         undeclared = dataclasses.replace(declared, symmetries=())
         factored = record_factorizations(monkeypatch)
         oracle._steady_states.cache_clear()
         expect = oracle.steady_states(declared)
-        assert factored == [True, True]
+        assert factored == [True, True] * 2
         factored.clear()
         basis = oracle.steady_states(undeclared)
-        assert factored == [False, True, True]
+        # the even block's trace border fails and it iterates; the odd block,
+        # which holds no steady state, is certified by C - tau I alone
+        assert factored == [False, True, True, True]
         assert basis.physical == expect.physical and basis.dimension == 5
         assert all(np.array_equal(a, b) for a, b in zip(basis.elements, expect.elements))
 
     @pytest.mark.parametrize("model", [xxz_dephasing(3, 1.0),
                                        xxz_boundary_driven(4, 1.0, 1.0, 0.5)])
     def test_declared_symmetry_makes_the_unbordered_factorizations(self, model, monkeypatch):
-        # the shifted Gram matrix, then the certificate; no trace border
+        # per coordinate block (two for the reflection-symmetric dephasing
+        # chain, one for the driven chain at mu != 0): the shifted Gram
+        # matrix, then the certificate; no trace border
         matrices = []
         factored = record_factorizations(monkeypatch, matrices)
         oracle._steady_states.cache_clear()
         oracle.steady_states(model)
-        assert factored == [True, True]
-        real = oracle._real_superoperator(model)
-        gram = real.T @ real
-        off = ~np.eye(len(gram), dtype=bool)
-        assert np.array_equal(matrices[0][off], gram[off])
+        blocks = oracle._coordinate_blocks(model)
+        assert len(blocks) == (2 if model.label.startswith("xxz_dephasing") else 1)
+        assert factored == [True, True] * len(blocks)
+        for block, shifted in zip(blocks, matrices[::2]):
+            gram = block.real.T @ block.real
+            off = ~np.eye(len(gram), dtype=bool)
+            assert np.array_equal(shifted[off], gram[off])
+
+
+class TestReflectionSplit:
+    """The dense oracle splits A into even and odd blocks under the site
+    reversal when the generator commutes with it, and matches the null space
+    of the complex SVD either way."""
+
+    @staticmethod
+    def assert_matches_reference(model):
+        dim = 2 ** model.n_qubits
+        ref = complex_svd_null_space(model)
+        basis = oracle.steady_states(model)
+        rows = np.array([_real_vector(e) for e in basis.elements]).reshape(-1, dim * dim)
+        assert basis.dimension == len(ref)
+        assert np.abs(rows.T @ rows - ref.T @ ref).max() <= 1e-10
+        # the flags of the basis that the unchanged pivot rule takes on the reference span
+        flags = [oracle._is_physical(e) for e in _hermitian_matrix(oracle._on_axes(ref), dim)]
+        assert basis.physical == tuple(sorted(flags, reverse=True))
+        return basis
+
+    def test_symmetric_random_models_split(self, rng):
+        for n in (2, 3, 3, 4, 4, 5):
+            model = reflection_symmetric_model(rng, n)
+            assert len(oracle._coordinate_blocks(model)) == 2
+            self.assert_matches_reference(model)
+
+    def test_models_without_the_symmetry_stay_whole(self, rng):
+        for n in (2, 3, 4, 4, 5):
+            model = random_model(rng, n)
+            assert len(oracle._coordinate_blocks(model)) == 1
+            self.assert_matches_reference(model)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_dephasing_chain_takes_the_degenerate_path_per_block(self, n):
+        # reflection plus a strong magnetization symmetry of n+1 sectors
+        model = xxz_dephasing(n, 0.7)
+        blocks = oracle._coordinate_blocks(model)
+        # tr P = (tr R)^2, R fixing the 2^ceil(n/2) palindromic basis states
+        trace = (2 ** ((n + 1) // 2)) ** 2
+        assert [len(b.lo) for b in blocks] == [(4 ** n + trace) // 2, (4 ** n - trace) // 2]
+        assert self.assert_matches_reference(model).dimension == n + 1
+
+    def test_near_symmetry_is_not_split(self):
+        tfim = tfim_chain(5, 0.5)
+        model = dataclasses.replace(tfim, hamiltonian=tfim.hamiltonian
+                                    + PauliSum.from_label("XIIII", 1e-9))
+        assert 0 < PauliLindbladian(model).reversal_defect() < 1e-8
+        assert len(oracle._coordinate_blocks(model)) == 1
+        self.assert_matches_reference(model)
+
+    def test_model_file_gets_the_split(self, tmp_path):
+        # the reversal is read from the generator, not from the builder
+        save_model(tfim_chain(5, 0.5), tmp_path / "tfim.json")
+        model = load_model(tmp_path / "tfim.json")
+        assert model.label and len(oracle._coordinate_blocks(model)) == 2
+        basis = self.assert_matches_reference(model)
+        expect = oracle.steady_states(tfim_chain(5, 0.5))
+        assert all(np.array_equal(a, b) for a, b in zip(basis.elements, expect.elements))
+
+    def test_one_qubit(self, rng):
+        for model in [random_model(rng, 1), single_qubit_model([sigma_minus(1, 1)]),
+                      single_qubit_model([PauliSum.from_label("Z")])]:
+            assert len(oracle._coordinate_blocks(model)) == 1  # the reversal of one site is I
+            self.assert_matches_reference(model)
+
+    def test_spectrum_is_one_eigvalsh_per_block(self, monkeypatch):
+        model = tfim_chain(4, 0.5)
+        oracle._steady_states.cache_clear()
+        basis = oracle.steady_states(model)
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda mat: shapes.append(mat.shape) or eigvalsh(mat))
+        svals = basis.singular_values
+        assert shapes == [(len(b.lo),) * 2 for b in oracle._coordinate_blocks(model)]
+        assert shapes == [(136, 136), (120, 120)]
+        ref = np.linalg.svd(oracle.build_liouvillian(model), compute_uv=False)
+        assert np.abs(svals - ref).max() <= 1e-12 * ref[0]
 
 
 class TestMemo:
