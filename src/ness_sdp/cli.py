@@ -43,7 +43,7 @@ _CONFIG_KEYS = {
     "ansatz": ("seed", "K", "q", "rng_seed"),
     "sweep": ("parameter", "values", "ansatz_grid"),
     "overlap_table": ("parameter", "g_values"),
-    "symmetry": ("use", "max_retries"),
+    "symmetry": ("use",),
     "constraints": ("generator", "observable", "target"),
 }
 
@@ -481,7 +481,6 @@ def symmetry_cmd(config_path, out_dir, dense_limit):
             model, spec, ansatz,
             options=_solver_options(cfg),
             extra_constraints=_constraints(cfg, ansatz, model),
-            max_retries=_integer(scfg.get("max_retries", 2), "symmetry.max_retries"),
         )
         found = result.found
         pairwise = [[float(abs(np.vdot(a.state, b.state))) for b in found] for a in found]

@@ -188,7 +188,7 @@ class Lindbladian:
         if self.metric is not None:
             h = h @ self.metric
         h *= -2j
-        return hermitize(self.add_jumps(h, x))
+        return hermitize(_add_jump_sum(h, x, self.groups))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """G^dag(y) = H' + H'^dag for Hermitian y, formed from 2H'.
@@ -200,15 +200,7 @@ class Lindbladian:
         if self.metric is not None:
             h = h @ self.metric
         h *= 2j
-        return hermitize(self.add_jumps_adjoint(h, y))
-
-    def add_jumps(self, out: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """out += sum_k J_k x J_k^dag, group by group on the supports, in place; returns out."""
-        return _add_jump_sum(out, x, self.groups)
-
-    def add_jumps_adjoint(self, out: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """out += sum_k J_k^dag y J_k, group by group on the supports, in place; returns out."""
-        return _add_jump_sum_adjoint(out, y, self.groups)
+        return hermitize(_add_jump_sum_adjoint(h, y, self.groups))
 
     def compress(self, w: np.ndarray) -> "Lindbladian":
         """The generator x -> W^dag G(W x W^dag) W, for any W with W^dag M W = I."""
@@ -547,15 +539,6 @@ class PauliLindbladian:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """G(x) = H + H^dag for Hermitian x, exactly Hermitian."""
         return self._mirrored_half(x, self.half_terms)
-
-    def apply_norm(self, x: np.ndarray) -> float:
-        """||G(x)||_F for Hermitian x, the norm of the formed sum H + H^dag.
-
-        Not 2 ||H||^2 + 2 Re Tr(H^2), which near a steady state (||G(x)|| about
-        1e-9 with ||H|| about 1) cancels to rounding.
-        """
-        out = self.apply(x)
-        return float(np.sqrt(np.vdot(out, out).real))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """G^dag(y) = H' + H'^dag for Hermitian y, exactly Hermitian.

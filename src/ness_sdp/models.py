@@ -29,6 +29,7 @@ from .pauli import (
 
 
 EIGENVALUE_TOL = 1e-8
+COMMUTATION_TOL = 1e-10  # SymmetrySpec.validate, relative to ||op||_F (at least 1)
 
 # The keys of a model file's ``symmetries`` entry; the first three are required.
 SYMMETRY_KEYS = ("permutation", "flip", "phase", "generator", "label")
@@ -140,10 +141,10 @@ class SymmetrySpec:
             squared += np.vdot(diff, diff).real
         return math.sqrt(squared + sum(np.vdot(a, a).real for q, a in table.items() if q not in hit))
 
-    def validate(self, model: "OpenSystemModel", tol: float = 1e-10) -> list[str]:
-        """U and the generator commuting with H and every jump, to tol times
-        the operator's Frobenius norm (at least 1): U on the operator's flip
-        table, the generator in Pauli algebra."""
+    def validate(self, model: "OpenSystemModel") -> list[str]:
+        """U and the generator commuting with H and every jump, to
+        ``COMMUTATION_TOL`` times the operator's Frobenius norm (at least 1):
+        U on the operator's flip table, the generator in Pauli algebra."""
         if self.n_qubits != model.n_qubits:
             return [f"U acts on {self.n_qubits} qubits, the model on {model.n_qubits}"]
         gen = self.generator
@@ -151,7 +152,7 @@ class SymmetrySpec:
         ops = [("H", model.hamiltonian)] + [
             (f"jump operator {k}", jump) for k, jump in enumerate(model.jumps)]
         for name, op in ops:
-            bound = tol * max(1.0, _frobenius(op))
+            bound = COMMUTATION_TOL * max(1.0, _frobenius(op))
             if self._conjugation_defect(op) > bound:
                 violations.append(f"U does not commute with {name}")
             if gen is not None and _frobenius(gen * op - op * gen) > bound:

@@ -68,7 +68,7 @@ from .lindblad import (
     _real_permutation,
     hermitize,
 )
-from .models import OpenSystemModel
+from .models import OpenSystemModel, _frobenius
 from .sdp import _WhitenedSystem, _lsqr
 from .states import AnsatzSet, apply_to_columns
 
@@ -135,6 +135,7 @@ _RITZ_TOL = 1e-14                  # Ritz residual stop, relative to lambda_max
 _SLOW = 0.5                        # a step that cuts the residual by less is slow
 _SOLVE_BLOCK = 128                 # rows per step of the triangular solves and block builds
 _REFLECT_TOL = 1e-14               # ||S G S - G||_F / ||G||_F that still counts as a symmetry
+_PIVOT_TIE = 1e-9                  # column norms this close (relative) tie in ``_on_axes``
 _MEMO_MODELS = 32
 
 
@@ -149,10 +150,6 @@ def build_liouvillian(model: OpenSystemModel,
     """Dense superoperator of the model in column-stacking convention."""
     _check_dense_limit(model, dense_limit)
     return PauliLindbladian(model).superoperator()
-
-
-def _real_superoperator(model: OpenSystemModel) -> np.ndarray:
-    return _real_coordinates(PauliLindbladian(model).superoperator, 2 ** model.n_qubits)
 
 
 @dataclass(frozen=True)
@@ -262,10 +259,6 @@ class _Block(NamedTuple):
         out[:, self.lo] = rows * self.c_lo
         out[:, self.hi] += rows * self.c_hi
         return out
-
-
-def _as_blocks(real: np.ndarray | list[_Block]) -> list[_Block]:
-    return [_Block.whole(real)] if isinstance(real, np.ndarray) else real
 
 
 def _coordinate_blocks(model: OpenSystemModel) -> list[_Block]:
@@ -413,13 +406,13 @@ def _near_null_cluster(real: np.ndarray, gram: np.ndarray, lam_max: float,
         last = np.inf
 
 
-def _hermitian_null_space(real: np.ndarray | list[_Block], dim: int,
+def _hermitian_null_space(blocks: list[_Block], dim: int,
                           unique: bool = True) -> tuple[np.ndarray, list[np.ndarray]]:
     """Singular values of a real-coordinate superoperator A on its near-null
     cluster (``GRAM_SPLIT``), descending, and its null vectors (relative
     cutoff ``NULL_SPACE_RTOL``) as orthonormal Hermitian matrices.
-    ``real`` is A, or the list of its coordinate blocks (``_Block``), each
-    decomposed on its own with the split of the largest lambda_max.
+    ``blocks`` are A's coordinate blocks (``_Block``; A whole is
+    ``[_Block.whole(A)]``), each decomposed with the split of the largest lambda_max.
     ``unique=False`` skips the certificate (``_certified_cluster``), whose
     trace border finds one steady state only.
 
@@ -432,7 +425,6 @@ def _hermitian_null_space(real: np.ndarray | list[_Block], dim: int,
     1024 x 64 A V), the SVD of the transpose gives the same singular
     values, and its left vectors are the right vectors needed here.
     """
-    blocks = _as_blocks(real)
     size = sum(len(b.lo) for b in blocks)
     grams = [b.real.T @ b.real for b in blocks]
     rngs = [np.random.default_rng(0) for _ in blocks]  # a fixed start: the oracle repeats bit for bit
@@ -461,21 +453,24 @@ def _on_axes(rows: np.ndarray) -> np.ndarray:
     coordinate axes that the span holds most of (column-pivoted
     Gram-Schmidt). The basis then depends on the span only, and a span that
     holds coordinate axes, such as the diagonal of a dephased qubit, has
-    them as elements."""
+    them as elements. Each pivot is the lowest axis within ``_PIVOT_TIE`` (relative)
+    of the largest squared column norm, so that rounding, which follows the BLAS
+    thread count, does not break the exact ties of a symmetric span."""
     cols = rows.copy()
     turn = np.empty((len(rows), len(rows)))
     for k in range(len(rows)):
-        j = np.argmax(np.einsum("ij,ij->j", cols, cols))
+        norms = np.einsum("ij,ij->j", cols, cols)
+        j = np.argmax(norms >= (1.0 - _PIVOT_TIE) * norms.max())
         turn[:, k] = cols[:, j] / np.linalg.norm(cols[:, j])
         cols -= np.outer(turn[:, k], turn[:, k] @ cols)
     return turn.T @ rows
 
 
-def _singular_values(real: np.ndarray | list[_Block], cluster: np.ndarray) -> np.ndarray:
+def _singular_values(blocks: list[_Block], cluster: np.ndarray) -> np.ndarray:
     """All singular values of A, descending: sqrt of the eigenvalues of
     A^T A above the cluster (no eigenvectors), one ``eigvalsh`` per block,
     then the cluster's own."""
-    lam = np.sort(np.concatenate([np.linalg.eigvalsh(b.real.T @ b.real) for b in _as_blocks(real)]))
+    lam = np.sort(np.concatenate([np.linalg.eigvalsh(b.real.T @ b.real) for b in blocks]))
     return np.concatenate([np.sqrt(lam[len(cluster):][::-1]), cluster])
 
 
@@ -555,8 +550,11 @@ def true_residual(rho: np.ndarray, model: OpenSystemModel,
     only up to rounding. ``generator``, the model's ``PauliLindbladian``,
     lets several calls share one compiled table.
     """
-    gen = PauliLindbladian(model) if generator is None else generator
-    return gen.apply_norm(hermitize(rho))
+    # The norm of the formed sum L = H + H^dag, not 2 ||H||^2 + 2 Re Tr(H^2),
+    # which near a steady state (||L|| about 1e-9 with ||H|| about 1)
+    # cancels to rounding.
+    out = (PauliLindbladian(model) if generator is None else generator).apply(hermitize(rho))
+    return float(np.sqrt(np.vdot(out, out).real))
 
 
 def dominant_eigenstate(rho: np.ndarray, n_qubits: int) -> tuple[float, AnsatzSet]:
@@ -584,14 +582,6 @@ def magnetization_sector_indices(n: int, m: int) -> np.ndarray:
     return below[ones]
 
 
-def sector_basis(n: int, m: int) -> np.ndarray:
-    """(2^n, k) isometry onto the magnetization-m sector."""
-    cols = magnetization_sector_indices(n, m)
-    basis = np.zeros((2 ** n, len(cols)), dtype=complex)
-    basis[cols, np.arange(len(cols))] = 1.0
-    return basis
-
-
 def restricted_steady_state(model: OpenSystemModel, isometry: np.ndarray) -> np.ndarray:
     """Exact steady state of the generator restricted to an invariant subspace.
 
@@ -604,12 +594,11 @@ def restricted_steady_state(model: OpenSystemModel, isometry: np.ndarray) -> np.
     for name, op in [("K", gen.k_op)] + [(f"J_{n}", j) for n, j in enumerate(gen.jump_ops)]:
         moved = apply_to_columns(op, v)
         leak = np.linalg.norm(moved - v @ (v.conj().T @ moved))
-        norm = np.sqrt(sum(np.vdot(u, u).real for _, u in op.flip_weights()))  # ||op||_F
-        if leak > INVARIANCE_TOL * max(1.0, norm):
+        if leak > INVARIANCE_TOL * max(1.0, _frobenius(op)):
             raise ValueError(f"subspace is not invariant under {name} (leak {leak:.2e})")
     k = v.shape[1]
     real = _real_coordinates(gen.compress(v).superoperator().__getitem__, k)
-    _, null = _hermitian_null_space(real, k)
+    _, null = _hermitian_null_space([_Block.whole(real)], k)
     if len(null) != 1:
         raise DegenerateSteadySpaceError(
             f"restricted steady space has dimension {len(null)}, expected 1"

@@ -144,10 +144,6 @@ class PauliSum:
         return cls([], n_qubits=n_qubits)
 
     @classmethod
-    def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls([(coeff, PauliString("I" * n_qubits))])
-
-    @classmethod
     def from_label(cls, label: str, coeff: complex = 1.0) -> "PauliSum":
         return cls([(coeff, PauliString(label))])
 
@@ -179,8 +175,8 @@ class PauliSum:
         """Hermitian adjoint: coefficients conjugated, words unchanged."""
         return PauliSum([(c.conjugate(), s) for c, s in self._terms], n_qubits=self._n)
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return all(abs(c.imag) <= tol for c, _ in self._terms)
+    def is_hermitian(self) -> bool:
+        return all(abs(c.imag) <= HERMITIAN_TOL for c, _ in self._terms)
 
     def flip_weights(self, rows: np.ndarray | None = None) -> tuple[tuple[int, np.ndarray], ...]:
         """(p, u_p) per distinct flip mask p, in increasing p, with

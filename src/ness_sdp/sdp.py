@@ -97,6 +97,7 @@ LSQR_ATOL = 1e-12
 # 40 noisy TFIM and XXZ inputs with L = 2-16 the 30-step Lanczos estimate
 # fell at most 3.2e-5 short of eigvalsh (a 30-step power estimate: 5.5%).
 LIPSCHITZ_MARGIN = 1.01
+LANCZOS_STEPS = 30
 
 # Whitening drops Gram eigenvalues at or below WHITEN_CUTOFF times the largest.
 WHITEN_CUTOFF = 1e-10
@@ -593,14 +594,14 @@ def _least_squares_operator(system: _WhitenedSystem):
             lambda r: _real_vector(gen.adjoint(_hermitian_matrix(r, dim))), rows)
 
 
-def _descent_constant(forward, backward, rows, dim: int, steps: int = 30) -> float:
+def _descent_constant(forward, backward, rows, dim: int) -> float:
     """LIPSCHITZ_MARGIN times a Lanczos estimate of lambda_max(M), M = A^T A + N^T N.
 
     f(v) = ||A v||^2 + ||N v - t||^2 has the Hessian 2 M, so its gradient
     is Lipschitz with L_f = 2 lambda_max(M), and FISTA's step 1 / (2 lam) is
-    safe for lam >= lambda_max(M). The largest Ritz value of ``steps``
-    Lanczos steps is a lower bound on lambda_max(M) (Golub & Van Loan,
-    Matrix Computations, sec. 10.1), hence the margin.
+    safe for lam >= lambda_max(M). The largest Ritz value of
+    ``LANCZOS_STEPS`` Lanczos steps is a lower bound on lambda_max(M)
+    (Golub & Van Loan, Matrix Computations, sec. 10.1), hence the margin.
     """
     rng = np.random.default_rng(0)
     z = rng.normal(size=(dim, dim))
@@ -608,7 +609,7 @@ def _descent_constant(forward, backward, rows, dim: int, steps: int = 30) -> flo
     z /= np.linalg.norm(z)
     z_prev, beta = np.zeros_like(z), 0.0
     alphas, betas = [], []
-    for _ in range(min(steps, z.size)):
+    for _ in range(min(LANCZOS_STEPS, z.size)):
         u = backward(forward(z)) + rows.T @ (rows @ z) - beta * z_prev
         alphas.append(float(z @ u))
         u -= alphas[-1] * z

@@ -34,6 +34,7 @@ from .states import AnsatzSet
 from . import oracle
 
 TRACE_FLOOR = 1e-8
+MAX_RETRIES = 2
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +236,12 @@ class ExtractionResult:
 
 def extract_all_ness(model: OpenSystemModel, spec: SymmetrySpec, ansatz: AnsatzSet,
                      options: SolverOptions | None = None,
-                     extra_constraints: tuple = (),
-                     max_retries: int = 2) -> ExtractionResult:
+                     extra_constraints: tuple = ()) -> ExtractionResult:
     """Solve, twirl away off-diagonal blocks, and Vandermonde-extract all sectors.
 
     When a sector component is missing (zero weight in the solver output)
     the feasibility program is re-run from a seeded random start, per the
-    documented remedy, up to max_retries times. A spec that fails
+    documented remedy, up to ``MAX_RETRIES`` times. A spec that fails
     ``validate`` raises ``ConfigError``. The sector states are dense, so
     above ``pauli.DEFAULT_DENSE_LIMIT`` qubits this raises
     ``DenseLimitError`` before any work.
@@ -258,7 +258,7 @@ def extract_all_ness(model: OpenSystemModel, spec: SymmetrySpec, ansatz: AnsatzS
     attempts = 0
     states: list[ExtractedState] = []
     beta = None
-    while attempts <= max_retries:
+    while attempts <= MAX_RETRIES:
         opts = options if attempts == 0 else replace(
             options, initial="random", rng_seed=options.rng_seed + attempts)
         problem = FeasibilityProblem(

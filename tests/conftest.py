@@ -100,7 +100,7 @@ def random_pauli_sum(rng, n: int, n_terms: int, hermitian: bool = False) -> Paul
         terms.append((coeff, random_pauli_string(rng, n)))
     out = PauliSum(terms, n_qubits=n)
     if out.n_terms == 0:
-        out = PauliSum.identity(n)
+        out = PauliSum.from_label("I" * n)
     return out
 
 

@@ -128,7 +128,7 @@ def xxz_sector_results(registry):
                                      extra_constraints=(constraint,))
         beta = solve_feasibility(problem)
         rho_fit = density_from_beta(beta.matrix, ansatz)
-        rho_oracle = oracle.restricted_steady_state(model, oracle.sector_basis(4, m))
+        rho_oracle = oracle.restricted_steady_state(model, sector_basis_ansatz(4, m).columns)
         results.append({
             "m": m,
             "m_error": abs(np.trace(rho_fit @ mop_dense).real - m),
@@ -149,7 +149,7 @@ def boundary_results(registry):
         overlaps=assemble(model, ansatz), extra_constraints=(constraint,)),
         result.beta))
 
-    iso0 = oracle.sector_basis(4, 0)
+    iso0 = sector_basis_ansatz(4, 0).columns
     s_r = iso0.conj().T @ dense_symmetry(spec) @ iso0
     vals, vecs = np.linalg.eigh((s_r + s_r.conj().T) / 2)
     oracle_states = {
@@ -250,7 +250,7 @@ def test_criterion_7_planted_decomposition():
     """Planted sector mixtures recover every component, n_U in {2, 3, 4}."""
     model = xxz_dephasing(3, 1.0)
     sector_states = {
-        m: oracle.restricted_steady_state(model, oracle.sector_basis(3, m))
+        m: oracle.restricted_steady_state(model, sector_basis_ansatz(3, m).columns)
         for m in (-3, -1, 1, 3)
     }
     cases = [

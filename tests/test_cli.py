@@ -718,15 +718,17 @@ class TestMalformedConfigs:
         assert "model parameter 'g'" in result.output
         assert not out.exists()
 
-    def test_max_retries_not_an_integer(self, runner, tmp_path):
+    def test_max_retries_is_an_unknown_key(self, runner, tmp_path):
+        # extraction retries a fixed number of times (symmetry.MAX_RETRIES)
         cfg = write_config(tmp_path / "cfg.json", {
             "model": {"builder": "xxz_dephasing", "params": {"n": 2, "delta": 1.0}},
-            "symmetry": {"max_retries": "twice"},
+            "symmetry": {"use": "exchange-parity", "max_retries": 2},
         })
         result = runner.invoke(main, ["symmetry", "--config", cfg,
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
-        assert "symmetry.max_retries" in result.output
+        assert "unknown config key 'max_retries' in section 'symmetry'" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_values_not_a_list(self, runner, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {

@@ -58,7 +58,7 @@ class TestAssemble:
         ans = basis_ansatz(2, ["00", "10", "01", "11"])
         ovl = assemble(model, ans)
         proj = observable_matrix(
-            PauliSum.identity(2, 0.5) + single_site(2, 1, "Z", 0.5), ans)
+            PauliSum.from_label("II", 0.5) + single_site(2, 1, "Z", 0.5), ans)
         assert np.allclose(ovl.F[1], proj, atol=1e-12)
 
     def test_hermitian_blocks(self, rng):
@@ -123,7 +123,7 @@ class TestObservableMatrix:
     def test_identity_reproduces_gram(self, rng):
         ans = random_ansatz(rng, 2, 4)
         ovl = assemble(tfim_chain(2, 1.0), ans)
-        obs = observable_matrix(PauliSum.identity(2), ans)
+        obs = observable_matrix(PauliSum.from_label("II"), ans)
         assert np.allclose(obs, ovl.E, atol=1e-12)
 
     def test_magnetization_eigenbasis(self):

@@ -55,12 +55,12 @@ class TestPauliSum:
     def test_x_plus_z_squared(self):
         op = PauliSum.from_label("X") + PauliSum.from_label("Z")
         square = op * op
-        assert square == PauliSum.identity(1, 2.0)
+        assert square == PauliSum.from_label("I", 2.0)
         assert np.allclose(dense_sum(square), dense_sum(op) @ dense_sum(op))
 
     def test_identity_neutral(self, rng):
         op = random_pauli_sum(rng, 3, 4)
-        assert op * PauliSum.identity(3) == op
+        assert op * PauliSum.from_label("III") == op
 
     def test_sigma_minus_dagger_sigma_minus(self):
         # Dense oracle fixes the sign: sm^dag sm = (1/2)(I + Z) under
@@ -69,7 +69,7 @@ class TestPauliSum:
         prod = sm.dagger() * sm
         dense = dense_sum(sm).conj().T @ dense_sum(sm)
         assert np.allclose(dense_sum(prod), dense)
-        assert prod == PauliSum.identity(1, 0.5) + PauliSum.from_label("Z", 0.5)
+        assert prod == PauliSum.from_label("I", 0.5) + PauliSum.from_label("Z", 0.5)
 
     def test_dagger_examples(self):
         assert PauliSum.from_label("Z", 1j).dagger() == PauliSum.from_label("Z", -1j)
@@ -131,8 +131,8 @@ class TestToDense:
 
     def test_dense_limit(self):
         with pytest.raises(DenseLimitError):
-            PauliSum.identity(13).to_dense()
-        assert PauliSum.identity(13).to_dense(dense_limit=13).shape == (8192, 8192)
+            PauliSum.from_label("I" * 13).to_dense()
+        assert PauliSum.from_label("I" * 13).to_dense(dense_limit=13).shape == (8192, 8192)
 
 
 def test_serialization_roundtrip(rng):

@@ -81,7 +81,7 @@ class TestApply:
             sums = [random_pauli_sum(rng, n, 4 * n),
                     PauliSum([(rng.normal() + 1j * rng.normal(), "".join(w))
                               for w in rng.choice(list("IZ"), size=(3, n))], n_qubits=n),
-                    PauliSum.identity(n, 0.5 - 2j)]
+                    PauliSum.from_label("I" * n, 0.5 - 2j)]
             for op in sums:
                 masks = [mask for mask, _ in op.flip_weights()]
                 assert len(masks) == len(set(masks))
@@ -322,6 +322,8 @@ class TestDenseReference:
     def test_sector_basis_matches_the_isometry(self, family):
         model = FAMILIES[family](6)
         ans = sector_basis_ansatz(6, 2)
-        assert np.array_equal(ans.columns, oracle.sector_basis(6, 2))
+        # the basis states with two one bits, magnetization 6 - 2 * 2 = 2, in order
+        iso = np.eye(2 ** 6, dtype=complex)[:, [b for b in range(2 ** 6) if b.bit_count() == 2]]
+        assert np.array_equal(ans.columns, iso)
         assert ans.words == ((),) * 15   # C(6, 2) states with magnetization 2
-        self._check_overlaps(model, ans, oracle.sector_basis(6, 2))
+        self._check_overlaps(model, ans, iso)

@@ -190,8 +190,8 @@ class TestTwirl:
     def test_planted_offdiagonal_component_annihilated(self):
         spec = magnetization_symmetry(3)
         # plant a B_{0,1} component from sector basis vectors
-        u = oracle.sector_basis(3, -3)[:, 0]
-        v = oracle.sector_basis(3, -1)[:, 0]
+        u = sector_basis_ansatz(3, -3).columns[:, 0]
+        v = sector_basis_ansatz(3, -1).columns[:, 0]
         planted = np.outer(u, v.conj())
         rc = RhoCombination.initial(planted + planted.conj().T, spec)
         out = twirl_eliminate(rc, spec, (0, 1))
@@ -262,7 +262,7 @@ class TestVandermonde:
     def test_planted_mixture_recovery(self, rng):
         model = xxz_dephasing(3, 1.0)
         spec = magnetization_symmetry(3)
-        sectors = [oracle.restricted_steady_state(model, oracle.sector_basis(3, m))
+        sectors = [oracle.restricted_steady_state(model, sector_basis_ansatz(3, m).columns)
                    for m in (-3, -1, 1, 3)]
         weights = (0.1, 0.2, 0.3, 0.4)
         rho = sum(w * s for w, s in zip(weights, sectors))
@@ -287,8 +287,8 @@ class TestVandermonde:
         model = xxz_dephasing(3, 1.0)
         spec = magnetization_symmetry(3)
         # plant only two of the four sectors
-        s0 = oracle.restricted_steady_state(model, oracle.sector_basis(3, -3))
-        s2 = oracle.restricted_steady_state(model, oracle.sector_basis(3, 1))
+        s0 = oracle.restricted_steady_state(model, sector_basis_ansatz(3, -3).columns)
+        s2 = oracle.restricted_steady_state(model, sector_basis_ansatz(3, 1).columns)
         rho = 0.5 * s0 + 0.5 * s2
         parts = vandermonde_extract(RhoCombination.initial(rho, spec), spec)
         missing = [p.sector for p in parts if p.missing]
@@ -342,7 +342,7 @@ class TestExtractAllNess:
         assert len(result.found) == 4
         for part in result.found:
             m = (-3, -1, 1, 3)[part.sector]
-            target = oracle.restricted_steady_state(model, oracle.sector_basis(3, m))
+            target = oracle.restricted_steady_state(model, sector_basis_ansatz(3, m).columns)
             assert oracle.fidelity(part.state, target) >= 0.999
             assert part.residual <= 1e-7
 
