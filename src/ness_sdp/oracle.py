@@ -19,29 +19,33 @@ that are already orthonormal. Where the generator commutes with the site
 reversal j <-> n+1-j of the chain (the TFIM and dephasing chains, the
 driven chain at mu = 0, and any model file whose operators have it), as
 read from its compiled table, x -> R x R is a signed permutation of these
-coordinates and A splits exactly into an even and an odd block
-(``_coordinate_blocks``), each about half of A; the even block holds I and
-every unique steady state. A is read only on the first axis of each
-orbit, and each block is decomposed on its own with the split of the
-largest lambda_max of the blocks, so the near-null cluster is the same
-set. Other models keep A as one block. A block's null vectors come from
-the Gram matrix C = A^T A of that real matrix without diagonalizing it.
-A Cholesky factor of the block's C bordered by the trace functional
-certifies and solves a unique steady state, and one factor of C - tau I
-certifies that a block orthogonal to I holds none; otherwise, or with a
-strong symmetry of several sectors, block inverse iteration on a
-Cholesky factor of C finds the small cluster of eigenvectors of C below
-``GRAM_SPLIT`` (the near-null cluster), a second Cholesky factorization
-certifies that no eigenvalue below the split lies outside it, and an SVD
-of A on the cluster only gives the cluster's singular values and the
-null vectors (``GRAM_SPLIT`` gives the bounds). For TFIM n=5 this takes
-0.037-0.051 s against 0.10-0.13 s on A whole, and a 53 MB process peak
-against 74 MB; at n=6, 1.0-1.1 s and a 0.24 GB peak against 3.8 s and
-0.56 GB (one BLAS thread). The rest of the spectrum, one ``eigvalsh`` of
-each block's C, is computed when ``NessBasis.singular_values`` is first
-read. ``steady_states`` memoizes the result per (model, dense_limit), so
-repeated oracle calls on one model, such as the ``oracle-top`` seed and
-the oracle report of one sweep point, pay for one decomposition.
+coordinates and A splits exactly into an even and an odd block, each
+about half of A; the even block holds I and every unique steady state.
+Where H and every jump commute with M = sum_j Z_j (the XXZ chains, and any
+model file whose operators do), as read from the operators, L keeps each
+P_m x P_m' (Buca & Prosen 2012), and each block splits again by the sector
+pair {m(j), m(k)} of its coordinates' entries (j, k): 39 blocks of at most
+104 coordinates for the dephasing XXZ chain at n=5 (``_coordinate_blocks``).
+A is read only on the first axis of each orbit, one sector pair at a time,
+and each block is decomposed on its own with the split of the largest
+lambda_max of the blocks, so the near-null cluster is the same set. Other
+models keep A as one block. Each block follows one rule. A Cholesky factor
+of its Gram matrix C = A^T A bordered by the trace functional certifies
+and solves a unique steady state, and one factor of C - tau I certifies
+that a block orthogonal to I holds none. Where that factorization fails
+(two steady states in the block, a traceless one, or a small gap), the
+eigenvectors of ``eigh`` of C below ``GRAM_SPLIT`` are the block's
+near-null cluster. An SVD of A on the cluster only gives the cluster's
+singular values and the null vectors (``GRAM_SPLIT`` gives the bounds).
+For TFIM n=5 this takes 0.037-0.051 s against 0.10-0.13 s on A whole, and
+a 53 MB process peak against 74 MB; at n=6, 1.0-1.1 s and a 0.24 GB peak
+against 3.8 s and 0.56 GB. The XXZ chains at n=6 take 0.26-0.48 s and a
+76-97 MB peak (one BLAS thread). The rest of the spectrum, one
+``eigvalsh`` of each block's C, is computed when
+``NessBasis.singular_values`` is first read. ``steady_states`` memoizes
+the result per (model, dense_limit), so repeated oracle calls on one
+model, such as the ``oracle-top`` seed and the oracle report of one sweep
+point, pay for one decomposition.
 
 The iterative path never materializes that 4^n x 4^n matrix. On Hermitian
 x it applies L(x) = H + H^dag with H = -i K x + 1/2 sum_n J_n x J_n^dag,
@@ -68,7 +72,7 @@ from .lindblad import (
     _real_permutation,
     hermitize,
 )
-from .models import OpenSystemModel, _frobenius
+from .models import OpenSystemModel, _frobenius, magnetization_symmetry
 from .sdp import _WhitenedSystem, _lsqr
 from .states import AnsatzSet, apply_to_columns
 
@@ -78,63 +82,59 @@ INVARIANCE_TOL = 1e-10
 SPARSE_LIMIT = 10
 SPARSE_MAX_ITER = 20000
 GRAM_SPLIT = 1e-6
-"""Eigenvalues lambda <= GRAM_SPLIT * lambda_max of C = A^T A (singular
-values sigma <= 1e-3 sigma_max of A) form the near-null cluster V that
-``_near_null_cluster`` finds; ``_hermitian_null_space`` takes its
-singular values and the null vectors by an SVD of A V. A and C here are
-one coordinate block's (``_coordinate_blocks``): with no cross blocks,
-the eigenvalues of A^T A are those of the blocks' C together. With
-eps = 2.2e-16 and N the size of the block (4^n for A whole; 544 and 480
-at n=5 for the reflection blocks):
+"""Eigenvalues lambda <= tau = GRAM_SPLIT * lambda_max of C = A^T A (singular
+values sigma <= 1e-3 sigma_max of A) form a block's near-null cluster V;
+``_hermitian_null_space`` takes its singular values and the null vectors
+by an SVD of A V. A and C here are one coordinate block's
+(``_coordinate_blocks``): with no cross blocks, the eigenvalues of A^T A are
+those of the blocks' C together. With eps = 2.2e-16 and N the size of the
+block (4^n for A whole; 544 and 480 at n=5 for the TFIM reflection blocks):
 
 - The reflection split is exact up to ``_REFLECT_TOL``: the blocks are
   those of an A' with ||A' - A||_F <= ||S G S - G||_F <= 1e-14 ||A||_F,
   at most 6.4e-13 sigma_max at n=6 (||A||_F <= 2^n sigma_max), below the
   residual stop; the table's sums round by a few eps (6e-17 measured).
+- The magnetization split is exact up to ``_REFLECT_TOL`` too. U = exp(i phi M)
+  with phi = 2 pi / (2n + 2) moves an entry of an operator that changes M
+  by dm != 0 by a factor |1 - exp(i phi dm)| >= 2 sin(pi / (n + 1)) (0.87 at
+  n=6), so the parts of H and the jumps that the split drops have norm at
+  most 1.2e-14 max(1, ||op||_F) at n <= 6, the reflection's order.
 - lambda_max is the largest over the blocks of the top Ritz value after
   six block-power steps from four vectors: a lower bound, 0.07-9% below
   lambda_max on the package's models, whose top eigenvalues come in
-  close groups. It sets scales only: the split, the shift, the residual
-  stop and the cutoff NULL_SPACE_RTOL * sqrt(lambda_max) move with it by
-  that factor, and every block uses the same ones.
-- The iteration factors C + delta I with delta = N eps lambda_max
-  (1.2e-13 lambda_max for the even block at n=5). A computed Gram matrix
-  is PSD only up to about 1e-16 lambda_max (measured), so the
-  factorization does not break down. The shift sets only the speed: per
-  step a null direction gains a factor lambda / delta on an eigenvalue
-  lambda outside the block.
-- It stops when every Ritz pair (theta, v) of the block with
-  theta <= GRAM_SPLIT * lambda_max has ||C v - theta v|| <= 1e-14 lambda_max
-  (the rounding floor is 0.3-3.5e-16 lambda_max at n=5). The part e of a
-  near-null Ritz vector outside the cluster then has
-  ||A e|| <= 1e-14 lambda_max / sqrt(GRAM_SPLIT lambda_max) = 1e-11 sigma_max,
-  a tenth of the null cutoff; the null values measured are below
-  2e-14 sigma_max.
-- The certificate: C + lambda_max V V^T - GRAM_SPLIT lambda_max I has a
-  Cholesky factor only if x^T C x > GRAM_SPLIT lambda_max for every unit
-  x orthogonal to V, so (Courant-Fischer) no eigenvalue of C below the
-  split lies outside span V, up to the factorization's rounding of about
-  N eps lambda_max. When it fails the block grows and iterates on.
-- The trace border comes first: with t the unit coordinates of I/sqrt d in
+  close groups. It sets scales only: the split, the residual stop and the
+  cutoff NULL_SPACE_RTOL * sqrt(lambda_max) move with it by that factor,
+  and every block uses the same ones.
+- The certificate comes first. With t the unit coordinates of I/sqrt d in
   the block (1/sqrt d on a diagonal axis that the reversal fixes, sqrt(2/d)
   on a pair of diagonal axes), a factor of
-  M = C + lambda_max t t^T - GRAM_SPLIT lambda_max I leaves at most one
-  eigenvalue of C below the split, its eigenvector v ~ (C + lambda_max t t^T)^-1 t.
-  Refinement by M contracts by GRAM_SPLIT lambda_max / lambda_min(M) (1e-3 per step
-  at TFIM n=5) until ||A v|| / ||v|| stops halving; v must meet the residual stop.
-  A block orthogonal to I (t = 0, the odd block) factors C - GRAM_SPLIT lambda_max I
-  instead, and a factor leaves no eigenvalue below the split.
+  M = C + lambda_max t t^T - tau I leaves at most one eigenvalue of C below
+  the split, its eigenvector v ~ (C + lambda_max t t^T)^-1 t. Refinement by
+  M contracts by tau / lambda_min(M) (1e-3 per step at TFIM n=5) until
+  ||A v|| / ||v|| stops halving. v must meet the residual stop
+  ||C v - theta v|| <= 1e-14 lambda_max (the rounding floor is 0.3-3.5e-16
+  lambda_max at n=5); its part e outside the cluster then has
+  ||A e|| <= 1e-14 lambda_max / sqrt(tau) = 1e-11 sigma_max, a tenth of the
+  null cutoff. A block orthogonal to I (t = 0) factors C - tau I instead,
+  and a factor leaves no eigenvalue below the split.
+- Otherwise ``eigh`` gives the eigenvectors of some C + E with
+  ||E|| <= p(N) eps lambda_max, p a modest function of N. The null vectors have eigenvalue 0 and the
+  eigenvalues outside V lie above tau, so span V holds them to an angle of
+  at most ||E|| / tau = p(N) eps / GRAM_SPLIT (2.2e-10 p(N)), and their part
+  e outside span V, weighted by those eigenvalues, has
+  ||A e|| <= ||E|| / sqrt(tau) = 2.2e-13 p(N) sigma_max. Measured: null
+  values and ||L x|| of at most 4.7e-13 sigma_max (the driven XXZ chain at
+  n=6, mu = 0), where inverse iteration on the cluster reaches 1.4e-15.
 - Above the split, sigma = sqrt(lambda) from ``eigvalsh`` (on demand) has
   absolute error at most eps lambda_max / (2 sqrt(GRAM_SPLIT lambda_max))
   = 1.1e-13 sigma_max; the cluster's values from the SVD agree with a
   full SVD to 2e-14 sigma_max (71 models, n <= 5).
 """
 _POWER_BLOCK, _POWER_STEPS = 4, 6  # the lambda_max estimate
-_FIRST_BLOCK, _GUARDS = 8, 2       # inverse iteration: first width, spare Ritz vectors
 _RITZ_TOL = 1e-14                  # Ritz residual stop, relative to lambda_max
 _SLOW = 0.5                        # a step that cuts the residual by less is slow
 _SOLVE_BLOCK = 128                 # rows per step of the triangular solves and block builds
-_REFLECT_TOL = 1e-14               # ||S G S - G||_F / ||G||_F that still counts as a symmetry
+_REFLECT_TOL = 1e-14               # relative defect that still counts as a symmetry to split by
 _PIVOT_TIE = 1e-9                  # column norms this close (relative) tie in ``_on_axes``
 _MEMO_MODELS = 32
 
@@ -261,10 +261,29 @@ class _Block(NamedTuple):
         return out
 
 
+def _conserves_magnetization(model: OpenSystemModel) -> bool:
+    """H and every jump commute with M = sum_j Z_j, read from the operators:
+    ||U op U^dag - op||_F <= ``_REFLECT_TOL`` max(1, ||op||_F) for U = exp(i phi M)
+    (``models.magnetization_symmetry``)."""
+    spec = magnetization_symmetry(model.n_qubits)
+    return all(spec._conjugation_defect(op) <= _REFLECT_TOL * max(1.0, _frobenius(op))
+               for op in (model.hamiltonian, *model.jumps))
+
+
+def _sector_pairs(n: int) -> np.ndarray:
+    """The sector pair {m(j), m(k)} of each real coordinate's entry (j, k), as
+    min * (n + 1) + max of the popcounts of j and k."""
+    pop = np.bitwise_count(np.arange(2 ** n)).astype(np.int64)
+    j, k = np.triu_indices(2 ** n, 1)
+    upper = np.minimum(pop[j], pop[k]) * (n + 1) + np.maximum(pop[j], pop[k])
+    return np.concatenate([pop * (n + 2), upper, upper])
+
+
 def _coordinate_blocks(model: OpenSystemModel) -> list[_Block]:
-    """The model's real superoperator A as its even and odd blocks under the
-    site reversal j <-> n+1-j, if the generator commutes with it
-    (``PauliLindbladian.reversal_defect`` at most ``_REFLECT_TOL``); else [A].
+    """The model's real superoperator A as its blocks under the site reversal
+    j <-> n+1-j, if the generator commutes with it (``PauliLindbladian.reversal_defect``
+    at most ``_REFLECT_TOL``), and under the magnetization sector pairs, if H
+    and every jump conserve M (``_conserves_magnetization``); else [A].
 
     x -> R x R, with R the bit reversal of basis states, is a signed
     permutation P of A's coordinates (``lindblad._real_permutation``). Its
@@ -272,25 +291,34 @@ def _coordinate_blocks(model: OpenSystemModel) -> list[_Block]:
     even block has the +e_i and every (e_i + s e_j)/sqrt2, the odd block
     the -e_i and every (e_i - s e_j)/sqrt2. With P A = A P, row j of A is
     row i with its columns moved by P, so only the rows of the first axis
-    i < j of each orbit are read (``_block_matrix``).
+    i < j of each orbit are read (``_block_matrix``). A conserved M keeps
+    each P_m x P_m', so A does not mix the coordinates of the sector pairs
+    {m(j), m(k)} of their entries (j, k), which P, keeping popcounts, maps
+    into themselves: each pair's rows are read and split on their own.
     """
     gen, n = PauliLindbladian(model), model.n_qubits
     dim = 2 ** n
-    if gen.reversal_defect() > _REFLECT_TOL:
+    reflect, conserve = gen.reversal_defect() <= _REFLECT_TOL, _conserves_magnetization(model)
+    if not (reflect or conserve):
         return [_Block.whole(_real_coordinates(gen.superoperator, dim))]
     idx = np.arange(dim)
-    perm, sign = _real_permutation(sum(((idx >> j) & 1) << (n - 1 - j) for j in range(n)))
+    order = sum(((idx >> j) & 1) << (n - 1 - j) for j in range(n)) if reflect else idx
+    perm, sign = _real_permutation(order)
     lo = np.flatnonzero(perm >= np.arange(len(perm)))  # single axes and the first of each pair
-    rows = _real_coordinates(gen.superoperator, dim, lo[lo < dim * (dim + 1) // 2])
     hi, s = perm[lo], sign[lo]
     pair = hi != lo
     c_lo = np.where(pair, np.sqrt(0.5), 1.0)
+    label = _sector_pairs(n)[lo] if conserve else np.zeros(len(lo), int)
     blocks = []
-    for parity in (1.0, -1.0):
-        keep = np.flatnonzero(pair | (s == parity))
-        axes = lo[keep], hi[keep], c_lo[keep], np.where(pair, parity * np.sqrt(0.5) * s, 0.0)[keep]
-        if len(keep):
-            blocks.append(_Block(_block_matrix(rows, keep, *axes), *axes))
+    for sector in np.flatnonzero(np.bincount(label)):
+        part = np.flatnonzero(label == sector)
+        rows = _real_coordinates(gen.superoperator, dim, lo[part][lo[part] < dim * (dim + 1) // 2])
+        for parity in (1.0, -1.0):
+            keep = np.flatnonzero((pair | (s == parity))[part])
+            at = part[keep]
+            axes = lo[at], hi[at], c_lo[at], np.where(pair, parity * np.sqrt(0.5) * s, 0.0)[at]
+            if len(keep):
+                blocks.append(_Block(_block_matrix(rows, keep, *axes), *axes))
     return blocks
 
 
@@ -348,92 +376,37 @@ def _certified_cluster(real: np.ndarray, gram: np.ndarray, lam_max: float, tau: 
     return v[:, None] if theta <= tau and ritz <= _RITZ_TOL * lam_max else None
 
 
-def _near_null_cluster(real: np.ndarray, gram: np.ndarray, lam_max: float,
-                       rng: np.random.Generator, trace: np.ndarray | None) -> np.ndarray:
-    """Orthonormal V spanning the eigenvectors of a block's C = A^T A with
-    eigenvalues <= tau = GRAM_SPLIT * lambda_max, lambda_max over all blocks
-    (bounds at ``GRAM_SPLIT``).
-
-    With ``trace`` (the block's weights of I) one factorization is tried
-    first (``_certified_cluster``). Otherwise, or if it fails: block inverse
-    iteration with the Cholesky factor of C + delta I from a random block of
-    ``rng``, each step ending in a Rayleigh-Ritz step through A Q. The block
-    keeps ``_GUARDS`` Ritz vectors above tau, and doubles when the cluster
-    fills it or when a step cuts the Ritz residual by less than ``_SLOW``.
-    Once every Ritz pair below tau meets the residual stop, a Cholesky
-    factorization of C + lambda_max V V^T - tau I certifies V; if it fails,
-    the block grows and the iteration goes on. A block as wide as C needs no
-    certificate. Besides A and C, it holds one factor or the certificate's
-    outer product at a time.
-    """
-    n = len(gram)
-    if lam_max == 0.0:
-        return np.eye(n)
-    tau = GRAM_SPLIT * lam_max
-    if trace is not None and (near := _certified_cluster(real, gram, lam_max, tau, trace)) is not None:
-        return near
-    shift = n * np.finfo(float).eps * lam_max
-    solve = _inverse_solver(gram, shift)
-    block = rng.standard_normal((n, min(_FIRST_BLOCK, n)))
-    last = np.inf
-    while True:
-        q = np.linalg.qr(solve(block))[0]
-        aq = real @ q
-        theta, turn = np.linalg.eigh(aq.T @ aq)  # Rayleigh-Ritz through A Q
-        block = q @ turn
-        size = np.count_nonzero(theta <= tau)
-        near = block[:, :size]
-        width = block.shape[1]
-        if width == n or size + _GUARDS <= width:
-            worst = np.linalg.norm(gram @ near - near * theta[:size], axis=0).max(initial=0.0)
-            if worst <= _RITZ_TOL * lam_max:
-                if width == n:
-                    return near
-                del solve  # frees the factor: C's buffer takes C + lam_max V V^T - tau I
-                gram += (lam_max * near) @ near.T
-                gram.flat[::n + 1] -= tau
-                try:
-                    np.linalg.cholesky(gram)
-                except np.linalg.LinAlgError:  # an eigenvalue below tau lies outside V
-                    np.matmul(real.T, real, out=gram)
-                    solve = _inverse_solver(gram, shift)
-                else:
-                    return near
-            elif width == n or worst < _SLOW * last:
-                last = worst
-                continue
-        block = np.hstack([block, rng.standard_normal((n, min(n, 2 * width) - width))])
-        last = np.inf
-
-
-def _hermitian_null_space(blocks: list[_Block], dim: int,
-                          unique: bool = True) -> tuple[np.ndarray, list[np.ndarray]]:
+def _hermitian_null_space(blocks: list[_Block], dim: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Singular values of a real-coordinate superoperator A on its near-null
     cluster (``GRAM_SPLIT``), descending, and its null vectors (relative
     cutoff ``NULL_SPACE_RTOL``) as orthonormal Hermitian matrices.
     ``blocks`` are A's coordinate blocks (``_Block``; A whole is
     ``[_Block.whole(A)]``), each decomposed with the split of the largest lambda_max.
-    ``unique=False`` skips the certificate (``_certified_cluster``), whose
-    trace border finds one steady state only.
 
-    The SVD of the thin matrix A V on a block's certified cluster V gives
-    the cluster's singular values, to which the cutoff
-    ``NULL_SPACE_RTOL * sigma_max`` applies, and its right singular
-    vectors, rotated back by V and lifted out of the block, are the null
-    vectors. ``_singular_values`` completes the spectrum.
-    If LAPACK's gesdd fails to converge (it did once, on a finite
-    1024 x 64 A V), the SVD of the transpose gives the same singular
+    A block's near-null cluster V, the eigenvectors of its C = A^T A with
+    eigenvalues <= tau = GRAM_SPLIT * lambda_max, comes from one Cholesky
+    factorization where that certifies it (``_certified_cluster``), else
+    from ``eigh`` of C. The SVD of the thin matrix A V gives the cluster's
+    singular values, to which the cutoff ``NULL_SPACE_RTOL * sigma_max``
+    applies, and its right singular vectors, rotated back by V and lifted
+    out of the block, are the null vectors. ``_singular_values`` completes
+    the spectrum. If LAPACK's gesdd fails to converge (it did once, on a
+    finite 1024 x 64 A V), the SVD of the transpose gives the same singular
     values, and its left vectors are the right vectors needed here.
     """
     size = sum(len(b.lo) for b in blocks)
     grams = [b.real.T @ b.real for b in blocks]
-    rngs = [np.random.default_rng(0) for _ in blocks]  # a fixed start: the oracle repeats bit for bit
-    lam_max = max(_top_eigenvalue(b.real, gram, rng) for b, gram, rng in zip(blocks, grams, rngs))
-    cutoff = NULL_SPACE_RTOL * max(np.sqrt(lam_max), 1e-300)
+    # a fixed start: the oracle repeats bit for bit
+    lam_max = max(_top_eigenvalue(b.real, gram, np.random.default_rng(0))
+                  for b, gram in zip(blocks, grams))
+    tau, cutoff = GRAM_SPLIT * lam_max, NULL_SPACE_RTOL * max(np.sqrt(lam_max), 1e-300)
     clusters, null = [np.empty(0)], [np.empty((0, size))]
-    for k, (b, rng) in enumerate(zip(blocks, rngs)):
+    for k, b in enumerate(blocks):
         gram, grams[k] = grams[k], None  # each block's C is dropped once it is decomposed
-        near = _near_null_cluster(b.real, gram, lam_max, rng, b.trace(dim) if unique else None)
+        near = _certified_cluster(b.real, gram, lam_max, tau, b.trace(dim))
+        if near is None:
+            lam, vecs = np.linalg.eigh(gram)
+            near = vecs[:, lam <= tau]
         if not near.shape[1]:
             continue
         thin = b.real @ near
@@ -502,9 +475,7 @@ def steady_states(model: OpenSystemModel,
 @functools.lru_cache(maxsize=_MEMO_MODELS)
 def _steady_states(model: OpenSystemModel, dense_limit: int) -> NessBasis:
     _check_dense_limit(model, dense_limit)
-    dim = 2 ** model.n_qubits
-    unique = all(spec.n_sectors == 1 for spec in model.symmetries)  # Buca & Prosen 2012
-    cluster, basis = _hermitian_null_space(_coordinate_blocks(model), dim, unique)
+    cluster, basis = _hermitian_null_space(_coordinate_blocks(model), 2 ** model.n_qubits)
     flags = [_is_physical(b) for b in basis]
     order = sorted(range(len(basis)), key=lambda k: not flags[k])  # stable: physical first
     for arr in basis:

@@ -9,7 +9,7 @@ import pytest
 
 from ness_sdp import oracle
 from ness_sdp.models import OpenSystemModel
-from ness_sdp.pauli import PauliString, PauliSum, sigma_minus
+from ness_sdp.pauli import PauliString, PauliSum, sigma_minus, sigma_plus, single_site, two_site
 from ness_sdp.states import AnsatzSet
 
 PAULI_1Q = {
@@ -130,6 +130,31 @@ def reflection_symmetric_model(rng, n: int, n_diss: int = 2) -> OpenSystemModel:
         dissipators += [(rate, jump), (rate, reflected(jump))]
     return OpenSystemModel(n_qubits=n, hamiltonian=ham + reflected(ham),
                            dissipators=tuple(dissipators), label="reflected")
+
+
+def magnetization_conserving_model(rng, n: int, reflect: bool = False) -> OpenSystemModel:
+    """A random model whose H and jumps all commute with M = sum_j Z_j:
+    XX + YY and ZZ couplings and Z fields in H, Z_j dephasing and
+    sigma+_i sigma-_j jumps; with ``reflect``, H and the set of jumps with
+    their rates are also invariant under the site reversal."""
+    def site():
+        return int(rng.integers(1, n + 1))
+
+    ham = PauliSum.zero(n)
+    for _ in range(n):
+        i, j = site(), site()
+        if i != j:
+            coupling = rng.normal()
+            ham = (ham + two_site(n, i, "X", j, "X", coupling) + two_site(n, i, "Y", j, "Y", coupling)
+                   + two_site(n, i, "Z", j, "Z", rng.normal()))
+        ham = ham + single_site(n, site(), "Z", rng.normal())
+    dissipators = [(float(rng.uniform(0.2, 1.5)), jump) for jump in
+                   (single_site(n, site(), "Z"), sigma_plus(n, site()) * sigma_minus(n, site()))]
+    if reflect:
+        ham = ham + reflected(ham)
+        dissipators += [(rate, reflected(jump)) for rate, jump in dissipators]
+    return OpenSystemModel(n_qubits=n, hamiltonian=ham, dissipators=tuple(dissipators),
+                           label="conserving")
 
 
 def complex_svd_null_space(model: OpenSystemModel) -> np.ndarray:

@@ -356,3 +356,12 @@ def test_symmetry_eigenvalues_load_no_numpy_ma():
         "import sys; from ness_sdp.models import xxz_boundary_driven; "
         "specs = xxz_boundary_driven(4, 1.0, 1.0, 0.5).symmetries; "
         "print([spec.n_sectors for spec in specs], 'numpy.ma' in sys.modules)") == "[2, 5] False"
+
+
+def test_dense_oracle_loads_no_numpy_ma():
+    # the magnetization split labels its sector pairs without np.unique, which loads numpy.ma
+    assert _fresh_process_output(
+        "import sys; from ness_sdp import oracle; "
+        "from ness_sdp.models import tfim_chain, xxz_dephasing; "
+        "dims = [oracle.steady_states(m).dimension for m in (tfim_chain(4, 0.5), xxz_dephasing(4, 0.7))]; "
+        "print(dims, 'numpy.ma' in sys.modules)") == "[1, 5] False"

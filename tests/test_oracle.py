@@ -16,6 +16,7 @@ from conftest import (
     complex_svd_null_space,
     dense_ansatz,
     dense_lindblad,
+    magnetization_conserving_model,
     random_density,
     random_hermitian,
     random_model,
@@ -30,6 +31,7 @@ from ness_sdp.lindblad import (
     PauliLindbladian,
     _hermitian_matrix,
     _real_coordinates,
+    _real_permutation,
     _real_vector,
     hermitize,
 )
@@ -322,32 +324,14 @@ class TestGramNullSpace:
         real, ref_svals, ref_null = svd_reference(model)
         lam = np.linalg.eigvalsh(real.T @ real)
         assert np.count_nonzero(lam <= oracle.GRAM_SPLIT * lam[-1]) == cluster
-        # both clusters fill the first block of the inverse iteration, which grows
+        # the trace border fails on a cluster of several vectors, and eigh finds it
         found, null = oracle._hermitian_null_space(whole(real), dim)
-        assert len(found) == cluster >= oracle._FIRST_BLOCK
+        assert len(found) == cluster
         assert np.abs(null_projector(null, dim) - null_projector(ref_null, dim)).max() <= 1e-9
         basis = oracle.steady_states(model)
         assert basis.dimension == len(ref_null) == dimension
         assert np.abs(basis.singular_values - ref_svals).max() <= 1e-12 * ref_svals[0]
         assert basis.physical == (True,) * dimension
-
-    def test_certificate_catches_a_block_that_stopped_short(self, monkeypatch):
-        # Without guard vectors the first block of 8 fills with converged
-        # null vectors of a 10-dimensional null space and stops; the
-        # certificate fails, and the grown block finds the other two.
-        model = xxz_boundary_driven(4, 1.0, 1.0, 0.5)
-        dim = 2 ** model.n_qubits
-        real, ref_svals, ref_null = svd_reference(model)
-        monkeypatch.setattr(oracle, "_GUARDS", 0)
-        factored = record_factorizations(monkeypatch)
-        cluster, null = oracle._hermitian_null_space(whole(real), dim)
-        # failed trace border (no model, so it is tried), factor, failed
-        # certificate, factor again, certificate
-        assert factored == [False, True, False, True, True]
-        svals = oracle._singular_values(whole(real), cluster)
-        assert np.abs(svals - ref_svals).max() <= 1e-12 * ref_svals[0]
-        assert len(null) == len(ref_null) == 10
-        assert np.abs(null_projector(null, dim) - null_projector(ref_null, dim)).max() <= 1e-9
 
     def test_svd_failure_retries_on_the_transpose(self, monkeypatch):
         # gesdd can fail to converge on a finite A V; the SVD of the
@@ -411,7 +395,7 @@ class TestGramNullSpace:
 
 class TestTraceBorder:
     """One factorization of C + lambda_max t t^T - tau I certifies and
-    solves a unique steady state; anything else takes the block iteration."""
+    solves a unique steady state; a block where it fails takes one eigh."""
 
     def test_unique_steady_states_match_full_svd(self, rng, monkeypatch):
         factored = record_factorizations(monkeypatch)
@@ -447,44 +431,56 @@ class TestTraceBorder:
         assert gram.tobytes() == before.tobytes()
 
     def test_undeclared_symmetry_falls_back_to_the_same_basis(self, monkeypatch):
-        # both reflection blocks: the shifted Gram matrix, then the certificate
+        # the blocks and the factorizations are read from the operators, not
+        # from the declared symmetries
         declared = xxz_dephasing(4, 1.0)
         undeclared = dataclasses.replace(declared, symmetries=())
         factored = record_factorizations(monkeypatch)
-        oracle._steady_states.cache_clear()
-        expect = oracle.steady_states(declared)
-        assert factored == [True, True] * 2
-        factored.clear()
-        basis = oracle.steady_states(undeclared)
-        # the even block's trace border fails and it iterates; the odd block,
-        # which holds no steady state, is certified by C - tau I alone
-        assert factored == [False, True, True, True]
+        runs = []
+        for model in (declared, undeclared):
+            factored.clear()
+            oracle._steady_states.cache_clear()
+            runs.append((oracle.steady_states(model), list(factored),
+                         oracle._coordinate_blocks(model)))
+        (expect, expect_factored, expect_blocks), (basis, got_factored, blocks) = runs
+        assert got_factored == expect_factored and all(got_factored)
+        assert len(blocks) == len(expect_blocks)
+        for block, expect_block in zip(blocks, expect_blocks):
+            assert all(np.array_equal(x, y) for x, y in zip(block, expect_block))
         assert basis.physical == expect.physical and basis.dimension == 5
         assert all(np.array_equal(a, b) for a, b in zip(basis.elements, expect.elements))
 
-    @pytest.mark.parametrize("model", [xxz_dephasing(3, 1.0),
-                                       xxz_boundary_driven(4, 1.0, 1.0, 0.5)])
-    def test_declared_symmetry_makes_the_unbordered_factorizations(self, model, monkeypatch):
-        # per coordinate block (two for the reflection-symmetric dephasing
-        # chain, one for the driven chain at mu != 0): the shifted Gram
-        # matrix, then the certificate; no trace border
-        matrices = []
+    @pytest.mark.parametrize("model, eigh_sizes", [(xxz_dephasing(3, 1.0), []),
+                                                   (xxz_boundary_driven(4, 1.0, 1.0, 0.5), [2, 32, 36])])
+    def test_each_block_tries_the_certificate_then_one_eigh(self, model, eigh_sizes, monkeypatch):
+        # one factorization per block: C bordered by the trace on the
+        # leading coordinates of a block that holds part of I, else C - tau I;
+        # exactly the blocks where it fails take one eigh, of their C
+        dim = 2 ** model.n_qubits
+        blocks = oracle._coordinate_blocks(model)
+        grams = [block.real.T @ block.real for block in blocks]
+        matrices, decomposed = [], []
         factored = record_factorizations(monkeypatch, matrices)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda mat: decomposed.append(mat.copy()) or eigh(mat))
         oracle._steady_states.cache_clear()
         oracle.steady_states(model)
-        blocks = oracle._coordinate_blocks(model)
-        assert len(blocks) == (2 if model.label.startswith("xxz_dephasing") else 1)
-        assert factored == [True, True] * len(blocks)
-        for block, shifted in zip(blocks, matrices[::2]):
-            gram = block.real.T @ block.real
-            off = ~np.eye(len(gram), dtype=bool)
-            assert np.array_equal(shifted[off], gram[off])
+        assert len(factored) == len(blocks)
+        failed = [gram for gram, ok in zip(grams, factored) if not ok]
+        assert [len(gram) for gram in failed] == eigh_sizes
+        assert len(decomposed) == len(failed)
+        assert all(np.array_equal(mat, gram) for mat, gram in zip(decomposed, failed))
+        for block, gram, shifted in zip(blocks, grams, matrices):
+            lead = len(block.trace(dim)) if block.trace(dim).any() else 0
+            moved = (shifted != gram) & ~np.eye(len(gram), dtype=bool)
+            assert not moved[lead:].any() and not moved[:, lead:].any()
 
 
 class TestReflectionSplit:
     """The dense oracle splits A into even and odd blocks under the site
-    reversal when the generator commutes with it, and matches the null space
-    of the complex SVD either way."""
+    reversal when the generator commutes with it, and by magnetization sector
+    pairs when H and the jumps conserve M, and matches the null space of the
+    complex SVD either way."""
 
     @staticmethod
     def assert_matches_reference(model):
@@ -513,13 +509,44 @@ class TestReflectionSplit:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_dephasing_chain_takes_the_degenerate_path_per_block(self, n):
-        # reflection plus a strong magnetization symmetry of n+1 sectors
+        # reflection plus a strong magnetization symmetry of n+1 sectors: each
+        # block lies in one (parity, sector pair), and no two share one
         model = xxz_dephasing(n, 0.7)
+        dim = 2 ** n
         blocks = oracle._coordinate_blocks(model)
-        # tr P = (tr R)^2, R fixing the 2^ceil(n/2) palindromic basis states
-        trace = (2 ** ((n + 1) // 2)) ** 2
-        assert [len(b.lo) for b in blocks] == [(4 ** n + trace) // 2, (4 ** n - trace) // 2]
+        assert sum(len(b.lo) for b in blocks) == dim * dim
+        pop = np.bitwise_count(np.arange(dim)).astype(np.int64)
+        j, k = np.triu_indices(dim, 1)
+        upper = np.minimum(pop[j], pop[k]) * (n + 1) + np.maximum(pop[j], pop[k])
+        sector = np.concatenate([pop * (n + 2), upper, upper])
+        perm, sign = _real_permutation(
+            sum(((np.arange(dim) >> b) & 1) << (n - 1 - b) for b in range(n)))
+        seen = set()
+        for block in blocks:
+            rows = block.lift(np.eye(len(block.lo)), dim * dim)  # Q^T
+            (pair,) = set(sector[np.flatnonzero(np.abs(rows).sum(axis=0))])
+            reflected = rows[:, perm] * sign
+            parity = 1.0 if np.array_equal(reflected, rows) else -1.0
+            assert np.array_equal(reflected, parity * rows)
+            seen.add((parity, pair))
+        assert len(seen) == len(blocks)
         assert self.assert_matches_reference(model).dimension == n + 1
+
+    def test_conserving_random_models_split_by_sector_pair(self, rng):
+        for n in (1, 2, 3, 4, 5):
+            for reflect in (False, True):
+                model = magnetization_conserving_model(rng, n, reflect)
+                assert len(oracle._coordinate_blocks(model)) > n  # the n+1 diagonal pairs at least
+                self.assert_matches_reference(model)
+
+    def test_near_conservation_is_not_split(self, rng):
+        model = magnetization_conserving_model(rng, 4)
+        model = dataclasses.replace(model, hamiltonian=model.hamiltonian
+                                    + PauliSum.from_label("XIII", 1e-9))
+        assert not oracle._conserves_magnetization(model)
+        assert PauliLindbladian(model).reversal_defect() > oracle._REFLECT_TOL
+        assert len(oracle._coordinate_blocks(model)) == 1
+        self.assert_matches_reference(model)
 
     def test_near_symmetry_is_not_split(self):
         tfim = tfim_chain(5, 0.5)
@@ -539,9 +566,12 @@ class TestReflectionSplit:
         assert all(np.array_equal(a, b) for a, b in zip(basis.elements, expect.elements))
 
     def test_one_qubit(self, rng):
-        for model in [random_model(rng, 1), single_qubit_model([sigma_minus(1, 1)]),
-                      single_qubit_model([PauliSum.from_label("Z")])]:
-            assert len(oracle._coordinate_blocks(model)) == 1  # the reversal of one site is I
+        # the reversal of one site is I; Z dephasing conserves M, whose sector
+        # pairs {0, 0}, {0, 1} and {1, 1} hold E_00, the two axes of E_01, and E_11
+        for model, sizes in [(random_model(rng, 1), [4]),
+                             (single_qubit_model([sigma_minus(1, 1)]), [4]),
+                             (single_qubit_model([PauliSum.from_label("Z")]), [1, 2, 1])]:
+            assert [len(b.lo) for b in oracle._coordinate_blocks(model)] == sizes
             self.assert_matches_reference(model)
 
     def test_spectrum_is_one_eigvalsh_per_block(self, monkeypatch):
