@@ -327,14 +327,14 @@ def _cube(weight: np.ndarray, n: int) -> list | None:
 
 def _half_term(p: int, q: int, u: np.ndarray, v: np.ndarray | None, n: int):
     """The piece u[a] v[b] x[a ^ p, b ^ q] (v None: no column factor) as a half-table
-    term (at, src, axes, factors), or None when its weight is zero.
+    term (at, src, factors), or None when its weight is zero.
 
     With x and the output viewed as (2,)*2n, the term adds prod(factors) *
-    flip(x[src], axes) into out[at]. ``at`` fixes each axis on which the
-    weight is nonzero at one bit only, so the term covers the sub-cube that
-    holds the weight (a quarter of the matrix for a sigma_- jump), and ``src``
-    fixes the same axes at that bit flipped by the masks; ``axes`` are the
-    flips left on the free axes. A factor constant on the sub-cube becomes a
+    x[src] into out[at]. ``at`` fixes each axis on which the weight is
+    nonzero at one bit only, so the term covers the sub-cube that holds the
+    weight (a quarter of the matrix for a sigma_- jump), and ``src`` fixes
+    the same axes at that bit flipped by the masks and reverses the free
+    axes that the masks flip. A factor constant on the sub-cube becomes a
     scalar, folded into the other factor when there is one.
     """
     rows = _cube(u, n)
@@ -344,12 +344,10 @@ def _half_term(p: int, q: int, u: np.ndarray, v: np.ndarray | None, n: int):
     fixed = rows + cols
     flips = _flip_axes(p, q, n)
     at = tuple(slice(None) if bit is None else bit for bit in fixed) + (...,)  # a view, even 0-d
-    src = tuple(slice(None) if bit is None else bit ^ (axis in flips)
-                for axis, bit in enumerate(fixed))
-    free = [axis for axis, bit in enumerate(fixed) if bit is None]
-    axes = tuple(k for k, axis in enumerate(free) if axis in flips)
+    src = tuple(slice(None, None, -1 if axis in flips else 1) if bit is None
+                else bit ^ (axis in flips) for axis, bit in enumerate(fixed))
     free_rows = sum(bit is None for bit in rows)
-    free_cols = len(free) - free_rows
+    free_cols = sum(bit is None for bit in cols)
     scalar, factors = 1.0, []
     for weight, idx, shape in ((u, at[:n], (2,) * free_rows + (1,) * free_cols),
                                (v, at[n:], (1,) * free_rows + (2,) * free_cols)):
@@ -361,8 +359,8 @@ def _half_term(p: int, q: int, u: np.ndarray, v: np.ndarray | None, n: int):
         else:
             factors.append(sub.reshape(shape))
     if not factors:
-        return at, src, axes, (scalar,)
-    return at, src, axes, (scalar * factors[0], *factors[1:])
+        return at, src, (scalar,)
+    return at, src, (scalar * factors[0], *factors[1:])
 
 
 def _half_table(k_op, jump_ops, n: int) -> tuple:
@@ -385,7 +383,7 @@ def _half_table(k_op, jump_ops, n: int) -> tuple:
         if diag is not None:
             full += diag[:, None]
         everywhere = (slice(None),) * (2 * n)
-        terms.append((everywhere, everywhere, (), (full.reshape((2,) * (2 * n)),)))
+        terms.append((everywhere, everywhere, (full.reshape((2,) * (2 * n)),)))
     elif diag is not None:
         terms.append(_half_term(0, 0, diag, None, n))
     terms += [_half_term(p, 0, -1j * u, None, n) for p, u in k_weights.items()]
@@ -527,10 +525,10 @@ class PauliLindbladian:
         """H + H^dag, with H summed from ``table`` into a fresh array and mirrored there."""
         x = np.asarray(x, dtype=complex).reshape((2,) * (2 * self.n))
         out = np.zeros_like(x)
-        for at, src, axes, (first, *rest) in table:
+        for at, src, (first, *rest) in table:
             target = out[at]
             tmp = self._scratch[:target.size].reshape(target.shape)
-            np.multiply(first, np.flip(x[src], axes), out=tmp)
+            np.multiply(first, x[src], out=tmp)
             for factor in rest:
                 tmp *= factor
             target += tmp

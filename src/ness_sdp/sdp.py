@@ -33,19 +33,19 @@ empty intersection of the affine set with the PSD cone still shows as a
 stalled residual.
 
 A secondary least-squares mode minimizes the squared generator residual
-over the spectrahedron {PSD, unit trace} by accelerated projected
-gradient (FISTA with adaptive restart; its step bound is stated at
-``_descent_constant``); it is the fallback when shot noise makes strict
-feasibility impossible and reports the honestly achieved residual and
-why it stopped. It works in real Hermitian coordinates
-(``lindblad._real_coordinates``): G maps Hermitian matrices to Hermitian
-matrices, so on the L^2 real coordinates of x it is a real L^2 x L^2
-matrix A, and the extra constraints are real rows N. One residual
-r = A v per iterate gives both the objective ||r||^2 + ||N v - t||^2
-and, extrapolated, the next gradient; the Hermitian matrix is formed
-only for the spectrahedron projection. A is built once per solve while
-L^2 <= REAL_MATRIX_MAX (L <= 24); above that the same loop applies G and
-G^dag matrix-free, once each per iterate.
+over the spectrahedron {PSD, unit trace}; it is the fallback when shot
+noise makes strict feasibility impossible and reports the honestly
+achieved residual and why it stopped. It starts at the minimizer over the
+trace-one hyperplane, from LSQR, which is the optimum when it is PSD; then
+FISTA with adaptive restart (step bound at ``_descent_constant``) runs in
+real Hermitian coordinates (``lindblad._real_coordinates``): G maps
+Hermitian matrices to Hermitian matrices, so on the L^2 real coordinates
+of x it is a real L^2 x L^2 matrix A, and the extra constraints are real
+rows N. One residual r = A v per iterate gives both the objective
+||r||^2 + ||N v - t||^2 and, extrapolated, the next gradient; the
+Hermitian matrix is formed only for the spectrahedron projection. A is
+built once per solve while L^2 <= REAL_MATRIX_MAX (L <= 24); above that
+the same loop applies G and G^dag matrix-free, once each per iterate.
 """
 from __future__ import annotations
 
@@ -172,8 +172,8 @@ class BetaMatrix:
     evaluated in the original (unwhitened) ansatz basis; psd_violation
     is the most negative eigenvalue of beta (>= 0 when beta is PSD).
     iterations counts Dykstra or FISTA iterates; inner_iterations sums
-    the LSQR iterations of a feasibility solve's affine steps (0 in
-    least-squares mode, which runs no LSQR).
+    the LSQR iterations of a feasibility solve's affine steps, or of the
+    least-squares mode's start.
     """
 
     matrix: np.ndarray
@@ -247,6 +247,26 @@ class _WhitenedSystem:
     def norm(self, y: np.ndarray, t: float, vals: np.ndarray) -> float:
         """Norm of a constraint-space element, under Re Tr(y^dag y') + t t' + vals . vals'."""
         return float(np.sqrt(np.vdot(y, y).real + t * t + vals @ vals))
+
+
+def _traceless(x: np.ndarray) -> np.ndarray:
+    """P(x) = x - (Tr x / L) I, the orthogonal projection onto traceless matrices."""
+    out = x.copy()
+    out.flat[::len(x) + 1] -= np.trace(x).real / len(x)
+    return out
+
+
+class _Traceless:
+    """G P for a generator G: G restricted to traceless corrections (P self-adjoint)."""
+
+    def __init__(self, generator):
+        self.generator, self.dim = generator, generator.dim
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.generator.apply(_traceless(x))
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return _traceless(self.generator.adjoint(y))
 
 
 class _NoJumpPreconditioned:
@@ -628,6 +648,11 @@ def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
     constraints) over the spectrahedron; tolerant of noisy, inconsistent
     constraints.
 
+    The start is the spectrahedron projection of x0 + dx: x0 from
+    ``_initial_point``, dx from LSQR on (G(P dx), Tr dx, Tr(dx P N_k)) with
+    P(x) = x - (Tr x / L) I and right-hand side (-G(x0), 0, t - N(x0)).
+    Only the trace row sees Tr dx, so x0 + dx minimizes the objective over
+    the trace-one hyperplane; if it is PSD it is the optimum, and FISTA stops.
     FISTA (Beck & Teboulle, SIAM J. Imaging Sci. 2, 183, 2009) with
     gradient-based adaptive restart (O'Donoghue & Candes, Found. Comput.
     Math. 15, 715, 2015), in real Hermitian coordinates. The gradient is
@@ -656,7 +681,12 @@ def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
         r, e = forward(v), rows @ v - system.targets
         return r, e, float(r @ r + e @ e)
 
-    v = _real_vector(_project_spectrahedron(_initial_point(dim, opts)))
+    x0 = _initial_point(dim, opts)
+    g, _, vals = system.apply(x0)
+    traceless = _WhitenedSystem(_Traceless(system.generator),
+                                [_traceless(nmat) for nmat in system.extras], ())
+    dx, _, inner, _ = _lsqr(traceless, (-g, 0.0, system.targets - vals), 0.0, LSQR_MAX_ITER)
+    v = _real_vector(_project_spectrahedron(x0 + dx))
     r, e, obj = residual(v)
     v_prev, r_prev, e_prev = v, r, e
     t, best_obj, stall, stop, it = 1.0, obj, 0, "budget", 0
@@ -690,7 +720,8 @@ def solve_least_squares(problem: FeasibilityProblem) -> BetaMatrix:
         elif stall >= 200:
             stop = "stall"
     return _finalize(problem, system, w, _hermitian_matrix(v, dim), it, "least-squares",
-                     stop != "budget", objective=obj, stop_reason=stop)
+                     stop != "budget", objective=obj, stop_reason=stop,
+                     inner_iterations=inner)
 
 
 def solve(problem: FeasibilityProblem) -> BetaMatrix:

@@ -76,7 +76,7 @@ class TestSolve:
         assert report["diagnostics"]["mode"] == "least-squares"
         assert "noisy_mode" not in report
         assert report["diagnostics"]["stop_reason"] in ("grad-map", "stall")
-        assert report["diagnostics"]["inner_iterations"] == 0
+        assert report["diagnostics"]["inner_iterations"] > 0  # the LSQR start
         assert report["shots"] == 10 ** 6
 
     def test_true_residual_above_the_dense_limit(self, runner, tmp_path, monkeypatch):

@@ -281,8 +281,7 @@ class TestSolveFeasibility:
         assert beta.as_dict()["inner_iterations"] == beta.inner_iterations
         seen.clear()
         _, _, problem = tfim_problem(g=1.0)
-        assert solve_least_squares(problem).inner_iterations == 0
-        assert seen == []
+        assert solve_least_squares(problem).inner_iterations == sum(seen) > 0
 
     def test_nested_feasibility_by_padding(self):
         # A feasible beta for a sub-ansatz, zero padded, stays feasible for
@@ -523,8 +522,32 @@ class TestAcceleratedLeastSquares:
         beta = solve_least_squares(problem)
         ref_obj, _ = projected_gradient_reference(problem)
         assert beta.objective <= ref_obj * (1.0 + 1e-9)
+        assert beta.stop_reason != "budget"
         assert beta.trace_error <= 1e-9
         assert beta.psd_violation >= -1e-9
+
+    def test_interior_optima_have_no_traceless_gradient(self):
+        # Where the returned whitened x is positive definite, the optimality
+        # condition over the spectrahedron is a gradient 2 (A^T A v + N^T (N v - t))
+        # parallel to the identity: its traceless part vanishes.
+        problems = [random_noisy_problem(seed) for seed in range(20)]
+        problems += [noisy_tfim4_problem(shots, noise_seed=11)
+                     for shots in (10 ** 4, 10 ** 6, 10 ** 8)]
+        interior = 0
+        for problem in problems:
+            beta = solve_least_squares(problem)
+            system, w = whiten(problem)
+            left = w.conj().T @ problem.overlaps.E  # W^dag E W = I, so x = left beta left^dag
+            x = hermitize(left @ beta.matrix @ left.conj().T)
+            if np.linalg.eigvalsh(x)[0] <= 0.0:
+                continue
+            interior += 1
+            forward, backward, rows = sdp._least_squares_operator(system)
+            v = _real_vector(x)
+            grad = 2.0 * (backward(forward(v)) + rows.T @ (rows @ v - system.targets))
+            unit = _real_vector(np.eye(system.dim)) / np.sqrt(system.dim)
+            assert np.linalg.norm(grad - (grad @ unit) * unit) <= sdp.LS_GRAD_TOL
+        assert interior >= 22  # seed 1's optimum lies on the PSD boundary
 
     @pytest.mark.parametrize("seed", range(20))
     def test_step_is_below_the_exact_bound(self, seed):
@@ -536,8 +559,8 @@ class TestAcceleratedLeastSquares:
     def test_noisy_tfim4_needs_a_quarter_of_the_iterations(self, shots):
         problem = noisy_tfim4_problem(shots, noise_seed=11)
         beta = solve_least_squares(problem)
-        ref_obj, ref_iterations = projected_gradient_reference(problem)
-        assert beta.iterations <= ref_iterations / 4
+        ref_obj, _ = projected_gradient_reference(problem)
+        assert beta.iterations <= 2
         assert beta.objective <= ref_obj * (1.0 + 1e-9)
         assert initial_step(problem) * 2.0 * exact_lambda_max(problem) <= 1.0
 
@@ -552,10 +575,11 @@ class TestAcceleratedLeastSquares:
         assert abs(beta.objective - expect.objective) <= 1e-9 * expect.objective
 
     def test_budget_is_not_converged(self, monkeypatch):
+        # Seed 1's optimum lies on the PSD boundary, so FISTA runs past its start.
+        problem = random_noisy_problem(1)
+        assert solve_least_squares(problem).iterations > 3
         monkeypatch.setattr(sdp, "LS_MAX_ITER", 3)
-        _, _, problem = tfim_problem(g=1.0)
-        noisy = add_shot_noise(problem.overlaps, 10 ** 6, rng_seed=0)
-        beta = solve_least_squares(FeasibilityProblem(overlaps=noisy))
+        beta = solve_least_squares(problem)
         assert beta.iterations == 3
         assert beta.stop_reason == "budget"
         assert not beta.converged
