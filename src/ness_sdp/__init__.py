@@ -4,8 +4,8 @@ The pipeline: build an open-system model (Pauli sums), generate
 moment-state ansatz sets from a seed, assemble the projected overlap
 matrices, solve the feasibility program over the PSD cone, and verify
 against the Liouvillian oracle; ``run`` does the last three steps. Strong
-symmetries are handled by sector constraints or twirl + Vandermonde
-extraction (``ness_sdp.symmetry``).
+symmetries are handled by sector constraints or one solve per symmetry
+sector (``ness_sdp.symmetry``).
 """
 from .errors import (
     ConfigError,

@@ -197,8 +197,8 @@ def _build_ansatz(model: models.OpenSystemModel, cfg: dict,
                                        seed_descriptor=descriptor)
 
 
-def _constraints(cfg: dict, ansatz: states.AnsatzSet,
-                 model: models.OpenSystemModel):
+def _constraints(cfg: dict, model: models.OpenSystemModel):
+    """The config's constraints as (operator, target) pairs, not yet projected."""
     out = []
     for entry in _entries(cfg, "constraints", "constraints", []):
         if "target" not in entry:
@@ -214,7 +214,7 @@ def _constraints(cfg: dict, ansatz: states.AnsatzSet,
                                   f"objects, got {entry['observable']!r} ({exc})")
         else:
             raise ConfigError(f"constraint needs 'generator' or 'observable': {entry}")
-        out.append(symmetry.sector_constraint(gen, target, ansatz))
+        out.append((gen, target))
     return tuple(out)
 
 
@@ -244,7 +244,9 @@ def _run_config(model: models.OpenSystemModel, cfg: dict, dense_limit: int) -> p
     if cfg.get("shots") is not None:
         noise = {"shots": _integer(cfg["shots"], "shots", minimum=1),
                  "noise_rng_seed": _integer(cfg.get("noise_rng_seed", 0), "noise_rng_seed")}
-    return pipeline.run(model, ansatz, constraints=_constraints(cfg, ansatz, model),
+    constraints = tuple(symmetry.sector_constraint(op, target, ansatz)
+                        for op, target in _constraints(cfg, model))
+    return pipeline.run(model, ansatz, constraints=constraints,
                         options=_solver_options(cfg), dense_limit=dense_limit, **noise)
 
 
@@ -454,6 +456,16 @@ def _declared_symmetry(model: models.OpenSystemModel, label) -> models.SymmetryS
     return model.symmetries[labels.index(label)]
 
 
+def _worst_diagnostics(diagnostics: list[dict]) -> dict:
+    """One ``solver_diagnostics`` for several solves: the least psd_violation,
+    the largest errors, the iteration counts and whitened dimensions summed."""
+    merge = {"psd_violation": min, "subspace_residual": max, "trace_error": max,
+             "iterations": sum, "inner_iterations": sum, "whitened_dim": sum, "converged": all,
+             "constraint_errors": lambda errors: [max(c) for c in zip(*errors)]}
+    return {key: merge[key]([d[key] for d in diagnostics]) if key in merge else value
+            for key, value in diagnostics[0].items()}
+
+
 _EXTRACTION_LIMIT = (f"extraction realizes dense sector states, so it stops at "
                      f"{DEFAULT_DENSE_LIMIT} qubits (pauli.DEFAULT_DENSE_LIMIT)")
 
@@ -465,7 +477,7 @@ _EXTRACTION_LIMIT = (f"extraction realizes dense sector states, so it stops at "
               help=f"Largest n at which the oracle-top seed uses the dense oracle; "
                    f"{_EXTRACTION_LIMIT}.")
 def symmetry_cmd(config_path, out_dir, dense_limit):
-    """Twirl + Vandermonde extraction of per-sector steady states."""
+    """Per-sector steady states: one solve per sector of the symmetry."""
     def body():
         cfg = _command_config(config_path)
         if cfg.get("shots") is not None:
@@ -480,24 +492,22 @@ def symmetry_cmd(config_path, out_dir, dense_limit):
         result = symmetry.extract_all_ness(
             model, spec, ansatz,
             options=_solver_options(cfg),
-            extra_constraints=_constraints(cfg, ansatz, model),
+            extra_constraints=_constraints(cfg, model),
         )
         found = result.found
         pairwise = [[float(abs(np.vdot(a.state, b.state))) for b in found] for a in found]
         report = {
             "model": model.label,
             "symmetry": spec.label,
-            "attempts": result.attempts,
-            "solver_diagnostics": result.beta.as_dict(),
+            "solver_diagnostics": _worst_diagnostics([s.diagnostics for s in found]),
             "sectors": [
                 {
                     "sector": s.sector,
                     "eigenvalue": [s.eigenvalue.real, s.eigenvalue.imag],
                     "missing": s.missing,
-                    "trace_weight": None if s.missing else [s.trace_weight.real,
-                                                            s.trace_weight.imag],
                     "residual": s.residual,
                     "psd_violation": s.psd_violation,
+                    "solver_diagnostics": s.diagnostics,
                     "state": None if s.missing else _matrix_obj(s.state),
                 }
                 for s in result.states

@@ -1,40 +1,38 @@
 """Multiple steady states under strong symmetries.
 
-A strong symmetry is an operator U commuting with the Hamiltonian and all
-jump operators; the operator space splits into blocks B_ab between
-U-eigenspaces and each diagonal block carries a physical steady state.
-This module implements the three tools that recover them:
-
-* sector constraints Tr(beta N~) = n_k added to the feasibility SDP,
-* twirl elimination rho -> rho - (rho - U rho U^dag)/(1 - u_m conj(u_n)),
-  which annihilates the B_mn component exactly and leaves diagonal
-  blocks untouched,
-* Vandermonde extraction, solving the invertible system that maps
-  {U^k rho_phys} onto the per-sector components c_a rho_aa.
-
-Combinations of U^k rho (U^dag)^k' are tracked symbolically on the
-solver's factor rho = S beta S^dag. U is never dense: U^p S is a row
-scatter of S with phases (``SymmetrySpec.apply``). Each found sector
-state is realized densely once, as sum c (U^p S) beta (U^q S)^dag, so
-extraction stops at ``pauli.DEFAULT_DENSE_LIMIT`` qubits.
+A strong symmetry U commutes with the Hamiltonian and every jump. With its
+distinct eigenvalues u_a and V[k, a] = u_a^k, P_a = sum_k (V^-1)_{ak} U^k
+projects onto u_a and commutes with the Lindbladian, so each sector a has
+its own steady state (Buca & Prosen, New J. Phys. 14, 073007, 2012).
+``extract_all_ness`` solves one feasibility problem per sector, on the
+projected ansatz S_a = P_a S. U is never dense: U^k S is a row scatter of
+S with phases (``SymmetrySpec.apply``). The sector states are dense, so
+extraction stops at ``pauli.DEFAULT_DENSE_LIMIT`` qubits. Also here: the
+sector constraints Tr(beta N~) = n_k, and the paper's route, kept as the
+reference for the sector solves: one solve over span(S), twirl elimination
+rho -> rho - (rho - U rho U^dag)/(1 - u_m conj(u_n)), which annihilates
+the B_mn block and leaves diagonal blocks untouched, then Vandermonde
+extraction of the components c_a rho_aa from {U^k rho_phys}, tracked
+symbolically on the factor rho = S beta S^dag (``RhoCombination``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DenseLimitError
+from .errors import ConfigError, DenseLimitError, InfeasibleError
 from .lindblad import PauliLindbladian, hermitize
 from .models import OpenSystemModel, SymmetrySpec
 from .overlaps import assemble, observable_matrix
 from .pauli import DEFAULT_DENSE_LIMIT, PauliSum
-from .sdp import BetaMatrix, FeasibilityProblem, SolverOptions, solve_feasibility
+from .sdp import (WHITEN_CUTOFF, BetaMatrix, FeasibilityProblem, SolverOptions,
+                  solve_feasibility)
 from .states import AnsatzSet
 from . import oracle
 
 TRACE_FLOOR = 1e-8
-MAX_RETRIES = 2
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +66,7 @@ def sector_basis_ansatz(n: int, m: int) -> AnsatzSet:
 
 
 # ---------------------------------------------------------------------------
-# Twirl elimination and Vandermonde extraction (method two)
+# Twirl elimination and Vandermonde extraction (the reference for method two)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -177,8 +175,12 @@ class ExtractedState:
     state: np.ndarray | None
     combination: RhoCombination | None
     missing: bool = False
-    residual: float | None = None
     psd_violation: float | None = None
+
+
+def _vandermonde_inverse(spec: SymmetrySpec) -> np.ndarray:
+    """V^-1 for V[k, a] = u_a^k: row a maps (U^k X)_k onto X's component P_a X."""
+    return np.linalg.inv(np.vander(np.array(spec.eigenvalues), increasing=True).T)
 
 
 def vandermonde_extract(rho_phys: RhoCombination, spec: SymmetrySpec,
@@ -188,19 +190,14 @@ def vandermonde_extract(rho_phys: RhoCombination, spec: SymmetrySpec,
     Solves V (c_a rho_aa) = (U^k rho_phys), k = 0..n_U-1, with
     V_{ka} = u_a^k, formally: each sector's combination
     sum_k (V^-1)_{ak} U^k rho_phys gets its trace from the factor's Gram
-    matrix and is realized densely only when it is not missing.
-    Components with |trace| <= trace_floor are reported missing (the
-    feasibility program should be re-run from a different start to
-    populate them).
+    matrix and is realized densely only when it is not missing, that is
+    when |trace| > trace_floor.
     """
-    n_u = spec.n_sectors
-    eigs = np.array(spec.eigenvalues)
-    vmat = np.vander(eigs, N=n_u, increasing=True).T  # V[k, a] = u_a^k
-    v_inv = np.linalg.inv(vmat)
+    v_inv = _vandermonde_inverse(spec)
     results = []
-    for a in range(n_u):
+    for a in range(spec.n_sectors):
         component = rho_phys.scaled(v_inv[a, 0])
-        for k in range(1, n_u):
+        for k in range(1, spec.n_sectors):
             component = component.added(rho_phys.left_multiplied(k).scaled(v_inv[a, k]))
         trace = component.trace()
         if abs(trace) <= trace_floor:
@@ -220,59 +217,94 @@ def vandermonde_extract(rho_phys: RhoCombination, spec: SymmetrySpec,
 
 
 # ---------------------------------------------------------------------------
-# Full pipeline (Appendix-style three stage extraction)
+# One feasibility solve per sector (method two)
 # ---------------------------------------------------------------------------
+
+# A NamedTuple: building a frozen dataclass of these nine fields takes
+# about 1.2 ms of every import of the package (CPython 3.11).
+class SectorState(NamedTuple):
+    """Sector ``sector``'s state rho_a = S_a beta_a S_a^dag on S_a = P_a S
+    (``ansatz``, None when empty). ``diagnostics`` is ``beta.as_dict()``, or
+    the solver's report when LSQR certified the sector infeasible, and then
+    ``residual`` is that certificate rather than ||L[rho_a]||_F."""
+
+    sector: int
+    eigenvalue: complex
+    ansatz: AnsatzSet | None
+    beta: BetaMatrix | None = None
+    state: np.ndarray | None = None
+    residual: float | None = None
+    psd_violation: float | None = None
+    diagnostics: dict | None = None
+    missing: bool = False
+
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    states: tuple[ExtractedState, ...]
-    beta: BetaMatrix
-    attempts: int
+    states: tuple[SectorState, ...]
 
     @property
-    def found(self) -> list[ExtractedState]:
+    def found(self) -> list[SectorState]:
         return [s for s in self.states if not s.missing]
 
 
 def extract_all_ness(model: OpenSystemModel, spec: SymmetrySpec, ansatz: AnsatzSet,
                      options: SolverOptions | None = None,
-                     extra_constraints: tuple = ()) -> ExtractionResult:
-    """Solve, twirl away off-diagonal blocks, and Vandermonde-extract all sectors.
+                     extra_constraints: tuple[tuple[PauliSum, float], ...] = ()
+                     ) -> ExtractionResult:
+    """One feasibility solve per sector of U, on S_a = sum_k (V^-1)_{ak} U^k S.
 
-    When a sector component is missing (zero weight in the solver output)
-    the feasibility program is re-run from a seeded random start, per the
-    documented remedy, up to ``MAX_RETRIES`` times. A spec that fails
-    ``validate`` raises ``ConfigError``. The sector states are dense, so
-    above ``pauli.DEFAULT_DENSE_LIMIT`` qubits this raises
-    ``DenseLimitError`` before any work.
+    S_a is held on its own rows (U can move rows off those of S), and each
+    ``(operator, target)`` constraint is projected onto it. A sector is
+    missing when no Gram eigenvalue of S_a exceeds ``sdp.WHITEN_CUTOFF``
+    times the largest of S, or when LSQR certifies its solve infeasible;
+    if that holds for every non-empty sector, the first InfeasibleError
+    propagates, as does any other solver error. A spec that fails
+    ``validate`` raises ConfigError, and above ``pauli.DEFAULT_DENSE_LIMIT``
+    qubits this raises DenseLimitError before any work.
     """
     if model.n_qubits > DEFAULT_DENSE_LIMIT:
         raise DenseLimitError(f"sector states of {model.n_qubits} qubits are dense; "
                               f"the limit is {DEFAULT_DENSE_LIMIT}")
-    options = options or SolverOptions()
     violations = spec.validate(model)
     if violations:
         raise ConfigError(f"invalid strong symmetry {spec.label!r}: {violations}")
-    overlaps = assemble(model, ansatz)
     generator = PauliLindbladian(model)  # compiled once for every residual
-    attempts = 0
-    states: list[ExtractedState] = []
-    beta = None
-    while attempts <= MAX_RETRIES:
-        opts = options if attempts == 0 else replace(
-            options, initial="random", rng_seed=options.rng_seed + attempts)
-        problem = FeasibilityProblem(
-            overlaps=overlaps, extra_constraints=tuple(extra_constraints), options=opts)
-        beta = solve_feasibility(problem)
-        rc = RhoCombination.initial(beta.matrix, spec, factor=ansatz.columns)
-        rc = twirl_eliminate_all(rc, spec)
-        states = vandermonde_extract(rc, spec)
-        states = [
-            replace(s, residual=oracle.true_residual(s.state, model, generator))
-            if s.state is not None else s
-            for s in states
-        ]
-        attempts += 1
-        if all(not s.missing for s in states):
-            break
-    return ExtractionResult(states=tuple(states), beta=beta, attempts=attempts)
+    powers = [ansatz.columns]  # U^k S, k = 0..n_U-1
+    while len(powers) < spec.n_sectors:
+        powers.append(spec.apply(powers[-1]))
+    sectors = [AnsatzSet(ansatz.n_qubits, np.arange(len(powers[0])),
+                         sum(c * power for c, power in zip(row, powers)), ansatz.words,
+                         f"{ansatz.seed_descriptor} sector {a}", ansatz.rng_seed)
+               for a, row in enumerate(_vandermonde_inverse(spec))]
+    del powers  # dense; freed before any solve
+    floor = WHITEN_CUTOFF * np.linalg.norm(ansatz.block, 2) ** 2  # of the Gram eigenvalues
+    states, infeasible = [], []
+    for a, (sector, u_a) in enumerate(zip(sectors, spec.eigenvalues)):
+        if np.linalg.norm(sector.block, 2) ** 2 <= floor:
+            states.append(SectorState(a, u_a, None, missing=True))
+            continue
+        try:
+            beta = solve_feasibility(FeasibilityProblem(
+                assemble(model, sector), options=options or SolverOptions(),
+                extra_constraints=tuple(sector_constraint(op, target, sector)
+                                        for op, target in extra_constraints)))
+        except InfeasibleError as exc:
+            if exc.report["stop_reason"] != "least-squares":
+                raise
+            infeasible.append(exc)
+            states.append(SectorState(a, u_a, sector, diagnostics=exc.report, missing=True,
+                                      residual=exc.report["least_squares_residual"]))
+            continue
+        rho = hermitize(sector.block @ beta.matrix @ sector.block.conj().T)  # on S_a's rows
+        state = np.zeros((2 ** model.n_qubits,) * 2, dtype=complex)
+        state[np.ix_(sector.rows, sector.rows)] = rho
+        low = float(np.linalg.eigvalsh(rho)[0])  # the other eigenvalues of the state are 0
+        states.append(SectorState(a, u_a, sector, beta, state,
+                                  oracle.true_residual(state, model, generator),
+                                  low if len(rho) == len(state) else min(low, 0.0),
+                                  beta.as_dict()))
+    result = ExtractionResult(tuple(states))
+    if infeasible and not result.found:
+        raise infeasible[0]
+    return result

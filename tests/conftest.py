@@ -9,8 +9,16 @@ import pytest
 
 from ness_sdp import oracle
 from ness_sdp.models import OpenSystemModel
+from ness_sdp.overlaps import assemble
 from ness_sdp.pauli import PauliString, PauliSum, sigma_minus, sigma_plus, single_site, two_site
+from ness_sdp.sdp import FeasibilityProblem, SolverOptions, solve_feasibility
 from ness_sdp.states import AnsatzSet
+from ness_sdp.symmetry import (
+    RhoCombination,
+    sector_constraint,
+    twirl_eliminate_all,
+    vandermonde_extract,
+)
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -340,3 +348,19 @@ def reference_lsqr(system, rhs: tuple, tol: float, max_iter: int):
         if alpha * abs(cs) <= LSQR_ATOL * np.sqrt(anorm_sq):
             return dx, phibar, it, "least-squares"
     return dx, phibar, max_iter, "budget"
+
+
+# -- twirl + Vandermonde extraction, the reference for the sector solves ------
+
+def reference_extraction(model: OpenSystemModel, spec, ansatz: AnsatzSet, constraints=(),
+                         options=None):
+    """The paper's route to the sector states: one feasibility solve over
+    span(S) with the (operator, target) constraints, the twirls, then
+    Vandermonde extraction; one ``symmetry.ExtractedState`` per sector."""
+    problem = FeasibilityProblem(
+        overlaps=assemble(model, ansatz), options=options or SolverOptions(),
+        extra_constraints=tuple(sector_constraint(op, target, ansatz)
+                                for op, target in constraints))
+    beta = solve_feasibility(problem)
+    rc = RhoCombination.initial(beta.matrix, spec, factor=ansatz.columns)
+    return vandermonde_extract(twirl_eliminate_all(rc, spec), spec)

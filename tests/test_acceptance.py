@@ -143,11 +143,12 @@ def boundary_results(registry):
     model = xxz_boundary_driven(4, 1.0, 1.0, 0.5)
     spec = exchange_parity_symmetry(4)
     ansatz = sector_basis_ansatz(4, 0)
-    constraint = sector_constraint(magnetization(4), 0.0, ansatz)
-    result = extract_all_ness(model, spec, ansatz, extra_constraints=(constraint,))
-    registry.append(("boundary m=0", FeasibilityProblem(
-        overlaps=assemble(model, ansatz), extra_constraints=(constraint,)),
-        result.beta))
+    result = extract_all_ness(model, spec, ansatz, extra_constraints=((magnetization(4), 0.0),))
+    for part in result.found:  # each sector's own problem, on S_a = P_a S
+        registry.append((f"boundary m=0 sector {part.sector}", FeasibilityProblem(
+            overlaps=assemble(model, part.ansatz),
+            extra_constraints=(sector_constraint(magnetization(4), 0.0, part.ansatz),)),
+            part.beta))
 
     iso0 = sector_basis_ansatz(4, 0).columns
     s_r = iso0.conj().T @ dense_symmetry(spec) @ iso0
@@ -228,7 +229,7 @@ def test_criterion_5_sector_constraints(xxz_sector_results):
 
 
 def test_criterion_6_boundary_driven_extraction(boundary_results):
-    """Boundary-driven XXZ n=4: two trace-orthogonal states from the S twirl."""
+    """Boundary-driven XXZ n=4: two trace-orthogonal states, one solve per S sector."""
     model = boundary_results["model"]
     result = boundary_results["result"]
     oracle_states = boundary_results["oracle_states"]

@@ -427,6 +427,66 @@ class TestSymmetryCmd:
         for s in report["sectors"]:
             assert s["missing"] or s["residual"] <= 1e-7
 
+    def test_report_carries_each_sectors_diagnostics(self, runner, tmp_path):
+        # The top-level diagnostics are the worst over the found sectors.
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "xxz_boundary_driven",
+                      "params": {"n": 6, "delta": 1.0, "drive": 1.0, "mu": 0.5}},
+            "ansatz": {"seed": "sector-basis:0"},
+            "symmetry": {"use": "exchange-parity"},
+            "constraints": [{"generator": "magnetization", "target": 0.0}],
+        })
+        result = runner.invoke(main, ["symmetry", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "symmetry.json").read_text())
+        assert "attempts" not in report
+        sectors = [s["solver_diagnostics"] for s in report["sectors"]]
+        assert all("trace_weight" not in s for s in report["sectors"])
+        worst = report["solver_diagnostics"]
+        assert worst["psd_violation"] == min(d["psd_violation"] for d in sectors)
+        for key in ("subspace_residual", "trace_error"):
+            assert worst[key] == max(d[key] for d in sectors)
+        for key in ("iterations", "inner_iterations", "whitened_dim"):
+            assert worst[key] == sum(d[key] for d in sectors)
+        assert worst["constraint_errors"] == [max(d["constraint_errors"][0] for d in sectors)]
+        assert worst["whitened_dim"] == 20 and all(d["whitened_dim"] < 20 for d in sectors)
+
+    def test_certified_infeasible_sector_is_reported_missing(self, runner, tmp_path):
+        # The moment states of 110 reach the m = -1 and m = 3 sectors; <M> = -1
+        # leaves the m = 3 one certified infeasible, and the two others empty.
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "xxz_dephasing",
+                      "params": {"n": 3, "delta": 1.0, "gamma": 1.0}},
+            "ansatz": {"seed": "bits:110", "K": 3},
+            "constraints": [{"generator": "magnetization", "target": -1.0}],
+        })
+        result = runner.invoke(main, ["symmetry", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "symmetry.json").read_text())
+        assert [s["missing"] for s in report["sectors"]] == [True, False, True, True]
+        empty, found, _, infeasible = report["sectors"]
+        assert empty["residual"] is None and empty["solver_diagnostics"] is None
+        assert found["residual"] <= 1e-9
+        assert infeasible["solver_diagnostics"]["stop_reason"] == "least-squares"
+        assert infeasible["residual"] == infeasible["solver_diagnostics"]["least_squares_residual"]
+        assert infeasible["residual"] > 1e-3 and infeasible["state"] is None
+        assert report["solver_diagnostics"] == found["solver_diagnostics"]
+
+    def test_every_sector_infeasible_exits_3(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"builder": "xxz_dephasing",
+                      "params": {"n": 3, "delta": 1.0, "gamma": 1.0}},
+            "ansatz": {"seed": "bits:110", "K": 3},
+            "constraints": [{"generator": "magnetization", "target": 0.0}],
+        })
+        result = runner.invoke(main, ["symmetry", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert "'stop_reason': 'least-squares'" in result.output
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("model, use, message", [
         ({"builder": "xxz_dephasing", "params": {"n": 3, "delta": 1.0}},
          "exchange-parity", "not declared"),
@@ -719,7 +779,7 @@ class TestMalformedConfigs:
         assert not out.exists()
 
     def test_max_retries_is_an_unknown_key(self, runner, tmp_path):
-        # extraction retries a fixed number of times (symmetry.MAX_RETRIES)
+        # extraction solves each sector once and never retries, so nothing reads it
         cfg = write_config(tmp_path / "cfg.json", {
             "model": {"builder": "xxz_dephasing", "params": {"n": 2, "delta": 1.0}},
             "symmetry": {"use": "exchange-parity", "max_retries": 2},

@@ -1,4 +1,5 @@
-"""Strong-symmetry machinery: the structured U, twirls, Vandermonde extraction."""
+"""Strong-symmetry machinery: the structured U, twirls, Vandermonde extraction,
+and the per-sector solves checked against the twirl + Vandermonde reference."""
 import numpy as np
 import pytest
 
@@ -8,9 +9,10 @@ from conftest import (
     dense_sum,
     dense_symmetry,
     random_hermitian,
+    reference_extraction,
 )
-from ness_sdp import oracle
-from ness_sdp.errors import ConfigError
+from ness_sdp import oracle, symmetry
+from ness_sdp.errors import ConfigError, InfeasibleError
 from ness_sdp.models import (
     exchange_parity_symmetry,
     magnetization,
@@ -21,7 +23,7 @@ from ness_sdp.models import (
 )
 from ness_sdp.overlaps import assemble
 from ness_sdp.pauli import PauliSum
-from ness_sdp.sdp import SolverOptions
+from ness_sdp.sdp import SolverOptions, solve_feasibility
 from ness_sdp.states import basis_state, moment_states
 from ness_sdp.symmetry import (
     RhoCombination,
@@ -350,31 +352,34 @@ class TestExtractAllNess:
         model = xxz_boundary_driven(4, 1.0, 1.0, 0.5)
         spec = exchange_parity_symmetry(4)
         ans = sector_basis_ansatz(4, 0)
-        con = sector_constraint(magnetization(4), 0.0, ans)
-        result = extract_all_ness(model, spec, ans, extra_constraints=(con,))
+        result = extract_all_ness(model, spec, ans, extra_constraints=((magnetization(4), 0.0),))
         assert len(result.found) == 2
         r1, r2 = (p.state for p in result.found)
         assert abs(np.trace(r1.conj().T @ r2)) <= 1e-8
         for part in result.found:
             assert part.residual <= 1e-7
 
-    def test_boundary_driven_eight_qubits_decided_feasible(self):
+    def test_boundary_driven_eight_qubits_decided_feasible(self, monkeypatch):
         # The n=8 extraction of the boundary-extract benchmark, at its
-        # outer-iteration cap of 10: LSQR projects onto the affine set in
-        # one outer iteration, so the solve is decided feasible.
+        # outer-iteration cap of 10: LSQR projects onto each sector's affine
+        # set in one outer iteration, so each sector's solve is decided
+        # feasible, one solve per sector.
+        solves = []
+        monkeypatch.setattr(symmetry, "solve_feasibility",
+                            lambda problem: solves.append(problem) or solve_feasibility(problem))
         model = xxz_boundary_driven(8, 1.0, 1.0, 0.5)
         ans = sector_basis_ansatz(8, 0)
-        con = sector_constraint(magnetization(8), 0.0, ans)
         result = extract_all_ness(model, exchange_parity_symmetry(8), ans,
                                   options=SolverOptions(max_iter=10),
-                                  extra_constraints=(con,))
-        beta = result.beta
-        assert result.attempts == 1
-        assert beta.subspace_residual <= 1e-9 and beta.trace_error <= 1e-9
-        assert beta.psd_violation >= -1e-9
-        assert all(c <= 1e-9 for c in beta.constraint_errors)
+                                  extra_constraints=((magnetization(8), 0.0),))
+        assert len(solves) == 2
         assert len(result.found) == 2
         for part in result.found:
+            beta = part.beta
+            assert beta.subspace_residual <= 1e-9 and beta.trace_error <= 1e-9
+            assert beta.psd_violation >= -1e-9
+            assert all(c <= 1e-9 for c in beta.constraint_errors)
+            assert beta.iterations <= 1
             assert part.residual <= 1e-8
             assert np.linalg.norm(part.state - part.state.conj().T) <= 1e-12
             assert part.psd_violation >= -1e-9
@@ -386,3 +391,129 @@ class TestExtractAllNess:
         spec = exchange_parity_symmetry(2)  # not a symmetry of the TFIM
         with pytest.raises(ConfigError):
             extract_all_ness(model, spec, ans)
+
+
+def assert_matches_reference(result, reference, tol=1e-10):
+    """The same sectors missing, and each found state within tol max-abs."""
+    assert [s.missing for s in result.states] == [r.missing for r in reference]
+    for got, ref in zip(result.states, reference):
+        if not got.missing:
+            assert np.abs(got.state - ref.state).max() <= tol, got.sector
+
+
+def assert_solver_invariants(part, tol=1e-9):
+    beta = part.beta
+    assert beta.subspace_residual <= tol and beta.trace_error <= tol, beta
+    assert all(c <= tol for c in beta.constraint_errors), beta
+    assert beta.psd_violation >= -tol and part.psd_violation >= -tol, beta
+    assert part.diagnostics == beta.as_dict()
+
+
+class TestSectorSolves:
+    """One feasibility solve per sector, against twirl + Vandermonde extraction."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_boundary_extract_config_matches_reference(self, n):
+        # The boundary-extract benchmark's inputs: the sector basis spans the
+        # m=0 sector, which exchange parity maps onto itself.
+        model = xxz_boundary_driven(n, 1.0, 1.0, 0.5)
+        spec, ans = exchange_parity_symmetry(n), sector_basis_ansatz(n, 0)
+        constraints = ((magnetization(n), 0.0),)
+        options = SolverOptions(max_iter=10)
+        result = extract_all_ness(model, spec, ans, options=options,
+                                  extra_constraints=constraints)
+        assert len(result.found) == 2
+        assert_matches_reference(result, reference_extraction(model, spec, ans, constraints,
+                                                              options))
+        for part in result.found:
+            assert_solver_invariants(part)
+            assert part.residual <= 1e-8
+
+    def test_xxz_dephasing_full_basis_matches_reference(self):
+        model = xxz_dephasing(3, 1.0)
+        spec = magnetization_symmetry(3)
+        full = dense_ansatz(np.eye(8), tuple((i,) for i in range(8)))
+        result = extract_all_ness(model, spec, full)
+        assert len(result.found) == 4
+        assert_matches_reference(result, reference_extraction(model, spec, full))
+        for part in result.found:
+            assert_solver_invariants(part)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_seed_fixed_by_u_matches_reference(self, order):
+        # 101010 reversed and flipped is 101010, so span(S) is U-invariant and
+        # P_a span(S) lies inside it: both methods solve the same problem.
+        model = xxz_boundary_driven(6, 1.0, 1.0, 0.5)
+        spec = exchange_parity_symmetry(6)
+        ans = moment_states(model.hamiltonian, basis_state(6, "101010"), order)
+        both = np.hstack([ans.columns, spec.apply(ans.columns)])
+        assert np.linalg.matrix_rank(both) == np.linalg.matrix_rank(ans.columns)
+        result = extract_all_ness(model, spec, ans)
+        assert_matches_reference(result, reference_extraction(model, spec, ans))
+
+    def test_sector_ansatz_is_held_on_its_own_rows(self):
+        # 110010 maps to 101100 under exchange parity, off the rows of S; each
+        # S_a is the projection (S +- U S) / 2 on the rows of both.
+        model = xxz_boundary_driven(6, 1.0, 1.0, 0.5)
+        spec = exchange_parity_symmetry(6)
+        ans = moment_states(model.hamiltonian, basis_state(6, "110010"), 2)
+        u = dense_symmetry(spec)
+        result = extract_all_ness(model, spec, ans)
+        for part, sign in zip(result.states, (1.0, -1.0)):
+            expect = (ans.columns + sign * (u @ ans.columns)) / 2
+            assert np.allclose(part.ansatz.columns, expect, rtol=0, atol=1e-15)
+            assert len(part.ansatz.rows) > len(ans.rows)
+            assert_solver_invariants(part)
+
+    def test_projected_span_holds_the_steady_states_that_span_s_misses(self):
+        # Off a U-invariant span the two methods differ: at K=3 from 110010,
+        # P_a span(S) holds each sector's steady state, and extraction from
+        # the solve over span(S) leaves a residual of order 1.
+        model = xxz_boundary_driven(6, 1.0, 1.0, 0.5)
+        spec = exchange_parity_symmetry(6)
+        ans = moment_states(model.hamiltonian, basis_state(6, "110010"), 3)
+        result = extract_all_ness(model, spec, ans)
+        assert len(result.found) == 2
+        for part, ref in zip(result.found, reference_extraction(model, spec, ans)):
+            assert part.residual <= 1e-9
+            assert oracle.true_residual(ref.state, model) > 1.0
+
+    def test_empty_sectors_are_missing_in_one_pass(self, monkeypatch):
+        # The K=3 moment states of 110 live in the m = -1 and m = 3 sectors
+        # only, so sectors 0 (m = -3) and 2 (m = 1) are empty and get no solve.
+        solves = []
+        monkeypatch.setattr(symmetry, "solve_feasibility",
+                            lambda problem: solves.append(problem) or solve_feasibility(problem))
+        model = xxz_dephasing(3, 1.0)
+        ans = moment_states(model.hamiltonian, basis_state(3, "110"), 3)
+        result = extract_all_ness(model, magnetization_symmetry(3), ans)
+        assert [s.sector for s in result.states if s.missing] == [0, 2]
+        assert len(solves) == 2
+        for part in result.states:
+            if part.missing:
+                assert part.ansatz is None and part.residual is None
+            else:
+                assert_solver_invariants(part)
+                assert part.residual <= 1e-12
+
+    def test_certified_infeasible_sector_is_missing_with_its_residual(self):
+        # <M> = -1 holds only in the m = -1 sector; the other three sectors'
+        # affine constraints are inconsistent, which LSQR certifies.
+        model = xxz_dephasing(3, 1.0)
+        full = dense_ansatz(np.eye(8), tuple((i,) for i in range(8)))
+        result = extract_all_ness(model, magnetization_symmetry(3), full,
+                                  extra_constraints=((magnetization(3), -1.0),))
+        assert [s.sector for s in result.found] == [1]
+        assert_solver_invariants(result.found[0])
+        for part in result.states:
+            if part.missing:
+                assert part.diagnostics["stop_reason"] == "least-squares"
+                assert part.residual == part.diagnostics["least_squares_residual"] > 1e-3
+
+    def test_every_sector_infeasible_raises(self):
+        model = xxz_dephasing(3, 1.0)
+        full = dense_ansatz(np.eye(8), tuple((i,) for i in range(8)))
+        with pytest.raises(InfeasibleError) as info:  # no sector of 3 qubits has m = 0
+            extract_all_ness(model, magnetization_symmetry(3), full,
+                             extra_constraints=((magnetization(3), 0.0),))
+        assert info.value.report["stop_reason"] == "least-squares"
